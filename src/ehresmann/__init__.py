@@ -33,10 +33,9 @@ from .connection import (  # noqa: F401
 )
 from .covderiv import (  # noqa: F401
     CovDeriv, CovDerivError, MembershipError, ParallelismReport,
-    SubmoduleDeriv, check_parallelism_equivalence, derivative_blocks,
-    derivative_pair, ehresmann_curvature, extend_derivative,
-    glue_derivatives, nabla_of_endo, torsion, total_derivative_equal_rank,
-    total_derivative_nfold,
+    SubmoduleDeriv, check_parallelism_equivalence, ehresmann_curvature,
+    extend_derivative, glue_derivatives, nabla_of_endo, torsion,
+    total_derivative,
 )
 from .scenarios import (  # noqa: F401
     BUILTIN_BUILDERS, ExpectedRow, Metric, Scenario, SodeSufficiencyReport,

@@ -19,38 +19,11 @@ from . import expr as ex
 from . import scenarios as sc
 from .connection import ConnectionDataError, K_HORIZONTAL, K_VERTICAL, \
     build_connection, canonical_endos
-from .covderiv import (
-    ehresmann_curvature, torsion, total_derivative_equal_rank,
-    total_derivative_nfold,
-)
+from .covderiv import ehresmann_curvature, torsion, total_derivative
 from .geometry import (
     ChartedSpace, CheckConfig, Frame, GeometryError, OffManifoldError,
     VectorField, lie_bracket,
 )
-
-
-@dataclass
-class RunConfig:
-    """Verification knobs as exposed on the command line."""
-
-    scenario: str
-    seed: int = 42
-    samples: int = 20
-    tolerance: float = 1e-8
-    depth: int = 3
-    fmt: str = "table"
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-
-    def check_config(self) -> CheckConfig:
-        return CheckConfig(self.seed, self.samples, self.tolerance,
-                           self.depth)
 
 
 @dataclass
@@ -197,12 +170,7 @@ def load_scenario_file(path: str,
         conn = build_connection(space, vertical, horizontal, cfg)
         split = canonical_endos(conn, blocks, orientation, cfg,
                                 pairings=split_doc.get("pairings"))
-        if len(blocks) == 1 and k_frame.rank == blocks[0].rank:
-            nabla = total_derivative_equal_rank(split, cfg)
-            construction = "equal-rank"
-        else:
-            nabla = total_derivative_nfold(split, cfg)
-            construction = "n-block"
+        nabla = total_derivative(split, cfg)
     except (ConnectionDataError, GeometryError) as exc:
         raise ScenarioFileError(path, "split", str(exc)) from None
 
@@ -237,7 +205,7 @@ def load_scenario_file(path: str,
         description=doc.get("description", f"loaded from {path}"),
         space=space, conn=conn, split=split, nabla=nabla,
         fields=fields, frame_names=frame_names,
-        expected=expected, construction=construction, metric=metric,
+        expected=expected, metric=metric,
         notes=doc.get("notes", ""))
 
 
@@ -306,9 +274,9 @@ def cmd_describe(name: str, cfg: CheckConfig) -> str:
 _EVAL_OPS = ("nabla", "bracket", "torsion", "curvature", "field", "apply")
 
 
-def cmd_eval(run: RunConfig, op: str, args: list, at: list) -> str:
-    cfg = run.check_config()
-    scen = _get_scenario(run.scenario, cfg)
+def cmd_eval(scenario: str, op: str, args: list, at: list,
+             fmt: str = "table") -> str:
+    scen = _get_scenario(scenario, CheckConfig())
     point = scen.space.point(at, project=True)
 
     def field_arg(name):
@@ -346,14 +314,14 @@ def cmd_eval(run: RunConfig, op: str, args: list, at: list) -> str:
 
     comps = out.values(point)
     coeffs = scen.coefficients(out, point)
-    if run.fmt == "json":
+    if fmt == "json":
         return json.dumps({
             "scenario": scen.name, "op": op, "args": args,
             "point": list(point.values),
             "components": {c: v for c, v in zip(scen.space.coords, comps)},
             "frame_coefficients": coeffs,
         }, sort_keys=True, indent=2)
-    if run.fmt == "csv":
+    if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["kind", "name", "value"])
@@ -373,14 +341,13 @@ def cmd_eval(run: RunConfig, op: str, args: list, at: list) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(run: RunConfig) -> Report:
-    cfg = run.check_config()
-    scen = _get_scenario(run.scenario, cfg)
+def cmd_verify(scenario: str, cfg: CheckConfig) -> Report:
+    scen = _get_scenario(scenario, cfg)
     records = sc.run_scenario_checks(scen, cfg)
     config_echo = {
-        "scenario": run.scenario, "seed": run.seed,
-        "samples": run.samples, "tolerance": run.tolerance,
-        "depth": run.depth,
+        "scenario": scenario, "seed": cfg.seed,
+        "samples": cfg.samples, "tolerance": cfg.tolerance,
+        "depth": cfg.depth,
     }
     return Report(config_echo, records)
 
@@ -438,19 +405,17 @@ def main(argv=None) -> int:
             print(cmd_describe(ns.scenario, CheckConfig()))
             return 0
         if ns.command == "eval":
-            run = RunConfig(ns.scenario, fmt=ns.format)
             expected_args = 1 if ns.op == "field" else 2
             if len(ns.args) != expected_args:
                 print(f"op {ns.op!r} takes {expected_args} argument(s)",
                       file=sys.stderr)
                 return 2
             at = [float(v) for v in ns.at.split(",")]
-            print(cmd_eval(run, ns.op, ns.args, at))
+            print(cmd_eval(ns.scenario, ns.op, ns.args, at, ns.format))
             return 0
         if ns.command == "verify":
-            run = RunConfig(ns.scenario, ns.seed, ns.samples, ns.tol,
-                            ns.depth, ns.format)
-            report = cmd_verify(run)
+            cfg = CheckConfig(ns.seed, ns.samples, ns.tol, ns.depth)
+            report = cmd_verify(ns.scenario, cfg)
             if ns.format == "json":
                 print(report.to_json())
             elif ns.format == "csv":

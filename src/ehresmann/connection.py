@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (
-    CheckConfig, DEFAULT_CHECK, Endo11, Frame, FrameSolver, GeometryError,
-    VectorField, projector_from_solver, validate_frame, validate_tangent,
-    vf_add, vf_scale, vf_sub,
+    CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame, FrameSolver,
+    GeometryError, VectorField, projector_from_solver, validate_frame,
+    validate_tangent, vf_add, vf_scale, vf_sub,
 )
-from .report import DevTracker
+from .report import DevTracker, max_abs
 
 SPLIT_IDENTITY_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
@@ -62,15 +62,15 @@ def build_connection(space, vertical: Frame, horizontal: Frame,
             validate_tangent(space, f, cfg)
     if space.base_coords and not space.constraints:
         base_idx = [space.index(b) for b in space.base_coords]
-        worst = 0.0
+        tracker = DevTracker()
         for p in space.sample_points(cfg):
             for f in vertical.fields:
                 vals = f.values(p)
-                worst = max(worst, max(abs(vals[i]) for i in base_idx))
-        if worst > VERTICALITY_TOL:
+                tracker.update(max_abs(vals[i] for i in base_idx))
+        if not tracker.max_dev <= VERTICALITY_TOL:
             raise ConnectionDataError(
                 f"vertical frame of {space.name} has base components up to "
-                f"{worst:.3e}; it does not project to zero")
+                f"{tracker.max_dev:.3e}; it does not project to zero")
     solver = FrameSolver(space, fields)
     p_v = projector_from_solver(solver, range(vertical.rank), "P_V")
     p_h = projector_from_solver(
@@ -80,31 +80,17 @@ def build_connection(space, vertical: Frame, horizontal: Frame,
     return conn
 
 
-def _max_component(field: VectorField, points) -> tuple[float, tuple | None]:
-    worst, where = 0.0, None
-    for p in points:
-        dev = max(abs(v) for v in field.values(p))
-        if dev > worst:
-            worst, where = dev, p.values
-    return worst, where
-
-
 def _validate_projectors(conn: EhresmannConnection, cfg: CheckConfig):
     pts = conn.space.sample_points(cfg)
-    probes = conn.all_fields
-    checks = []
-    for X in probes:
-        checks.append(vf_sub(vf_add(conn.p_v(X), conn.p_h(X)), X))
-        checks.append(vf_sub(conn.p_v(conn.p_v(X)), conn.p_v(X)))
-        checks.append(conn.p_v(conn.p_h(X)))
-    worst = 0.0
-    for c in checks:
-        dev, _ = _max_component(c, pts)
-        worst = max(worst, dev)
-    if worst > PROJECTOR_TOL:
+    tracker = DevTracker()
+    for X in conn.all_fields:
+        tracker.track(pts, vf_sub(vf_add(conn.p_v(X), conn.p_h(X)), X))
+        tracker.track(pts, vf_sub(conn.p_v(conn.p_v(X)), conn.p_v(X)))
+        tracker.track(pts, conn.p_v(conn.p_h(X)))
+    if not tracker.max_dev <= PROJECTOR_TOL:
         raise ConnectionDataError(
             f"projector identities fail on {conn.space.name}: "
-            f"max deviation {worst:.3e}")
+            f"max deviation {tracker.max_dev:.3e}")
 
 
 @dataclass(eq=False)
@@ -194,8 +180,6 @@ def canonical_endos(conn: EhresmannConnection, blocks,
     n_amb = space.ambient_dim
 
     def covector(i, label):
-        from .geometry import CovectorField
-
         def fn(env, i=i):
             return list(solver.inverse(env)[i])
 
@@ -310,18 +294,14 @@ def validate_split(split: SplitStructure,
     normalization exists for, so that is asserted directly; no per-term
     property of the scaling is claimed.
     """
-    space = split.space
-    pts = space.sample_points(cfg)
-    probes = split.all_fields
+    pts = split.space.sample_points(cfg)
     records = []
     reference = "endomorphism pair identities"
 
-    def run(check_id, field_for_probe):
+    def run(check_id, field_for_probe, probes=split.all_fields):
         tracker = DevTracker()
         for X in probes:
-            diff = field_for_probe(X)
-            for p in pts:
-                tracker.update(max(abs(v) for v in diff.values(p)), p.values)
+            tracker.track(pts, field_for_probe(X))
         records.append(tracker.record(check_id, reference,
                                       SPLIT_IDENTITY_TOL))
 
@@ -339,14 +319,7 @@ def validate_split(split: SplitStructure,
         # kernel: fields outside block a are annihilated by s_endos[a]
         outside = list(split.k.fields) + [
             f for bb in range(n) if bb != a for f in split.blocks[bb].fields]
-        tracker = DevTracker()
-        for X in outside:
-            img = s_a(X)
-            for p in pts:
-                tracker.update(max(abs(v) for v in img.values(p)), p.values)
-        records.append(tracker.record(
-            f"split:ker({s_a.name})⊇complement", reference,
-            SPLIT_IDENTITY_TOL))
+        run(f"split:ker({s_a.name})⊇complement", s_a, outside)
     run("split:aggregate S∘Q=P_K",
         lambda X: vf_sub(split.s_total(split.q_total(X)), split.p_k(X)))
     return SplitReport(records)

@@ -1,11 +1,12 @@
 """Covariant derivative operators built from split structures.
 
-The single N-fold engine below assembles every total-space operator this
-package ships: extend a derivative that lives on one distribution to all
-direction arguments, do the same for each block of the opposite side, and
-glue the extensions over the direct-sum decomposition.  The equal-rank case
-(N = 1) and the N-block case differ only in how many parts enter the glue,
-and flipping the orientation of the split reuses the identical code path.
+The single engine below, :func:`total_derivative`, assembles every
+total-space operator this package ships: extend a derivative that lives on
+one distribution to all direction arguments, do the same for each block of
+the opposite side, and glue the extensions over the direct-sum
+decomposition.  The equal-rank case (N = 1) and the N-block case differ only
+in how many parts enter the glue, and flipping the orientation of the split
+reuses the identical code path.
 
 Derived operators: torsion, the curvature of the underlying connection, and
 the derivative of a (1,1)-tensor, plus the projector-parallelism equivalence
@@ -52,13 +53,11 @@ def assert_in_image(P: Endo11, Y: VectorField,
                     cfg: CheckConfig = DEFAULT_CHECK,
                     tol: float = MEMBERSHIP_TOL):
     """Numeric membership check: P(Y) = Y at a few sampled points."""
-    diff = vf_sub(P(Y), Y)
-    worst = 0.0
-    for p in Y.space.sample_points(cfg.probe()):
-        worst = max(worst, max(abs(v) for v in diff.values(p)))
-    if worst > tol:
-        raise MembershipError(
-            f"{Y.name} is not in Img({P.name}): deviation {worst:.3e}")
+    tracker = DevTracker()
+    tracker.track(Y.space.sample_points(cfg.probe()), vf_sub(P(Y), Y))
+    if not tracker.max_dev <= tol:
+        raise MembershipError(f"{Y.name} is not in Img({P.name}): "
+                              f"deviation {tracker.max_dev:.3e}")
 
 
 def extend_derivative(d: SubmoduleDeriv, P: Endo11,
@@ -124,19 +123,18 @@ def glue_derivatives(parts, cfg: CheckConfig = DEFAULT_CHECK,
         if probe_fields is None:
             probe_fields = tuple(VectorField.coordinate(space, c)
                                  for c in space.coords)
-        worst = 0.0
+        pts = space.sample_points(cfg.probe(5))
+        tracker = DevTracker()
         for X in probe_fields:
             total = None
             for proj, _ in parts:
                 px = proj(X)
                 total = px if total is None else vf_add(total, px)
-            diff = vf_sub(total, X)
-            for p in space.sample_points(cfg.probe(5)):
-                worst = max(worst, max(abs(v) for v in diff.values(p)))
-        if worst > 1e-10:
+            tracker.track(pts, vf_sub(total, X))
+        if not tracker.max_dev <= 1e-10:
             raise CovDerivError(
                 f"projectors do not sum to the identity: deviation "
-                f"{worst:.3e}")
+                f"{tracker.max_dev:.3e}")
 
     def rule(X: VectorField, Y: VectorField) -> VectorField:
         out = None
@@ -150,97 +148,36 @@ def glue_derivatives(parts, cfg: CheckConfig = DEFAULT_CHECK,
 
 
 # ---------------------------------------------------------------------------
-# the rules of the equal-rank pair and the N-fold split
+# the engine
 # ---------------------------------------------------------------------------
 
 
-def derivative_pair(split: SplitStructure,
-                    cfg: CheckConfig = DEFAULT_CHECK,
-                    check_membership: bool = True):
-    """The K-side and block-side derivatives of an equal-rank pair:
-    K-side (X, Y in K): S([X, Q(Y)]); block side: Q([X, S(Y)])."""
-    if split.n != 1:
-        raise CovDerivError("the pair construction needs exactly one block")
-    s, q = split.s_total, split.q_total
+def total_derivative(split: SplitStructure,
+                     cfg: CheckConfig = DEFAULT_CHECK) -> CovDeriv:
+    """Total-space operator of a split, any number of blocks, either
+    orientation.
 
-    def k_rule(X, Y):
-        if check_membership:
-            assert_in_image(split.p_k, X, cfg)
-            assert_in_image(split.p_k, Y, cfg)
-        return s(lie_bracket(X, q(Y)))
-
-    def l_rule(X, Y):
-        if check_membership:
-            assert_in_image(split.p_blocks[0], X, cfg)
-            assert_in_image(split.p_blocks[0], Y, cfg)
-        return q(lie_bracket(X, s(Y)))
-
-    return (SubmoduleDeriv(split.p_k, k_rule, "K"),
-            SubmoduleDeriv(split.p_blocks[0], l_rule, "L"))
-
-
-def derivative_blocks(split: SplitStructure,
-                      cfg: CheckConfig = DEFAULT_CHECK,
-                      check_membership: bool = True):
-    """K-side via the aggregate endomorphisms, one rule per block.
-
-    Only the aggregate form is used on K; the single-block alternative has
-    the same properties but depends on a block choice.
+    The K rule is S([X, Q(Y)]) through the aggregate pair (one block's pair
+    has the same properties but depends on a block choice); block A's rule
+    is Q_A([X, S_A(Y)]).  Each rule is extended and the extensions glued.
+    Inside the engine every argument is projected before it reaches a rule,
+    so the membership sampling is skipped: it holds by construction.
     """
     s, q = split.s_total, split.q_total
-
-    def k_rule(X, Y):
-        if check_membership:
-            assert_in_image(split.p_k, X, cfg)
-            assert_in_image(split.p_k, Y, cfg)
-        return s(lie_bracket(X, q(Y)))
-
-    block_rules = []
+    derivs = [SubmoduleDeriv(split.p_k,
+                             lambda X, Y: s(lie_bracket(X, q(Y))), "K")]
     for a in range(split.n):
-        def l_rule(X, Y, _s=split.s_endos[a], _q=split.q_endos[a],
-                   _p=split.p_blocks[a]):
-            if check_membership:
-                assert_in_image(_p, X, cfg)
-                assert_in_image(_p, Y, cfg)
+        def l_rule(X, Y, _s=split.s_endos[a], _q=split.q_endos[a]):
             return _q(lie_bracket(X, _s(Y)))
 
-        block_rules.append(SubmoduleDeriv(split.p_blocks[a], l_rule,
-                                          f"L{a + 1}"))
-    return SubmoduleDeriv(split.p_k, k_rule, "K"), block_rules
-
-
-def _assemble(split: SplitStructure, cfg: CheckConfig,
-              provenance: str) -> CovDeriv:
-    # inside the engine every argument is projected before it reaches a
-    # rule, so the membership sampling is skipped: it holds by construction
-    k_deriv, block_derivs = derivative_blocks(split, cfg,
-                                              check_membership=False)
-    parts = [(split.p_k, extend_derivative(k_deriv, split.p_k, cfg,
-                                      check_membership=False))]
-    for a, bd in enumerate(block_derivs):
-        parts.append((split.p_blocks[a],
-                      extend_derivative(bd, split.p_blocks[a], cfg,
-                                   check_membership=False)))
+        derivs.append(SubmoduleDeriv(split.p_blocks[a], l_rule, f"L{a + 1}"))
+    parts = [(d.projector, extend_derivative(d, d.projector, cfg,
+                                             check_membership=False))
+             for d in derivs]
+    provenance = ("equal-rank" if split.n == 1 else "n-block"
+                  if split.orientation == K_VERTICAL else "n-block-flipped")
     return glue_derivatives(parts, cfg, probe_fields=split.all_fields,
-                     provenance=provenance)
-
-
-def total_derivative_equal_rank(split: SplitStructure,
-                                cfg: CheckConfig = DEFAULT_CHECK) -> CovDeriv:
-    """Total-space operator for the equal-rank case (one block)."""
-    if split.n != 1:
-        raise CovDerivError(
-            f"equal-rank construction got {split.n} blocks; expected 1")
-    if split.k.rank != split.blocks[0].rank:
-        raise CovDerivError("the two distributions must have equal rank")
-    return _assemble(split, cfg, "equal-rank")
-
-
-def total_derivative_nfold(split: SplitStructure,
-                           cfg: CheckConfig = DEFAULT_CHECK) -> CovDeriv:
-    """Total-space operator for the N-fold split, either orientation."""
-    tag = "n-block" if split.orientation == K_VERTICAL else "n-block-flipped"
-    return _assemble(split, cfg, tag)
+                            provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -312,24 +249,22 @@ def check_parallelism_equivalence(nabla: CovDeriv, b_index: int, probe_fields,
     side_a = DevTracker()
     for X in probe_fields:
         for Y in probe_fields:
-            dev_field = nabla_of_endo(nabla, p_b, X, Y)
-            for p in pts:
-                side_a.update(max(abs(v) for v in dev_field.values(p)),
-                              p.values)
+            side_a.track(pts, nabla_of_endo(nabla, p_b, X, Y))
 
+    # a probe enters the image set unless its projection vanishes at every
+    # sample point
     image_fields = []
-    first = pts[0]
     for f in probe_fields:
         pf = p_b(f)
-        if max(abs(v) for v in pf.values(first)) > 1e-8:
+        norm = DevTracker()
+        norm.track(pts, pf)
+        if not norm.max_dev <= 1e-8:
             image_fields.append(pf)
 
     side_b = DevTracker()
     for X in image_fields:
         for Y in image_fields:
             z = ext_b(X, Y)
-            leak = vf_sub(z, p_b(z))
-            for p in pts:
-                side_b.update(max(abs(v) for v in leak.values(p)), p.values)
+            side_b.track(pts, vf_sub(z, p_b(z)))
 
     return ParallelismReport(p_b.name, side_a.max_dev, side_b.max_dev, tol)

@@ -30,6 +30,7 @@ import numpy as np
 from . import expr as ex
 from . import jets
 from .jets import Jet, JetConfig, value_of
+from .report import DevTracker
 
 FRAME_DEGENERACY_RATIO = 1e-8
 
@@ -865,7 +866,7 @@ def validate_tangent(space, X: VectorField, cfg: CheckConfig = DEFAULT_CHECK,
     if not space.constraints:
         return 0.0
     n = space.ambient_dim
-    worst = 0.0
+    tracker = DevTracker()
     for p in space.sample_points(cfg):
         env = space.seed_env(p, max(X.cost, 1))
         xs = [value_of(c) for c in _comps_at(X, env, 0)]
@@ -874,13 +875,12 @@ def validate_tangent(space, X: VectorField, cfg: CheckConfig = DEFAULT_CHECK,
             grad = [jets.extract(cj, tuple(1 if j == i else 0
                                            for j in range(n)))
                     for i in range(n)]
-            dev = abs(sum(g * x for g, x in zip(grad, xs)))
-            worst = max(worst, dev)
-    if worst > tol:
+            tracker.update(abs(sum(g * x for g, x in zip(grad, xs))))
+    if not tracker.max_dev <= tol:
         raise GeometryError(
             f"field {X.name} is not tangent to {space.name}: "
-            f"max deviation {worst:.3e}")
-    return worst
+            f"max deviation {tracker.max_dev:.3e}")
+    return tracker.max_dev
 
 
 def eval_vector_field(X: VectorField, point, cfg: CheckConfig = DEFAULT_CHECK):

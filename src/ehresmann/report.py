@@ -28,17 +28,42 @@ class CheckRecord:
         }
 
 
+def max_abs(values) -> float:
+    """The largest absolute value, or NaN as soon as one value is NaN.
+
+    The builtin ``max`` keeps or drops a NaN depending on where it sits.
+    """
+    worst = 0.0
+    for v in values:
+        v = abs(v)
+        if not v <= worst:
+            if v != v:
+                return v
+            worst = v
+    return worst
+
+
 class DevTracker:
-    """Accumulates the worst deviation and where it happened."""
+    """Accumulates the worst deviation and where it happened.
+
+    A NaN deviation is kept and never replaced, so it fails the record.
+    """
 
     def __init__(self):
         self.max_dev = 0.0
         self.worst_point = None
 
     def update(self, dev: float, point=None):
-        if dev > self.max_dev:
+        if not dev <= self.max_dev and self.max_dev == self.max_dev:
             self.max_dev = dev
             self.worst_point = tuple(point) if point is not None else None
+
+    def track(self, points, *fields):
+        """Fold in each field's largest absolute component at each point,
+        points outer and fields inner."""
+        for p in points:
+            for f in fields:
+                self.update(max_abs(f.values(p)), p.values)
 
     def record(self, check_id: str, reference: str,
                threshold: float) -> CheckRecord:

@@ -30,17 +30,17 @@ from .connection import (
     build_connection, canonical_endos, validate_split,
 )
 from .covderiv import (
-    CovDeriv, check_parallelism_equivalence, ehresmann_curvature, nabla_of_endo,
-    total_derivative_equal_rank, total_derivative_nfold, torsion,
+    CovDeriv, check_parallelism_equivalence, ehresmann_curvature,
+    nabla_of_endo, torsion, total_derivative,
 )
 from .geometry import (
-    ChartedSpace, CheckConfig, DEFAULT_CHECK, Endo11, Frame, GeometryError,
-    Point, ScalarField, VectorField, _as_depth, directional, endo_add,
-    endo_scale, env_depth, lie_derivative_endo, lie_bracket, vf_add,
-    vf_scale, vf_sub,
+    ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame,
+    GeometryError, Point, ScalarField, VectorField, _as_depth, directional,
+    dual_coframe, endo_add, endo_scale, env_depth, lie_derivative_endo,
+    lie_bracket, pairing, vf_add, vf_scale, vf_sub,
 )
 from .jets import extract, value_of
-from .report import CheckRecord, DevTracker
+from .report import CheckRecord, DevTracker, max_abs
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +124,8 @@ def ambient_dot_metric(space) -> Metric:
     """The pairing induced by the ambient dot product."""
 
     def pair(X, Y):
-        cost = max(X.cost, Y.cost)
-
-        def fn(env):
-            from .geometry import _comps_at, env_depth
-            t = env_depth(env) - cost
-            xs = _comps_at(X, env, t)
-            ys = _comps_at(Y, env, t)
-            acc = 0.0
-            for a, b in zip(xs, ys):
-                acc = acc + a * b
-            return acc
-
-        return ScalarField(space, fn, cost, f"g({X.name},{Y.name})")
+        return pairing(CovectorField(space, Y.at, Y.cost, Y.name), X,
+                       f"g({X.name},{Y.name})")
 
     return Metric(space, "ambient-dot", pair)
 
@@ -186,7 +175,6 @@ class Scenario:
     fields: dict
     frame_names: tuple
     expected: list
-    construction: str          # "equal-rank" | "n-block"
     metric: Metric | None = None
     extra_checks: list = dc_field(default_factory=list)
     notes: str = ""
@@ -195,6 +183,10 @@ class Scenario:
     @property
     def solver(self):
         return self.split.solver
+
+    @property
+    def construction(self) -> str:
+        return "equal-rank" if self.split.n == 1 else "n-block"
 
     def frame_fields(self) -> list:
         return [self.fields[n] for n in self.frame_names]
@@ -307,9 +299,7 @@ def axiom_suite_checks(scen: Scenario, cfg: CheckConfig,
         for key, dev_field in (("function-linearity", d1), ("leibniz", d2),
                                ("additivity-direction", d3),
                                ("additivity-argument", d4)):
-            for p in pts:
-                trackers[key].update(
-                    max(abs(v) for v in dev_field.values(p)), p.values)
+            trackers[key].track(pts, dev_field)
     return [trackers[k].record(f"{scen.name}:axiom:{k}",
                                "covariant-derivative axioms",
                                cfg.tolerance)
@@ -334,9 +324,8 @@ def torsion_curvature_checks(scen: Scenario, cfg: CheckConfig,
         X = _random_combo(rng, frame, "X")
         Y = _random_combo(rng, frame, "Y")
         t = torsion(scen.nabla, conn.p_h(X), conn.p_h(Y))
-        diff = vf_add(conn.p_v(t), ehresmann_curvature(conn, X, Y))
-        for p in pts:
-            tracker.update(max(abs(v) for v in diff.values(p)), p.values)
+        tracker.track(pts, vf_add(conn.p_v(t),
+                                  ehresmann_curvature(conn, X, Y)))
     return [tracker.record(f"{scen.name}:torsion-carries-curvature",
                            "vertical torsion is the connection curvature "
                            "with opposite sign",
@@ -360,10 +349,8 @@ def torsion_property_checks(scen: Scenario, cfg: CheckConfig,
         t_scaled = vf_scale(f, torsion(scen.nabla, X, Y))
         d_left = vf_sub(torsion(scen.nabla, vf_scale(f, X), Y), t_scaled)
         d_right = vf_sub(torsion(scen.nabla, X, vf_scale(f, Y)), t_scaled)
-        for p in pts:
-            anti.update(max(abs(v) for v in d_anti.values(p)), p.values)
-            flin.update(max(abs(v) for v in d_left.values(p)), p.values)
-            flin.update(max(abs(v) for v in d_right.values(p)), p.values)
+        anti.track(pts, d_anti)
+        flin.track(pts, d_left, d_right)
     return [
         anti.record(f"{scen.name}:torsion-antisymmetry",
                     "torsion is antisymmetric", cfg.tolerance),
@@ -389,10 +376,7 @@ def parallel_tensor_checks(scen: Scenario, cfg: CheckConfig) -> list:
         tracker = DevTracker()
         for X in frame:
             for Y in frame:
-                dev_field = nabla_of_endo(scen.nabla, T, X, Y)
-                for p in pts:
-                    tracker.update(
-                        max(abs(v) for v in dev_field.values(p)), p.values)
+                tracker.track(pts, nabla_of_endo(scen.nabla, T, X, Y))
         records.append(tracker.record(
             f"{scen.name}:{label}:{T.name}",
             "structure tensors are parallel", cfg.tolerance))
@@ -458,7 +442,7 @@ def trivial_r3(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
                             cfg)
     split = canonical_endos(conn, [Frame((h1,), "H1"), Frame((h2,), "H2")],
                             K_VERTICAL, cfg)
-    nabla = total_derivative_nfold(split, cfg)
+    nabla = total_derivative(split, cfg)
 
     nonzero = {
         ("H1", "H1"): {"H1": "sin(th)"},
@@ -474,14 +458,13 @@ def trivial_r3(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
     def coframe_check(cfg_run: CheckConfig) -> list:
         # the covector dual to V annihilates both lifts and is
         # dth - cos(th) dx - sin(th) dy
-        from .geometry import dual_coframe
         psi = dual_coframe(space, [Frame((h1, h2, v), "full")])[2]
         tracker = DevTracker()
         for p in space.sample_points(cfg_run):
             t = p.values[2]
             got = psi.values(p)
             want = [-math.cos(t), -math.sin(t), 1.0]
-            tracker.update(max(abs(a - b) for a, b in zip(got, want)),
+            tracker.update(max_abs(a - b for a, b in zip(got, want)),
                            p.values)
         return [tracker.record("trivial-r3:fibre-coframe",
                                "dual coframe of the lifted frame",
@@ -496,7 +479,6 @@ def trivial_r3(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
         fields={"H1": h1, "H2": h2, "V": v},
         frame_names=names,
         expected=expected,
-        construction="n-block",
         extra_checks=[coframe_check],
         notes=("The covector dual to V against {H1, H2, V} solves to "
                "dth - cos(th) dx - sin(th) dy: the dy term carries a minus "
@@ -536,7 +518,7 @@ def hopf(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
                             Frame((lam, sig), "H"), cfg)
     split = canonical_endos(conn, [Frame((lam,), "H1"),
                                    Frame((sig,), "H2")], K_VERTICAL, cfg)
-    nabla = total_derivative_nfold(split, cfg)
+    nabla = total_derivative(split, cfg)
     metric = ambient_dot_metric(space)
 
     names = ("Lambda", "Sigma", "V")
@@ -577,10 +559,8 @@ def hopf(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
         t_tracker = DevTracker()
         for X in frame:
             for Y in frame:
-                t = torsion(sym, X, Y)
-                for p in space.sample_points(cfg_run):
-                    t_tracker.update(max(abs(c) for c in t.values(p)),
-                                     p.values)
+                t_tracker.track(space.sample_points(cfg_run),
+                                torsion(sym, X, Y))
         g_tracker = DevTracker()
         for X in frame:
             for Y in frame:
@@ -611,7 +591,6 @@ def hopf(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
         fields=fields,
         frame_names=names,
         expected=expected,
-        construction="n-block",
         metric=metric,
         extra_checks=[projection_check, levi_civita_check],
         notes="All computation happens in ambient coordinates; sampling "
@@ -688,7 +667,7 @@ def affine_tangent(n: int, gamma: dict,
     conn = build_connection(space, Frame(tuple(vs), "V"),
                             Frame(tuple(hs), "H"), cfg)
     split = canonical_endos(conn, [Frame(tuple(hs), "H")], K_VERTICAL, cfg)
-    nabla = total_derivative_equal_rank(split, cfg)
+    nabla = total_derivative(split, cfg)
 
     oracle = _curvature_bracket_oracle(space, g_expr, n,
                                        lambda d: f"u{d}")
@@ -742,7 +721,6 @@ def affine_tangent(n: int, gamma: dict,
                     **{f"V{c}": vs[c - 1] for c in range(1, n + 1)}),
         frame_names=names,
         expected=expected,
-        construction="equal-rank",
         data={"n": n, "gamma": table},
     )
 
@@ -858,7 +836,7 @@ def nonlinear_tangent(n: int, gamma: dict,
     conn = build_connection(space, Frame(tuple(vs), "V"),
                             Frame(tuple(hs), "H"), cfg)
     split = canonical_endos(conn, [Frame(tuple(hs), "H")], K_VERTICAL, cfg)
-    nabla = total_derivative_equal_rank(split, cfg)
+    nabla = total_derivative(split, cfg)
 
     def dg(c, a, b):
         # V_b(G^c_a), jet-differentiated
@@ -930,7 +908,6 @@ def nonlinear_tangent(n: int, gamma: dict,
                     **{f"V{c}": vs[c - 1] for c in range(1, n + 1)}),
         frame_names=names,
         expected=expected,
-        construction="equal-rank",
         data={"n": n, "gamma_sf": table},
     )
 
@@ -962,7 +939,6 @@ def potential_connection(n: int, forces, name_space=None) -> dict:
 
 
 def _vertical_endo(space, n: int) -> Endo11:
-    from .geometry import CovectorField
     terms = []
     for a in range(1, n + 1):
         comps = [ex.Const(1.0 if space.coords[i] == f"x{a}" else 0.0)
@@ -1022,7 +998,7 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
     conn = build_connection(space, Frame(tuple(vs), "V"),
                             Frame(tuple(hs), "H"), cfg)
     split = canonical_endos(conn, [Frame(tuple(hs), "H")], K_VERTICAL, cfg)
-    nabla = total_derivative_equal_rank(split, cfg)
+    nabla = total_derivative(split, cfg)
 
     def upsilon(b, a):
         # -(1/2) d f^b / du^a
@@ -1069,9 +1045,7 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
         records = []
         # S(Gamma) = Delta
         tracker = DevTracker()
-        diff = vf_sub(s_endo(gamma_field), delta)
-        for p in pts:
-            tracker.update(max(abs(c) for c in diff.values(p)), p.values)
+        tracker.track(pts, vf_sub(s_endo(gamma_field), delta))
         records.append(tracker.record(f"{name}:s-gamma-is-dilation",
                                       "second-order condition", 1e-10))
         # projector coefficients match the force derivatives
@@ -1096,11 +1070,7 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
             dx = VectorField.coordinate(space, f"x{a}")
             du = VectorField.coordinate(space, f"u{a}")
             once = p_h(dx)
-            for p in pts:
-                d1 = vf_sub(p_h(once), once)
-                tracker.update(max(abs(c) for c in d1.values(p)), p.values)
-                tracker.update(max(abs(c) for c in p_h(du).values(p)),
-                               p.values)
+            tracker.track(pts, vf_sub(p_h(once), once), p_h(du))
         records.append(tracker.record(f"{name}:projector-laws",
                                       "idempotence and verticality",
                                       cfg_run.tolerance))
@@ -1123,7 +1093,6 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
                     Gamma=gamma_field, Delta=delta),
         frame_names=names,
         expected=expected,
-        construction="equal-rank",
         extra_checks=[projector_checks, sufficiency_extra],
         data={"n": n, "forces": force_sf,
               "gamma_sf": {(b, a): ScalarField(
@@ -1137,12 +1106,13 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
     return gamma_field, p_h, scenario
 
 
-def spray_defect(space, forces, cfg: CheckConfig = DEFAULT_CHECK) -> float:
-    """max |Delta(f^b) - 2 f^b| over sampled points."""
+def _euler_defect(space, scalars, degree: float, cfg: CheckConfig) -> float:
+    """max |Delta(f) - degree * f| over sampled points: zero when every
+    scalar is fibre-homogeneous of that degree (Euler's relation)."""
     n = space.dim // 2
-    worst = 0.0
+    tracker = DevTracker()
     for p in space.sample_points(cfg):
-        for sf in forces:
+        for sf in scalars:
             env = space.seed_env(p, sf.cost + 1)
             val = sf.at(env)
             dil = 0.0
@@ -1151,8 +1121,8 @@ def spray_defect(space, forces, cfg: CheckConfig = DEFAULT_CHECK) -> float:
                 dil += p.values[ia] * extract(
                     val, tuple(1 if i == ia else 0
                                for i in range(space.ambient_dim)))
-            worst = max(worst, abs(dil - 2.0 * value_of(val)))
-    return worst
+            tracker.update(abs(dil - degree * value_of(val)))
+    return tracker.max_dev
 
 
 def is_spray(gamma_field: VectorField, forces,
@@ -1161,11 +1131,11 @@ def is_spray(gamma_field: VectorField, forces,
     """Degree-2 fibre homogeneity of the force terms."""
     space = gamma_field.space
     sfs = [_entry_scalar(space, f, f"f{b + 1}") for b, f in enumerate(forces)]
-    return spray_defect(space, sfs, cfg) < (tol or cfg.tolerance)
+    return _euler_defect(space, sfs, 2.0, cfg) < (tol or cfg.tolerance)
 
 
 def spray_record(name, gamma_field, force_sf, cfg) -> CheckRecord:
-    dev = spray_defect(gamma_field.space, force_sf, cfg)
+    dev = _euler_defect(gamma_field.space, force_sf, 2.0, cfg)
     return CheckRecord(f"{name}:spray", "force terms are fibre-quadratic",
                        dev, cfg.tolerance, dev < cfg.tolerance)
 
@@ -1174,20 +1144,8 @@ def homogeneity_check(space, gamma_sf: dict,
                       cfg: CheckConfig = DEFAULT_CHECK,
                       tol: float | None = None) -> bool:
     """Degree-1 fibre homogeneity: Delta(G^b_a) = G^b_a at sampled points."""
-    n = space.dim // 2
-    worst = 0.0
-    for p in space.sample_points(cfg):
-        for sf in gamma_sf.values():
-            env = space.seed_env(p, sf.cost + 1)
-            val = sf.at(env)
-            dil = 0.0
-            for a in range(1, n + 1):
-                ia = space.index(f"u{a}")
-                dil += p.values[ia] * extract(
-                    val, tuple(1 if i == ia else 0
-                               for i in range(space.ambient_dim)))
-            worst = max(worst, abs(dil - value_of(val)))
-    return worst < (tol or cfg.tolerance)
+    return _euler_defect(space, gamma_sf.values(), 1.0, cfg) \
+        < (tol or cfg.tolerance)
 
 
 @dataclass
@@ -1230,17 +1188,12 @@ def sode_sufficiency_check(scen: Scenario,
 
     a_tracker = DevTracker()
     for h in hs:
-        out = scen.nabla(h, delta)
-        for p in pts:
-            a_tracker.update(max(abs(c) for c in out.values(p)), p.values)
+        a_tracker.track(pts, scen.nabla(h, delta))
     b_tracker = DevTracker()
     for i in range(n):
         for j in range(i + 1, n):
-            t = torsion(scen.nabla, hs[i], hs[j])
-            ph_t = scen.conn.p_h(t)
-            for p in pts:
-                b_tracker.update(max(abs(c) for c in ph_t.values(p)),
-                                 p.values)
+            b_tracker.track(pts,
+                            scen.conn.p_h(torsion(scen.nabla, hs[i], hs[j])))
 
     tol = cfg.tolerance
     report = SodeSufficiencyReport(a_tracker.max_dev, b_tracker.max_dev, tol)
@@ -1288,7 +1241,7 @@ def sode_sufficiency_check(scen: Scenario,
         f"{scen.name}:sufficiency:reconstruction",
         "induced connection coincides with the input", tol))
 
-    spray_dev = spray_defect(space, forces, cfg)
+    spray_dev = _euler_defect(space, forces, 2.0, cfg)
     report.reconstructed_spray = spray_dev < tol
     report.records.append(CheckRecord(
         f"{scen.name}:sufficiency:reconstructed-spray",
@@ -1441,7 +1394,7 @@ def frame_bundle(n: int, cycle, gamma: dict,
     conn = build_connection(space, Frame(all_v, "V"),
                             Frame(tuple(hs), "H"), cfg)
     split = canonical_endos(conn, v_blocks, K_HORIZONTAL, cfg)
-    nabla = total_derivative_nfold(split, cfg)
+    nabla = total_derivative(split, cfg)
 
     names = tuple(f"H{i}" for i in range(1, n + 1)) + tuple(
         f"V{A}_{b}" for A in range(1, n + 1) for b in range(1, n + 1))
@@ -1505,7 +1458,6 @@ def frame_bundle(n: int, cycle, gamma: dict,
         fields=fields,
         frame_names=names,
         expected=expected,
-        construction="n-block",
         extra_checks=[decomposition_check],
         data={"n": n, "basis": basis, "gamma": table},
     )

@@ -10,7 +10,7 @@ import pytest
 from ehresmann import cli
 from ehresmann import scenarios as sc
 from ehresmann.cli import (
-    Report, RunConfig, ScenarioFileError, cmd_eval, cmd_list, cmd_verify,
+    Report, ScenarioFileError, cmd_eval, cmd_list, cmd_verify,
     load_scenario_file, main,
 )
 from ehresmann.geometry import CheckConfig
@@ -75,17 +75,15 @@ def test_describe_smoke(capsys):
 
 
 def test_eval_trivial_nabla_at_right_angle():
-    run = RunConfig("trivial-r3", fmt="json")
-    out = json.loads(cmd_eval(run, "nabla", ["H1", "H1"],
-                              [0.0, 0.0, math.pi / 2]))
+    out = json.loads(cmd_eval("trivial-r3", "nabla", ["H1", "H1"],
+                              [0.0, 0.0, math.pi / 2], "json"))
     assert abs(out["frame_coefficients"]["H1"] - 1.0) < 1e-12
     assert abs(out["frame_coefficients"]["H2"]) < 1e-12
 
 
 def test_eval_hopf_bracket_components():
-    run = RunConfig("hopf", fmt="json")
-    out = json.loads(cmd_eval(run, "bracket", ["Sigma", "Lambda"],
-                              [1.0, 0.0, 0.0, 0.0]))
+    out = json.loads(cmd_eval("hopf", "bracket", ["Sigma", "Lambda"],
+                              [1.0, 0.0, 0.0, 0.0], "json"))
     comps = out["components"]
     assert [comps[c] for c in ("x", "y", "z", "w")] == \
         pytest.approx([0.0, -2.0, 0.0, 0.0], abs=1e-12)
@@ -93,9 +91,8 @@ def test_eval_hopf_bracket_components():
 
 
 def test_eval_unknown_field_lists_names():
-    run = RunConfig("trivial-r3")
     with pytest.raises(KeyError) as err:
-        cmd_eval(run, "nabla", ["H1", "nosuch"], [0.0, 0.0, 0.0])
+        cmd_eval("trivial-r3", "nabla", ["H1", "nosuch"], [0.0, 0.0, 0.0])
     assert "H2" in str(err.value)
 
 
@@ -125,8 +122,7 @@ def test_verify_trivial_passes_exit_zero(capsys):
 
 
 def test_verify_hopf_has_levi_civita_record():
-    run = RunConfig("hopf", samples=6)
-    report = cmd_verify(run)
+    report = cmd_verify("hopf", CheckConfig(samples=6))
     ids = {r.check_id for r in report.records}
     assert "hopf:levi-civita-compatibility" in ids
     assert report.ok
@@ -139,9 +135,9 @@ def test_verify_tight_tolerance_fails(capsys):
 
 
 def test_verify_json_is_byte_stable():
-    run = RunConfig("affine-tangent", samples=5)
-    a = cmd_verify(run).to_json()
-    b = cmd_verify(run).to_json()
+    cfg = CheckConfig(samples=5)
+    a = cmd_verify("affine-tangent", cfg).to_json()
+    b = cmd_verify("affine-tangent", cfg).to_json()
     assert a == b
     payload = json.loads(a)
     assert payload["summary"]["failed"] == 0
@@ -149,15 +145,13 @@ def test_verify_json_is_byte_stable():
 
 
 def test_verify_csv_columns():
-    run = RunConfig("trivial-r3", samples=5)
-    out = cmd_verify(run).to_csv()
+    out = cmd_verify("trivial-r3", CheckConfig(samples=5)).to_csv()
     header = out.splitlines()[0]
     assert header == "check_id,reference,max_dev,threshold,pass,worst_point"
 
 
 def test_exit_status_matches_record_tallies():
-    run = RunConfig("trivial-r3", samples=5)
-    report = cmd_verify(run)
+    report = cmd_verify("trivial-r3", CheckConfig(samples=5))
     assert report.ok == (report.summary["failed"] == 0)
     assert report.summary["total"] == len(report.records)
 
@@ -167,13 +161,34 @@ def test_unknown_scenario_is_usage_error(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig("hopf", samples=0)
-    with pytest.raises(ValueError):
-        RunConfig("hopf", tolerance=0.0)
-    with pytest.raises(ValueError):
-        RunConfig("hopf", depth=0)
+def test_run_config_validation(capsys):
+    for flag in ("--samples", "--tol", "--depth"):
+        assert main(["verify", "hopf", flag, "0"]) == 2
+        assert "error" in capsys.readouterr().err
+
+
+def test_verify_nan_expected_coefficient_fails(tmp_path, capsys):
+    doc = json.loads(json.dumps(TRIVIAL_DOC))
+    row = next(r for r in doc["expected"] if r["args"] == ["H1", "H1"])
+    row["coeffs"]["H1"] = "1e300*1e300-1e300*1e300"
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--samples", "5",
+                 "--format", "json"]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    rec = next(r for r in records
+               if r["check_id"] == "trivial-r3:nabla[H1,H1]")
+    assert math.isnan(rec["max_dev"])
+    assert rec["pass"] is False
+
+
+def test_verify_nan_frame_is_construction_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(TRIVIAL_DOC))
+    doc["fields"]["H1"] = ["1", "0", "cos(th)+tan(x)*1e300*1e300"]
+    path = tmp_path / "nan-frame.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--samples", "5"]) == 2
+    assert "nan" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +302,7 @@ def test_describe_accepts_scenario_file(tmp_path, capsys):
 
 
 def test_report_table_marks_failures():
-    run = RunConfig("hopf", samples=5, tolerance=1e-16)
-    report = cmd_verify(run)
+    report = cmd_verify("hopf", CheckConfig(samples=5, tolerance=1e-16))
     text = report.to_table()
     assert "FAILED" in text.splitlines()[-1]
     assert any(line.split()[1] == "FAIL" for line in text.splitlines()[:-1])

@@ -11,14 +11,12 @@ from ehresmann.connection import (
 )
 from ehresmann.covderiv import (
     CovDerivError, MembershipError, SubmoduleDeriv,
-    check_parallelism_equivalence, derivative_blocks, derivative_pair,
-    ehresmann_curvature, extend_derivative, glue_derivatives,
-    nabla_of_endo, torsion, total_derivative_equal_rank,
-    total_derivative_nfold,
+    check_parallelism_equivalence, ehresmann_curvature, extend_derivative,
+    glue_derivatives, nabla_of_endo, torsion, total_derivative,
 )
 from ehresmann.geometry import (
-    ChartedSpace, CheckConfig, Endo11, Frame, ScalarField, VectorField,
-    directional, lie_bracket, vf_add, vf_scale, vf_sub,
+    ChartedSpace, CheckConfig, CovectorField, Endo11, Frame, ScalarField,
+    VectorField, directional, lie_bracket, pairing, vf_add, vf_scale, vf_sub,
 )
 
 CFG = CheckConfig(samples=8)
@@ -34,7 +32,7 @@ def tilted():
     conn = build_connection(space, Frame((v,), "V"), Frame((h1, h2), "H"), CFG)
     split = canonical_endos(conn, [Frame((h1,), "H1"), Frame((h2,), "H2")],
                             K_VERTICAL, CFG)
-    nabla = total_derivative_nfold(split, CFG)
+    nabla = total_derivative(split, CFG)
     return space, h1, h2, v, conn, split, nabla
 
 
@@ -51,8 +49,16 @@ def affine():
     conn = build_connection(space, Frame((v1, v2), "V"),
                             Frame((h1, h2), "H"), CFG)
     split = canonical_endos(conn, [Frame((h1, h2), "H")], K_VERTICAL, CFG)
-    nabla = total_derivative_equal_rank(split, CFG)
+    nabla = total_derivative(split, CFG)
     return space, (h1, h2), (v1, v2), conn, split, nabla
+
+
+def k_rule(split):
+    """The K rule S([X, Q(Y)]) written out by hand."""
+    def rule(X, Y):
+        return split.s_total(lie_bracket(X, split.q_total(Y)))
+
+    return SubmoduleDeriv(split.p_k, rule, "K")
 
 
 def max_dev(field, points):
@@ -74,12 +80,12 @@ def gamma(c, a, b, p):
 
 
 def test_extension_reduces_on_image_arguments(affine):
-    space, (h1, h2), (v1, v2), conn, split, _ = affine
-    k_deriv, _ = derivative_blocks(split, CFG, check_membership=False)
-    ext = extend_derivative(k_deriv, split.p_k, CFG, check_membership=False)
+    space, (h1, h2), (v1, v2), conn, split, nabla = affine
+    _, ext = nabla.parts[0]
+    rule = k_rule(split).rule
     pts = space.sample_points(CFG)
     for X, Y in [(v1, v2), (v2, v1)]:
-        diff = vf_sub(ext(X, Y), k_deriv.rule(X, Y))
+        diff = vf_sub(ext(X, Y), rule(X, Y))
         assert max_dev(diff, pts) < 1e-10
 
 
@@ -90,18 +96,14 @@ def test_extension_flat_vertical_direction():
     v = VectorField.coordinate(space, "u", "V1")
     conn = build_connection(space, Frame((v,), "V"), Frame((h,), "H"), CFG)
     split = canonical_endos(conn, [Frame((h,), "H")], K_VERTICAL, CFG)
-    _, blocks = derivative_blocks(split, CFG, check_membership=False)
-    ext = extend_derivative(blocks[0], split.p_blocks[0], CFG,
-                       check_membership=False)
+    _, ext = total_derivative(split, CFG).parts[1]
     out = ext(v, h)
     assert max_dev(out, space.sample_points(CFG)) < 1e-12
 
 
 def test_extension_affine_vertical_of_horizontal_vanishes(affine):
-    space, (h1, h2), (v1, v2), conn, split, _ = affine
-    _, blocks = derivative_blocks(split, CFG, check_membership=False)
-    ext = extend_derivative(blocks[0], split.p_blocks[0], CFG,
-                       check_membership=False)
+    space, (h1, h2), (v1, v2), conn, split, nabla = affine
+    _, ext = nabla.parts[1]
     pts = space.sample_points(CFG)
     for va in (v1, v2):
         for hb in (h1, h2):
@@ -110,8 +112,8 @@ def test_extension_affine_vertical_of_horizontal_vanishes(affine):
 
 def test_membership_check_rejects_outside_argument(affine):
     space, (h1, h2), (v1, v2), conn, split, _ = affine
-    k_deriv, _ = derivative_blocks(split, CFG, check_membership=False)
-    ext = extend_derivative(k_deriv, split.p_k, CFG, check_membership=True)
+    ext = extend_derivative(k_rule(split), split.p_k, CFG,
+                            check_membership=True)
     with pytest.raises(MembershipError):
         ext(v1, h1)  # h1 is not vertical
 
@@ -139,12 +141,10 @@ def test_glue_single_identity_part_returns_rule(affine):
 
 
 def test_glue_rejects_non_partition(affine):
-    space, (h1, h2), (v1, v2), conn, split, _ = affine
-    k_deriv, _ = derivative_blocks(split, CFG, check_membership=False)
-    ext = extend_derivative(k_deriv, split.p_k, CFG, check_membership=False)
+    space, (h1, h2), (v1, v2), conn, split, nabla = affine
     with pytest.raises(CovDerivError):
-        glue_derivatives([(split.p_k, ext)], CFG, probe_fields=split.all_fields,
-                  provenance="broken")
+        glue_derivatives([nabla.parts[0]], CFG, probe_fields=split.all_fields,
+                         provenance="broken")
 
 
 def test_glue_is_additive_over_argument_decomposition(affine):
@@ -155,58 +155,6 @@ def test_glue_is_additive_over_argument_decomposition(affine):
     direct = nabla(X, Y)
     pieces = vf_add(nabla(X, h2), nabla(X, v1))
     assert max_dev(vf_sub(direct, pieces), pts) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# equal-rank pair rules
-# ---------------------------------------------------------------------------
-
-
-def test_pair_rules_affine_families(affine):
-    space, (h1, h2), (v1, v2), conn, split, _ = affine
-    k_deriv, l_deriv = derivative_pair(split, CFG, check_membership=False)
-    pts = space.sample_points(CFG)
-    hs, vs = (h1, h2), (v1, v2)
-    # vertical side: del^V_{V_a} V_b = 0
-    for a in range(2):
-        for b in range(2):
-            assert max_dev(k_deriv.rule(vs[a], vs[b]), pts) < 1e-10
-    # horizontal side: del^H_{H_a} H_b = G^c_ab H_c
-    for a in range(2):
-        for b in range(2):
-            got = l_deriv.rule(hs[a], hs[b])
-            for p in pts:
-                want = [gamma(1, a + 1, b + 1, p) * c1
-                        + gamma(2, a + 1, b + 1, p) * c2
-                        for c1, c2 in zip(hs[0].values(p), hs[1].values(p))]
-                assert got.values(p) == pytest.approx(want, abs=1e-9)
-
-
-def test_pair_rules_require_single_block(tilted):
-    split = tilted[5]
-    with pytest.raises(CovDerivError):
-        derivative_pair(split, CFG)
-
-
-def test_pair_membership_guard(affine):
-    split = affine[4]
-    k_deriv, _ = derivative_pair(split, CFG, check_membership=True)
-    h1 = affine[1][0]
-    v1 = affine[2][0]
-    with pytest.raises(MembershipError):
-        k_deriv.rule(h1, v1)
-
-
-def test_nfold_reduces_to_pair_for_single_block(affine):
-    space, (h1, h2), (v1, v2), conn, split, _ = affine
-    k1, l1 = derivative_pair(split, CFG, check_membership=False)
-    k2, blocks = derivative_blocks(split, CFG, check_membership=False)
-    pts = space.sample_points(CFG)
-    for X, Y in [(v1, v2), (v2, v2)]:
-        assert max_dev(vf_sub(k1.rule(X, Y), k2.rule(X, Y)), pts) < 1e-12
-    for X, Y in [(h1, h2), (h2, h1)]:
-        assert max_dev(vf_sub(l1.rule(X, Y), blocks[0].rule(X, Y)),
-                       pts) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +192,7 @@ def test_total_flat_everything_vanishes():
                 VectorField.coordinate(space, "u2", "V2")), "V")
     conn = build_connection(space, vs, hs, CFG)
     split = canonical_endos(conn, [hs], K_VERTICAL, CFG)
-    nabla = total_derivative_equal_rank(split, CFG)
+    nabla = total_derivative(split, CFG)
     pts = space.sample_points(CFG)
     for X in split.all_fields:
         for Y in split.all_fields:
@@ -278,12 +226,6 @@ def test_total_tilted_component_table(tilted):
                 assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_equal_rank_requires_equal_ranks(tilted):
-    split = tilted[5]
-    with pytest.raises(CovDerivError):
-        total_derivative_equal_rank(split, CFG)
-
-
 def test_flipped_total_operator():
     # one-dimensional frame-bundle pattern: coordinates (x, w), K = H
     space = ChartedSpace("fb1", ("x", "w"), base_coords=("x",),
@@ -292,8 +234,9 @@ def test_flipped_total_operator():
     v = VectorField.coordinate(space, "w", "V1")
     conn = build_connection(space, Frame((v,), "V"), Frame((h,), "H"), CFG)
     split = canonical_endos(conn, [Frame((v,), "V1")], K_HORIZONTAL, CFG)
-    nabla = total_derivative_nfold(split, CFG)
-    assert nabla.provenance == "n-block-flipped"
+    nabla = total_derivative(split, CFG)
+    # one flipped block is the equal-rank case with K horizontal
+    assert nabla.provenance == "equal-rank"
     pts = space.sample_points(CFG)
     for p in pts:
         # del_H H = G H = x * H, del_H V = x * V, del_V . = 0
@@ -441,6 +384,32 @@ def test_parallelism_equivalence_corrupted_rule_fails_both_sides(affine):
     bad = glue_derivatives(parts, CFG, probe_fields=split.all_fields,
                     provenance="corrupted")
     rep = check_parallelism_equivalence(bad, b, split.all_fields, CFG)
+    assert not rep.nabla_p_passes
+    assert not rep.image_passes
+    assert rep.agree
+
+
+def test_parallelism_image_set_sees_every_sample_point(affine):
+    # F = (x1 - x0) H1 vanishes at the first sample point only; the
+    # corrupted block rule leaks (dx1 . Y) V1, so it leaks for F and not
+    # for H2.  Both sides must see the leak.
+    space, hs, vs, conn, split, nabla = affine
+    x0 = space.sample_points(CFG)[0].values[0]
+    f = vf_scale(ScalarField.from_expr(space, f"x1-({x0!r})"), hs[0],
+                 name="F")
+    dx1 = CovectorField.from_exprs(space, ["1", "0", "0", "0"], "dx1")
+    b = 1
+    p_b, ext_b = nabla.parts[b]
+
+    def corrupted_ext(X, Y, _orig=ext_b):
+        return vf_add(_orig(X, Y), vf_scale(pairing(dx1, Y), vs[0]))
+
+    parts = list(nabla.parts)
+    parts[b] = (p_b, corrupted_ext)
+    bad = glue_derivatives(parts, CFG, probe_fields=split.all_fields,
+                           provenance="corrupted")
+    probes = (vs[0], vs[1], hs[1], f)
+    rep = check_parallelism_equivalence(bad, b, probes, CFG)
     assert not rep.nabla_p_passes
     assert not rep.image_passes
     assert rep.agree

@@ -389,6 +389,22 @@ def test_frame_bundle_one_dimensional():
         coeffs_close(scen, scen.nabla(v, h), p, {})
 
 
+def test_construction_and_provenance_follow_block_count():
+    cases = (
+        (trivial_r3(SMALL), "n-block", "n-block"),
+        (affine_tangent(1, {(1, 1, 1): "x1"}, SMALL), "equal-rank",
+         "equal-rank"),
+        (frame_bundle(1, (0,), {(1, 1, 1): "x1"}, SMALL, name="fb-1"),
+         "equal-rank", "equal-rank"),
+        (frame_bundle(2, (1, 0), {(1, 1, 2): "x1"}, SMALL, name="fb-2"),
+         "n-block", "n-block-flipped"),
+    )
+    for scen, construction, provenance in cases:
+        assert (scen.split.n == 1) == (construction == "equal-rank")
+        assert scen.construction == construction
+        assert scen.nabla.provenance == provenance
+
+
 def test_frame_bundle_fibre_families():
     scen = frame_bundle(2, (1, 0), {(1, 1, 2): "x1"}, CFG, name="fb-x1")
     h1 = scen.fields["H1"]
