@@ -7,6 +7,7 @@ import time
 
 from ehresmann.geometry import CheckConfig
 from ehresmann import scenarios as sc
+from ehresmann.report import max_abs
 
 
 def main() -> int:
@@ -25,7 +26,7 @@ def main() -> int:
         records = sc.run_scenario_checks(scen, cfg)
         bad = [r for r in records if not r.passed]
         failures += len(bad)
-        worst = max(r.max_dev for r in records)
+        worst = max_abs(r.max_dev for r in records)
         status = "ok" if not bad else f"{len(bad)} FAILED"
         print(f"{name:<20} {len(records):>3} checks  worst dev "
               f"{worst:.2e}  {time.time() - t0:5.1f}s  {status}")

@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (
-    CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame, FrameSolver,
-    GeometryError, VectorField, projector_from_solver, validate_frame,
-    validate_tangent, vf_add, vf_scale, vf_sub,
+    CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, FRAME_DEGENERACY_RATIO,
+    Frame, FrameSolver, GeometryError, VectorField, _invert, frame_ratio,
+    projector_from_solver, validate_frame, validate_tangent, vf_add, vf_scale,
+    vf_sub,
 )
 from .report import DevTracker, max_abs
 
@@ -200,7 +201,12 @@ def canonical_endos(conn: EhresmannConnection, blocks,
             k_images = list(k_frame.fields)
             block_images = list(block.fields)
         else:
-            minv = _invert_floats(mat)
+            ratio = frame_ratio(mat)
+            if not ratio > FRAME_DEGENERACY_RATIO:
+                raise ConnectionDataError(
+                    f"pairing matrix is singular for block {block.name!r}: "
+                    f"singular-value ratio {ratio:.3e}")
+            minv = _invert([[float(x) for x in row] for row in mat], r)
             k_images = [
                 _combine(space, k_frame.fields,
                          [mat[c][b] for c in range(r)],
@@ -254,25 +260,6 @@ def _combine(space, fields, coefficients, name) -> VectorField:
     return out if out is not None else VectorField.zero(space, name)
 
 
-def _invert_floats(mat):
-    n = len(mat)
-    aug = [list(map(float, row)) + [1.0 if j == i else 0.0
-                                    for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda rr: abs(aug[rr][col]))
-        if abs(aug[piv][col]) < 1e-12:
-            raise ConnectionDataError("pairing matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for rr in range(n):
-            if rr != col and aug[rr][col] != 0.0:
-                f = aug[rr][col]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[col])]
-    return [row[n:] for row in aug]
-
-
 @dataclass
 class SplitReport:
     records: list
@@ -283,7 +270,7 @@ class SplitReport:
 
     @property
     def max_dev(self) -> float:
-        return max((r.max_dev for r in self.records), default=0.0)
+        return max_abs(r.max_dev for r in self.records)
 
 
 def validate_split(split: SplitStructure,

@@ -7,11 +7,15 @@ through constraint gradients, Lie derivatives) consume derivative levels;
 each field records that consumption as its ``cost``, and evaluation fails
 loudly when the available depth cannot cover it, naming the operation chain.
 
-The evaluation contract: an environment always consists of the space's
+The evaluation contract: an environment is an :class:`Env`, the space's
 coordinate functions seeded as jets at a point (``ChartedSpace.seed_env``).
 Under that contract the first-order slots of any evaluated component are its
 coordinate derivatives at the point, which is what brackets and Lie
-derivatives read.
+derivatives read.  An ``Env`` carries its seeded ``depth`` and its memo
+``key``, ``(point values, depth)``: equal keys mean bit-equal inputs, so every
+cache keys on it.  A field caches its own evaluation under ``env.key``, at
+depth ``env.depth - cost``; a truncation below that depth (of field
+components or of frame-solve rows) is cached under ``(env.key, target)``.
 
 Embedded spaces (constraint expressions ``c_k = 0``) keep all fields in
 ambient coordinates.  Pointwise frame solves append the constraint gradients
@@ -30,7 +34,7 @@ import numpy as np
 from . import expr as ex
 from . import jets
 from .jets import Jet, JetConfig, value_of
-from .report import DevTracker
+from .report import DevTracker, max_abs
 
 FRAME_DEGENERACY_RATIO = 1e-8
 
@@ -60,8 +64,8 @@ class SingularFrameError(GeometryError):
         self.point = tuple(point)
         self.ratio = ratio
         super().__init__(
-            f"frame is numerically degenerate at {self.point}: "
-            f"singular-value ratio {ratio:.3e} <= {FRAME_DEGENERACY_RATIO:.0e}")
+            f"frame is numerically degenerate at {self.point}: singular-value "
+            f"ratio {ratio:.3e} not above {FRAME_DEGENERACY_RATIO:.0e}")
 
 
 class OffManifoldError(GeometryError):
@@ -140,16 +144,19 @@ class ChartedSpace:
     def index(self, coord: str) -> int:
         return self.coords.index(coord)
 
-    def seed_env(self, point, depth: int) -> dict:
+    def seed_env(self, point, depth: int) -> "Env":
         values = point.values if isinstance(point, Point) else tuple(point)
-        seeded = jets.seed(JetConfig(self.coords, depth), values)
-        return dict(zip(self.coords, seeded))
+        env = Env(zip(self.coords, jets.seed(JetConfig(self.coords, depth),
+                                             values)))
+        env.depth = depth
+        env.key = (tuple(map(float, values)), depth)
+        return env
 
     def constraint_residual(self, values) -> float:
         if not self.constraints:
             return 0.0
         env = dict(zip(self.coords, values))
-        return max(abs(ex.evaluate(c, env)) for c in self.constraints)
+        return max_abs(ex.evaluate(c, env) for c in self.constraints)
 
     def point(self, values, *, project: bool = False,
               tol: float = 1e-10) -> "Point":
@@ -158,9 +165,11 @@ class ChartedSpace:
             raise OffManifoldError(
                 f"{self.name} needs {self.ambient_dim} coordinates, "
                 f"got {len(vals)}")
+        if not all(map(math.isfinite, vals)):
+            raise OffManifoldError(f"point {vals} of {self.name} is not finite")
         if self.constraints:
             res = self.constraint_residual(vals)
-            if res > tol:
+            if not res <= tol:
                 if project and self.sphere and res < 1e-8:
                     norm = math.sqrt(sum(v * v for v in vals))
                     vals = tuple(v / norm for v in vals)
@@ -200,10 +209,14 @@ class Point:
         return f"Point({', '.join(f'{v:.6g}' for v in self.values)})"
 
 
-def env_depth(env: dict) -> int:
-    for v in env.values():
-        return v.depth if isinstance(v, Jet) else 0
-    raise GeometryError("empty environment")
+class Env(dict):
+    """Coordinate jets seeded at one point: ``env[c]`` is coordinate ``c``.
+
+    ``depth`` is the seeded depth and ``key`` is ``(point values, depth)``,
+    the memo key of every evaluation in this environment.
+    """
+
+    __slots__ = ("depth", "key")
 
 
 def _as_depth(s, depth: int, nvars: int):
@@ -220,31 +233,71 @@ def _as_depth(s, depth: int, nvars: int):
     return jets.constant(float(s), nvars, depth)
 
 
+def _comps_as_depth(comps, depth: int, nvars: int) -> list:
+    return [_as_depth(c, depth, nvars) for c in comps]
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
 
 
-def _env_key(space, env, depth):
-    return (tuple(value_of(env[c]) for c in space.coords), depth)
+class _Field:
+    """A rule ``_fn(env)`` that consumes ``cost`` derivative levels.
 
-
-class ScalarField:
-    """A scalar function on a space, evaluable over jets.
-
-    Evaluations are memoized per (point, depth): environments are always
-    coordinate seeds, so equal keys mean bit-equal inputs.
+    The one caching rule: an evaluation is memoized under ``env.key`` and
+    normalized to depth ``env.depth - cost``.  ``from_exprs`` and ``values``
+    serve the component fields (vector and covector).  Each field type binds
+    ``at`` in its own namespace, so a profiler can wrap it per type.
     """
 
-    __slots__ = ("space", "name", "cost", "_fn", "expr", "_cache")
+    __slots__ = ("space", "name", "cost", "_fn", "_cache")
+    _normalize = staticmethod(_comps_as_depth)
 
-    def __init__(self, space, fn, cost=0, name="f", expr=None):
+    def __init__(self, space, fn, cost, name):
         self.space = space
         self._fn = fn
         self.cost = cost
         self.name = name
-        self.expr = expr
         self._cache = {}
+
+    def at(self, env):
+        hit = self._cache.get(env.key)
+        if hit is None:
+            if env.depth < self.cost:
+                raise DepthBudgetError(self.name, self.cost, env.depth)
+            hit = self._normalize(self._fn(env), env.depth - self.cost,
+                                  self.space.ambient_dim)
+            self._cache[env.key] = hit
+        return hit
+
+    @classmethod
+    def from_exprs(cls, space, components, name):
+        parsed = tuple(ex.parse(c) if isinstance(c, str) else c
+                       for c in components)
+        if len(parsed) != space.ambient_dim:
+            raise GeometryError(
+                f"{name}: {len(parsed)} components for "
+                f"{space.ambient_dim}-dimensional {space.name}")
+        for e in parsed:
+            _check_bound(space, e)
+
+        def fn(env):
+            return [ex.evaluate(e, env) for e in parsed]
+
+        return cls(space, fn, 0, name)
+
+    def values(self, point) -> list[float]:
+        env = self.space.seed_env(point, self.cost)
+        return [value_of(c) for c in self.at(env)]
+
+
+class ScalarField(_Field):
+    """A scalar function on a space, evaluable over jets."""
+
+    __slots__ = ()
+    _normalize = staticmethod(_as_depth)
+    at = _Field.at
 
     @staticmethod
     def from_expr(space, e, name=None):
@@ -252,23 +305,11 @@ class ScalarField:
             e = ex.parse(e)
         _check_bound(space, e)
         return ScalarField(space, lambda env: ex.evaluate(e, env), 0,
-                           name or ex.to_string(e), expr=e)
+                           name or ex.to_string(e))
 
     @staticmethod
     def constant(space, c: float):
         return ScalarField(space, lambda env: float(c), 0, repr(float(c)))
-
-    def at(self, env):
-        k = env_depth(env)
-        if k < self.cost:
-            raise DepthBudgetError(self.name, self.cost, k)
-        key = _env_key(self.space, env, k)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = _as_depth(self._fn(env), k - self.cost,
-                            self.space.ambient_dim)
-            self._cache[key] = hit
-        return hit
 
     def value_at(self, point) -> float:
         env = self.space.seed_env(point, self.cost)
@@ -283,7 +324,7 @@ def _check_bound(space, e):
             f"coordinates of {space.name}")
 
 
-class VectorField:
+class VectorField(_Field):
     """A vector field given by per-coordinate component functions.
 
     Components are expressions or machinery-produced closures.  ``cost`` is
@@ -291,40 +332,16 @@ class VectorField:
     components cost nothing, a Lie bracket costs one more than its operands.
     """
 
-    __slots__ = ("space", "name", "cost", "_fn", "exprs", "_cache")
-
-    def __init__(self, space, fn, cost=0, name="X", exprs=None):
-        self.space = space
-        self._fn = fn
-        self.cost = cost
-        self.name = name
-        self.exprs = exprs
-        self._cache = {}
+    __slots__ = ()
+    at = _Field.at
 
     def __repr__(self):
         return f"VectorField({self.name!r} on {self.space.name!r})"
 
     @staticmethod
-    def from_exprs(space, components, name):
-        parsed = tuple(ex.parse(c) if isinstance(c, str) else c
-                       for c in components)
-        if len(parsed) != space.ambient_dim:
-            raise GeometryError(
-                f"{name}: {len(parsed)} components for "
-                f"{space.ambient_dim}-dimensional {space.name}")
-        for e in parsed:
-            _check_bound(space, e)
-
-        def fn(env):
-            return [ex.evaluate(e, env) for e in parsed]
-
-        return VectorField(space, fn, 0, name, exprs=parsed)
-
-    @staticmethod
     def zero(space, name="0"):
         n = space.ambient_dim
-        return VectorField(space, lambda env: [0.0] * n, 0, name,
-                           exprs=tuple(ex.Const(0.0) for _ in range(n)))
+        return VectorField(space, lambda env: [0.0] * n, 0, name)
 
     @staticmethod
     def coordinate(space, coord: str, name=None):
@@ -333,78 +350,30 @@ class VectorField:
         comps = tuple(ex.Const(1.0 if j == i else 0.0) for j in range(n))
         return VectorField.from_exprs(space, comps, name or f"d/d{coord}")
 
-    def at(self, env) -> list:
-        k = env_depth(env)
-        if k < self.cost:
-            raise DepthBudgetError(self.name, self.cost, k)
-        key = _env_key(self.space, env, k)
-        hit = self._cache.get(key)
-        if hit is None:
-            target = k - self.cost
-            n = self.space.ambient_dim
-            hit = [_as_depth(c, target, n) for c in self._fn(env)]
-            self._cache[key] = hit
-        return hit
 
-    def values(self, point) -> list[float]:
-        env = self.space.seed_env(point, self.cost)
-        return [value_of(c) for c in self.at(env)]
-
-
-class CovectorField:
+class CovectorField(_Field):
     """A 1-form given by components against the coordinate differentials."""
 
-    __slots__ = ("space", "name", "cost", "_fn", "_cache")
+    __slots__ = ()
+    at = _Field.at
 
-    def __init__(self, space, fn, cost=0, name="w"):
-        self.space = space
-        self._fn = fn
-        self.cost = cost
-        self.name = name
-        self._cache = {}
 
-    @staticmethod
-    def from_exprs(space, components, name):
-        parsed = tuple(ex.parse(c) if isinstance(c, str) else c
-                       for c in components)
-        for e in parsed:
-            _check_bound(space, e)
-
-        def fn(env):
-            return [ex.evaluate(e, env) for e in parsed]
-
-        return CovectorField(space, fn, 0, name)
-
-    def at(self, env) -> list:
-        k = env_depth(env)
-        if k < self.cost:
-            raise DepthBudgetError(self.name, self.cost, k)
-        key = _env_key(self.space, env, k)
-        hit = self._cache.get(key)
-        if hit is None:
-            target = k - self.cost
-            n = self.space.ambient_dim
-            hit = [_as_depth(c, target, n) for c in self._fn(env)]
-            self._cache[key] = hit
-        return hit
-
-    def values(self, point) -> list[float]:
-        env = self.space.seed_env(point, self.cost)
-        return [value_of(c) for c in self.at(env)]
+def _truncated(owner, env, target: int, full, normalize):
+    """``full(env)`` normalized to depth ``target``, cached in
+    ``owner._cache`` under ``(env.key, target)``."""
+    key = (env.key, target)
+    hit = owner._cache.get(key)
+    if hit is None:
+        hit = normalize(full(env), target, owner.space.ambient_dim)
+        owner._cache[key] = hit
+    return hit
 
 
 def _comps_at(field, env, target: int) -> list:
-    """Components of a field truncated to an exact depth, cached like at()."""
-    k = env_depth(env)
-    if k - field.cost == target:
+    """Components of a field truncated to an exact depth."""
+    if env.depth - field.cost == target:
         return field.at(env)
-    key = (_env_key(field.space, env, k), target)
-    hit = field._cache.get(key)
-    if hit is None:
-        n = field.space.ambient_dim
-        hit = [_as_depth(c, target, n) for c in field.at(env)]
-        field._cache[key] = hit
-    return hit
+    return _truncated(field, env, target, field.at, _comps_as_depth)
 
 
 def _check_space(a, b):
@@ -423,7 +392,7 @@ def vf_add(X: VectorField, Y: VectorField, name=None) -> VectorField:
     cost = max(X.cost, Y.cost)
 
     def fn(env):
-        t = env_depth(env) - cost
+        t = env.depth - cost
         xs = _comps_at(X, env, t)
         ys = _comps_at(Y, env, t)
         return [a + b for a, b in zip(xs, ys)]
@@ -436,7 +405,7 @@ def vf_sub(X: VectorField, Y: VectorField, name=None) -> VectorField:
     cost = max(X.cost, Y.cost)
 
     def fn(env):
-        t = env_depth(env) - cost
+        t = env.depth - cost
         xs = _comps_at(X, env, t)
         ys = _comps_at(Y, env, t)
         return [a - b for a, b in zip(xs, ys)]
@@ -457,7 +426,7 @@ def vf_scale(f, X: VectorField, name=None) -> VectorField:
     cost = max(f.cost, X.cost)
 
     def fn(env):
-        t = env_depth(env) - cost
+        t = env.depth - cost
         s = _as_depth(f.at(env), t, X.space.ambient_dim)
         return [s * comp for comp in _comps_at(X, env, t)]
 
@@ -469,7 +438,7 @@ def pairing(omega: CovectorField, X: VectorField, name=None) -> ScalarField:
     cost = max(omega.cost, X.cost)
 
     def fn(env):
-        t = env_depth(env) - cost
+        t = env.depth - cost
         ws = _comps_at(omega, env, t)
         xs = _comps_at(X, env, t)
         acc = 0.0
@@ -487,10 +456,10 @@ def directional(X: VectorField, f: ScalarField, name=None) -> ScalarField:
     n = X.space.ambient_dim
 
     def fn(env):
-        t = env_depth(env) - cost
+        t = env.depth - cost
         fv = f.at(env)
         if not isinstance(fv, Jet):
-            raise DepthBudgetError(f"{X.name}({f.name})", cost, env_depth(env))
+            raise DepthBudgetError(f"{X.name}({f.name})", cost, env.depth)
         xs = _comps_at(X, env, t)
         acc = 0.0
         for j in range(n):
@@ -513,12 +482,11 @@ def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
     label = name or f"[{X.name},{Y.name}]"
 
     def fn(env):
-        k = env_depth(env)
-        t = k - cost
+        t = env.depth - cost
         xs = X.at(env)
         ys = Y.at(env)
-        xt = [_as_depth(c, t, n) for c in xs]
-        yt = [_as_depth(c, t, n) for c in ys]
+        xt = _comps_as_depth(xs, t, n)
+        yt = _comps_as_depth(ys, t, n)
         out = []
         for i in range(n):
             acc = 0.0
@@ -557,6 +525,22 @@ class Frame:
         return tuple(f.name for f in self.fields)
 
 
+def frame_ratio(mat) -> float:
+    """Smallest over largest singular value; NaN if an entry is not finite."""
+    mat = np.asarray(mat, dtype=float)
+    if not np.isfinite(mat).all():
+        return math.nan
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return 0.0 if sv[0] == 0.0 else float(sv[-1] / sv[0])
+
+
+def gate_frame(mat, point):
+    """Raise unless the frame matrix's ratio is above the degeneracy gate."""
+    ratio = frame_ratio(mat)
+    if not ratio > FRAME_DEGENERACY_RATIO:
+        raise SingularFrameError(point, ratio)
+
+
 def _invert(rows, n):
     """Gauss-Jordan with partial pivoting on the value part; generic scalars."""
     aug = [list(rows[i]) + [1.0 if j == i else 0.0 for j in range(n)]
@@ -581,7 +565,7 @@ class FrameSolver:
     """Pointwise inverse of the matrix whose columns are frame fields.
 
     On embedded spaces the constraint gradients are appended as extra
-    columns to square the system.  Inverses are cached per (point, depth),
+    columns to square the system.  Inverses are cached per ``env.key``,
     so projectors, coframes and coefficient extractions built over the same
     frame share one elimination per sample point.
     """
@@ -611,47 +595,31 @@ class FrameSolver:
         return cols
 
     def inverse(self, env):
-        k = env_depth(env)
-        if k < self.cost:
-            raise DepthBudgetError("frame solve", self.cost, k)
-        target = k - self.cost
-        point = tuple(value_of(env[c]) for c in self.space.coords)
-        key = (point, target)
-        hit = self._cache.get(key)
+        hit = self._cache.get(env.key)
         if hit is not None:
             return hit
+        if env.depth < self.cost:
+            raise DepthBudgetError("frame solve", self.cost, env.depth)
         n = self.space.ambient_dim
-        cols = self._columns(env, target)
-        vals = np.array([[value_of(cols[j][i]) for j in range(n)]
-                         for i in range(n)])
-        sv = np.linalg.svd(vals, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] / sv[0] <= FRAME_DEGENERACY_RATIO:
-            raise SingularFrameError(point, 0.0 if sv[0] == 0.0
-                                     else float(sv[-1] / sv[0]))
-        rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-        inv = _invert(rows, n)
-        self._cache[key] = inv
+        cols = self._columns(env, env.depth - self.cost)
+        vals = [[value_of(cols[j][i]) for j in range(n)] for i in range(n)]
+        gate_frame(vals, env.key[0])
+        inv = _invert([[cols[j][i] for j in range(n)] for i in range(n)], n)
+        self._cache[env.key] = inv
         return inv
 
     def rows_at(self, env, target: int) -> list:
-        """Inverse rows truncated to an exact depth, cached per point."""
-        k = env_depth(env)
-        if k - self.cost == target:
+        """Inverse rows truncated to an exact depth."""
+        if env.depth - self.cost == target:
             return self.inverse(env)
-        point = tuple(value_of(env[c]) for c in self.space.coords)
-        key = (point, target, "rows")
-        hit = self._cache.get(key)
-        if hit is None:
-            inv = self.inverse(env)
-            n = self.space.ambient_dim
-            hit = [[_as_depth(e, target, n) for e in row] for row in inv]
-            self._cache[key] = hit
-        return hit
+        return _truncated(self, env, target, self.inverse,
+                          lambda inv, t, n: [_comps_as_depth(row, t, n)
+                                             for row in inv])
 
     def coefficients_for(self, env, X: VectorField) -> list:
         """Coefficients of X against the frame fields (constraint slots
         trail at the end for embedded spaces)."""
-        t = env_depth(env) - max(self.cost, X.cost)
+        t = env.depth - max(self.cost, X.cost)
         inv = self.rows_at(env, t)
         n = self.space.ambient_dim
         xs = _comps_at(X, env, t)
@@ -758,7 +726,7 @@ class Endo11:
             n = space.ambient_dim
 
             def fn(env):
-                t = env_depth(env) - cost
+                t = env.depth - cost
                 xs = _comps_at(X, env, t)
                 out = [0.0] * n
                 for w, e in terms:
@@ -816,7 +784,7 @@ def projector_from_solver(solver: FrameSolver, indices, name) -> Endo11:
         n = space.ambient_dim
 
         def fn(env):
-            t = env_depth(env) - cost
+            t = env.depth - cost
             coef = solver.coefficients_for(env, X)
             out = [0.0] * n
             for i in indices:
@@ -844,20 +812,11 @@ def projector_from_split(target: Frame, rest, name=None) -> Endo11:
 
 
 def validate_frame(space, fields, cfg: CheckConfig = DEFAULT_CHECK):
-    """Pointwise independence via the singular-value ratio; raises with the
-    worst point on failure."""
+    """Pointwise independence via the singular-value ratio; raises at the
+    first sample point where the frame is degenerate or not finite."""
     fields = tuple(fields)
-    worst = (math.inf, None)
     for p in space.sample_points(cfg):
-        cols = [f.values(p) for f in fields]
-        mat = np.array(cols).T
-        sv = np.linalg.svd(mat, compute_uv=False)
-        ratio = 0.0 if sv[0] == 0.0 else float(sv[-1] / sv[0])
-        if ratio < worst[0]:
-            worst = (ratio, p)
-        if ratio <= FRAME_DEGENERACY_RATIO:
-            raise SingularFrameError(p.values, ratio)
-    return worst
+        gate_frame(np.array([f.values(p) for f in fields]).T, p.values)
 
 
 def validate_tangent(space, X: VectorField, cfg: CheckConfig = DEFAULT_CHECK,

@@ -36,7 +36,7 @@ from .covderiv import (
 from .geometry import (
     ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame,
     GeometryError, Point, ScalarField, VectorField, _as_depth, directional,
-    dual_coframe, endo_add, endo_scale, env_depth, lie_derivative_endo,
+    dual_coframe, endo_add, endo_scale, lie_derivative_endo,
     lie_bracket, pairing, vf_add, vf_scale, vf_sub,
 )
 from .jets import extract, value_of
@@ -657,10 +657,7 @@ def affine_tangent(n: int, gamma: dict,
             comps.append(_neg(_esum(
                 _mul(g_expr(c, a, b), ex.Var(f"u{b}"))
                 for b in range(1, n + 1))))
-        hs.append(VectorField(space,
-                              (lambda comps: lambda env:
-                               [ex.evaluate(e, env) for e in comps])(comps),
-                              0, f"H{a}", exprs=tuple(comps)))
+        hs.append(VectorField.from_exprs(space, comps, f"H{a}"))
     for c in range(1, n + 1):
         vs.append(VectorField.coordinate(space, f"u{c}", f"V{c}"))
 
@@ -1212,7 +1209,7 @@ def sode_sufficiency_check(scen: Scenario,
     forces = []
     for b in range(1, n + 1):
         def fn(env, b=b):
-            t = env_depth(env) - force_cost
+            t = env.depth - force_cost
             acc = 0.0
             for a in range(1, n + 1):
                 ua = _as_depth(env[f"u{a}"], t, space.ambient_dim)

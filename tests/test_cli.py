@@ -102,6 +102,13 @@ def test_eval_off_manifold_point_rejected(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_eval_non_finite_point_rejected(capsys):
+    code = main(["eval", "trivial-r3", "nabla", "H1", "H1",
+                 "--at", "nan,0,1"])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_eval_apply_projector(capsys):
     code = main(["eval", "trivial-r3", "apply", "P_V", "V",
                  "--at", "0,0,0.5", "--format", "json"])
@@ -182,13 +189,17 @@ def test_verify_nan_expected_coefficient_fails(tmp_path, capsys):
     assert rec["pass"] is False
 
 
-def test_verify_nan_frame_is_construction_error(tmp_path, capsys):
+@pytest.mark.parametrize("component", [
+    "cos(th)+tan(x)*1e300*1e300",
+    "cos(th)+(1e300*1e300-1e300*1e300)",
+], ids=["inf", "nan"])
+def test_verify_nan_frame_is_construction_error(component, tmp_path, capsys):
     doc = json.loads(json.dumps(TRIVIAL_DOC))
-    doc["fields"]["H1"] = ["1", "0", "cos(th)+tan(x)*1e300*1e300"]
+    doc["fields"]["H1"] = ["1", "0", component]
     path = tmp_path / "nan-frame.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path), "--samples", "5"]) == 2
-    assert "nan" in capsys.readouterr().err
+    assert "degenerate at (" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from ehresmann.connection import (
-    ConnectionDataError, K_HORIZONTAL, K_VERTICAL, SplitStructure,
-    build_connection, canonical_endos, validate_split,
+    ConnectionDataError, K_HORIZONTAL, K_VERTICAL, SplitReport,
+    SplitStructure, build_connection, canonical_endos, validate_split,
 )
 from ehresmann.geometry import (
     ChartedSpace, CheckConfig, Frame, VectorField, vf_sub,
 )
+from ehresmann.report import CheckRecord
 
 CFG = CheckConfig(samples=8)
 
@@ -202,3 +205,19 @@ def test_singular_pairing_matrix_rejected(affine_tm):
     with pytest.raises(ConnectionDataError):
         canonical_endos(conn, [h], K_VERTICAL, CFG,
                         pairings=[[[1.0, 1.0], [1.0, 1.0]]])
+
+
+def test_nan_pairing_matrix_rejected(affine_tm):
+    space, v, h = affine_tm
+    conn = build_connection(space, v, h, CFG)
+    with pytest.raises(ConnectionDataError, match="pairing matrix is singular"):
+        canonical_endos(conn, [h], K_VERTICAL, CFG,
+                        pairings=[[[math.nan, 1.0], [1.0, 0.0]]])
+
+
+def test_split_report_keeps_nan_in_second_record():
+    recs = [CheckRecord(f"r{i}", "", dev, 1e-10, dev < 1e-10)
+            for i, dev in enumerate([1e-12, math.nan, 1e-3])]
+    report = SplitReport(recs)
+    assert math.isnan(report.max_dev)
+    assert not report.passed

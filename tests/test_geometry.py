@@ -88,6 +88,9 @@ def test_point_validation(sphere3):
     assert space.constraint_residual(p.values) < 1e-15
     with pytest.raises(OffManifoldError):
         space.point((1.0, 0.0, 0.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OffManifoldError, match="not finite"):
+            space.point((bad, 0.0, 0.0, 0.0))
 
 
 def test_dimension_accounting(sphere3, plane_circle):
@@ -124,6 +127,30 @@ def test_expression_components_must_be_bound(plane_circle):
     space = plane_circle[0]
     with pytest.raises(GeometryError):
         VectorField.from_exprs(space, ["q", "0", "0"], "bad")
+
+
+def test_covector_components_are_counted(plane_circle):
+    space = plane_circle[0]
+    with pytest.raises(GeometryError, match="2 components"):
+        CovectorField.from_exprs(space, ["1", "0"], "short")
+
+
+def test_separately_seeded_envs_share_one_cache_entry(plane_circle):
+    space, h1, h2, v = plane_circle
+    p = space.point((0.1, -0.2, 0.3))
+    e1, e2 = space.seed_env(p, 2), space.seed_env(p.values, 2)
+    assert e1 is not e2 and e1.key == e2.key and e1.depth == 2
+    fields = [ScalarField.from_expr(space, "x*sin(th)"), lie_bracket(h1, h2),
+              CovectorField.from_exprs(space, ["y", "x", "1"], "w")]
+    for f in fields:
+        first = f.at(e1)
+        assert f.at(e2) is first
+        assert len(f._cache) == 1, f.name
+    solver = FrameSolver(space, (v, h1, h2))
+    inv = solver.inverse(e1)
+    assert solver.inverse(e2) is inv
+    assert solver.rows_at(e2, 0) is solver.rows_at(e1, 0)
+    assert len(solver._cache) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +305,19 @@ def test_frame_coefficients_rejects_nontangent(sphere3):
     p = space.point((1.0, 0.0, 0.0, 0.0))
     with pytest.raises(GeometryError):
         frame_coefficients(space, [Frame((lam, sig, v))], [1.0, 0, 0, 0], p)
+
+
+def test_non_finite_frame_is_degenerate_at_a_point():
+    space = ChartedSpace("r2", ("a", "b"))
+    x1 = VectorField.coordinate(space, "a")
+    x2 = VectorField.from_exprs(space, ["0", "b*1e300*1e300"], "X2")
+    with pytest.raises(SingularFrameError) as err:
+        geo.validate_frame(space, (x1, x2), CFG)
+    assert math.isnan(err.value.ratio)
+    p = space.point((0.5, 0.25))
+    with pytest.raises(SingularFrameError) as err:
+        FrameSolver(space, (x1, x2)).inverse(space.seed_env(p, 1))
+    assert err.value.point == p.values and math.isnan(err.value.ratio)
 
 
 def test_singular_frame_reports_point():

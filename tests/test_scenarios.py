@@ -441,6 +441,13 @@ def test_builtin_suites_pass(name, built):
     assert not failed, failed
 
 
+def test_catalog_matches_built_scenarios(built):
+    assert set(sc.CATALOG) == set(sc.BUILTIN_BUILDERS)
+    for name, (section, dim, _desc) in sc.CATALOG.items():
+        scen = built(name)
+        assert (section, dim) == (scen.section, scen.space.dim), name
+
+
 def test_unexpected_nonzero_component_fails_the_table():
     # dropping a known-nonzero row from the expected coefficients must
     # turn that record red: silence is not compliance
