@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import (
     CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, FRAME_DEGENERACY_RATIO,
     Frame, FrameSolver, GeometryError, VectorField, _invert, frame_ratio,
@@ -201,6 +203,11 @@ def canonical_endos(conn: EhresmannConnection, blocks,
             k_images = list(k_frame.fields)
             block_images = list(block.fields)
         else:
+            shape = np.asarray(mat, dtype=object).shape
+            if shape != (r, r):
+                raise ConnectionDataError(
+                    f"pairing matrix for block {block.name!r} has shape "
+                    f"{'x'.join(map(str, shape))}, expected {r}x{r}")
             ratio = frame_ratio(mat)
             if not ratio > FRAME_DEGENERACY_RATIO:
                 raise ConnectionDataError(

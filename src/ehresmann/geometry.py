@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -144,8 +144,15 @@ class ChartedSpace:
     def index(self, coord: str) -> int:
         return self.coords.index(coord)
 
-    def seed_env(self, point, depth: int) -> "Env":
-        values = point.values if isinstance(point, Point) else tuple(point)
+    def seed_env(self, point, depth: int, name: str = "seed_env") -> "Env":
+        """Coordinate jets of ``depth`` levels at a point; ``name`` is the
+        operation blamed when the point's depth cap is below ``depth``."""
+        if isinstance(point, Point):
+            if point.depth is not None and depth > point.depth:
+                raise DepthBudgetError(name, depth, point.depth)
+            values = point.values
+        else:
+            values = tuple(point)
         env = Env(zip(self.coords, jets.seed(JetConfig(self.coords, depth),
                                              values)))
         env.depth = depth
@@ -180,7 +187,8 @@ class ChartedSpace:
         return Point(self, vals)
 
     def sample_points(self, cfg: CheckConfig = DEFAULT_CHECK) -> list["Point"]:
-        """Deterministic sample draw; equal config means equal points."""
+        """Deterministic sample draw; equal config means equal points.  Each
+        point is capped at ``cfg.depth`` derivative levels."""
         rng = random.Random(cfg.seed)
         points = []
         for _ in range(cfg.samples):
@@ -190,20 +198,27 @@ class ChartedSpace:
                     norm = math.sqrt(sum(v * v for v in raw))
                     if norm >= 0.1:
                         break
-                points.append(Point(self, tuple(v / norm for v in raw)))
+                points.append(Point(self, tuple(v / norm for v in raw),
+                                    cfg.depth))
             elif self.constraints:
                 raise GeometryError(
                     "sampling on a constrained space needs the sphere rule")
             else:
                 points.append(Point(self, tuple(
-                    rng.uniform(lo, hi) for lo, hi in self.intervals)))
+                    rng.uniform(lo, hi) for lo, hi in self.intervals),
+                    cfg.depth))
         return points
 
 
 @dataclass(frozen=True)
 class Point:
+    """A point of a space.  ``depth``, when set, caps the derivative levels
+    an environment seeded at the point may carry (``seed_env`` raises
+    :class:`DepthBudgetError` above it); it takes no part in equality."""
+
     space: ChartedSpace
     values: tuple[float, ...]
+    depth: int | None = dc_field(default=None, compare=False)
 
     def __repr__(self):
         return f"Point({', '.join(f'{v:.6g}' for v in self.values)})"
@@ -234,7 +249,11 @@ def _as_depth(s, depth: int, nvars: int):
 
 
 def _comps_as_depth(comps, depth: int, nvars: int) -> list:
-    return [_as_depth(c, depth, nvars) for c in comps]
+    # the common cases inline: values at depth 0, jets already at depth
+    if depth == 0:
+        return [c.value if c.__class__ is Jet else float(c) for c in comps]
+    return [c if c.__class__ is Jet and c.depth == depth
+            else _as_depth(c, depth, nvars) for c in comps]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +307,7 @@ class _Field:
         return cls(space, fn, 0, name)
 
     def values(self, point) -> list[float]:
-        env = self.space.seed_env(point, self.cost)
+        env = self.space.seed_env(point, self.cost, self.name)
         return [value_of(c) for c in self.at(env)]
 
 
@@ -312,7 +331,7 @@ class ScalarField(_Field):
         return ScalarField(space, lambda env: float(c), 0, repr(float(c)))
 
     def value_at(self, point) -> float:
-        env = self.space.seed_env(point, self.cost)
+        env = self.space.seed_env(point, self.cost, self.name)
         return value_of(self.at(env))
 
 
@@ -439,12 +458,7 @@ def pairing(omega: CovectorField, X: VectorField, name=None) -> ScalarField:
 
     def fn(env):
         t = env.depth - cost
-        ws = _comps_at(omega, env, t)
-        xs = _comps_at(X, env, t)
-        acc = 0.0
-        for w, x in zip(ws, xs):
-            acc = acc + w * x
-        return acc
+        return jets.dot(_comps_at(omega, env, t), _comps_at(X, env, t))
 
     return ScalarField(X.space, fn, cost, name or f"{omega.name}({X.name})")
 
@@ -460,13 +474,18 @@ def directional(X: VectorField, f: ScalarField, name=None) -> ScalarField:
         fv = f.at(env)
         if not isinstance(fv, Jet):
             raise DepthBudgetError(f"{X.name}({f.name})", cost, env.depth)
-        xs = _comps_at(X, env, t)
-        acc = 0.0
-        for j in range(n):
-            acc = acc + xs[j] * _as_depth(fv.partials[j], t, n)
-        return acc
+        return jets.dot(_comps_at(X, env, t),
+                        _comps_as_depth(fv.partials, t, n))
 
     return ScalarField(X.space, fn, cost, name or f"{X.name}({f.name})")
+
+
+def _first_slots(comps, t: int) -> list:
+    """Each component's first-order slots at depth ``t``.  They are already
+    at ``t`` unless the components were evaluated deeper than ``t + 1``."""
+    if comps[0].depth == t + 1:
+        return [c.partials for c in comps]
+    return [[jets.truncate(p, t) for p in c.partials] for c in comps]
 
 
 def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
@@ -487,14 +506,13 @@ def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
         ys = Y.at(env)
         xt = _comps_as_depth(xs, t, n)
         yt = _comps_as_depth(ys, t, n)
+        dx = _first_slots(xs, t)
+        dy = _first_slots(ys, t)
         out = []
         for i in range(n):
             acc = 0.0
-            yi = ys[i]
-            xi = xs[i]
-            for j in range(n):
-                acc = acc + xt[j] * _as_depth(yi.partials[j], t, n) \
-                          - yt[j] * _as_depth(xi.partials[j], t, n)
+            for a, p, b, q in zip(xt, dy[i], yt, dx[i]):
+                acc = acc + a * p - b * q
             out.append(acc)
         return out
 
@@ -616,24 +634,17 @@ class FrameSolver:
                           lambda inv, t, n: [_comps_as_depth(row, t, n)
                                              for row in inv])
 
-    def coefficients_for(self, env, X: VectorField) -> list:
-        """Coefficients of X against the frame fields (constraint slots
-        trail at the end for embedded spaces)."""
+    def coefficients_for(self, env, X: VectorField, rows) -> list:
+        """Coefficients of X against the solver fields numbered ``rows``,
+        in that order (constraint slots trail at the end for embedded
+        spaces); only those rows of the inverse are contracted."""
         t = env.depth - max(self.cost, X.cost)
         inv = self.rows_at(env, t)
-        n = self.space.ambient_dim
         xs = _comps_at(X, env, t)
-        out = []
-        for i in range(n):
-            acc = 0.0
-            row = inv[i]
-            for j in range(n):
-                acc = acc + row[j] * xs[j]
-            out.append(acc)
-        return out
+        return [jets.dot(inv[i], xs) for i in rows]
 
     def coefficients_at_point(self, point, components) -> list[float]:
-        env = self.space.seed_env(point, self.cost)
+        env = self.space.seed_env(point, self.cost, "frame solve")
         inv = self.inverse(env)
         n = self.space.ambient_dim
         flat = [[value_of(e) for e in row] for row in inv]
@@ -682,6 +693,18 @@ def frame_coefficients(space, frames, components, point,
 # ---------------------------------------------------------------------------
 
 
+def _combination(coef, vectors, n) -> list:
+    """Components of ``sum_i coef[i] * vectors[i]``, each the left fold
+    from ``0.0`` over ``i``.  Over jets a component is one ``jets.dot``;
+    over floats updating whole vectors term by term is faster."""
+    if coef and coef[0].__class__ is Jet:
+        return [jets.dot(coef, col) for col in zip(*vectors)]
+    out = [0.0] * n
+    for c, v in zip(coef, vectors):
+        out = [o + c * e for o, e in zip(out, v)]
+    return out
+
+
 class Endo11:
     """A (1,1)-tensor as a rule sending vector fields to vector fields.
 
@@ -728,15 +751,9 @@ class Endo11:
             def fn(env):
                 t = env.depth - cost
                 xs = _comps_at(X, env, t)
-                out = [0.0] * n
-                for w, e in terms:
-                    ws = _comps_at(w, env, t)
-                    s = 0.0
-                    for wc, xc in zip(ws, xs):
-                        s = s + wc * xc
-                    es = _comps_at(e, env, t)
-                    out = [o + s * c for o, c in zip(out, es)]
-                return out
+                coef = [jets.dot(_comps_at(w, env, t), xs) for w, _ in terms]
+                return _combination(
+                    coef, [_comps_at(e, env, t) for _, e in terms], n)
 
             return VectorField(space, fn, cost, f"{name}({X.name})")
 
@@ -785,13 +802,10 @@ def projector_from_solver(solver: FrameSolver, indices, name) -> Endo11:
 
         def fn(env):
             t = env.depth - cost
-            coef = solver.coefficients_for(env, X)
-            out = [0.0] * n
-            for i in indices:
-                es = _comps_at(solver.fields[i], env, t)
-                ci = _as_depth(coef[i], t, n)
-                out = [o + ci * c for o, c in zip(out, es)]
-            return out
+            coef = solver.coefficients_for(env, X, indices)
+            return _combination(
+                coef, [_comps_at(solver.fields[i], env, t) for i in indices],
+                n)
 
         return VectorField(space, fn, cost, f"{name}({X.name})")
 

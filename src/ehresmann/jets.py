@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class JetError(Exception):
@@ -273,6 +274,16 @@ def constant(value: float, nvars: int, depth: int):
     return Jet(float(value), (zero,) * nvars, depth, nvars)
 
 
+@lru_cache(maxsize=None)
+def _unit_slots(nvars: int, depth: int) -> tuple:
+    """Row i is the first-derivative slots of coordinate i: constants
+    delta_ij of depth ``depth``, built once and shared (jets are immutable)."""
+    zero = constant(0.0, nvars, depth)
+    one = constant(1.0, nvars, depth)
+    return tuple(tuple(one if j == i else zero for j in range(nvars))
+                 for i in range(nvars))
+
+
 def seed(config: JetConfig, point) -> list:
     """Coordinate jets at ``point``: variable i carries dx_i/dx_j = delta_ij."""
     n = len(config.variables)
@@ -281,12 +292,50 @@ def seed(config: JetConfig, point) -> list:
             f"point has {len(point)} coordinates for {n} variables")
     if config.depth == 0:
         return [float(v) for v in point]
-    out = []
-    for i, v in enumerate(point):
-        parts = tuple(constant(1.0 if j == i else 0.0, n, config.depth - 1)
-                      for j in range(n))
-        out.append(Jet(float(v), parts, config.depth, n))
-    return out
+    slots = _unit_slots(n, config.depth - 1)
+    return [Jet(float(v), parts, config.depth, n)
+            for v, parts in zip(point, slots)]
+
+
+def dot(xs, ys):
+    """``sum(x * y)`` over two sequences of scalars, rounded exactly as the
+    left fold ``acc = 0.0; acc = acc + x * y`` it replaces.
+
+    Over jets of one shape no product or partial sum is built as a jet: the
+    value folds ``x.value * y.value`` and slot ``m`` folds the product rule
+    ``x.partials[m] * y.lowered() + x.lowered() * y.partials[m]`` from the
+    first term on, the same operations in the same order as the fold.  At
+    depth 1 the slots are floats.  Sequences holding a plain number take the
+    fold itself.
+    """
+    value = 0.0
+    slots = None
+    for x, y in zip(xs, ys):
+        if x.__class__ is not Jet or y.__class__ is not Jet:
+            break
+        if slots is None:
+            depth, nvars = x.depth, x.nvars
+        if (x.depth != depth or x.nvars != nvars or y.depth != depth
+                or y.nvars != nvars):
+            raise JetShapeError(
+                f"cannot contract jets of shape (depth={x.depth}, "
+                f"nvars={x.nvars}) and (depth={y.depth}, nvars={y.nvars}) "
+                f"into a sum of shape (depth={depth}, nvars={nvars})")
+        xl = x.lowered()
+        yl = y.lowered()
+        value = value + x.value * y.value
+        if slots is None:
+            slots = [p * yl + xl * q for p, q in zip(x.partials, y.partials)]
+        else:
+            slots = [s + (p * yl + xl * q)
+                     for s, p, q in zip(slots, x.partials, y.partials)]
+    else:
+        return value if slots is None else Jet(value, tuple(slots), depth,
+                                                nvars)
+    acc = 0.0
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
 
 
 def extract(value, orders) -> float:

@@ -174,6 +174,23 @@ def test_run_config_validation(capsys):
         assert "error" in capsys.readouterr().err
 
 
+def test_verify_depth_below_need_is_usage_error(capsys):
+    # the hopf operator's fields need two derivative levels
+    assert main(["verify", "hopf", "--samples", "4", "--depth", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "needs 2 derivative level(s) but only 1 available" in err
+    assert "∇_" in err
+
+
+def test_verify_depth_cap_keeps_records(capsys):
+    def records(depth):
+        assert main(["verify", "hopf", "--samples", "4", "--depth",
+                     str(depth), "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["records"]
+
+    assert records(2) == records(3)
+
+
 def test_verify_nan_expected_coefficient_fails(tmp_path, capsys):
     doc = json.loads(json.dumps(TRIVIAL_DOC))
     row = next(r for r in doc["expected"] if r["args"] == ["H1", "H1"])

@@ -221,3 +221,18 @@ def test_split_report_keeps_nan_in_second_record():
     report = SplitReport(recs)
     assert math.isnan(report.max_dev)
     assert not report.passed
+
+
+@pytest.mark.parametrize("mat,shape", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "3x3"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "2x3"),
+    ([1.0, 0.0], "2"),
+], ids=["3x3", "2x3", "flat"])
+def test_pairing_matrix_shape_rejected(affine_tm, mat, shape):
+    space, v, h = affine_tm
+    conn = build_connection(space, v, h, CFG)
+    with pytest.raises(ConnectionDataError) as err:
+        canonical_endos(conn, [h], K_VERTICAL, CFG, pairings=[mat])
+    message = str(err.value)
+    assert repr(h.name) in message
+    assert f"shape {shape}, expected 2x2" in message

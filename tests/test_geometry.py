@@ -17,6 +17,7 @@ from ehresmann.geometry import (
     lie_derivative_endo, pairing, projector_from_split, vf_add, vf_scale,
     vf_sub,
 )
+from ehresmann.jets import Jet
 from helpers import random_expression
 
 CFG = CheckConfig(samples=8)
@@ -511,3 +512,90 @@ def test_eval_vector_field_depth_budget(plane_circle):
     p = space.point((0.0, 0.0, 0.1))
     with pytest.raises(DepthBudgetError):
         geo.eval_vector_field(deep, p, CheckConfig(depth=2))
+
+
+def test_sampled_points_cap_the_depth(plane_circle):
+    space, h1, h2, v = plane_circle
+    bb = lie_bracket(lie_bracket(h1, h2), v)  # cost 2
+    capped = space.sample_points(CheckConfig(samples=2, depth=1))
+    assert capped == space.sample_points(CheckConfig(samples=2, depth=3))
+    assert len(lie_bracket(h1, v).values(capped[0])) == 3
+    with pytest.raises(DepthBudgetError) as err:
+        bb.values(capped[0])
+    assert err.value.operation == bb.name
+    assert (err.value.needed, err.value.available) == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# contraction kernels against the plain folds
+# ---------------------------------------------------------------------------
+
+
+def _bits(s):
+    """Every stored float of a scalar or a list of scalars, as exact hex
+    (so -0.0 != 0.0)."""
+    if isinstance(s, list):
+        return [_bits(c) for c in s]
+    if isinstance(s, Jet):
+        return [(s.depth, s.nvars), s.value.hex(),
+                [_bits(p) for p in s.partials]]
+    return float(s).hex()
+
+
+def test_coefficient_rows_match_the_full_solve(sphere3):
+    space, lam, sig, v = sphere3
+    solver = FrameSolver(space, (lam, sig, v))
+    X = vf_add(vf_scale(ScalarField.from_expr(space, "x*y+2"), lam),
+               lie_bracket(sig, v))
+    n = space.ambient_dim
+    for p in space.sample_points(CheckConfig(samples=3)):
+        env = space.seed_env(p, 3)
+        t = env.depth - max(solver.cost, X.cost)
+        inv = solver.rows_at(env, t)
+        xs = geo._comps_at(X, env, t)
+        full = []
+        for i in range(n):
+            acc = 0.0
+            for j in range(n):
+                acc = acc + inv[i][j] * xs[j]
+            full.append(acc)
+        assert _bits(solver.coefficients_for(env, X, range(n))) == \
+            _bits(full)
+        for rows in ((1,), (2, 0), (3,)):
+            assert _bits(solver.coefficients_for(env, X, rows)) == \
+                _bits([full[i] for i in rows])
+
+
+def _bracket_before_hoisting(X, Y, env):
+    """The bracket kernel as it was written before its slots were hoisted:
+    every entry normalized on its own."""
+    n = X.space.ambient_dim
+    t = env.depth - (max(X.cost, Y.cost) + 1)
+    xs = X.at(env)
+    ys = Y.at(env)
+    xt = [geo._as_depth(c, t, n) for c in xs]
+    yt = [geo._as_depth(c, t, n) for c in ys]
+    out = []
+    for i in range(n):
+        acc = 0.0
+        for j in range(n):
+            acc = acc + xt[j] * geo._as_depth(ys[i].partials[j], t, n) \
+                      - yt[j] * geo._as_depth(xs[i].partials[j], t, n)
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_bracket_of_unequal_costs_matches_the_unhoisted_kernel(
+        tangent_affine, depth):
+    space, h1, h2, v1, v2 = tangent_affine
+    cheap = VectorField.from_exprs(
+        space, ["sin(x2)", "u1*cos(x1)", "exp(u2/3)", "x1*x2-u1"], "A")
+    dear = lie_bracket(h1, VectorField.from_exprs(
+        space, ["u2^2", "sin(u1)", "x1/3", "cos(x2*u2)"], "B"))
+    for X, Y in ((cheap, dear), (dear, cheap), (dear, dear)):
+        field = lie_bracket(X, Y)
+        for p in space.sample_points(CheckConfig(samples=3)):
+            env = space.seed_env(p, depth)
+            assert _bits(field.at(env)) == \
+                _bits(_bracket_before_hoisting(X, Y, env))

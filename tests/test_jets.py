@@ -6,11 +6,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehresmann import jets
 from ehresmann.jets import (
     Jet, JetConfig, JetDepthError, JetDomainError, JetShapeError,
-    constant, extract, ipow, seed, truncate, value_of,
+    constant, dot, extract, ipow, seed, truncate, value_of,
 )
 from helpers import central_difference, random_expression, rel_err
 
@@ -52,6 +53,23 @@ def test_seed_then_square():
 def test_seed_length_mismatch():
     with pytest.raises(JetShapeError):
         seed(JetConfig(("x", "y"), 1), (1.0,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_seed_is_kronecker_delta(n, depth):
+    names = tuple(f"x{i}" for i in range(n))
+    xs = seed(JetConfig(names, depth), [0.5 * i for i in range(n)])
+    for i, x in enumerate(xs):
+        assert extract(x, (0,) * n) == 0.5 * i
+        for j in range(n):
+            first = tuple(1 if k == j else 0 for k in range(n))
+            assert extract(x, first) == (1.0 if i == j else 0.0)
+            if depth > 1:
+                assert extract(x, tuple(2 * v for v in first)) == 0.0
+    # the unit slots are shared between seeds at the same shape
+    again = seed(JetConfig(names, depth), [1.0] * n)
+    assert all(a.partials is b.partials for a, b in zip(xs, again))
 
 
 def test_depth_zero_seed_is_plain():
@@ -323,3 +341,68 @@ def test_config_validation():
         JetConfig(("x", "x"), 2)
     with pytest.raises(ValueError):
         JetConfig(("x",), -1)
+
+
+# ---------------------------------------------------------------------------
+# fused contraction
+# ---------------------------------------------------------------------------
+
+
+def _fold(xs, ys):
+    acc = 0.0
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def _bits(s):
+    """Every stored float of a scalar, as exact hex (so -0.0 != 0.0)."""
+    if isinstance(s, Jet):
+        return [(s.depth, s.nvars), s.value.hex(),
+                [_bits(p) for p in s.partials]]
+    return float(s).hex()
+
+
+_FLOATS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+def _scalars(nvars, depth):
+    if depth == 0:
+        return _FLOATS
+    return st.builds(
+        lambda v, ps: Jet(v, tuple(ps), depth, nvars), _FLOATS,
+        st.lists(_scalars(nvars, depth - 1), min_size=nvars, max_size=nvars))
+
+
+@st.composite
+def _dot_operands(draw):
+    nvars = draw(st.integers(1, 4))
+    depth = draw(st.integers(0, 3))
+    k = draw(st.integers(0, 4))
+    scalars = _scalars(nvars, depth)
+    xs = draw(st.lists(scalars, min_size=k, max_size=k))
+    ys = draw(st.lists(scalars, min_size=k, max_size=k))
+    return xs, ys
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dot_operands())
+def test_dot_is_bit_equal_to_the_fold(operands):
+    xs, ys = operands
+    assert _bits(dot(xs, ys)) == _bits(_fold(xs, ys))
+
+
+def test_dot_mixed_numbers_take_the_fold():
+    x, y = seed(JetConfig(("x", "y"), 2), (0.3, -0.7))
+    xs, ys = [x, 2.0, y], [y, x, -0.0]
+    assert _bits(dot(xs, ys)) == _bits(_fold(xs, ys))
+
+
+def test_dot_shape_mismatch_raises():
+    (a,) = seed(JetConfig(("x",), 1), (1.0,))
+    b, _ = seed(JetConfig(("x", "y"), 1), (1.0, 2.0))
+    (c,) = seed(JetConfig(("x",), 2), (1.0,))
+    with pytest.raises(JetShapeError):
+        dot([a], [b])
+    with pytest.raises(JetShapeError):
+        dot([a, c], [a, c])
