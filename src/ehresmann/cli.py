@@ -17,12 +17,11 @@ from dataclasses import dataclass, field as dc_field
 
 from . import expr as ex
 from . import scenarios as sc
-from .connection import ConnectionDataError, K_HORIZONTAL, K_VERTICAL, \
-    build_connection, canonical_endos
-from .covderiv import ehresmann_curvature, torsion, total_derivative
+from .connection import ConnectionDataError, K_HORIZONTAL, K_VERTICAL
+from .covderiv import OPS, assemble, op_field
 from .geometry import (
     ChartedSpace, CheckConfig, Frame, GeometryError, OffManifoldError,
-    VectorField, lie_bracket,
+    VectorField,
 )
 
 
@@ -89,131 +88,180 @@ class ScenarioFileError(Exception):
         super().__init__(f"{path}: {where}: {message}")
 
 
-def _need(doc, key, path, where, kind=None):
+def _check(ok, path, where, message):
+    if not ok:
+        raise ScenarioFileError(path, where, message)
+
+
+def _get(doc, key, path, where, kind, default=...):
+    """``doc[key]``, which must be of JSON type ``kind``; a missing key
+    gives ``default`` or, for a required key (no default), an error."""
     if key not in doc:
-        raise ScenarioFileError(path, where, f"missing key {key!r}")
+        _check(default is not ..., path, where, f"missing key {key!r}")
+        return default
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ScenarioFileError(path, f"{where}.{key}",
-                                f"expected {kind.__name__}")
+    _check(isinstance(value, kind)
+           and (kind is bool or not isinstance(value, bool)),
+           path, f"{where}.{key}", f"expected {kind.__name__}")
     return value
+
+
+def _finite(value) -> bool:
+    """A JSON number, not a boolean, within the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _names(value, path, where) -> list:
+    _check(isinstance(value, list) and value
+           and all(isinstance(v, str) for v in value),
+           path, where, "expected a non-empty list of names")
+    return value
+
+
+def _parse_in(path, where, text, coords):
+    """An expression entry, a string or a finite number, over ``coords``."""
+    _check(isinstance(text, str) or _finite(text), path, where,
+           "expected an expression string or a finite number")
+    try:
+        e = ex.parse(text) if isinstance(text, str) else ex.Const(float(text))
+    except ex.ParseError as exc:
+        raise ScenarioFileError(path, where, str(exc)) from None
+    unknown = [v for v in ex.free_vars(e) if v not in coords]
+    _check(not unknown, path, where, f"uses {unknown}, not coordinates")
+    return e
+
+
+def _load_space(doc, name, path) -> ChartedSpace:
+    space_doc = _get(doc, "space", path, "document", dict)
+    coords = _names(_get(space_doc, "coords", path, "space", list), path,
+                    "space.coords")
+    intervals = _get(space_doc, "intervals", path, "space", dict, {})
+    for c, iv in intervals.items():
+        _check(c in coords and isinstance(iv, list) and len(iv) == 2
+               and all(map(_finite, iv)) and _finite(iv[1] - iv[0]),
+               path, f"space.intervals.{c}",
+               "expected [low, high] of finite numbers for a coordinate")
+    constraints = tuple(
+        _parse_in(path, f"space.constraints[{i}]", text, coords)
+        for i, text in enumerate(
+            _get(space_doc, "constraints", path, "space", list, [])))
+    base = _get(space_doc, "base", path, "space", list, [])
+    try:
+        return ChartedSpace(
+            name, tuple(coords),
+            tuple(tuple(intervals.get(c, (-1.0, 1.0))) for c in coords),
+            constraints,
+            sphere=_get(space_doc, "sphere", path, "space", bool, False),
+            base_coords=tuple(base))
+    except ValueError as exc:
+        raise ScenarioFileError(path, "space", str(exc)) from None
+
+
+def _load_expected(doc, path, fields, frame_names, coords) -> list:
+    expected = []
+    for i, row in enumerate(_get(doc, "expected", path, "document", list,
+                                 [])):
+        where = f"expected[{i}]"
+        _check(isinstance(row, dict), path, where, "expected dict")
+        op = _get(row, "op", path, where, str)
+        _check(op in OPS, path, f"{where}.op",
+               f"unknown op {op!r}; available: {', '.join(OPS)}")
+        args = _get(row, "args", path, where, list)
+        _check(len(args) == 2
+               and all(isinstance(a, str) and a in fields for a in args),
+               path, f"{where}.args",
+               f"expected two of the fields {', '.join(fields)}")
+        coeffs = {}
+        for k, v in _get(row, "coeffs", path, where, dict, {}).items():
+            _check(k in frame_names, path, f"{where}.coeffs.{k}",
+                   f"not a frame field; frame: {', '.join(frame_names)}")
+            coeffs[k] = _parse_in(path, f"{where}.coeffs.{k}", v, coords)
+        tol = row.get("tol")
+        _check(tol is None or _finite(tol) and tol > 0, path, f"{where}.tol",
+               "expected a positive number")
+        expected.append(sc.ExpectedRow(
+            op, tuple(args), coeffs,
+            _get(row, "ref", path, where, str, "scenario file"), tol))
+    return expected
 
 
 def load_scenario_file(path: str,
                        cfg: CheckConfig = None) -> sc.Scenario:
     """Build a scenario from a JSON document through the same constructors
-    as the built-ins; every construction-time validation applies."""
+    as the built-ins; every construction-time validation applies, and a
+    malformed entry raises :class:`ScenarioFileError` naming its key."""
     cfg = cfg or CheckConfig()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ScenarioFileError(path, "file", str(exc)) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioFileError(path, "json", str(exc)) from None
+    _check(isinstance(doc, dict), path, "document", "expected dict")
 
-    name = doc.get("name", os.path.splitext(os.path.basename(path))[0])
-    space_doc = _need(doc, "space", path, "document", dict)
-    coords = tuple(_need(space_doc, "coords", path, "space", list))
-    intervals_doc = space_doc.get("intervals", {})
-    intervals = tuple(tuple(intervals_doc.get(c, (-1.0, 1.0)))
-                      for c in coords)
-    constraints = tuple(_parse_in(path, f"space.constraints[{i}]", text)
-                        for i, text in
-                        enumerate(space_doc.get("constraints", [])))
-    space = ChartedSpace(
-        name, coords, intervals, constraints,
-        sphere=bool(space_doc.get("sphere", False)),
-        base_coords=tuple(space_doc.get("base", ())))
+    name = _get(doc, "name", path, "document", str,
+                os.path.splitext(os.path.basename(path))[0])
+    space = _load_space(doc, name, path)
 
     fields = {}
-    for fname, comps in _need(doc, "fields", path, "document", dict).items():
-        if not isinstance(comps, list) or len(comps) != space.ambient_dim:
-            raise ScenarioFileError(
-                path, f"fields.{fname}",
-                f"needs {space.ambient_dim} component expressions")
-        parsed = [_parse_in(path, f"fields.{fname}[{i}]", c)
+    for fname, comps in _get(doc, "fields", path, "document", dict).items():
+        _check(isinstance(comps, list) and len(comps) == space.ambient_dim,
+               path, f"fields.{fname}",
+               f"needs {space.ambient_dim} component expressions")
+        parsed = [_parse_in(path, f"fields.{fname}[{i}]", c, space.coords)
                   for i, c in enumerate(comps)]
-        try:
-            fields[fname] = VectorField.from_exprs(space, parsed, fname)
-        except GeometryError as exc:
-            raise ScenarioFileError(path, f"fields.{fname}", str(exc)) \
-                from None
+        fields[fname] = VectorField.from_exprs(space, parsed, fname)
 
-    split_doc = _need(doc, "split", path, "document", dict)
-    orientation = split_doc.get("orientation", K_VERTICAL)
-    if orientation not in (K_VERTICAL, K_HORIZONTAL):
-        raise ScenarioFileError(path, "split.orientation",
-                                f"unknown orientation {orientation!r}")
+    split_doc = _get(doc, "split", path, "document", dict)
+    orientation = _get(split_doc, "orientation", path, "split", str,
+                       K_VERTICAL)
+    _check(orientation in (K_VERTICAL, K_HORIZONTAL), path,
+           "split.orientation", f"unknown orientation {orientation!r}")
 
     def frame_of(names, label, where):
-        missing = [n for n in names if n not in fields]
-        if missing:
-            raise ScenarioFileError(path, where,
-                                    f"unknown field names {missing}")
-        return Frame(tuple(fields[n] for n in names), label)
+        missing = [n for n in _names(names, path, where) if n not in fields]
+        _check(not missing, path, where, f"unknown field names {missing}")
+        return Frame(tuple(fields[n] for n in names),
+                     names[0] if len(names) == 1 else label)
 
-    k_names = _need(split_doc, "k", path, "split", list)
-    block_names = _need(split_doc, "blocks", path, "split", list)
-    k_frame = frame_of(k_names, k_names[0] if len(k_names) == 1 else "K",
+    k_frame = frame_of(_get(split_doc, "k", path, "split", list), "K",
                        "split.k")
-    blocks = [frame_of(b, b[0] if len(b) == 1 else f"L{i + 1}",
-                       f"split.blocks[{i}]")
-              for i, b in enumerate(block_names)]
-    block_fields = tuple(f for b in blocks for f in b.fields)
-    if orientation == K_VERTICAL:
-        vertical, horizontal = k_frame, Frame(block_fields, "H")
-    else:
-        vertical, horizontal = Frame(block_fields, "V"), k_frame
-
+    blocks_doc = _get(split_doc, "blocks", path, "split", list)
+    _check(blocks_doc, path, "split.blocks", "expected at least one block")
+    blocks = [frame_of(b, f"L{i + 1}", f"split.blocks[{i}]")
+              for i, b in enumerate(blocks_doc)]
+    pairings = _get(split_doc, "pairings", path, "split", list, None)
+    for i, mat in enumerate(pairings or ()):
+        _check(mat is None or isinstance(mat, list) and all(
+            isinstance(row, list) and all(map(_finite, row)) for row in mat),
+            path, f"split.pairings[{i}]",
+            "expected null or a matrix of numbers")
     try:
-        conn = build_connection(space, vertical, horizontal, cfg)
-        split = canonical_endos(conn, blocks, orientation, cfg,
-                                pairings=split_doc.get("pairings"))
-        nabla = total_derivative(split, cfg)
+        conn, split, nabla = assemble(space, k_frame, blocks, orientation,
+                                      cfg, pairings)
     except (ConnectionDataError, GeometryError) as exc:
         raise ScenarioFileError(path, "split", str(exc)) from None
 
-    expected = []
-    for i, row in enumerate(doc.get("expected", [])):
-        where = f"expected[{i}]"
-        op = _need(row, "op", path, where, str)
-        args = tuple(_need(row, "args", path, where, list))
-        coeffs = {k: _parse_in(path, f"{where}.coeffs.{k}", v)
-                  for k, v in row.get("coeffs", {}).items()}
-        for a in args:
-            if a not in fields:
-                raise ScenarioFileError(path, where,
-                                        f"unknown field {a!r}")
-        expected.append(sc.ExpectedRow(op, args, coeffs,
-                                       row.get("ref", "scenario file"),
-                                       row.get("tol")))
-
-    metric = None
-    if doc.get("metric") == "ambient-dot":
-        metric = sc.ambient_dot_metric(space)
-    elif doc.get("metric") is not None:
-        raise ScenarioFileError(path, "metric",
-                                f"unsupported metric {doc['metric']!r}")
-
     # the solver's own ordering drives coefficient reporting
     frame_names = tuple(f.name for f in split.solver.fields)
+    expected = _load_expected(doc, path, fields, frame_names, space.coords)
+
+    metric = doc.get("metric")
+    _check(metric in (None, "ambient-dot"), path, "metric",
+           f"unsupported metric {metric!r}")
 
     return sc.Scenario(
         name=name,
-        section=doc.get("section", "scenario file"),
-        description=doc.get("description", f"loaded from {path}"),
+        section=_get(doc, "section", path, "document", str, "scenario file"),
+        description=_get(doc, "description", path, "document", str,
+                         f"loaded from {path}"),
         space=space, conn=conn, split=split, nabla=nabla,
         fields=fields, frame_names=frame_names,
-        expected=expected, metric=metric,
-        notes=doc.get("notes", ""))
-
-
-def _parse_in(path, where, text):
-    try:
-        return ex.parse(text) if isinstance(text, str) else ex.Const(float(text))
-    except ex.ParseError as exc:
-        raise ScenarioFileError(path, where, str(exc)) from None
+        expected=expected,
+        metric=sc.ambient_dot_metric(space) if metric else None,
+        notes=_get(doc, "notes", path, "document", str, ""))
 
 
 def _get_scenario(name_or_path: str, cfg: CheckConfig) -> sc.Scenario:
@@ -232,21 +280,18 @@ def _get_scenario(name_or_path: str, cfg: CheckConfig) -> sc.Scenario:
 
 
 def cmd_list(fmt: str = "table") -> str:
-    rows = [{"name": n, "section": sect, "dim": dim}
-            for n, (sect, dim, _desc) in sorted(sc.CATALOG.items())]
+    rows = [(n, *entry) for n, entry in sorted(sc.CATALOG.items())]
     if fmt == "json":
-        return json.dumps(rows, sort_keys=True, indent=2)
+        return json.dumps([{"name": n, "section": sect, "dim": dim}
+                           for n, sect, dim, _desc in rows],
+                          sort_keys=True, indent=2)
     if fmt == "csv":
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["name", "section", "dim", "description"])
-        for n, (sect, dim, desc) in sorted(sc.CATALOG.items()):
-            w.writerow([n, sect, dim, desc])
+        csv.writer(buf, lineterminator="\n").writerows(
+            [("name", "section", "dim", "description"), *rows])
         return buf.getvalue()
-    lines = []
-    for n, (sect, dim, desc) in sorted(sc.CATALOG.items()):
-        lines.append(f"{n:<20} dim {dim}  [{sect}]  {desc}")
-    return "\n".join(lines)
+    return "\n".join(f"{n:<20} dim {dim}  [{sect}]  {desc}"
+                     for n, sect, dim, desc in rows)
 
 
 def cmd_describe(name: str, cfg: CheckConfig) -> str:
@@ -271,7 +316,7 @@ def cmd_describe(name: str, cfg: CheckConfig) -> str:
     return "\n".join(lines)
 
 
-_EVAL_OPS = ("nabla", "bracket", "torsion", "curvature", "field", "apply")
+_EVAL_OPS = (*OPS, "field", "apply")
 
 
 def cmd_eval(scenario: str, op: str, args: list, at: list,
@@ -285,16 +330,7 @@ def cmd_eval(scenario: str, op: str, args: list, at: list,
             raise KeyError(f"unknown field {name!r}; available: {known}")
         return scen.fields[name]
 
-    if op == "nabla":
-        out = scen.nabla(field_arg(args[0]), field_arg(args[1]))
-    elif op == "bracket":
-        out = lie_bracket(field_arg(args[0]), field_arg(args[1]))
-    elif op == "torsion":
-        out = torsion(scen.nabla, field_arg(args[0]), field_arg(args[1]))
-    elif op == "curvature":
-        out = ehresmann_curvature(scen.conn, field_arg(args[0]),
-                                  field_arg(args[1]))
-    elif op == "field":
+    if op == "field":
         out = field_arg(args[0])
     elif op == "apply":
         endos = {"P_V": scen.conn.p_v, "P_H": scen.conn.p_h,
@@ -308,6 +344,9 @@ def cmd_eval(scenario: str, op: str, args: list, at: list,
             raise KeyError(f"unknown endomorphism {args[0]!r}; available: "
                            + ", ".join(sorted(endos)))
         out = endos[args[0]](field_arg(args[1]))
+    elif op in OPS:
+        out = op_field(scen.conn, scen.nabla, op, field_arg(args[0]),
+                       field_arg(args[1]))
     else:
         raise KeyError(f"unknown op {op!r}; available: "
                        + ", ".join(_EVAL_OPS))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, FRAME_DEGENERACY_RATIO,
+    CheckConfig, DEFAULT_CHECK, Endo11, FRAME_DEGENERACY_RATIO,
     Frame, FrameSolver, GeometryError, VectorField, _invert, frame_ratio,
     projector_from_solver, validate_frame, validate_tangent, vf_add, vf_scale,
     vf_sub,
@@ -180,15 +180,8 @@ def canonical_endos(conn: EhresmannConnection, blocks,
     fields = tuple(k_frame.fields) + tuple(
         f for b in blocks for f in b.fields)
     solver = FrameSolver(space, fields)
-    n_amb = space.ambient_dim
-
-    def covector(i, label):
-        def fn(env, i=i):
-            return list(solver.inverse(env)[i])
-
-        return CovectorField(space, fn, solver.cost, label)
-
-    k_covs = [covector(i, f"{k_frame.fields[i].name}^*") for i in range(r)]
+    covs = solver.coframe("^*")
+    k_covs = covs[:r]
 
     s_names, q_names, (s_tot_name, q_tot_name) = _endo_labels(
         orientation, len(blocks))
@@ -224,8 +217,7 @@ def canonical_endos(conn: EhresmannConnection, blocks,
                          [minv[b][c] for b in range(r)],
                          f"{q_names[a]}.e{c + 1}")
                 for c in range(r)]
-        block_covs = [covector(offset + b, f"{block.fields[b].name}^*")
-                      for b in range(r)]
+        block_covs = covs[offset:offset + r]
         s_terms = [(block_covs[b], k_images[b]) for b in range(r)]
         q_terms = [(k_covs[c], block_images[c]) for c in range(r)]
         s_endos.append(Endo11.from_terms(space, s_terms, s_names[a]))

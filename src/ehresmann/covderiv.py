@@ -18,9 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .connection import EhresmannConnection, K_VERTICAL, SplitStructure
+from .connection import (
+    EhresmannConnection, K_VERTICAL, SplitStructure, build_connection,
+    canonical_endos,
+)
 from .geometry import (
-    CheckConfig, DEFAULT_CHECK, Endo11, GeometryError, VectorField,
+    CheckConfig, DEFAULT_CHECK, Endo11, Frame, GeometryError, VectorField,
     lie_bracket, vf_add, vf_sub,
 )
 from .report import DevTracker
@@ -111,30 +114,29 @@ class CovDeriv:
 
 
 def glue_derivatives(parts, cfg: CheckConfig = DEFAULT_CHECK,
-                     probe_fields=None, provenance: str = "glue",
-                     check_partition: bool = True) -> CovDeriv:
-    """Glue extended derivatives over a direct-sum decomposition."""
+                     probe_fields=None, provenance: str = "glue") -> CovDeriv:
+    """Glue extended derivatives over a direct-sum decomposition; the
+    projectors must sum to the identity on the probe fields."""
     parts = tuple(parts)
     if not parts:
         raise CovDerivError("glue needs at least one part")
     space = parts[0][0].space
 
-    if check_partition:
-        if probe_fields is None:
-            probe_fields = tuple(VectorField.coordinate(space, c)
-                                 for c in space.coords)
-        pts = space.sample_points(cfg.probe(5))
-        tracker = DevTracker()
-        for X in probe_fields:
-            total = None
-            for proj, _ in parts:
-                px = proj(X)
-                total = px if total is None else vf_add(total, px)
-            tracker.track(pts, vf_sub(total, X))
-        if not tracker.max_dev <= 1e-10:
-            raise CovDerivError(
-                f"projectors do not sum to the identity: deviation "
-                f"{tracker.max_dev:.3e}")
+    if probe_fields is None:
+        probe_fields = tuple(VectorField.coordinate(space, c)
+                             for c in space.coords)
+    pts = space.sample_points(cfg.probe(5))
+    tracker = DevTracker()
+    for X in probe_fields:
+        total = None
+        for proj, _ in parts:
+            px = proj(X)
+            total = px if total is None else vf_add(total, px)
+        tracker.track(pts, vf_sub(total, X))
+    if not tracker.max_dev <= 1e-10:
+        raise CovDerivError(
+            f"projectors do not sum to the identity: deviation "
+            f"{tracker.max_dev:.3e}")
 
     def rule(X: VectorField, Y: VectorField) -> VectorField:
         out = None
@@ -180,6 +182,26 @@ def total_derivative(split: SplitStructure,
                             provenance=provenance)
 
 
+def assemble(space, k: Frame, blocks, orientation: str = K_VERTICAL,
+             cfg: CheckConfig = DEFAULT_CHECK, pairings=None):
+    """Connection, split and total-space operator from frame data.
+
+    ``k`` is the distribution K and ``blocks`` partition the opposite side:
+    under ``k-vertical`` K is the vertical frame and the blocks' fields make
+    up the horizontal frame "H", otherwise the roles swap and the rest frame
+    is "V".  Returns ``(conn, split, nabla)``.
+    """
+    blocks = tuple(blocks)
+    rest = tuple(f for b in blocks for f in b.fields)
+    if orientation == K_VERTICAL:
+        vertical, horizontal = k, Frame(rest, "H")
+    else:
+        vertical, horizontal = Frame(rest, "V"), k
+    conn = build_connection(space, vertical, horizontal, cfg)
+    split = canonical_endos(conn, blocks, orientation, cfg, pairings)
+    return conn, split, total_derivative(split, cfg)
+
+
 # ---------------------------------------------------------------------------
 # derived operators
 # ---------------------------------------------------------------------------
@@ -207,6 +229,22 @@ def nabla_of_endo(nabla: CovDeriv, T: Endo11, X: VectorField,
     out = vf_sub(nabla(X, T(Y)), T(nabla(X, Y)))
     out.name = f"(∇_{X.name}{T.name})({Y.name})"
     return out
+
+
+OPS = {
+    "nabla": lambda conn, nabla, X, Y: nabla(X, Y),
+    "bracket": lambda conn, nabla, X, Y: lie_bracket(X, Y),
+    "torsion": lambda conn, nabla, X, Y: torsion(nabla, X, Y),
+    "curvature": lambda conn, nabla, X, Y: ehresmann_curvature(conn, X, Y),
+}
+
+
+def op_field(conn: EhresmannConnection, nabla: CovDeriv, op: str,
+             X: VectorField, Y: VectorField) -> VectorField:
+    """The field of the binary operator ``op``, a key of :data:`OPS`."""
+    if op not in OPS:
+        raise ValueError(f"unknown op {op!r}; available: {', '.join(OPS)}")
+    return OPS[op](conn, nabla, X, Y)
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,11 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError(0, "an expression nested less deeply",
+                         "nesting beyond the recursion limit") from None
 
 
 def _int_literal(node: Expr):
@@ -254,6 +258,9 @@ def evaluate(node: Expr, env: Mapping[str, object]):
             except ZeroDivisionError:
                 raise EvalDomainError("^", to_string(node),
                                       "zero base with negative exponent") from None
+            except OverflowError:
+                raise EvalDomainError("^", to_string(node),
+                                      "result out of range") from None
         right = evaluate(node.right, env)
         try:
             if node.op == "+":
@@ -278,7 +285,7 @@ def evaluate(node: Expr, env: Mapping[str, object]):
         except JetDomainError as exc:
             raise EvalDomainError(exc.operation, to_string(node),
                                   exc.detail) from None
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise EvalDomainError(node.func, to_string(node), str(exc)) from None
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -643,6 +643,16 @@ class FrameSolver:
         xs = _comps_at(X, env, t)
         return [jets.dot(inv[i], xs) for i in rows]
 
+    def coframe(self, suffix: str = "*") -> list:
+        """The covectors dual to the solver fields, w^i(e_j) = delta^i_j,
+        each read off one row of the shared inverse."""
+        def covector(i):
+            return CovectorField(self.space,
+                                 lambda env: list(self.inverse(env)[i]),
+                                 self.cost, f"{self.fields[i].name}{suffix}")
+
+        return [covector(i) for i in range(len(self.fields))]
+
     def coefficients_at_point(self, point, components) -> list[float]:
         env = self.space.seed_env(point, self.cost, "frame solve")
         inv = self.inverse(env)
@@ -655,36 +665,26 @@ class FrameSolver:
 def dual_coframe(space, frames, name_suffix="*") -> list[CovectorField]:
     """Covectors dual to the concatenated frames: w^i(e_j) = delta^i_j."""
     fields = tuple(f for frame in frames for f in frame.fields)
-    solver = FrameSolver(space, fields)
-    covs = []
-    for i, f in enumerate(fields):
-        def fn(env, i=i):
-            return list(solver.inverse(env)[i])
-
-        covs.append(CovectorField(space, fn, solver.cost,
-                                  name=f"{f.name}{name_suffix}"))
-    return covs
+    return FrameSolver(space, fields).coframe(name_suffix)
 
 
-def frame_coefficients(space, frames, components, point,
-                       check: bool = True) -> list[float]:
-    """Expand a tangent vector (given by components at a point) in frames."""
+def frame_coefficients(space, frames, components, point) -> list[float]:
+    """Expand a tangent vector (given by components at a point) in frames;
+    raises unless the expansion reconstructs the vector."""
     fields = tuple(f for frame in frames for f in frame.fields)
     solver = FrameSolver(space, fields)
     coef = solver.coefficients_at_point(point, list(components))
     trimmed = coef[:len(fields)]
-    if check:
-        recon = [0.0] * space.ambient_dim
-        for c, f in zip(trimmed, fields):
-            vals = f.values(point)
-            recon = [r + c * v for r, v in zip(recon, vals)]
-        norm = math.sqrt(sum(v * v for v in components)) or 1.0
-        resid = math.sqrt(sum((r - v) ** 2
-                              for r, v in zip(recon, components)))
-        if resid > 1e-10 * max(norm, 1.0):
-            raise GeometryError(
-                f"vector is not in the span of the frame at {point}: "
-                f"residual {resid:.3e}")
+    recon = [0.0] * space.ambient_dim
+    for c, f in zip(trimmed, fields):
+        vals = f.values(point)
+        recon = [r + c * v for r, v in zip(recon, vals)]
+    norm = math.sqrt(sum(v * v for v in components)) or 1.0
+    resid = math.sqrt(sum((r - v) ** 2 for r, v in zip(recon, components)))
+    if not resid <= 1e-10 * max(norm, 1.0):
+        raise GeometryError(
+            f"vector is not in the span of the frame at {point}: "
+            f"residual {resid:.3e}")
     return trimmed
 
 
@@ -833,27 +833,39 @@ def validate_frame(space, fields, cfg: CheckConfig = DEFAULT_CHECK):
         gate_frame(np.array([f.values(p) for f in fields]).T, p.values)
 
 
-def validate_tangent(space, X: VectorField, cfg: CheckConfig = DEFAULT_CHECK,
-                     tol: float = 1e-10):
-    """For embedded spaces: grad(c_k) . X = 0 at sampled points."""
-    if not space.constraints:
-        return 0.0
+def _partial(s, i: int) -> float:
+    """The first-order partial of a scalar in seeded variable ``i``: the
+    value of its ``i``-th slot, zero for a plain number."""
+    return value_of(s.partials[i]) if isinstance(s, Jet) else 0.0
+
+
+def annihilation(space, exprs, X: VectorField,
+                 cfg: CheckConfig = DEFAULT_CHECK) -> DevTracker:
+    """The worst |grad(e) . X| over the sampled points and expressions."""
     n = space.ambient_dim
     tracker = DevTracker()
     for p in space.sample_points(cfg):
         env = space.seed_env(p, max(X.cost, 1))
         xs = [value_of(c) for c in _comps_at(X, env, 0)]
-        for c in space.constraints:
-            cj = ex.evaluate(c, env)
-            grad = [jets.extract(cj, tuple(1 if j == i else 0
-                                           for j in range(n)))
-                    for i in range(n)]
-            tracker.update(abs(sum(g * x for g, x in zip(grad, xs))))
-    if not tracker.max_dev <= tol:
+        for e in exprs:
+            ej = ex.evaluate(e, env)
+            grad = [_partial(ej, i) for i in range(n)]
+            tracker.update(abs(sum(g * x for g, x in zip(grad, xs))),
+                           p.values)
+    return tracker
+
+
+def validate_tangent(space, X: VectorField, cfg: CheckConfig = DEFAULT_CHECK,
+                     tol: float = 1e-10):
+    """For embedded spaces: grad(c_k) . X = 0 at sampled points."""
+    if not space.constraints:
+        return 0.0
+    dev = annihilation(space, space.constraints, X, cfg).max_dev
+    if not dev <= tol:
         raise GeometryError(
             f"field {X.name} is not tangent to {space.name}: "
-            f"max deviation {tracker.max_dev:.3e}")
-    return tracker.max_dev
+            f"max deviation {dev:.3e}")
+    return dev
 
 
 def eval_vector_field(X: VectorField, point, cfg: CheckConfig = DEFAULT_CHECK):

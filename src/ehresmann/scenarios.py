@@ -19,25 +19,26 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
+from functools import partial, reduce
 
 import numpy as np
 
 from . import expr as ex
-from .connection import (
+from .connection import (  # noqa: F401  (build_connection is re-exported)
     K_HORIZONTAL, K_VERTICAL, EhresmannConnection, SplitStructure,
-    build_connection, canonical_endos, validate_split,
+    build_connection, validate_split,
 )
 from .covderiv import (
-    CovDeriv, check_parallelism_equivalence, ehresmann_curvature,
-    nabla_of_endo, torsion, total_derivative,
+    CovDeriv, assemble, check_parallelism_equivalence, ehresmann_curvature,
+    nabla_of_endo, op_field, torsion,
 )
 from .geometry import (
     ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame,
-    GeometryError, Point, ScalarField, VectorField, _as_depth, directional,
-    dual_coframe, endo_add, endo_scale, lie_derivative_endo,
-    lie_bracket, pairing, vf_add, vf_scale, vf_sub,
+    GeometryError, Point, ScalarField, VectorField, _as_depth, _partial,
+    annihilation, directional, dual_coframe, endo_add, endo_scale,
+    lie_derivative_endo, pairing, vf_add, vf_scale, vf_sub,
 )
 from .jets import extract, value_of
 from .report import CheckRecord, DevTracker, max_abs
@@ -84,13 +85,6 @@ def _neg(a):
     return ex.Neg(a)
 
 
-def _esum(terms):
-    out = ex.Const(0.0)
-    for t in terms:
-        out = _add(out, t)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -112,8 +106,11 @@ class Metric:
         for p in self.space.sample_points(cfg):
             g = np.array([[self.pair(a, b).value_at(p) for b in frame_fields]
                           for a in frame_fields])
+            if not np.isfinite(g).all():
+                raise GeometryError(
+                    f"metric {self.name} is not finite at {p.values}")
             worst = min(worst, float(np.linalg.eigvalsh(g)[0]))
-        if worst <= 0:
+        if not worst > 0:
             raise GeometryError(
                 f"metric {self.name} is not positive definite on the frame: "
                 f"smallest eigenvalue {worst:.3e}")
@@ -209,25 +206,12 @@ def _eval_coeff(entry, point: Point) -> float:
     return float(ex.evaluate(_E(entry), env))
 
 
-def _op_field(scen: Scenario, row: ExpectedRow) -> VectorField:
-    X = scen.fields[row.args[0]]
-    Y = scen.fields[row.args[1]]
-    if row.op == "nabla":
-        return scen.nabla(X, Y)
-    if row.op == "bracket":
-        return lie_bracket(X, Y)
-    if row.op == "torsion":
-        return torsion(scen.nabla, X, Y)
-    if row.op == "curvature":
-        return ehresmann_curvature(scen.conn, X, Y)
-    raise ValueError(f"unknown expected-result op {row.op!r}")
-
-
 def expected_table_checks(scen: Scenario, cfg: CheckConfig) -> list:
     records = []
     pts = scen.space.sample_points(cfg)
     for row in scen.expected:
-        out = _op_field(scen, row)
+        out = op_field(scen.conn, scen.nabla, row.op,
+                       scen.fields[row.args[0]], scen.fields[row.args[1]])
         tol = row.tol if row.tol is not None else cfg.tolerance
         tracker = DevTracker()
         for p in pts:
@@ -268,7 +252,7 @@ def _random_combo(rng, fields, name) -> VectorField:
         term = vf_scale(c, f)
         out = term if out is None else vf_add(out, term)
     if out is None:
-        out = fields[0]
+        return fields[0]  # under its own name: it is the scenario's field
     out.name = name
     return out
 
@@ -384,13 +368,8 @@ def parallel_tensor_checks(scen: Scenario, cfg: CheckConfig) -> list:
 
 
 def split_identity_checks(scen: Scenario, cfg: CheckConfig) -> list:
-    rep = validate_split(scen.split, cfg)
-    out = []
-    for r in rep.records:
-        out.append(CheckRecord(f"{scen.name}:{r.check_id}", r.reference,
-                               r.max_dev, r.threshold, r.passed,
-                               r.worst_point))
-    return out
+    return [replace(r, check_id=f"{scen.name}:{r.check_id}")
+            for r in validate_split(scen.split, cfg).records]
 
 
 def parallelism_equivalence_checks(scen: Scenario, cfg: CheckConfig) -> list:
@@ -398,16 +377,15 @@ def parallelism_equivalence_checks(scen: Scenario, cfg: CheckConfig) -> list:
     probes = scen.split.all_fields
     for b in range(len(scen.nabla.parts)):
         rep = check_parallelism_equivalence(scen.nabla, b, probes, cfg)
-        records.append(CheckRecord(
-            f"{scen.name}:parallelism:{rep.block}:nabla-p", "projector parallelism",
-            rep.nabla_p_dev, rep.threshold, rep.nabla_p_passes))
-        records.append(CheckRecord(
-            f"{scen.name}:parallelism:{rep.block}:image-stability",
-            "block rules stay in their image",
-            rep.image_dev, rep.threshold, rep.image_passes))
-        records.append(CheckRecord(
-            f"{scen.name}:parallelism:{rep.block}:equivalence",
-            "both sides agree", 0.0 if rep.agree else 1.0, 0.5, rep.agree))
+        prefix = f"{scen.name}:parallelism:{rep.block}"
+        records += [
+            CheckRecord(f"{prefix}:nabla-p", "projector parallelism",
+                        rep.nabla_p_dev, rep.threshold, rep.nabla_p_passes),
+            CheckRecord(f"{prefix}:image-stability",
+                        "block rules stay in their image",
+                        rep.image_dev, rep.threshold, rep.image_passes),
+            CheckRecord(f"{prefix}:equivalence", "both sides agree",
+                        0.0 if rep.agree else 1.0, 0.5, rep.agree)]
     return records
 
 
@@ -427,8 +405,29 @@ def run_scenario_checks(scen: Scenario, cfg: CheckConfig = DEFAULT_CHECK) -> lis
 
 
 # ---------------------------------------------------------------------------
-# trivial bundle over the plane
+# general examples: a one-field vertical K against one-field blocks
 # ---------------------------------------------------------------------------
+
+
+def _general_scenario(name, hs, v, cfg, table, ref, description,
+                      extra_rows=(), fields=(), **kw) -> Scenario:
+    """K is the vertical field ``v`` and each field of ``hs`` is a block
+    H1, H2, ... of its own.  The expected table holds nabla over the frame
+    (*hs, v), with the nonzero coefficients from ``table``, then
+    ``extra_rows``; ``fields`` join the field table and ``kw`` goes to the
+    Scenario."""
+    space = v.space
+    conn, split, nabla = assemble(
+        space, Frame((v,), "V"),
+        [Frame((h,), f"H{i}") for i, h in enumerate(hs, 1)], K_VERTICAL, cfg)
+    names = tuple(f.name for f in (*hs, v))
+    expected = [ExpectedRow("nabla", (x, y), table.get((x, y), {}), ref)
+                for x in names for y in names]
+    return Scenario(
+        name=name, section="general examples", description=description,
+        space=space, conn=conn, split=split, nabla=nabla,
+        fields={f.name: f for f in (*fields, *hs, v)}, frame_names=names,
+        expected=expected + list(extra_rows), **kw)
 
 
 def trivial_r3(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
@@ -438,22 +437,6 @@ def trivial_r3(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
     h1 = VectorField.from_exprs(space, ["1", "0", "cos(th)"], "H1")
     h2 = VectorField.from_exprs(space, ["0", "1", "sin(th)"], "H2")
     v = VectorField.from_exprs(space, ["0", "0", "1"], "V")
-    conn = build_connection(space, Frame((v,), "V"), Frame((h1, h2), "H"),
-                            cfg)
-    split = canonical_endos(conn, [Frame((h1,), "H1"), Frame((h2,), "H2")],
-                            K_VERTICAL, cfg)
-    nabla = total_derivative(split, cfg)
-
-    nonzero = {
-        ("H1", "H1"): {"H1": "sin(th)"},
-        ("H2", "H2"): {"H2": "-cos(th)"},
-        ("H1", "V"): {"V": "sin(th)"},
-        ("H2", "V"): {"V": "-cos(th)"},
-    }
-    names = ("H1", "H2", "V")
-    expected = [ExpectedRow("nabla", (xn, yn), nonzero.get((xn, yn), {}),
-                            "trivial bundle: component table")
-                for xn in names for yn in names]
 
     def coframe_check(cfg_run: CheckConfig) -> list:
         # the covector dual to V annihilates both lifts and is
@@ -470,26 +453,20 @@ def trivial_r3(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
                                "dual coframe of the lifted frame",
                                cfg_run.tolerance)]
 
-    return Scenario(
-        name="trivial-r3",
-        section="general examples",
-        description="trivial bundle over the plane, circle-angle fibre, "
-                    "two-block vertical-core split",
-        space=space, conn=conn, split=split, nabla=nabla,
-        fields={"H1": h1, "H2": h2, "V": v},
-        frame_names=names,
-        expected=expected,
+    return _general_scenario(
+        "trivial-r3", (h1, h2), v, cfg,
+        {("H1", "H1"): {"H1": "sin(th)"},
+         ("H2", "H2"): {"H2": "-cos(th)"},
+         ("H1", "V"): {"V": "sin(th)"},
+         ("H2", "V"): {"V": "-cos(th)"}},
+        "trivial bundle: component table",
+        "trivial bundle over the plane, circle-angle fibre, two-block "
+        "vertical-core split",
         extra_checks=[coframe_check],
         notes=("The covector dual to V against {H1, H2, V} solves to "
                "dth - cos(th) dx - sin(th) dy: the dy term carries a minus "
                "sign, which is what annihilating H2 = d/dy + sin(th) d/dth "
-               "forces."),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Hopf bundle
-# ---------------------------------------------------------------------------
+               "forces."))
 
 
 HOPF_PROJECTION = ("x^2+y^2-z^2-w^2", "2*(x*w+y*z)", "2*(y*w-x*z)")
@@ -508,53 +485,22 @@ def hopf(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
         "eta": ("0", "-w", "0", "y"),
         "zeta": ("0", "z", "-y", "0"),
     }
-    named = {k: VectorField.from_exprs(space, comps, k)
-             for k, comps in rotations.items()}
+    named = [VectorField.from_exprs(space, comps, k)
+             for k, comps in rotations.items()]
     lam = VectorField.from_exprs(space, ["z", "w", "-x", "-y"], "Lambda")
     sig = VectorField.from_exprs(space, ["w", "-z", "y", "-x"], "Sigma")
     v = VectorField.from_exprs(space, ["y", "-x", "-w", "z"], "V")
-
-    conn = build_connection(space, Frame((v,), "V"),
-                            Frame((lam, sig), "H"), cfg)
-    split = canonical_endos(conn, [Frame((lam,), "H1"),
-                                   Frame((sig,), "H2")], K_VERTICAL, cfg)
-    nabla = total_derivative(split, cfg)
-    metric = ambient_dot_metric(space)
-
-    names = ("Lambda", "Sigma", "V")
-    expected = [ExpectedRow("nabla", (xn, yn), {},
-                            "Hopf: zero component table")
-                for xn in names for yn in names]
-    expected += [
-        ExpectedRow("bracket", ("Sigma", "Lambda"), {"V": 2.0},
-                    "Hopf bracket table", tol=1e-10),
-        ExpectedRow("bracket", ("Lambda", "V"), {"Sigma": 2.0},
-                    "Hopf bracket table", tol=1e-10),
-        ExpectedRow("bracket", ("V", "Sigma"), {"Lambda": 2.0},
-                    "Hopf bracket table", tol=1e-10),
-    ]
-
     pi_exprs = tuple(ex.parse(s) for s in HOPF_PROJECTION)
 
     def projection_check(cfg_run: CheckConfig) -> list:
         # push V through the Jacobian of the bundle projection
-        tracker = DevTracker()
-        for p in space.sample_points(cfg_run):
-            env = space.seed_env(p, 1)
-            vv = v.values(p)
-            for comp in pi_exprs:
-                cj = ex.evaluate(comp, env)
-                grad = [extract(cj, tuple(1 if j == i else 0
-                                          for j in range(4)))
-                        for i in range(4)]
-                tracker.update(abs(sum(g * c for g, c in zip(grad, vv))),
-                               p.values)
+        tracker = annihilation(space, pi_exprs, v, cfg_run)
         return [tracker.record("hopf:projection-verticality",
                                "fibre field is vertical for the projection",
                                1e-9)]
 
     def levi_civita_check(cfg_run: CheckConfig) -> list:
-        sym = symmetrize(nabla)
+        sym = symmetrize(scen.nabla)
         frame = [lam, sig, v]
         t_tracker = DevTracker()
         for X in frame:
@@ -568,7 +514,7 @@ def hopf(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
                     for p in space.sample_points(cfg_run):
                         g_tracker.update(
                             abs(metric_compatibility_defect(
-                                sym, metric, X, Y, Z, p)), p.values)
+                                sym, scen.metric, X, Y, Z, p)), p.values)
         return [
             t_tracker.record("hopf:symmetrized-torsion",
                              "symmetrized operator is torsion-free",
@@ -578,24 +524,84 @@ def hopf(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
                              "metric", cfg_run.tolerance),
         ]
 
-    fields = dict(named)
-    fields.update({"Lambda": lam, "Sigma": sig, "V": v})
-
-    return Scenario(
-        name="hopf",
-        section="general examples",
-        description="Hopf fibration of the 3-sphere with the rotation "
-                    "frame; the derivative kills the frame and its "
-                    "symmetrization is the round Levi-Civita operator",
-        space=space, conn=conn, split=split, nabla=nabla,
-        fields=fields,
-        frame_names=names,
-        expected=expected,
-        metric=metric,
+    scen = _general_scenario(
+        "hopf", (lam, sig), v, cfg, {}, "Hopf: zero component table",
+        "Hopf fibration of the 3-sphere with the rotation frame; the "
+        "derivative kills the frame and its symmetrization is the round "
+        "Levi-Civita operator",
+        # the brackets cycle: [Sigma, Lambda] = 2V and its two rotations
+        extra_rows=[ExpectedRow("bracket", (x, y), {z: 2.0},
+                                "Hopf bracket table", tol=1e-10)
+                    for x, y, z in (("Sigma", "Lambda", "V"),
+                                    ("Lambda", "V", "Sigma"),
+                                    ("V", "Sigma", "Lambda"))],
+        fields=named, metric=ambient_dot_metric(space),
         extra_checks=[projection_check, levi_civita_check],
         notes="All computation happens in ambient coordinates; sampling "
-              "normalizes ambient draws onto the unit sphere.",
-    )
+              "normalizes ambient draws onto the unit sphere.")
+    return scen
+
+
+# ---------------------------------------------------------------------------
+# tangent bundle: the shared scaffold
+# ---------------------------------------------------------------------------
+
+
+def _tm_space(n: int, name: str) -> ChartedSpace:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    coords = tuple(f"x{i}" for i in range(1, n + 1)) + \
+        tuple(f"u{i}" for i in range(1, n + 1))
+    return ChartedSpace(name, coords,
+                        base_coords=tuple(f"x{i}" for i in range(1, n + 1)))
+
+
+def _slope(sf: ScalarField, coord: str):
+    """d(sf)/d(coord) as a point function, via one jet level."""
+    space = sf.space
+    i = space.index(coord)
+
+    def at_point(p: Point) -> float:
+        return _partial(sf.at(space.seed_env(p, sf.cost + 1)), i)
+
+    return at_point
+
+
+def _tangent_scenario(name, n, hs, cfg, tag, family, coeff, description,
+                      extra_rows, fields=(), **kw) -> Scenario:
+    """A tangent-bundle scenario over the horizontal frame ``hs``.
+
+    The vertical frame is V_c = d/du^c and the split is the equal-rank one.
+    Each (a, b) gets four rows: nabla_{V_a} V_b and nabla_{V_a} H_b vanish,
+    nabla_{H_a} V_b and nabla_{H_a} H_b have coefficients ``coeff(c, a, b)``
+    on V_c and H_c; ``extra_rows(a, b)`` follow them.  ``fields`` join the
+    field table under their own names; ``kw`` goes to the Scenario.
+    """
+    space = hs[0].space
+    vs = [VectorField.coordinate(space, f"u{c}", f"V{c}")
+          for c in range(1, n + 1)]
+    conn, split, nabla = assemble(space, Frame(tuple(vs), "V"),
+                                  [Frame(tuple(hs), "H")], K_VERTICAL, cfg)
+    flat = f"{tag}: flat families"
+    own = f"{tag}: {family} families"
+    idx = range(1, n + 1)
+    expected = []
+    for a in idx:
+        for b in idx:
+            expected += [
+                ExpectedRow("nabla", (f"V{a}", f"V{b}"), {}, flat),
+                ExpectedRow("nabla", (f"V{a}", f"H{b}"), {}, flat),
+                ExpectedRow("nabla", (f"H{a}", f"V{b}"),
+                            {f"V{c}": coeff(c, a, b) for c in idx}, own),
+                ExpectedRow("nabla", (f"H{a}", f"H{b}"),
+                            {f"H{c}": coeff(c, a, b) for c in idx}, own),
+                *extra_rows(a, b)]
+    table = {f.name: f for f in (*hs, *vs, *fields)}
+    return Scenario(
+        name=name, section="tangent bundle", description=description,
+        space=space, conn=conn, split=split, nabla=nabla, fields=table,
+        frame_names=tuple(f.name for f in (*hs, *vs)), expected=expected,
+        **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -603,33 +609,36 @@ def hopf(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _tm_space(n: int, name: str) -> ChartedSpace:
-    coords = tuple(f"x{i}" for i in range(1, n + 1)) + \
-        tuple(f"u{i}" for i in range(1, n + 1))
-    return ChartedSpace(name, coords,
-                        base_coords=tuple(f"x{i}" for i in range(1, n + 1)))
-
-
-def _gamma_table(n: int, gamma: dict, index_rank: int, base_only: bool,
-                 space: ChartedSpace):
-    """Normalize a coefficient dict into a dense expression table."""
+def _gamma_table(n: int, gamma: dict, space: ChartedSpace):
+    """Normalize base coefficients G^c_ab, keyed by 1-indexed triples
+    (c, a, b), into an expression table."""
     table = {}
     for key, entry in gamma.items():
-        if len(key) != index_rank:
-            raise ValueError(f"coefficient key {key} needs {index_rank} "
-                             f"indices")
+        if len(key) != 3:
+            raise ValueError(f"coefficient key {key} needs 3 indices")
         if not all(1 <= i <= n for i in key):
             raise ValueError(f"coefficient key {key} out of range 1..{n}")
         e = _E(entry)
-        if base_only:
-            bad = [vname for vname in ex.free_vars(e)
-                   if vname not in space.base_coords]
-            if bad:
-                raise ValueError(
-                    f"coefficient {key} uses {bad}; these coefficients "
-                    f"live on the base")
+        bad = [vname for vname in ex.free_vars(e)
+               if vname not in space.base_coords]
+        if bad:
+            raise ValueError(
+                f"coefficient {key} uses {bad}; these coefficients "
+                f"live on the base")
         table[key] = e
     return table
+
+
+def _affine_lift(space, n: int, a: int, g_expr, weights) -> VectorField:
+    """H_a = d/dx^a - G^c_ab w_b d/dw_c, one fibre group per entry of
+    ``weights``; each group names its n fibre coordinates w_1..w_n."""
+    comps = [ex.Const(1.0 if i == a else 0.0) for i in range(1, n + 1)]
+    for group in weights:
+        for c in range(1, n + 1):
+            comps.append(_neg(reduce(
+                _add, (_mul(g_expr(c, a, b), ex.Var(group[b - 1]))
+                       for b in range(1, n + 1)), ex.Const(0.0))))
+    return VectorField.from_exprs(space, comps, f"H{a}")
 
 
 def affine_tangent(n: int, gamma: dict,
@@ -640,96 +649,57 @@ def affine_tangent(n: int, gamma: dict,
     ``gamma`` maps 1-indexed triples (c, a, b) to expressions in the base
     coordinates.  Missing entries are zero.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     space = _tm_space(n, name)
-    table = _gamma_table(n, gamma, 3, True, space)
+    table = _gamma_table(n, gamma, space)
 
     def g_expr(c, a, b):
         return table.get((c, a, b), ex.Const(0.0))
 
-    hs, vs = [], []
-    for a in range(1, n + 1):
-        comps = []
-        for i in range(1, n + 1):
-            comps.append(ex.Const(1.0 if i == a else 0.0))
-        for c in range(1, n + 1):
-            comps.append(_neg(_esum(
-                _mul(g_expr(c, a, b), ex.Var(f"u{b}"))
-                for b in range(1, n + 1))))
-        hs.append(VectorField.from_exprs(space, comps, f"H{a}"))
-    for c in range(1, n + 1):
-        vs.append(VectorField.coordinate(space, f"u{c}", f"V{c}"))
+    fibre = tuple(f"u{b}" for b in range(1, n + 1))
+    hs = [_affine_lift(space, n, a, g_expr, [fibre]) for a in range(1, n + 1)]
+    oracle = _curvature_bracket_oracle(space, g_expr, n, fibre)
+    idx = range(1, n + 1)
 
-    conn = build_connection(space, Frame(tuple(vs), "V"),
-                            Frame(tuple(hs), "H"), cfg)
-    split = canonical_endos(conn, [Frame(tuple(hs), "H")], K_VERTICAL, cfg)
-    nabla = total_derivative(split, cfg)
+    def extra_rows(a, b):
+        rows = [ExpectedRow("bracket", (f"H{a}", f"V{b}"),
+                            {f"V{c}": g_expr(c, a, b) for c in idx},
+                            "affine: bracket table")]
+        if a != b:
+            rows += [
+                ExpectedRow("bracket", (f"H{a}", f"H{b}"),
+                            {f"V{c}": oracle(c, a, b) for c in idx},
+                            "affine: lift bracket vs direct curvature "
+                            "formula"),
+                ExpectedRow("torsion", (f"H{a}", f"H{b}"),
+                            dict({f"H{c}": ex.BinOp("-", g_expr(c, a, b),
+                                                    g_expr(c, b, a))
+                                  for c in idx},
+                                 **{f"V{c}": _negated(oracle(c, a, b))
+                                    for c in idx}),
+                            "affine: torsion components"),
+                ExpectedRow("curvature", (f"H{a}", f"H{b}"),
+                            {f"V{c}": oracle(c, a, b) for c in idx},
+                            "affine: curvature vs direct formula")]
+        return rows
 
-    oracle = _curvature_bracket_oracle(space, g_expr, n,
-                                       lambda d: f"u{d}")
-
-    names = tuple(f"H{a}" for a in range(1, n + 1)) + \
-        tuple(f"V{c}" for c in range(1, n + 1))
-    expected = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            expected.append(ExpectedRow(
-                "nabla", (f"V{a}", f"V{b}"), {}, "affine: flat families"))
-            expected.append(ExpectedRow(
-                "nabla", (f"V{a}", f"H{b}"), {}, "affine: flat families"))
-            expected.append(ExpectedRow(
-                "nabla", (f"H{a}", f"V{b}"),
-                {f"V{c}": g_expr(c, a, b) for c in range(1, n + 1)},
-                "affine: coefficient families"))
-            expected.append(ExpectedRow(
-                "nabla", (f"H{a}", f"H{b}"),
-                {f"H{c}": g_expr(c, a, b) for c in range(1, n + 1)},
-                "affine: coefficient families"))
-            expected.append(ExpectedRow(
-                "bracket", (f"H{a}", f"V{b}"),
-                {f"V{c}": g_expr(c, a, b) for c in range(1, n + 1)},
-                "affine: bracket table"))
-            if a != b:
-                expected.append(ExpectedRow(
-                    "bracket", (f"H{a}", f"H{b}"),
-                    {f"V{c}": oracle(c, a, b) for c in range(1, n + 1)},
-                    "affine: lift bracket vs direct curvature formula"))
-                expected.append(ExpectedRow(
-                    "torsion", (f"H{a}", f"H{b}"),
-                    dict({f"H{c}": ex.BinOp("-", g_expr(c, a, b),
-                                            g_expr(c, b, a))
-                          for c in range(1, n + 1)},
-                         **{f"V{c}": _negated(oracle(c, a, b))
-                            for c in range(1, n + 1)}),
-                    "affine: torsion components"))
-                expected.append(ExpectedRow(
-                    "curvature", (f"H{a}", f"H{b}"),
-                    {f"V{c}": oracle(c, a, b) for c in range(1, n + 1)},
-                    "affine: curvature vs direct formula"))
-
-    return Scenario(
-        name=name,
-        section="tangent bundle",
-        description="tangent-bundle lift of an affine base connection "
-                    "with torsion",
-        space=space, conn=conn, split=split, nabla=nabla,
-        fields=dict({f"H{a}": hs[a - 1] for a in range(1, n + 1)},
-                    **{f"V{c}": vs[c - 1] for c in range(1, n + 1)}),
-        frame_names=names,
-        expected=expected,
-        data={"n": n, "gamma": table},
-    )
+    return _tangent_scenario(
+        name, n, hs, cfg, "affine", "coefficient", g_expr,
+        "tangent-bundle lift of an affine base connection with torsion",
+        extra_rows, data={"n": n, "gamma": table})
 
 
 def _negated(fn):
     return lambda p: -fn(p)
 
 
-def _curvature_bracket_oracle(space, g_expr, n, weight_name):
+def _difference(f1, f2):
+    return lambda p: f1(p) - f2(p)
+
+
+def _curvature_bracket_oracle(space, g_expr, n, weights):
     """Direct evaluation of the bracket coefficient for lifted frames:
     K^c_dab = d_b G^c_ad - d_a G^c_bd + G^e_ad G^c_be - G^e_bd G^c_ae,
-    contracted against the fibre coordinate named by ``weight_name(d)``.
+    contracted against the fibre coordinates ``weights`` (w_1..w_n).
     Jet-differentiated coefficients; fully independent of the bracket path.
     """
 
@@ -742,18 +712,15 @@ def _curvature_bracket_oracle(space, g_expr, n, weight_name):
                 return ex.evaluate(g_expr(cc, aa, bb), env0)
 
             def dg(cc, aa, bb, wrt):
-                jv = ex.evaluate(g_expr(cc, aa, bb), env1)
-                idx = space.index(f"x{wrt}")
-                orders = tuple(1 if i == idx else 0
-                               for i in range(space.ambient_dim))
-                return extract(jv, orders)
+                return _partial(ex.evaluate(g_expr(cc, aa, bb), env1),
+                                space.index(f"x{wrt}"))
 
             total = 0.0
             for d in range(1, n + 1):
                 k = dg(c, a, d, b) - dg(c, b, d, a)
                 for e in range(1, n + 1):
                     k += g(e, a, d) * g(c, b, e) - g(e, b, d) * g(c, a, e)
-                total += k * p.values[space.index(weight_name(d))]
+                total += k * p.values[space.index(weights[d - 1])]
             return total
 
         return at_point
@@ -766,33 +733,17 @@ def _curvature_bracket_oracle(space, g_expr, n, weight_name):
 # ---------------------------------------------------------------------------
 
 
+def _lookup(space, table):
+    """G(b, a) from a sparse table of scalar fields; missing entries are
+    the zero field."""
+    zero = ScalarField.constant(space, 0.0)
+    return lambda b, a: table.get((b, a), zero)
+
+
 def _entry_scalar(space, entry, name) -> ScalarField:
     if isinstance(entry, ScalarField):
         return entry
     return ScalarField.from_expr(space, _E(entry), name)
-
-
-def _fibre_derivative(space, sf: ScalarField, b: int):
-    """d(sf)/du^b as a point function, via one jet level."""
-    idx = space.index(f"u{b}")
-    orders = tuple(1 if i == idx else 0 for i in range(space.ambient_dim))
-
-    def at_point(p: Point) -> float:
-        env = space.seed_env(p, sf.cost + 1)
-        return extract(sf.at(env), orders)
-
-    return at_point
-
-
-def _fibre_scalar_derivative(space, sf: ScalarField, b: int) -> ScalarField:
-    """d(sf)/du^b as a ScalarField (one more derivative level)."""
-    idx = space.index(f"u{b}")
-
-    def fn(env):
-        val = sf.at(env)
-        return val.partials[idx]
-
-    return ScalarField(space, fn, sf.cost + 1, f"d({sf.name})/du{b}")
 
 
 def nonlinear_tangent(n: int, gamma: dict,
@@ -803,8 +754,6 @@ def nonlinear_tangent(n: int, gamma: dict,
     ``gamma`` maps 1-indexed pairs (b, a) to expressions or scalar fields on
     the whole chart; missing entries are zero.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     space = _tm_space(n, name)
     table = {}
     for (b, a), entry in gamma.items():
@@ -812,11 +761,7 @@ def nonlinear_tangent(n: int, gamma: dict,
             raise ValueError(f"coefficient key {(b, a)} out of range 1..{n}")
         table[(b, a)] = _entry_scalar(space, entry, f"G{b}_{a}")
 
-    zero = ScalarField.constant(space, 0.0)
-
-    def g_sf(b, a) -> ScalarField:
-        return table.get((b, a), zero)
-
+    g_sf = _lookup(space, table)
     cost = max((sf.cost for sf in table.values()), default=0)
     hs = []
     for a in range(1, n + 1):
@@ -827,106 +772,62 @@ def nonlinear_tangent(n: int, gamma: dict,
             return out
 
         hs.append(VectorField(space, fn, cost, f"H{a}"))
-    vs = [VectorField.coordinate(space, f"u{c}", f"V{c}")
-          for c in range(1, n + 1)]
-
-    conn = build_connection(space, Frame(tuple(vs), "V"),
-                            Frame(tuple(hs), "H"), cfg)
-    split = canonical_endos(conn, [Frame(tuple(hs), "H")], K_VERTICAL, cfg)
-    nabla = total_derivative(split, cfg)
 
     def dg(c, a, b):
         # V_b(G^c_a), jet-differentiated
-        return _fibre_derivative(space, g_sf(c, a), b)
+        return _slope(g_sf(c, a), f"u{b}")
 
     def h_applied(a, sf: ScalarField):
         """H_a(sf) as a point function: d/dx^a - G^e_a d/du^e applied."""
 
         def at_point(p: Point) -> float:
-            env = space.seed_env(p, sf.cost + 1)
-            val = sf.at(env)
-            ix = space.index(f"x{a}")
-            out = extract(val, tuple(1 if i == ix else 0
-                                     for i in range(space.ambient_dim)))
+            val = sf.at(space.seed_env(p, sf.cost + 1))
+            out = _partial(val, space.index(f"x{a}"))
             for e in range(1, n + 1):
-                iu = space.index(f"u{e}")
-                out -= g_sf(e, a).value_at(p) * extract(
-                    val, tuple(1 if i == iu else 0
-                               for i in range(space.ambient_dim)))
+                out -= g_sf(e, a).value_at(p) * _partial(
+                    val, space.index(f"u{e}"))
             return out
 
         return at_point
 
-    names = tuple(f"H{a}" for a in range(1, n + 1)) + \
-        tuple(f"V{c}" for c in range(1, n + 1))
-    expected = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            expected.append(ExpectedRow(
-                "nabla", (f"V{a}", f"V{b}"), {}, "nonlinear: flat families"))
-            expected.append(ExpectedRow(
-                "nabla", (f"V{a}", f"H{b}"), {}, "nonlinear: flat families"))
-            expected.append(ExpectedRow(
-                "nabla", (f"H{a}", f"V{b}"),
-                {f"V{c}": dg(c, a, b) for c in range(1, n + 1)},
-                "nonlinear: fibre-derivative families"))
-            expected.append(ExpectedRow(
-                "nabla", (f"H{a}", f"H{b}"),
-                {f"H{c}": dg(c, a, b) for c in range(1, n + 1)},
-                "nonlinear: fibre-derivative families"))
-            if a != b:
-                h_coeffs = {}
-                v_coeffs = {}
-                for c in range(1, n + 1):
-                    h_coeffs[f"H{c}"] = (
-                        lambda p, f1=dg(c, a, b), f2=dg(c, b, a):
-                        f1(p) - f2(p))
-                    v_coeffs[f"V{c}"] = (
-                        lambda p, f1=h_applied(a, g_sf(c, b)),
-                        f2=h_applied(b, g_sf(c, a)): f1(p) - f2(p))
-                expected.append(ExpectedRow(
-                    "torsion", (f"H{a}", f"H{b}"),
-                    dict(h_coeffs, **v_coeffs),
-                    "nonlinear: torsion components"))
-                expected.append(ExpectedRow(
-                    "curvature", (f"H{a}", f"H{b}"),
-                    {f"V{c}": (lambda p, f1=h_applied(b, g_sf(c, a)),
-                               f2=h_applied(a, g_sf(c, b)): f1(p) - f2(p))
-                     for c in range(1, n + 1)},
-                    "nonlinear: curvature vs direct formula"))
+    def extra_rows(a, b):
+        if a == b:
+            return ()
+        idx = range(1, n + 1)
+        t_h = {f"H{c}": _difference(dg(c, a, b), dg(c, b, a)) for c in idx}
+        t_v = {f"V{c}": _difference(h_applied(a, g_sf(c, b)),
+                                    h_applied(b, g_sf(c, a))) for c in idx}
+        return (
+            ExpectedRow("torsion", (f"H{a}", f"H{b}"), dict(t_h, **t_v),
+                        "nonlinear: torsion components"),
+            ExpectedRow("curvature", (f"H{a}", f"H{b}"),
+                        {f"V{c}": _difference(h_applied(b, g_sf(c, a)),
+                                              h_applied(a, g_sf(c, b)))
+                         for c in idx},
+                        "nonlinear: curvature vs direct formula"))
 
-    return Scenario(
-        name=name,
-        section="tangent bundle",
-        description="tangent-bundle scenario for a general (possibly "
-                    "nonlinear) connection",
-        space=space, conn=conn, split=split, nabla=nabla,
-        fields=dict({f"H{a}": hs[a - 1] for a in range(1, n + 1)},
-                    **{f"V{c}": vs[c - 1] for c in range(1, n + 1)}),
-        frame_names=names,
-        expected=expected,
-        data={"n": n, "gamma_sf": table},
-    )
+    return _tangent_scenario(
+        name, n, hs, cfg, "nonlinear", "fibre-derivative", dg,
+        "tangent-bundle scenario for a general (possibly nonlinear) "
+        "connection", extra_rows, data={"n": n, "gamma_sf": table})
 
 
-def potential_connection(n: int, forces, name_space=None) -> dict:
+def potential_connection(n: int, forces, space=None) -> dict:
     """Coefficients G^c_a = -(1/2) d f^c / du^a built from force terms.
 
-    Returns a table of scalar fields suitable for ``nonlinear_tangent``;
-    its horizontal torsion vanishes identically.
+    Returns a table of scalar fields, one per entry, suitable for
+    ``nonlinear_tangent``; its horizontal torsion vanishes identically.
     """
-    space = name_space or _tm_space(n, "potential")
+    space = space or _tm_space(n, "potential")
     table = {}
     for c in range(1, n + 1):
         sf = _entry_scalar(space, forces[c - 1], f"f{c}")
         for a in range(1, n + 1):
-            d = _fibre_scalar_derivative(space, sf, a)
+            def fn(env, sf=sf, i=space.index(f"u{a}")):
+                return -0.5 * sf.at(env).partials[i]
 
-            def fn(env, d=d):
-                return -0.5 * d.at(env)
-
-            table[(c, a)] = ScalarField(space, fn, d.cost,
-                                        f"-0.5*{d.name}")
+            table[(c, a)] = ScalarField(space, fn, sf.cost + 1,
+                                        f"-0.5*d({sf.name})/du{a}")
     return table
 
 
@@ -964,6 +865,34 @@ def sode_field(space, n: int, forces) -> VectorField:
     return VectorField(space, fn, cost, "Gamma")
 
 
+def _induced_projector(space, n: int, forces):
+    """The second-order field Gamma of the forces, the vertical
+    endomorphism S, and the horizontal projector (I - L_Gamma S)/2."""
+    gamma_field = sode_field(space, n, forces)
+    s_endo = _vertical_endo(space, n)
+    p_h = endo_scale(0.5, endo_add(
+        Endo11.identity(space),
+        endo_scale(-1.0, lie_derivative_endo(gamma_field, s_endo))),
+        name="P_H")
+    return gamma_field, s_endo, p_h
+
+
+def _lift_tracker(space, n: int, lifts, g_sf, pts) -> DevTracker:
+    """Worst gap between each lift H_a and d/dx^a - G^b_a d/du^b, where
+    G^b_a is ``g_sf(b, a)``."""
+    tracker = DevTracker()
+    for a, h in enumerate(lifts, 1):
+        for p in pts:
+            vals = h.values(p)
+            for b in range(1, n + 1):
+                tracker.update(abs(-vals[space.index(f"u{b}")]
+                                   - g_sf(b, a).value_at(p)), p.values)
+            for i in range(1, n + 1):
+                tracker.update(abs(vals[i - 1] - (1.0 if i == a else 0.0)),
+                               p.values)
+    return tracker
+
+
 def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
                    name: str = "sode-tangent"):
     """The connection induced by a second-order field.
@@ -972,35 +901,17 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
     horizontal projector (I - L_Gamma S)/2, and a full scenario whose
     horizontal frame is P_H applied to the coordinate lifts.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     space = _tm_space(n, name)
     force_sf = [_entry_scalar(space, f, f"f{b + 1}")
                 for b, f in enumerate(forces)]
-    gamma_field = sode_field(space, n, force_sf)
-    s_endo = _vertical_endo(space, n)
-    p_h = endo_scale(0.5, endo_add(
-        Endo11.identity(space),
-        endo_scale(-1.0, lie_derivative_endo(gamma_field, s_endo))),
-        name="P_H")
+    gamma_field, s_endo, p_h = _induced_projector(space, n, force_sf)
 
     hs = []
     for a in range(1, n + 1):
         h = p_h(VectorField.coordinate(space, f"x{a}"))
         h.name = f"H{a}"
         hs.append(h)
-    vs = [VectorField.coordinate(space, f"u{c}", f"V{c}")
-          for c in range(1, n + 1)]
-
-    conn = build_connection(space, Frame(tuple(vs), "V"),
-                            Frame(tuple(hs), "H"), cfg)
-    split = canonical_endos(conn, [Frame(tuple(hs), "H")], K_VERTICAL, cfg)
-    nabla = total_derivative(split, cfg)
-
-    def upsilon(b, a):
-        # -(1/2) d f^b / du^a
-        inner = _fibre_derivative(space, force_sf[b - 1], a)
-        return lambda p: -0.5 * inner(p)
+    gamma_sf = potential_connection(n, force_sf, space)
 
     def d2f(c, a, b):
         # V_b(Y^c_a) = -(1/2) d2 f^c / du^a du^b
@@ -1017,24 +928,6 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
 
         return at_point
 
-    names = tuple(f"H{a}" for a in range(1, n + 1)) + \
-        tuple(f"V{c}" for c in range(1, n + 1))
-    expected = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            expected.append(ExpectedRow(
-                "nabla", (f"V{a}", f"V{b}"), {}, "sode: flat families"))
-            expected.append(ExpectedRow(
-                "nabla", (f"V{a}", f"H{b}"), {}, "sode: flat families"))
-            expected.append(ExpectedRow(
-                "nabla", (f"H{a}", f"V{b}"),
-                {f"V{c}": d2f(c, a, b) for c in range(1, n + 1)},
-                "sode: force-Hessian families"))
-            expected.append(ExpectedRow(
-                "nabla", (f"H{a}", f"H{b}"),
-                {f"H{c}": d2f(c, a, b) for c in range(1, n + 1)},
-                "sode: force-Hessian families"))
-
     delta = dilation_field(space, n)
 
     def projector_checks(cfg_run: CheckConfig) -> list:
@@ -1046,18 +939,8 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
         records.append(tracker.record(f"{name}:s-gamma-is-dilation",
                                       "second-order condition", 1e-10))
         # projector coefficients match the force derivatives
-        tracker = DevTracker()
-        for a in range(1, n + 1):
-            ha = hs[a - 1]
-            for p in pts:
-                vals = ha.values(p)
-                for b in range(1, n + 1):
-                    want = upsilon(b, a)(p)
-                    got = -vals[space.index(f"u{b}")]
-                    tracker.update(abs(got - want), p.values)
-                for i in range(1, n + 1):
-                    tracker.update(abs(vals[i - 1]
-                                       - (1.0 if i == a else 0.0)), p.values)
+        tracker = _lift_tracker(space, n, hs,
+                                lambda b, a: gamma_sf[(b, a)], pts)
         records.append(tracker.record(
             f"{name}:projector-coefficients",
             "horizontal coefficients are the half force slopes", 1e-10))
@@ -1072,34 +955,21 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
                                       "idempotence and verticality",
                                       cfg_run.tolerance))
         # the default forces are quadratic in the fibre: a genuine spray
-        records.append(spray_record(name, gamma_field, force_sf, cfg_run))
+        records.append(_spray_record(f"{name}:spray",
+                                     "force terms are fibre-quadratic",
+                                     space, force_sf, cfg_run))
         return records
 
     def sufficiency_extra(cfg_run: CheckConfig) -> list:
-        rep = sode_sufficiency_check(scenario, cfg_run)
-        return rep.records
+        return sode_sufficiency_check(scenario, cfg_run).records
 
-    scenario = Scenario(
-        name=name,
-        section="tangent bundle",
-        description="connection induced by a second-order equation field "
-                    "through the vertical endomorphism",
-        space=space, conn=conn, split=split, nabla=nabla,
-        fields=dict({f"H{a}": hs[a - 1] for a in range(1, n + 1)},
-                    **{f"V{c}": vs[c - 1] for c in range(1, n + 1)},
-                    Gamma=gamma_field, Delta=delta),
-        frame_names=names,
-        expected=expected,
+    scenario = _tangent_scenario(
+        name, n, hs, cfg, "sode", "force-Hessian", d2f,
+        "connection induced by a second-order equation field through the "
+        "vertical endomorphism", lambda a, b: (),
+        fields=(gamma_field, delta),
         extra_checks=[projector_checks, sufficiency_extra],
-        data={"n": n, "forces": force_sf,
-              "gamma_sf": {(b, a): ScalarField(
-                  space,
-                  (lambda b=b, a=a:
-                   lambda env: -0.5 * force_sf[b - 1].at(env).partials[
-                       space.index(f"u{a}")])(),
-                  force_sf[b - 1].cost + 1, f"Y{b}_{a}")
-                  for b in range(1, n + 1) for a in range(1, n + 1)}},
-    )
+        data={"n": n, "forces": force_sf, "gamma_sf": gamma_sf})
     return gamma_field, p_h, scenario
 
 
@@ -1110,14 +980,11 @@ def _euler_defect(space, scalars, degree: float, cfg: CheckConfig) -> float:
     tracker = DevTracker()
     for p in space.sample_points(cfg):
         for sf in scalars:
-            env = space.seed_env(p, sf.cost + 1)
-            val = sf.at(env)
+            val = sf.at(space.seed_env(p, sf.cost + 1))
             dil = 0.0
             for a in range(1, n + 1):
                 ia = space.index(f"u{a}")
-                dil += p.values[ia] * extract(
-                    val, tuple(1 if i == ia else 0
-                               for i in range(space.ambient_dim)))
+                dil += p.values[ia] * _partial(val, ia)
             tracker.update(abs(dil - degree * value_of(val)))
     return tracker.max_dev
 
@@ -1131,10 +998,11 @@ def is_spray(gamma_field: VectorField, forces,
     return _euler_defect(space, sfs, 2.0, cfg) < (tol or cfg.tolerance)
 
 
-def spray_record(name, gamma_field, force_sf, cfg) -> CheckRecord:
-    dev = _euler_defect(gamma_field.space, force_sf, 2.0, cfg)
-    return CheckRecord(f"{name}:spray", "force terms are fibre-quadratic",
-                       dev, cfg.tolerance, dev < cfg.tolerance)
+def _spray_record(check_id, reference, space, forces, cfg) -> CheckRecord:
+    """Degree-2 fibre homogeneity of the force terms, as a record."""
+    dev = _euler_defect(space, forces, 2.0, cfg)
+    return CheckRecord(check_id, reference, dev, cfg.tolerance,
+                       dev < cfg.tolerance)
 
 
 def homogeneity_check(space, gamma_sf: dict,
@@ -1174,11 +1042,7 @@ def sode_sufficiency_check(scen: Scenario,
     n = scen.data["n"]
     gamma_sf = scen.data["gamma_sf"]
     space = scen.space
-    zero = ScalarField.constant(space, 0.0)
-
-    def g_sf(b, a):
-        return gamma_sf.get((b, a), zero)
-
+    g_sf = _lookup(space, gamma_sf)
     pts = space.sample_points(cfg)
     delta = scen.fields.get("Delta") or dilation_field(space, n)
     hs = [scen.fields[f"H{a}"] for a in range(1, n + 1)]
@@ -1218,32 +1082,20 @@ def sode_sufficiency_check(scen: Scenario,
             return -acc
 
         forces.append(ScalarField(space, fn, force_cost, f"f{b}"))
-    gamma_field = sode_field(space, n, forces)
-    s_endo = _vertical_endo(space, n)
-    p_h = endo_scale(0.5, endo_add(
-        Endo11.identity(space),
-        endo_scale(-1.0, lie_derivative_endo(gamma_field, s_endo))))
+    p_h = _induced_projector(space, n, forces)[2]
 
-    rec_tracker = DevTracker()
-    for c in range(1, n + 1):
-        hc = p_h(VectorField.coordinate(space, f"x{c}"))
-        for p in pts:
-            vals = hc.values(p)
-            for b in range(1, n + 1):
-                got = -vals[space.index(f"u{b}")]
-                want = g_sf(b, c).value_at(p)
-                rec_tracker.update(abs(got - want), p.values)
+    rec_tracker = _lift_tracker(
+        space, n, [p_h(VectorField.coordinate(space, f"x{c}"))
+                   for c in range(1, n + 1)], g_sf, pts)
     report.reconstruction_dev = rec_tracker.max_dev
     report.records.append(rec_tracker.record(
         f"{scen.name}:sufficiency:reconstruction",
         "induced connection coincides with the input", tol))
 
-    spray_dev = _euler_defect(space, forces, 2.0, cfg)
-    report.reconstructed_spray = spray_dev < tol
-    report.records.append(CheckRecord(
-        f"{scen.name}:sufficiency:reconstructed-spray",
-        "reconstructed field is a spray", spray_dev, tol,
-        report.reconstructed_spray))
+    spray = _spray_record(f"{scen.name}:sufficiency:reconstructed-spray",
+                          "reconstructed field is a spray", space, forces, cfg)
+    report.reconstructed_spray = spray.passed
+    report.records.append(spray)
     return report
 
 
@@ -1350,52 +1202,33 @@ def frame_bundle(n: int, cycle, gamma: dict,
     """Frame-bundle scenario: base coordinates plus one fibre coordinate per
     matrix slot, horizontal lifts of an affine base connection, and the
     flipped split whose blocks are the column subspaces of the fibre."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     basis = cycle_decomposition(n, cycle)
     x_names = tuple(f"x{i}" for i in range(1, n + 1))
-    w_names = tuple(f"w{b}_{A}" for A in range(1, n + 1)
-                    for b in range(1, n + 1))
+    w_groups = [tuple(f"w{b}_{A}" for b in range(1, n + 1))
+                for A in range(1, n + 1)]
+    w_names = sum(w_groups, ())
     space = ChartedSpace(
         name, x_names + w_names,
         intervals=tuple((-1.0, 1.0) for _ in x_names)
         + tuple((0.5, 1.5) for _ in w_names),
         base_coords=x_names)
-    table = _gamma_table(n, gamma, 3, True, space)
+    table = _gamma_table(n, gamma, space)
 
     def g_expr(c, a, b):
         return table.get((c, a, b), ex.Const(0.0))
 
-    hs = []
-    for i in range(1, n + 1):
-        comps = [ex.Const(1.0 if ii == i else 0.0)
-                 for ii in range(1, n + 1)]
-        for A in range(1, n + 1):
-            for k in range(1, n + 1):
-                comps.append(_neg(_esum(
-                    _mul(g_expr(k, i, j), ex.Var(f"w{j}_{A}"))
-                    for j in range(1, n + 1))))
-        hs.append(VectorField.from_exprs(space, comps, f"H{i}"))
+    hs = [_affine_lift(space, n, i, g_expr, w_groups)
+          for i in range(1, n + 1)]
+    v_blocks = [Frame(tuple(VectorField.coordinate(space, w, f"V{A}_{b}")
+                            for b, w in enumerate(group, 1)), f"V{A}")
+                for A, group in enumerate(w_groups, 1)]
+    conn, split, nabla = assemble(space, Frame(tuple(hs), "H"), v_blocks,
+                                  K_HORIZONTAL, cfg)
 
-    v_blocks = []
-    v_fields = {}
-    for A in range(1, n + 1):
-        block = []
-        for b in range(1, n + 1):
-            f = VectorField.coordinate(space, f"w{b}_{A}", f"V{A}_{b}")
-            block.append(f)
-            v_fields[f"V{A}_{b}"] = f
-        v_blocks.append(Frame(tuple(block), f"V{A}"))
-
-    all_v = tuple(f for bl in v_blocks for f in bl.fields)
-    conn = build_connection(space, Frame(all_v, "V"),
-                            Frame(tuple(hs), "H"), cfg)
-    split = canonical_endos(conn, v_blocks, K_HORIZONTAL, cfg)
-    nabla = total_derivative(split, cfg)
-
-    names = tuple(f"H{i}" for i in range(1, n + 1)) + tuple(
-        f"V{A}_{b}" for A in range(1, n + 1) for b in range(1, n + 1))
-    fields = dict({f"H{i}": hs[i - 1] for i in range(1, n + 1)}, **v_fields)
+    names = tuple(f.name for f in split.solver.fields)
+    fields = {f.name: f for f in split.solver.fields}
+    oracles = [_curvature_bracket_oracle(space, g_expr, n, group)
+               for group in w_groups]
 
     expected = []
     for a in range(1, n + 1):
@@ -1426,9 +1259,7 @@ def frame_bundle(n: int, cycle, gamma: dict,
                 coeffs = {f"H{c}": ex.BinOp("-", g_expr(c, a, b),
                                             g_expr(c, b, a))
                           for c in range(1, n + 1)}
-                for A in range(1, n + 1):
-                    oracle = _curvature_bracket_oracle(
-                        space, g_expr, n, lambda d, A=A: f"w{d}_{A}")
+                for A, oracle in enumerate(oracles, 1):
                     for c in range(1, n + 1):
                         coeffs[f"V{A}_{c}"] = _negated(oracle(c, a, b))
                 expected.append(ExpectedRow(
@@ -1471,29 +1302,15 @@ DEFAULT_SODE_FORCES = ("-(u1^2)-u1*u2", "x1*u1^2-u2^2")
 DEFAULT_FRAME_GAMMA = {(1, 1, 2): "x1", (2, 2, 1): "x2", (2, 1, 1): "1"}
 
 
-def _affine_builtin(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
-    return affine_tangent(2, DEFAULT_AFFINE_GAMMA, cfg)
-
-
-def _nonlinear_builtin(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
-    return nonlinear_tangent(2, DEFAULT_NONLINEAR_GAMMA, cfg)
-
-
-def _sode_builtin(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
-    return sode_projector(2, DEFAULT_SODE_FORCES, cfg)[2]
-
-
-def _frame_bundle_builtin(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
-    return frame_bundle(2, (1, 0), DEFAULT_FRAME_GAMMA, cfg)
-
-
 BUILTIN_BUILDERS = {
     "trivial-r3": trivial_r3,
     "hopf": hopf,
-    "affine-tangent": _affine_builtin,
-    "nonlinear-tangent": _nonlinear_builtin,
-    "sode-tangent": _sode_builtin,
-    "frame-bundle": _frame_bundle_builtin,
+    "affine-tangent": partial(affine_tangent, 2, DEFAULT_AFFINE_GAMMA),
+    "nonlinear-tangent": partial(nonlinear_tangent, 2,
+                                 DEFAULT_NONLINEAR_GAMMA),
+    "sode-tangent": lambda cfg=DEFAULT_CHECK: sode_projector(
+        2, DEFAULT_SODE_FORCES, cfg)[2],
+    "frame-bundle": partial(frame_bundle, 2, (1, 0), DEFAULT_FRAME_GAMMA),
 }
 
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ehresmann import cli
 from ehresmann import scenarios as sc
@@ -39,6 +43,42 @@ TRIVIAL_DOC = {
         for xn in ("H1", "H2", "V") for yn in ("H1", "H2", "V")
     ],
 }
+
+
+HOPF_DOC = {
+    "name": "hopf",
+    "space": {"coords": ["x", "y", "z", "w"],
+              "constraints": ["x^2+y^2+z^2+w^2-1"], "sphere": True},
+    "fields": {
+        "Lambda": ["z", "w", "-x", "-y"],
+        "Sigma": ["w", "-z", "y", "-x"],
+        "V": ["y", "-x", "-w", "z"],
+    },
+    "split": {"k": ["V"], "blocks": [["Lambda"], ["Sigma"]]},
+    "metric": "ambient-dot",
+    "expected": [
+        {"op": "nabla", "args": ["Lambda", "Sigma"], "coeffs": {}},
+        {"op": "bracket", "args": ["Sigma", "Lambda"], "coeffs": {"V": 2.0},
+         "ref": "Hopf bracket table", "tol": 1e-10},
+    ],
+}
+
+
+def _set(doc, path, value):
+    """``doc`` with the entry at ``path`` replaced, or deleted when
+    ``value`` is ``_DELETE``."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+_DELETE = object()
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +374,84 @@ def test_report_table_marks_failures():
     text = report.to_table()
     assert "FAILED" in text.splitlines()[-1]
     assert any(line.split()[1] == "FAIL" for line in text.splitlines()[:-1])
+
+
+# ---------------------------------------------------------------------------
+# malformed scenario files: exit 2 with the key named, never a traceback
+# ---------------------------------------------------------------------------
+
+
+MALFORMED = [
+    (("expected", 0, "coeffs"), ["H1"], "expected[0].coeffs"),
+    (("expected", 0, "args"), ["H1"], "expected[0].args"),
+    (("space", "intervals"), [[-1.0, 1.0]], "space.intervals"),
+    (("fields", "H1", 2), None, "fields.H1[2]"),
+    (("split", "pairings"), 3, "split.pairings"),
+    (("expected", 0, "tol"), "1e-8", "expected[0].tol"),
+    (("expected", 0, "op"), "divergence", "expected[0].op"),
+]
+
+
+@pytest.mark.parametrize("path,value,key", MALFORMED,
+                         ids=[m[2] for m in MALFORMED])
+def test_malformed_scenario_file_names_the_key(path, value, key, tmp_path,
+                                               capsys):
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(_set(TRIVIAL_DOC, path, value)))
+    with pytest.raises(ScenarioFileError) as err:
+        load_scenario_file(str(target), CFG)
+    assert f": {key}: " in str(err.value)
+    assert main(["verify", str(target), "--samples", "2"]) == 2
+    assert key in capsys.readouterr().err
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+FUZZ_VALUES = [
+    _DELETE, None, True, 0, -1, 2.5, 1e300, math.nan, math.inf, 10 ** 400,
+    "", "x", "th", "cos(", "1/0", "exp(1000)", "nabla", "k-horizontal",
+    [], ["H1"], ["H1", "H2"], [[0.0, 1.0]], {}, {"H1": "1"},
+]
+FUZZ_CASES = [(doc, path) for doc in (TRIVIAL_DOC, HOPF_DOC)
+              for path in _paths(doc)]
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_CASES),
+                          st.sampled_from(FUZZ_VALUES)),
+                min_size=1, max_size=2))
+def test_fuzzed_scenario_files_end_in_an_exit_code(tmp_path_factory,
+                                                   mutations):
+    doc = mutations[0][0][0]
+    for (_, path), value in mutations:
+        try:
+            doc = _set(doc, path, value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced the path
+    target = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = _run_main(["verify", str(target), "--samples", "2",
+                                "--format", "json"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and len(err.strip()) > 7
+        return
+    records = json.loads(out)["records"]
+    assert (code == 0) == all(r["pass"] for r in records)
+    if code == 0:
+        assert all(math.isfinite(r["max_dev"]) for r in records)

@@ -118,6 +118,17 @@ def test_ln_domain_reports_subexpression():
     assert "ln(x)" == err.value.subexpression
 
 
+@pytest.mark.parametrize("text", ["exp(1000)", "10^400", "x^2.5"])
+def test_overflow_is_a_domain_error(text):
+    with pytest.raises(EvalDomainError, match="range"):
+        evaluate(parse(text), {"x": 1e200})
+
+
+def test_nesting_beyond_the_recursion_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested less deeply"):
+        parse("(" * 3000 + "x" + ")" * 3000)
+
+
 def test_general_power_requires_positive_base():
     assert rel_err(evaluate(parse("x^y"), {"x": 2.0, "y": 0.5}),
                    math.sqrt(2)) < 1e-15

@@ -308,6 +308,15 @@ def test_frame_coefficients_rejects_nontangent(sphere3):
         frame_coefficients(space, [Frame((lam, sig, v))], [1.0, 0, 0, 0], p)
 
 
+def test_frame_coefficients_rejects_nan_components(sphere3):
+    # a NaN residual compares false against the gate: it must still raise
+    space, lam, sig, v = sphere3
+    p = space.point((1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(GeometryError, match="not in the span"):
+        frame_coefficients(space, [Frame((lam, sig, v))],
+                           [math.nan, 0.0, 0.0, 0.0], p)
+
+
 def test_non_finite_frame_is_degenerate_at_a_point():
     space = ChartedSpace("r2", ("a", "b"))
     x1 = VectorField.coordinate(space, "a")

@@ -55,6 +55,19 @@ def test_trivial_bundle_table_passes():
     assert len(recs) == 9
 
 
+def test_repeated_runs_keep_the_frame_names():
+    # at seed 1 every coefficient of one torsion-curvature draw is zero;
+    # the draw must not rename the frame field it falls back to
+    cfg = CheckConfig(seed=1, samples=3)
+    scen = trivial_r3(cfg)
+    first = sc.run_scenario_checks(scen, cfg)
+    assert [f.name for f in scen.frame_fields()] == ["H1", "H2", "V"]
+    assert sc.run_scenario_checks(scen, cfg) == first
+    assert set(scen.coefficients(scen.fields["V"],
+                                 scen.space.sample_points(cfg)[0])) == \
+        {"H1", "H2", "V"}
+
+
 # ---------------------------------------------------------------------------
 # Hopf
 # ---------------------------------------------------------------------------
@@ -132,6 +145,18 @@ def test_metric_positive_definite(hopf_scen):
     frame = [scen.fields[n] for n in scen.frame_names]
     low = scen.metric.validate_positive_definite(frame, SMALL)
     assert low > 0.5  # the rotation frame is orthonormal on the sphere
+
+
+def test_metric_with_nan_values_names_the_point(hopf_scen):
+    scen = hopf_scen
+    frame = [scen.fields[n] for n in scen.frame_names]
+    nan = ScalarField.constant(scen.space, math.nan)
+    g = Metric(scen.space, "nan-metric", lambda X, Y: nan)
+    first = scen.space.sample_points(SMALL)[0]
+    with pytest.raises(GeometryError) as err:
+        g.validate_positive_definite(frame, SMALL)
+    assert "not finite" in str(err.value)
+    assert str(first.values) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
