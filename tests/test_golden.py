@@ -8,6 +8,9 @@ Each file under ``tests/golden`` is the output of one command:
     eval-<scenario>-<op>.json   ehresmann eval <scenario> <op> <args>
                                     --at <point> --format json
                                 (the arguments and points are in EVALS below)
+    verify-frame3.json          the report of the frame bundle at n=3 (12
+                                coordinates), seed 1, 2 samples, as
+                                ``frame3_report`` below builds it
 
 Equal configuration must give byte-identical output, so a change that moves
 any reported bit (a deviation, a worst point, a record's order, a frame
@@ -21,8 +24,11 @@ from pathlib import Path
 
 import pytest
 
-from ehresmann.cli import main
-from ehresmann.scenarios import BUILTIN_BUILDERS
+from ehresmann.cli import Report, main
+from ehresmann.geometry import CheckConfig
+from ehresmann.scenarios import (
+    BUILTIN_BUILDERS, DEFAULT_FRAME_GAMMA, frame_bundle, run_scenario_checks,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -68,3 +74,18 @@ def test_eval_json_matches_golden(scen, op, capsys):
     out = _output(["eval", scen, op, *args, "--at", EVAL_POINTS[scen],
                    "--format", "json"], capsys)
     assert out == (GOLDEN / f"eval-{scen}-{op}.json").read_bytes()
+
+
+def frame3_report() -> str:
+    """The verify report of the 12-coordinate frame bundle, the shape whose
+    kernels carry the most derivative slots."""
+    cfg = CheckConfig(seed=1, samples=2)
+    scen = frame_bundle(3, (1, 2, 0), DEFAULT_FRAME_GAMMA, cfg)
+    echo = {"scenario": scen.name, "seed": cfg.seed, "samples": cfg.samples,
+            "tolerance": cfg.tolerance, "depth": cfg.depth}
+    return Report(echo, run_scenario_checks(scen, cfg)).to_json() + "\n"
+
+
+def test_frame3_report_matches_golden():
+    out = frame3_report().encode("utf-8")
+    assert out == (GOLDEN / "verify-frame3.json").read_bytes()
