@@ -33,8 +33,8 @@ import numpy as np
 
 from . import expr as ex
 from . import jets
-from .jets import Jet, JetConfig, value_of
-from .report import DevTracker, max_abs
+from .jets import Jet, JetBatch, JetConfig, value_of
+from .report import DevTracker, max_abs, per_point
 
 FRAME_DEGENERACY_RATIO = 1e-8
 
@@ -84,8 +84,8 @@ class CheckConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be positive and finite")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
 
@@ -145,18 +145,30 @@ class ChartedSpace:
         return self.coords.index(coord)
 
     def seed_env(self, point, depth: int, name: str = "seed_env") -> "Env":
-        """Coordinate jets of ``depth`` levels at a point; ``name`` is the
-        operation blamed when the point's depth cap is below ``depth``."""
-        if isinstance(point, Point):
-            if point.depth is not None and depth > point.depth:
-                raise DepthBudgetError(name, depth, point.depth)
-            values = point.values
+        """Coordinate jets of ``depth`` levels at a point, or batches at
+        each point of a point set; ``name`` is the operation blamed when a
+        point's depth cap is below ``depth``."""
+        config = JetConfig(self.coords, depth)
+        if is_point_set(point):
+            for p in point:
+                if p.depth is not None and depth > p.depth:
+                    raise DepthBudgetError(name, depth, p.depth)
+            values = tuple(p.values for p in point)
+            env = Env(zip(self.coords, jets.seed_points(config, values)))
+            env.points = values
+            env.key = (_POINT_SETS.setdefault(values, len(_POINT_SETS)),
+                       depth)
         else:
-            values = tuple(point)
-        env = Env(zip(self.coords, jets.seed(JetConfig(self.coords, depth),
-                                             values)))
+            if isinstance(point, Point):
+                if point.depth is not None and depth > point.depth:
+                    raise DepthBudgetError(name, depth, point.depth)
+                values = point.values
+            else:
+                values = tuple(point)
+            env = Env(zip(self.coords, jets.seed(config, values)))
+            env.points = None
+            env.key = (tuple(map(float, values)), depth)
         env.depth = depth
-        env.key = (tuple(map(float, values)), depth)
         return env
 
     def constraint_residual(self, values) -> float:
@@ -224,19 +236,33 @@ class Point:
         return f"Point({', '.join(f'{v:.6g}' for v in self.values)})"
 
 
+def is_point_set(point) -> bool:
+    """Whether ``point`` is a sequence of points rather than one point."""
+    return isinstance(point, (list, tuple)) and bool(point) and isinstance(
+        point[0], Point)
+
+
+# Each point set a batched environment is seeded at, interned to a small
+# int: a batch key hashes that int, not the point set's P x n floats.
+_POINT_SETS: dict = {}
+
+
 class Env(dict):
     """Coordinate jets seeded at one point: ``env[c]`` is coordinate ``c``.
 
     ``depth`` is the seeded depth and ``key`` is ``(point values, depth)``,
-    the memo key of every evaluation in this environment.
+    the memo key of every evaluation in this environment.  A batched
+    environment, seeded at a point set, holds a :class:`jets.JetBatch` per
+    coordinate; its ``points`` are the point values in order (None for one
+    point) and its key names the point set by an interned int.
     """
 
-    __slots__ = ("depth", "key")
+    __slots__ = ("depth", "key", "points")
 
 
-def _as_depth(s, depth: int, nvars: int):
+def _as_depth(s, depth: int, env: Env):
     """Normalize a scalar to an exact depth (truncate jets, lift numbers)."""
-    if isinstance(s, Jet):
+    if isinstance(s, (Jet, JetBatch)):
         if s.depth == depth:
             return s
         if s.depth > depth:
@@ -245,15 +271,29 @@ def _as_depth(s, depth: int, nvars: int):
             f"internal: scalar of depth {s.depth} below target {depth}")
     if depth == 0:
         return float(s)
-    return jets.constant(float(s), nvars, depth)
+    return jets.constant(float(s), len(env), depth,
+                         None if env.points is None else len(env.points))
 
 
-def _comps_as_depth(comps, depth: int, nvars: int) -> list:
+def _comps_as_depth(comps, depth: int, env: Env) -> list:
     # the common cases inline: values at depth 0, jets already at depth
     if depth == 0:
-        return [c.value if c.__class__ is Jet else float(c) for c in comps]
-    return [c if c.__class__ is Jet and c.depth == depth
-            else _as_depth(c, depth, nvars) for c in comps]
+        return [c.value if c.__class__ is Jet else jets.truncate(c, 0)
+                if c.__class__ is JetBatch else float(c) for c in comps]
+    return [c if (c.__class__ is Jet or c.__class__ is JetBatch)
+            and c.depth == depth else _as_depth(c, depth, env) for c in comps]
+
+
+def _value_rows(rows, env: Env):
+    """The values of a matrix of scalars: lists of floats at one point, an
+    array indexed (point, row, column) over a point set."""
+    if env.points is None:
+        return [[value_of(e) for e in row] for row in rows]
+    out = np.empty((len(env.points), len(rows), len(rows[0]) if rows else 0))
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[:, i, j] = value_of(e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +325,7 @@ class _Field:
         if hit is None:
             if env.depth < self.cost:
                 raise DepthBudgetError(self.name, self.cost, env.depth)
-            hit = self._normalize(self._fn(env), env.depth - self.cost,
-                                  self.space.ambient_dim)
+            hit = self._normalize(self._fn(env), env.depth - self.cost, env)
             self._cache[env.key] = hit
         return hit
 
@@ -306,9 +345,14 @@ class _Field:
 
         return cls(space, fn, 0, name)
 
-    def values(self, point) -> list[float]:
+    def values(self, point) -> list:
+        """Component values at a point; at a point set, one list per point,
+        from one batched evaluation."""
         env = self.space.seed_env(point, self.cost, self.name)
-        return [value_of(c) for c in self.at(env)]
+        if env.points is None:
+            return [value_of(c) for c in self.at(env)]
+        with np.errstate(all="ignore"):
+            return _value_rows([self.at(env)], env)[:, 0].tolist()
 
 
 class ScalarField(_Field):
@@ -383,7 +427,7 @@ def _truncated(owner, env, target: int, full, normalize):
     key = (env.key, target)
     hit = owner._cache.get(key)
     if hit is None:
-        hit = normalize(full(env), target, owner.space.ambient_dim)
+        hit = normalize(full(env), target, env)
         owner._cache[key] = hit
     return hit
 
@@ -446,7 +490,7 @@ def vf_scale(f, X: VectorField, name=None) -> VectorField:
 
     def fn(env):
         t = env.depth - cost
-        s = _as_depth(f.at(env), t, X.space.ambient_dim)
+        s = _as_depth(f.at(env), t, env)
         return [s * comp for comp in _comps_at(X, env, t)]
 
     return VectorField(X.space, fn, cost, name or f"({f.name})*{X.name}")
@@ -467,15 +511,14 @@ def directional(X: VectorField, f: ScalarField, name=None) -> ScalarField:
     """The derivative X(f), read from the jet slots of f's evaluation."""
     _check_space(X, f)
     cost = max(X.cost, f.cost + 1)
-    n = X.space.ambient_dim
 
     def fn(env):
         t = env.depth - cost
         fv = f.at(env)
-        if not isinstance(fv, Jet):
+        if jets.depth_of(fv) == 0:
             raise DepthBudgetError(f"{X.name}({f.name})", cost, env.depth)
         return jets.dot(_comps_at(X, env, t),
-                        _comps_as_depth(fv.partials, t, n))
+                        _comps_as_depth(fv.partials, t, env))
 
     return ScalarField(X.space, fn, cost, name or f"{X.name}({f.name})")
 
@@ -486,6 +529,27 @@ def _first_slots(comps, t: int) -> list:
     if comps[0].depth == t + 1:
         return [c.partials for c in comps]
     return [[jets.truncate(p, t) for p in c.partials] for c in comps]
+
+
+def _bracket_fold(xs, ys, t: int) -> list:
+    """The bracket fold over a point set.  The components are stacked at
+    depth ``t + 1`` into arrays indexed (component, point, slots...); every
+    product of the fold is formed at once, indexed (component, point,
+    variable, slots...), then ``acc = acc + a * p - b * q`` folds over the
+    variables in order."""
+    xa = jets.stack(xs, t + 1, xs[0])
+    ya = jets.stack(ys, t + 1, xs[0])
+    first = jets.mul_slots(xa[..., 0].swapaxes(0, 1)[None], ya[:, :, 1:], t)
+    second = jets.mul_slots(ya[..., 0].swapaxes(0, 1)[None], xa[:, :, 1:], t)
+    # 0.0 + a jet adds to its value slots alone
+    acc = first[:, :, 0].copy()
+    value = (Ellipsis,) + (0,) * t
+    acc[value] = 0.0 + acc[value]
+    acc -= second[:, :, 0]
+    for j in range(1, first.shape[2]):
+        acc += first[:, :, j]
+        acc -= second[:, :, j]
+    return jets.unstack(acc, t, xs[0].nvars)
 
 
 def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
@@ -504,8 +568,10 @@ def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
         t = env.depth - cost
         xs = X.at(env)
         ys = Y.at(env)
-        xt = _comps_as_depth(xs, t, n)
-        yt = _comps_as_depth(ys, t, n)
+        if xs[0].__class__ is JetBatch:
+            return _bracket_fold(xs, ys, t)
+        xt = _comps_as_depth(xs, t, env)
+        yt = _comps_as_depth(ys, t, env)
         dx = _first_slots(xs, t)
         dy = _first_slots(ys, t)
         out = []
@@ -553,7 +619,13 @@ def frame_ratio(mat) -> float:
 
 
 def gate_frame(mat, point):
-    """Raise unless the frame matrix's ratio is above the degeneracy gate."""
+    """Raise unless the frame matrix's ratio is above the degeneracy gate.
+    A stack of matrices, one per point of a point set, is gated point by
+    point in order, so the first degenerate point is named."""
+    if isinstance(mat, np.ndarray) and mat.ndim == 3:
+        for m, p in zip(mat, point):
+            gate_frame(m, p)
+        return
     ratio = frame_ratio(mat)
     if not ratio > FRAME_DEGENERACY_RATIO:
         raise SingularFrameError(point, ratio)
@@ -561,6 +633,8 @@ def gate_frame(mat, point):
 
 def _invert(rows, n):
     """Gauss-Jordan with partial pivoting on the value part; generic scalars."""
+    if any(e.__class__ is JetBatch for row in rows for e in row):
+        return _invert_points(rows, n)
     aug = [list(rows[i]) + [1.0 if j == i else 0.0 for j in range(n)]
            for i in range(n)]
     for col in range(n):
@@ -577,6 +651,60 @@ def _invert(rows, n):
                     aug[r] = [a - factor * b
                               for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def _invert_points(rows, n):
+    """:func:`_invert` over a point set, on one array indexed (point, row,
+    column, slots...).  Each step acts on all points and rows at once: the
+    pivot is the first largest value per point, rows swap by fancy
+    indexing, and at depth 0 a zero factor leaves its row as it is.  The
+    identity half starts as numbers, so the first step scales it and
+    subtracts from it as a number meets a jet."""
+    like = next(e for row in rows for e in row if e.__class__ is JetBatch)
+    t, nvars, points = like.depth, like.nvars, like.a.shape[0]
+    slots = (1 + nvars,) * t
+    value = (Ellipsis,) + (0,) * t
+    aug = np.zeros((points, n, 2 * n) + slots)
+    aug[:, :, :n] = np.moveaxis(jets.stack(
+        [e for row in rows for e in row], t, like), 0, 1).reshape(
+            (points, n, n) + slots)
+    aug[(slice(None), np.arange(n), np.arange(n, 2 * n)) + (0,) * t] = 1.0
+    idx = np.arange(points)
+    for col in range(n):
+        vals = aug[value]
+        piv = col + np.abs(vals[:, col:, col]).argmax(axis=1)
+        if jets.first_point(np.abs(vals[idx, piv, col]) == 0.0) is not None:
+            raise GeometryError("exactly singular matrix in frame solve")
+        top = aug[idx, piv]
+        aug[idx, piv] = aug[idx, col]
+        aug[idx, col] = top
+        row = aug[:, col]
+        if t == 0:
+            aug[:, col] = row * (1.0 / row[:, col])[:, None]
+            factor = aug[:, :, col]
+            keep = factor != 0.0
+            keep[:, col] = False
+            aug = np.where(keep[:, :, None],
+                           aug - factor[:, :, None] * aug[:, None, col], aug)
+            continue
+        inv_p = jets.reciprocal_slots(row[:, col], t) * 1.0
+        scaled = jets.mul_slots(row, inv_p[:, None], t)
+        if col == 0:
+            ident = row[:, n:][value]
+            scaled[:, n:] = inv_p[:, None] * ident.reshape(ident.shape
+                                                           + (1,) * t)
+        aug[:, col] = scaled
+        prod = jets.mul_slots(aug[:, :, col][:, :, None], aug[:, None, col],
+                              t)
+        new = aug - prod
+        if col == 0:
+            right = -prod[:, :, n:]
+            right[value] = aug[:, :, n:][value] - prod[:, :, n:][value]
+            new[:, :, n:] = right
+        new[:, col] = aug[:, col]
+        aug = new
+    return [jets.unstack(np.moveaxis(aug[:, i, n:], 1, 0), t, nvars)
+            for i in range(n)]
 
 
 class FrameSolver:
@@ -606,9 +734,9 @@ class FrameSolver:
         cols = [_comps_at(f, env, target) for f in self.fields]
         for c in self.space.constraints:
             cj = ex.evaluate(c, env)
-            if not isinstance(cj, Jet):
+            if jets.depth_of(cj) == 0:
                 raise DepthBudgetError("constraint gradient", 1, 0)
-            cols.append([_as_depth(cj.partials[j], target, n)
+            cols.append([_as_depth(cj.partials[j], target, env)
                          for j in range(n)])
         return cols
 
@@ -620,9 +748,10 @@ class FrameSolver:
             raise DepthBudgetError("frame solve", self.cost, env.depth)
         n = self.space.ambient_dim
         cols = self._columns(env, env.depth - self.cost)
-        vals = [[value_of(cols[j][i]) for j in range(n)] for i in range(n)]
-        gate_frame(vals, env.key[0])
-        inv = _invert([[cols[j][i] for j in range(n)] for i in range(n)], n)
+        mat = [[cols[j][i] for j in range(n)] for i in range(n)]
+        gate_frame(_value_rows(mat, env),
+                   env.key[0] if env.points is None else env.points)
+        inv = _invert(mat, n)
         self._cache[env.key] = inv
         return inv
 
@@ -631,7 +760,7 @@ class FrameSolver:
         if env.depth - self.cost == target:
             return self.inverse(env)
         return _truncated(self, env, target, self.inverse,
-                          lambda inv, t, n: [_comps_as_depth(row, t, n)
+                          lambda inv, t, e: [_comps_as_depth(row, t, e)
                                              for row in inv])
 
     def coefficients_for(self, env, X: VectorField, rows) -> list:
@@ -641,7 +770,7 @@ class FrameSolver:
         t = env.depth - max(self.cost, X.cost)
         inv = self.rows_at(env, t)
         xs = _comps_at(X, env, t)
-        return [jets.dot(inv[i], xs) for i in rows]
+        return jets.dots([inv[i] for i in rows], xs)
 
     def coframe(self, suffix: str = "*") -> list:
         """The covectors dual to the solver fields, w^i(e_j) = delta^i_j,
@@ -653,13 +782,22 @@ class FrameSolver:
 
         return [covector(i) for i in range(len(self.fields))]
 
-    def coefficients_at_point(self, point, components) -> list[float]:
+    def coefficients_at_point(self, point, components) -> list:
+        """Coefficients of a vector given by its components at a point; at
+        a point set, one list per point from one batched solve, with one
+        component list per point."""
         env = self.space.seed_env(point, self.cost, "frame solve")
-        inv = self.inverse(env)
-        n = self.space.ambient_dim
-        flat = [[value_of(e) for e in row] for row in inv]
-        return [sum(flat[i][j] * components[j] for j in range(n))
-                for i in range(n)]
+        if env.points is None:
+            return _expand(_value_rows(self.inverse(env), env), components)
+        with np.errstate(all="ignore"):
+            flat = _value_rows(self.inverse(env), env).tolist()
+        return [_expand(f, c) for f, c in zip(flat, components)]
+
+
+def _expand(flat, components) -> list[float]:
+    n = len(components)
+    return [sum(flat[i][j] * components[j] for j in range(n))
+            for i in range(n)]
 
 
 def dual_coframe(space, frames, name_suffix="*") -> list[CovectorField]:
@@ -696,9 +834,13 @@ def frame_coefficients(space, frames, components, point) -> list[float]:
 def _combination(coef, vectors, n) -> list:
     """Components of ``sum_i coef[i] * vectors[i]``, each the left fold
     from ``0.0`` over ``i``.  Over jets a component is one ``jets.dot``;
-    over floats updating whole vectors term by term is faster."""
+    over floats updating whole vectors term by term is faster.  Over a
+    point set every component folds at once, in ``jets.dots`` (IEEE
+    products and sums do not depend on operand order)."""
     if coef and coef[0].__class__ is Jet:
         return [jets.dot(coef, col) for col in zip(*vectors)]
+    if any(c.__class__ is JetBatch for c in coef):
+        return jets.dots(zip(*vectors), coef)
     out = [0.0] * n
     for c, v in zip(coef, vectors):
         out = [o + c * e for o, e in zip(out, v)]
@@ -751,7 +893,7 @@ class Endo11:
             def fn(env):
                 t = env.depth - cost
                 xs = _comps_at(X, env, t)
-                coef = [jets.dot(_comps_at(w, env, t), xs) for w, _ in terms]
+                coef = jets.dots([_comps_at(w, env, t) for w, _ in terms], xs)
                 return _combination(
                     coef, [_comps_at(e, env, t) for _, e in terms], n)
 
@@ -829,8 +971,14 @@ def validate_frame(space, fields, cfg: CheckConfig = DEFAULT_CHECK):
     """Pointwise independence via the singular-value ratio; raises at the
     first sample point where the frame is degenerate or not finite."""
     fields = tuple(fields)
-    for p in space.sample_points(cfg):
-        gate_frame(np.array([f.values(p) for f in fields]).T, p.values)
+
+    def gate(p, columns):
+        gate_frame(np.array(columns).T, p.values)
+
+    per_point(space.sample_points(cfg),
+              lambda pts: [gate(p, cols) for p, cols in zip(
+                  pts, zip(*(f.values(pts) for f in fields)))],
+              lambda p: gate(p, [f.values(p) for f in fields]))
 
 
 def _partial(s, i: int) -> float:

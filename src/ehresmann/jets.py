@@ -17,6 +17,20 @@ d2/dx dy and d2/dy dx therefore performs the same sequence of memory reads:
 symmetry of mixed partials holds by construction (same arithmetic path).
 :func:`extract` returns raw derivatives, not Taylor coefficients; no
 factorial scaling is applied.
+
+A :class:`JetBatch` is one scalar at P points: one float64 array whose
+slots are a jet's nested slots, flattened in the same order.  Its shape is
+``(P,)`` at depth 0 and ``(P,) + (1 + nvars,) * depth`` deeper: along each
+slot axis index 0 is the level's value and index ``1 + i`` the partial in
+variable ``i``.  Index 0 on the last axis is :meth:`Jet.lowered`, and an
+entry whose first slot index is 0 while a later one is not carries no
+meaning (it is kept at zero).  Every operation below accepts it and gives,
+at each point, the bits the same operation gives on that point's
+:class:`Jet` (or float, at depth 0): the arithmetic runs as whole-array
+elementwise ufuncs along points and slots, every sum stays a left fold in
+the scalar order, the value slots of ``sin``, ``cos``, ``tan``, ``exp``,
+``ln``, ``sqrt`` and ``x ** n`` come from :mod:`math` point by point, and a
+domain error names the first offending point.
 """
 
 from __future__ import annotations
@@ -24,6 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 class JetError(Exception):
@@ -165,7 +181,208 @@ class Jet:
         return -self
 
 
+# ---------------------------------------------------------------------------
+# batches: one scalar at P points, as one array
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _slots(depth: int):
+    """Index tuples over the trailing ``depth`` slot axes: the value slot,
+    the partials (first slot index 1 on), and the new axis that lines a
+    level-down array up with the partials."""
+    rest = (slice(None),) * (depth - 1)
+    return ((Ellipsis,) + (0,) * depth, (Ellipsis, slice(1, None)) + rest,
+            (Ellipsis, None) + rest)
+
+
+def _assemble(value, parts, depth: int):
+    """The slot array with value slots ``value`` and partials ``parts``."""
+    if depth == 1:
+        return np.concatenate((value[..., None], parts), axis=-1)
+    head = np.zeros(parts.shape[:-depth] + (1,) + parts.shape[1 - depth:])
+    head[_slots(depth)[0]] = value
+    return np.concatenate((head, parts), axis=-depth)
+
+
+def mul_slots(a, b, depth: int):
+    """The jet product of slot arrays, broadcast over their leading axes:
+    value times value, and partial ``i`` as ``p_i * lowered(b) +
+    lowered(a) * q_i`` one level down, as :meth:`Jet.__mul__` computes it."""
+    if depth == 0:
+        return a * b
+    val, part, new = _slots(depth)
+    parts = (mul_slots(a[part], b[..., 0][new], depth - 1)
+             + mul_slots(a[..., 0][new], b[part], depth - 1))
+    return _assemble(a[val] * b[val], parts, depth)
+
+
+def reciprocal_slots(a, depth: int):
+    if depth == 0:
+        return 1.0 / a
+    val, part, new = _slots(depth)
+    rl = reciprocal_slots(a[..., 0], depth - 1)
+    neg_sq = -mul_slots(rl, rl, depth - 1)
+    return _assemble(1.0 / a[val], mul_slots(neg_sq[new], a[part], depth - 1),
+                     depth)
+
+
+def fold_products(xs, ys, depth: int):
+    """``sum(x * y)`` over the leading (term) axis of two slot arrays, as
+    :func:`dot` folds it: the value from ``0.0``, the partials from the
+    first term's product rule, in term order.  Every product is formed at
+    once; only the sums fold."""
+    terms = mul_slots(xs, ys, depth)
+    acc = terms[0].copy()
+    val = _slots(depth)[0]
+    acc[val] = 0.0 + acc[val]
+    for t in terms[1:]:
+        acc += t
+    return acc
+
+
+def first_point(mask):
+    """The index of the first point where ``mask`` holds, or None."""
+    if not mask.any():
+        return None
+    return int(mask.argmax())
+
+
+def _at_points(fn, values):
+    """``fn`` of each point's value through :mod:`math`, point by point."""
+    return np.array([fn(v) for v in values.tolist()], dtype=float)
+
+
+class JetBatch:
+    """One scalar at P points: ``a`` holds each point's jet slots (see the
+    module docstring for the layout).  ``value`` and ``partials`` are the
+    per-point value array and the level-down batches; at depth 0 a batch
+    behaves as P floats do."""
+
+    __slots__ = ("a", "depth", "nvars")
+    __array_ufunc__ = None      # numpy scalars defer to the methods below
+
+    def __init__(self, a, depth: int, nvars: int):
+        self.a = a
+        self.depth = depth
+        self.nvars = nvars
+
+    @property
+    def value(self):
+        return self.a[_slots(self.depth)[0]]
+
+    @property
+    def partials(self) -> tuple:
+        return tuple(JetBatch(self.a[:, 1 + i], self.depth - 1, self.nvars)
+                     for i in range(self.nvars))
+
+    def lowered(self) -> "JetBatch":
+        return JetBatch(self.a[..., 0], self.depth - 1, self.nvars)
+
+    def _check(self, other: "JetBatch") -> None:
+        if self.depth != other.depth or self.nvars != other.nvars:
+            raise JetShapeError(
+                f"cannot combine jets of shape (depth={self.depth}, "
+                f"nvars={self.nvars}) and (depth={other.depth}, "
+                f"nvars={other.nvars})")
+
+    def _new(self, a) -> "JetBatch":
+        return JetBatch(a, self.depth, self.nvars)
+
+    def _with_value(self, value) -> "JetBatch":
+        """The same slots with new value slots: a jet adds a number to its
+        value alone."""
+        a = self.a.copy()
+        a[_slots(self.depth)[0]] = value
+        return self._new(a)
+
+    def __repr__(self):
+        return (f"JetBatch(points={self.a.shape[0]}, depth={self.depth}, "
+                f"nvars={self.nvars})")
+
+    def __add__(self, other):
+        if other.__class__ is JetBatch:
+            self._check(other)
+            return self._new(self.a + other.a)
+        if isinstance(other, _NUMBER):
+            return self._with_value(self.value + other)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(-self.a)
+
+    def __sub__(self, other):
+        if other.__class__ is JetBatch:
+            self._check(other)
+            return self._new(self.a - other.a)
+        if isinstance(other, _NUMBER):
+            return self._with_value(self.value - other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, _NUMBER):
+            return (-self)._with_value(other - self.value)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if other.__class__ is JetBatch:
+            self._check(other)
+            return self._new(mul_slots(self.a, other.a, self.depth))
+        if isinstance(other, _NUMBER):
+            return self._new(self.a * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if self.depth == 0:
+            if other.__class__ is JetBatch:
+                self._check(other)
+                other = other.a
+            elif not isinstance(other, _NUMBER):
+                return NotImplemented
+            if first_point(np.asarray(other) == 0.0) is not None:
+                raise ZeroDivisionError("float division by zero")
+            return self._new(self.a / other)
+        if other.__class__ is JetBatch:
+            return self * _reciprocal(other)
+        if isinstance(other, _NUMBER):
+            if other == 0:
+                raise JetDomainError("/", "division by zero")
+            return self * (1.0 / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, _NUMBER):
+            return NotImplemented
+        if self.depth == 0:
+            if first_point(self.a == 0.0) is not None:
+                raise ZeroDivisionError("float division by zero")
+            return self._new(other / self.a)
+        return _reciprocal(self) * other
+
+    def __pow__(self, exponent):
+        if isinstance(exponent, int) and not isinstance(exponent, bool):
+            return ipow(self, exponent)
+        raise TypeError("jet ** exponent needs an int; use pow_general otherwise")
+
+    def __abs__(self):
+        if self.depth == 0:
+            return self._new(np.abs(self.a))
+        v = self.value
+        if first_point(v == 0.0) is not None:
+            raise JetDomainError("abs", "derivative undefined at zero")
+        mask = (v > 0).reshape((-1,) + (1,) * self.depth)
+        return self._new(np.where(mask, self.a, -self.a))
+
+
 def _reciprocal(x):
+    if x.__class__ is JetBatch:
+        if first_point(x.value == 0.0) is not None:
+            raise JetDomainError("/", "division by zero")
+        return x._new(reciprocal_slots(x.a, x.depth))
     if isinstance(x, Jet):
         if x.value == 0.0:
             raise JetDomainError("/", "division by zero")
@@ -186,31 +403,63 @@ def _lift(x: Jet, value: float, derivative) -> Jet:
     return Jet(value, tuple(dv * p for p in x.partials), x.depth, x.nvars)
 
 
+def _lift_batch(x: JetBatch, fn, derivative) -> JetBatch:
+    """:func:`_lift` at every point, with ``fn`` of each value through
+    :mod:`math`; a depth-0 batch takes ``fn`` alone, as floats do."""
+    value = _at_points(fn, x.value)
+    if x.depth == 0:
+        return x._new(value)
+    _, part, new = _slots(x.depth)
+    dv = derivative(x.lowered())
+    return x._new(_assemble(value, mul_slots(dv.a[new], x.a[part],
+                                             x.depth - 1), x.depth))
+
+
+def _check_points(bad, values, operation: str, detail: str) -> None:
+    """Raise a domain error naming the value at the first point where
+    ``bad`` holds."""
+    k = first_point(bad)
+    if k is not None:
+        raise JetDomainError(operation, detail.format(float(values[k])))
+
+
 def sin(x):
+    if x.__class__ is JetBatch:
+        return _lift_batch(x, math.sin, cos)
     if isinstance(x, Jet):
         return _lift(x, math.sin(x.value), cos)
     return math.sin(x)
 
 
 def cos(x):
+    if x.__class__ is JetBatch:
+        return _lift_batch(x, math.cos, lambda u: -sin(u))
     if isinstance(x, Jet):
         return _lift(x, math.cos(x.value), lambda u: -sin(u))
     return math.cos(x)
 
 
 def tan(x):
+    if x.__class__ is JetBatch:
+        return _lift_batch(x, math.tan, lambda u: 1.0 + tan(u) * tan(u))
     if isinstance(x, Jet):
         return _lift(x, math.tan(x.value), lambda u: 1.0 + tan(u) * tan(u))
     return math.tan(x)
 
 
 def exp(x):
+    if x.__class__ is JetBatch:
+        return _lift_batch(x, math.exp, exp)
     if isinstance(x, Jet):
         return _lift(x, math.exp(x.value), exp)
     return math.exp(x)
 
 
 def ln(x):
+    if x.__class__ is JetBatch:
+        _check_points(x.value <= 0.0, x.value, "ln",
+                      "argument {} is not positive")
+        return _lift_batch(x, math.log, _reciprocal)
     if isinstance(x, Jet):
         if x.value <= 0.0:
             raise JetDomainError("ln", f"argument {x.value} is not positive")
@@ -221,6 +470,13 @@ def ln(x):
 
 
 def sqrt(x):
+    if x.__class__ is JetBatch:
+        if x.depth == 0:
+            _check_points(x.a < 0.0, x.a, "sqrt", "argument {} is negative")
+        else:
+            _check_points(x.value <= 0.0, x.value, "sqrt",
+                          "argument {} is not positive")
+        return _lift_batch(x, math.sqrt, lambda u: 0.5 * _reciprocal(sqrt(u)))
     if isinstance(x, Jet):
         if x.value <= 0.0:
             raise JetDomainError("sqrt", f"argument {x.value} is not positive")
@@ -234,14 +490,21 @@ def ipow(x, n: int):
     """``x**n`` for integer n by the chain rule; negative n via reciprocal."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("ipow exponent must be an int")
-    if isinstance(x, Jet):
+    if isinstance(x, Jet) or x.__class__ is JetBatch and x.depth > 0:
         if n == 0:
             return 1.0
         if n < 0:
             return _reciprocal(ipow(x, -n))
         if n == 1:
             return x
+        if x.__class__ is JetBatch:
+            return _lift_batch(x, lambda v: v ** n,
+                               lambda u: float(n) * ipow(u, n - 1))
         return _lift(x, x.value ** n, lambda u: float(n) * ipow(u, n - 1))
+    if x.__class__ is JetBatch:
+        if n < 0 and first_point(x.a == 0) is not None:
+            raise JetDomainError("^", "zero base with negative exponent")
+        return x._new(_at_points(lambda v: v ** n, x.a))
     if n < 0 and x == 0:
         raise JetDomainError("^", "zero base with negative exponent")
     return float(x) ** n
@@ -266,8 +529,13 @@ class JetConfig:
             raise ValueError("active variable names must be distinct")
 
 
-def constant(value: float, nvars: int, depth: int):
-    """Lift a number to a jet with all derivatives zero."""
+def constant(value: float, nvars: int, depth: int, points: int | None = None):
+    """Lift a number to a jet with all derivatives zero; with ``points``,
+    to a batch holding that jet at every point."""
+    if points is not None:
+        a = np.zeros((points,) + (1 + nvars,) * depth)
+        a[_slots(depth)[0]] = value
+        return JetBatch(a, depth, nvars)
     if depth == 0:
         return float(value)
     zero = constant(0.0, nvars, depth - 1)
@@ -297,6 +565,39 @@ def seed(config: JetConfig, point) -> list:
             for v, parts in zip(point, slots)]
 
 
+def seed_points(config: JetConfig, points) -> list:
+    """Coordinate batches at a sequence of points: variable i carries, at
+    every point, the slots :func:`seed` gives it there."""
+    n, depth = len(config.variables), config.depth
+    for point in points:
+        if len(point) != n:
+            raise JetShapeError(
+                f"point has {len(point)} coordinates for {n} variables")
+    values = np.array(points, dtype=float).reshape(len(points), n)
+    a = np.zeros((n, len(points)) + (1 + n,) * depth)
+    a[_slots(depth)[0]] = values.T
+    if depth:
+        a[(np.arange(n), slice(None), np.arange(1, n + 1))
+          + (0,) * (depth - 1)] = 1.0
+    return unstack(a, depth, n)
+
+
+def stack(scalars, depth: int, like: JetBatch):
+    """The slot arrays of batches (and numbers, lifted as constants) at one
+    depth, stacked along a new first axis; ``like`` gives the point and
+    variable counts."""
+    return np.array([
+        s.a if s.__class__ is JetBatch and s.depth == depth
+        else truncate(s, depth).a if s.__class__ is JetBatch
+        else constant(float(s), like.nvars, depth, like.a.shape[0]).a
+        for s in scalars])
+
+
+def unstack(a, depth: int, nvars: int) -> list:
+    """Batches along the first axis of a stacked slot array."""
+    return [JetBatch(x, depth, nvars) for x in a]
+
+
 def dot(xs, ys):
     """``sum(x * y)`` over two sequences of scalars, rounded exactly as the
     left fold ``acc = 0.0; acc = acc + x * y`` it replaces.
@@ -305,9 +606,12 @@ def dot(xs, ys):
     value folds ``x.value * y.value`` and slot ``m`` folds the product rule
     ``x.partials[m] * y.lowered() + x.lowered() * y.partials[m]`` from the
     first term on, the same operations in the same order as the fold.  At
-    depth 1 the slots are floats.  Sequences holding a plain number take the
-    fold itself.
+    depth 1 the slots are floats.  Over batches the products of all terms
+    are formed at once and only the sums fold.  Sequences holding a plain
+    number take the fold itself.
     """
+    if xs and xs[0].__class__ is JetBatch:
+        return _dot_batches([list(xs)], list(ys))[0]
     value = 0.0
     slots = None
     for x, y in zip(xs, ys):
@@ -332,10 +636,49 @@ def dot(xs, ys):
     else:
         return value if slots is None else Jet(value, tuple(slots), depth,
                                                 nvars)
+    return _fold(xs, ys)
+
+
+def _fold(xs, ys):
     acc = 0.0
     for x, y in zip(xs, ys):
         acc = acc + x * y
     return acc
+
+
+def dots(rows, ys) -> list:
+    """``[dot(row, ys) for row in rows]``.  Over batches all rows contract
+    in one fold: the products of every row and term are formed at once."""
+    rows = [list(row) for row in rows]
+    ys = list(ys)
+    if rows and any(s.__class__ is JetBatch for s in ys[:1] + rows[0][:1]):
+        return _dot_batches(rows, ys)
+    return [dot(row, ys) for row in rows]
+
+
+def _dot_batches(rows, ys) -> list:
+    k = len(ys)
+    try:
+        # a number among the terms has no slot array
+        xa = [x.a for row in rows if len(row) == k for x in row]
+        ya = [y.a for y in ys]
+    except AttributeError:
+        xa = None
+    if not k or xa is None or len(xa) != len(rows) * k:
+        return [_fold(row, ys) for row in rows]
+    try:
+        xa = np.array(xa)
+        ya = np.array(ya)
+    except ValueError:
+        raise JetShapeError("cannot contract jets of different shapes "
+                            "into one sum") from None
+    if xa.shape[1:] != ya.shape[1:]:
+        raise JetShapeError("cannot contract jets of different shapes "
+                            "into one sum")
+    y0 = ys[0]
+    xa = xa.reshape((len(rows), k) + xa.shape[1:]).swapaxes(0, 1)
+    return unstack(fold_products(xa, ya[:, None], y0.depth), y0.depth,
+                   y0.nvars)
 
 
 def extract(value, orders) -> float:
@@ -356,6 +699,8 @@ def extract(value, orders) -> float:
         if k < 0:
             raise ValueError("derivative orders must be non-negative")
         total += k
+    if value.__class__ is JetBatch:
+        return _extract_batch(value, orders, total)
     if not isinstance(value, Jet):
         return 0.0 if total > 0 else float(value)
     if len(orders) != value.nvars:
@@ -371,13 +716,43 @@ def extract(value, orders) -> float:
     return cur.value if isinstance(cur, Jet) else float(cur)
 
 
-def value_of(s) -> float:
-    """The plain numeric value of a scalar (jet or number)."""
+def _extract_batch(value: JetBatch, orders, total: int):
+    """:func:`extract` at every point of a batch: one value per point."""
+    if len(orders) != value.nvars:
+        raise JetShapeError(
+            f"{len(orders)} orders given for a jet with {value.nvars} variables")
+    if total > value.depth:
+        raise JetDepthError(
+            f"total order {total} exceeds the stored derivative depth")
+    index = [1 + i for i, k in enumerate(orders) for _ in range(k)]
+    return value.a[(Ellipsis,) + tuple(index)
+                   + (0,) * (value.depth - total)].copy()
+
+
+def value_of(s):
+    """The plain numeric value of a scalar (jet or number); of a batch, the
+    array of its values."""
+    if s.__class__ is JetBatch:
+        return s.value
     return s.value if isinstance(s, Jet) else float(s)
 
 
+def depth_of(s) -> int:
+    """The derivative levels a scalar carries: 0 for a plain number."""
+    return s.depth if isinstance(s, (Jet, JetBatch)) else 0
+
+
 def truncate(s, depth: int):
-    """Drop derivative information above ``depth`` (plain float at depth 0)."""
+    """Drop derivative information above ``depth`` (plain float at depth 0;
+    a batch keeps index 0 on its last slot axes)."""
+    if s.__class__ is JetBatch:
+        if s.depth < depth:
+            raise JetShapeError(
+                f"jet depth {s.depth} is below requested {depth}")
+        if s.depth == depth:
+            return s
+        return JetBatch(s.a[(Ellipsis,) + (0,) * (s.depth - depth)], depth,
+                        s.nvars)
     if not isinstance(s, Jet):
         if depth == 0:
             return float(s)

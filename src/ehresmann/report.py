@@ -43,6 +43,21 @@ def max_abs(values) -> float:
     return worst
 
 
+def per_point(points, batched, single) -> list:
+    """One result per point: ``batched(points)`` gives them all from one
+    evaluation over the point set, ``single(p)`` one point's.  One point
+    takes ``single``, and so does every point when the batched call
+    raises: the error is then the one the point-by-point loop raises, at
+    the same point."""
+    points = list(points)
+    if len(points) > 1:
+        try:
+            return batched(points)
+        except Exception:
+            pass
+    return [single(p) for p in points]
+
+
 class DevTracker:
     """Accumulates the worst deviation and where it happened.
 
@@ -60,10 +75,17 @@ class DevTracker:
 
     def track(self, points, *fields):
         """Fold in each field's largest absolute component at each point,
-        points outer and fields inner."""
-        for p in points:
-            for f in fields:
-                self.update(max_abs(f.values(p)), p.values)
+        points outer and fields inner.  Over several points each field is
+        evaluated once for the whole point set."""
+        points = list(points)
+        devs = per_point(
+            points,
+            lambda pts: list(zip(*([max_abs(row) for row in f.values(pts)]
+                                   for f in fields))),
+            lambda p: [max_abs(f.values(p)) for f in fields])
+        for p, row in zip(points, devs):
+            for dev in row:
+                self.update(dev, p.values)
 
     def record(self, check_id: str, reference: str,
                threshold: float) -> CheckRecord:

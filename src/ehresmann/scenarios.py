@@ -37,11 +37,11 @@ from .covderiv import (
 from .geometry import (
     ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame,
     GeometryError, Point, ScalarField, VectorField, _as_depth, _partial,
-    annihilation, directional, dual_coframe, endo_add, endo_scale,
+    annihilation, directional, is_point_set, dual_coframe, endo_add, endo_scale,
     lie_derivative_endo, pairing, vf_add, vf_scale, vf_sub,
 )
 from .jets import extract, value_of
-from .report import CheckRecord, DevTracker, max_abs
+from .report import CheckRecord, DevTracker, max_abs, per_point
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +188,16 @@ class Scenario:
     def frame_fields(self) -> list:
         return [self.fields[n] for n in self.frame_names]
 
-    def coefficients(self, vf: VectorField, point: Point) -> dict:
+    def coefficients(self, vf: VectorField, point) -> dict:
+        """Frame coefficients of ``vf`` at a point, by solver field name;
+        at a point set, one dict per point from one batched evaluation."""
         comps = vf.values(point)
         coefs = self.solver.coefficients_at_point(point, comps)
+        if is_point_set(point):
+            return [self._named(c) for c in coefs]
+        return self._named(coefs)
+
+    def _named(self, coefs) -> dict:
         out = {f.name: c for f, c in zip(self.solver.fields, coefs)}
         for j in range(len(self.solver.fields), self.space.ambient_dim):
             out[f"offspan{j}"] = coefs[j]
@@ -213,13 +220,20 @@ def expected_table_checks(scen: Scenario, cfg: CheckConfig) -> list:
         out = op_field(scen.conn, scen.nabla, row.op,
                        scen.fields[row.args[0]], scen.fields[row.args[1]])
         tol = row.tol if row.tol is not None else cfg.tolerance
+
+        def devs(p, coefs):
+            return [abs(got - (_eval_coeff(row.coeffs.get(name, 0.0), p)
+                               if not name.startswith("offspan") else 0.0))
+                    for name, got in coefs.items()]
+
         tracker = DevTracker()
-        for p in pts:
-            coefs = scen.coefficients(out, p)
-            for name, got in coefs.items():
-                want = _eval_coeff(row.coeffs.get(name, 0.0), p) \
-                    if not name.startswith("offspan") else 0.0
-                tracker.update(abs(got - want), p.values)
+        for p, row_devs in zip(pts, per_point(
+                pts,
+                lambda ps: [devs(p, c) for p, c in zip(
+                    ps, scen.coefficients(out, ps))],
+                lambda p: devs(p, scen.coefficients(out, p)))):
+            for dev in row_devs:
+                tracker.update(dev, p.values)
         records.append(tracker.record(
             f"{scen.name}:{row.op}[{row.args[0]},{row.args[1]}]",
             row.ref, tol))
@@ -1076,8 +1090,8 @@ def sode_sufficiency_check(scen: Scenario,
             t = env.depth - force_cost
             acc = 0.0
             for a in range(1, n + 1):
-                ua = _as_depth(env[f"u{a}"], t, space.ambient_dim)
-                ga = _as_depth(g_sf(b, a).at(env), t, space.ambient_dim)
+                ua = _as_depth(env[f"u{a}"], t, env)
+                ga = _as_depth(g_sf(b, a).at(env), t, env)
                 acc = acc + ua * ga
             return -acc
 
