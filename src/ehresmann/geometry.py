@@ -156,8 +156,7 @@ class ChartedSpace:
             values = tuple(p.values for p in point)
             env = Env(zip(self.coords, jets.seed_points(config, values)))
             env.points = values
-            env.key = (_POINT_SETS.setdefault(values, len(_POINT_SETS)),
-                       depth)
+            env.key = (PointSetKey(values), depth)
         else:
             if isinstance(point, Point):
                 if point.depth is not None and depth > point.depth:
@@ -242,9 +241,23 @@ def is_point_set(point) -> bool:
         point[0], Point)
 
 
-# Each point set a batched environment is seeded at, interned to a small
-# int: a batch key hashes that int, not the point set's P x n floats.
-_POINT_SETS: dict = {}
+class PointSetKey:
+    """Names a point set in a memo key.  Its hash is taken once, so a cache
+    lookup does not hash the set's P x n floats again; equal point values
+    mean equal keys."""
+
+    __slots__ = ("values", "_hash")
+
+    def __init__(self, values: tuple):
+        self.values = values
+        self._hash = hash(values)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is PointSetKey
+                                 and self.values == other.values)
 
 
 class Env(dict):
@@ -254,7 +267,7 @@ class Env(dict):
     the memo key of every evaluation in this environment.  A batched
     environment, seeded at a point set, holds a :class:`jets.JetBatch` per
     coordinate; its ``points`` are the point values in order (None for one
-    point) and its key names the point set by an interned int.
+    point) and its key names the point set by a :class:`PointSetKey`.
     """
 
     __slots__ = ("depth", "key", "points")

@@ -257,7 +257,9 @@ class JetBatch:
     """One scalar at P points: ``a`` holds each point's jet slots (see the
     module docstring for the layout).  ``value`` and ``partials`` are the
     per-point value array and the level-down batches; at depth 0 a batch
-    behaves as P floats do."""
+    behaves as P floats do.  Where a float overflows or turns NaN silently,
+    numpy warns unless run under ``np.errstate``, as the package's batched
+    evaluations are."""
 
     __slots__ = ("a", "depth", "nvars")
     __array_ufunc__ = None      # numpy scalars defer to the methods below

@@ -209,8 +209,9 @@ def test_unknown_scenario_is_usage_error(capsys):
 
 
 def test_run_config_validation(capsys):
-    for flag in ("--samples", "--tol", "--depth"):
-        assert main(["verify", "hopf", flag, "0"]) == 2
+    for flag, value in (("--samples", "0"), ("--tol", "0"), ("--depth", "0"),
+                        ("--tol", "nan"), ("--tol", "inf")):
+        assert main(["verify", "hopf", flag, value]) == 2
         assert "error" in capsys.readouterr().err
 
 

@@ -17,7 +17,7 @@ from ehresmann.geometry import (
     lie_derivative_endo, pairing, projector_from_split, vf_add, vf_scale,
     vf_sub,
 )
-from ehresmann.jets import Jet
+from ehresmann.jets import Jet, JetBatch
 from helpers import random_expression
 
 CFG = CheckConfig(samples=8)
@@ -582,14 +582,14 @@ def _bracket_before_hoisting(X, Y, env):
     t = env.depth - (max(X.cost, Y.cost) + 1)
     xs = X.at(env)
     ys = Y.at(env)
-    xt = [geo._as_depth(c, t, n) for c in xs]
-    yt = [geo._as_depth(c, t, n) for c in ys]
+    xt = [geo._as_depth(c, t, env) for c in xs]
+    yt = [geo._as_depth(c, t, env) for c in ys]
     out = []
     for i in range(n):
         acc = 0.0
         for j in range(n):
-            acc = acc + xt[j] * geo._as_depth(ys[i].partials[j], t, n) \
-                      - yt[j] * geo._as_depth(xs[i].partials[j], t, n)
+            acc = acc + xt[j] * geo._as_depth(ys[i].partials[j], t, env) \
+                      - yt[j] * geo._as_depth(xs[i].partials[j], t, env)
         out.append(acc)
     return out
 
@@ -608,3 +608,89 @@ def test_bracket_of_unequal_costs_matches_the_unhoisted_kernel(
             env = space.seed_env(p, depth)
             assert _bits(field.at(env)) == \
                 _bits(_bracket_before_hoisting(X, Y, env))
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation over a point set
+# ---------------------------------------------------------------------------
+
+
+def _unflatten(a, depth, nvars):
+    if depth == 0:
+        return float(a)
+    return Jet(float(a[(0,) * depth]),
+               tuple(_unflatten(a[1 + i], depth - 1, nvars)
+                     for i in range(nvars)), depth, nvars)
+
+
+def _at_point(s, k):
+    """What a batch (or a list of them) holds at point ``k``, as jets."""
+    if isinstance(s, list):
+        return [_at_point(c, k) for c in s]
+    if isinstance(s, JetBatch):
+        return _unflatten(s.a[k], s.depth, s.nvars)
+    return s
+
+
+def _pivoting_frame():
+    """Three fields on R^3 whose pivot rows differ from point to point."""
+    space = ChartedSpace("r3", ("x", "y", "z"), ((-2.0, 2.0),) * 3)
+    fields = (
+        VectorField.from_exprs(space, ["x", "1", "y*y"], "E1"),
+        VectorField.from_exprs(space, ["sin(y)", "x*y", "1"], "E2"),
+        VectorField.from_exprs(space, ["z", "cos(x)", "x-z"], "E3"),
+    )
+    return space, fields
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_batched_frame_solve_is_bit_equal_per_point(depth):
+    space, fields = _pivoting_frame()
+    points = space.sample_points(CheckConfig(seed=3, samples=6))
+    solver = FrameSolver(space, fields)
+    batch = solver.inverse(space.seed_env(points, depth))
+    for k, p in enumerate(points):
+        want = solver.inverse(space.seed_env(p, depth))
+        assert _bits(_at_point(batch, k)) == _bits(want)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_batched_fields_are_bit_equal_per_point(tangent_affine, depth):
+    space, h1, h2, v1, v2 = tangent_affine
+    proj = projector_from_split(Frame((h1, h2)), [Frame((v1, v2))])
+    dear = lie_bracket(h1, VectorField.from_exprs(
+        space, ["u2^2", "sin(u1)", "x1/3", "cos(x2*u2)"], "B"))
+    coef = pairing(dual_coframe(space, [Frame((h1, h2, v1, v2))])[2], dear)
+    fields = [proj(lie_bracket(dear, v2)), lie_bracket(proj(dear), h2),
+              vf_scale(coef, vf_sub(dear, proj(dear)))]
+    points = space.sample_points(CheckConfig(seed=5, samples=4))
+    for field in fields:
+        if field.cost > depth:
+            continue
+        batch = field.at(space.seed_env(points, depth))
+        for k, p in enumerate(points):
+            want = field.at(space.seed_env(p, depth))
+            assert _bits(_at_point(batch, k)) == _bits(want)
+        assert field.values(points) == [field.values(p) for p in points]
+
+
+def test_batched_frame_gate_names_the_first_degenerate_point():
+    space = ChartedSpace("r2", ("a", "b"))
+    x1 = VectorField.from_exprs(space, ["1", "a"], "X1")
+    x2 = VectorField.from_exprs(space, ["1", "a+b*b"], "X2")
+    points = [space.point(v) for v in [(0.3, 0.5), (0.2, 0.0), (0.1, 0.0)]]
+    with pytest.raises(SingularFrameError) as err:
+        FrameSolver(space, (x1, x2)).inverse(space.seed_env(points, 0))
+    assert err.value.point == (0.2, 0.0)
+
+
+def test_point_set_keys_name_the_point_values():
+    space, _ = _pivoting_frame()
+    points = space.sample_points(CheckConfig(seed=3, samples=3))
+    again = space.sample_points(CheckConfig(seed=3, samples=3))
+    key = space.seed_env(points, 1).key
+    assert key == space.seed_env(again, 1).key
+    assert hash(key) == hash(space.seed_env(again, 1).key)
+    assert key != space.seed_env(points, 2).key
+    assert key != space.seed_env(points[:2], 1).key
+    assert key != space.seed_env(points[0], 1).key

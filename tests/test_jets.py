@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ehresmann import jets
 from ehresmann.jets import (
-    Jet, JetConfig, JetDepthError, JetDomainError, JetShapeError,
+    Jet, JetBatch, JetConfig, JetDepthError, JetDomainError, JetShapeError,
     constant, dot, extract, ipow, seed, truncate, value_of,
 )
 from helpers import central_difference, random_expression, rel_err
@@ -406,3 +408,148 @@ def test_dot_shape_mismatch_raises():
         dot([a], [b])
     with pytest.raises(JetShapeError):
         dot([a, c], [a, c])
+
+
+# ---------------------------------------------------------------------------
+# batches: every slot bit-equal to the per-point jets
+# ---------------------------------------------------------------------------
+
+
+def _slot_array(s, nvars, depth):
+    """A jet's slots in the batch layout (value at index 0 of each axis)."""
+    if depth == 0:
+        return float(s)
+    a = np.zeros((1 + nvars,) * depth)
+    a[(0,) * depth] = s.value
+    for i, p in enumerate(s.partials):
+        a[1 + i] = _slot_array(p, nvars, depth - 1)
+    return a
+
+
+def _batch(points, nvars, depth):
+    return JetBatch(np.array([_slot_array(s, nvars, depth) for s in points]),
+                    depth, nvars)
+
+
+def _orders(nvars, depth):
+    return [o for o in itertools.product(range(depth + 1), repeat=nvars)
+            if sum(o) <= depth]
+
+
+def _slot_hexes(result, nvars, k=None):
+    """Every slot ``extract`` reads, as hex; ``k`` picks a batch's point
+    (a plain number is the same at every point)."""
+    depth = jets.depth_of(result)
+    out = [depth]
+    for o in _orders(nvars, depth):
+        v = extract(result, o)
+        out.append(float(v if np.ndim(v) == 0 else v[k]).hex())
+    return out
+
+
+# one check at most per operation, on bounded inputs, so the first point
+# the per-point loop fails at is the one the batch names
+_BATCH_OPS = {
+    "add": lambda u, v: u + v,
+    "sub": lambda u, v: u - v,
+    "mul": lambda u, v: u * v,
+    "div": lambda u, v: u / v,
+    "neg": lambda u, v: -u,
+    "abs": lambda u, v: abs(u),
+    "sin": lambda u, v: jets.sin(u),
+    "cos": lambda u, v: jets.cos(u),
+    "tan": lambda u, v: jets.tan(u),
+    "exp": lambda u, v: jets.exp(u),
+    "ln": lambda u, v: jets.ln(u),
+    "sqrt": lambda u, v: jets.sqrt(u),
+    "pow": lambda u, v: jets.pow_general(u * u + 0.25, v),
+    "dot": lambda u, v: dot([u, v, u], [v, u, v]),
+    "number-left": lambda u, v: 1.5 - (2.5 + (-0.0 * u)),
+    "number-right": lambda u, v: (u - 0.5) * 3.0 / 4.0,
+    "number-over": lambda u, v: 3.0 / u,
+    "over-zero": lambda u, v: u / 0.0,
+    **{f"ipow{n}": (lambda u, v, n=n: ipow(u, n)) for n in range(-3, 5)},
+    **{f"truncate{d}": (lambda u, v, d=d: truncate(u, min(d, jets.depth_of(u))))
+       for d in range(4)},
+    "lowered": lambda u, v: u.lowered() if jets.depth_of(u) else u,
+}
+
+_SMALL = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(min_value=-3.0, max_value=3.0))
+
+
+def _small_scalars(nvars, depth):
+    if depth == 0:
+        return _SMALL
+    return st.builds(
+        lambda v, ps: Jet(v, tuple(ps), depth, nvars), _SMALL,
+        st.lists(_small_scalars(nvars, depth - 1), min_size=nvars,
+                 max_size=nvars))
+
+
+@st.composite
+def _batch_case(draw):
+    nvars = draw(st.integers(1, 4))
+    depth = draw(st.integers(0, 3))
+    count = draw(st.integers(1, 5))
+    scalars = _small_scalars(nvars, depth)
+    us = draw(st.lists(scalars, min_size=count, max_size=count))
+    vs = draw(st.lists(scalars, min_size=count, max_size=count))
+    return nvars, depth, us, vs, draw(st.sampled_from(sorted(_BATCH_OPS)))
+
+
+def _per_point(fn, us, vs):
+    """The results at each point, or the first error in point order."""
+    try:
+        return [fn(u, v) for u, v in zip(us, vs)]
+    except Exception as exc:  # the error itself is compared
+        return exc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(_batch_case())
+def test_batch_is_bit_equal_to_the_per_point_jets(case):
+    nvars, depth, us, vs, op = case
+    fn = _BATCH_OPS[op]
+    want = _per_point(fn, us, vs)
+    try:
+        with np.errstate(all="ignore"):     # Python floats overflow silently
+            got = fn(_batch(us, nvars, depth), _batch(vs, nvars, depth))
+    except Exception as exc:
+        assert isinstance(want, Exception), f"{op}: batch raised {exc!r}"
+        assert (type(exc), str(exc)) == (type(want), str(want))
+        return
+    assert not isinstance(want, Exception), f"{op}: batch missed {want!r}"
+    for k, w in enumerate(want):
+        assert _slot_hexes(got, nvars, k) == _slot_hexes(w, nvars), (op, k)
+
+
+def test_seed_points_matches_seed_at_every_point():
+    cfg = JetConfig(("x", "y", "z"), 3)
+    points = [(0.5, -0.0, 2.0), (1.0, 3.0, -1.5)]
+    batch = jets.seed_points(cfg, points)
+    for k, p in enumerate(points):
+        for b, s in zip(batch, seed(cfg, p)):
+            assert _slot_hexes(b, 3, k) == _slot_hexes(s, 3)
+
+
+@pytest.mark.parametrize("op,detail", [
+    (jets.ln, "argument -2.0 is not positive"),
+    (jets.sqrt, "argument -2.0 is not positive"),
+])
+def test_batch_domain_error_names_the_first_offending_point(op, detail):
+    (x,) = jets.seed_points(JetConfig(("x",), 1), [(1.0,), (-2.0,), (-3.0,)])
+    with pytest.raises(JetDomainError) as info:
+        op(x)
+    assert info.value.detail == detail
+
+
+def test_batch_shape_mismatch_raises():
+    (a,) = jets.seed_points(JetConfig(("x",), 1), [(1.0,), (2.0,)])
+    (b,) = jets.seed_points(JetConfig(("x",), 2), [(1.0,), (2.0,)])
+    with pytest.raises(JetShapeError):
+        a + b
+    with pytest.raises(JetShapeError):
+        dot([a, b], [a, b])

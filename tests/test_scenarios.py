@@ -483,3 +483,22 @@ def test_unexpected_nonzero_component_fails_the_table():
     recs = sc.expected_table_checks(scen, CFG)
     bad = [r for r in recs if not r.passed]
     assert [r.check_id for r in bad] == ["trivial-r3:nabla[H1,H1]"]
+
+
+def test_builtins_check_each_point_set_in_one_batch(monkeypatch):
+    """Every batched evaluation of a build and its checks completes: none
+    falls back to the point-by-point path."""
+    from ehresmann import geometry, report
+
+    def strict(points, batched, single):
+        points = list(points)
+        if len(points) > 1:
+            return batched(points)
+        return [single(p) for p in points]
+
+    for module in (report, geometry, sc):
+        monkeypatch.setattr(module, "per_point", strict)
+    cfg = CheckConfig(samples=3)
+    for name in sc.BUILTIN_BUILDERS:
+        records = sc.run_scenario_checks(sc.build_scenario(name, cfg), cfg)
+        assert all(r.passed for r in records), name
