@@ -852,7 +852,8 @@ def _combination(coef, vectors, n) -> list:
     products and sums do not depend on operand order)."""
     if coef and coef[0].__class__ is Jet:
         return [jets.dot(coef, col) for col in zip(*vectors)]
-    if any(c.__class__ is JetBatch for c in coef):
+    if any(c.__class__ is JetBatch for c in coef) or any(
+            e.__class__ is JetBatch for v in vectors for e in v):
         return jets.dots(zip(*vectors), coef)
     out = [0.0] * n
     for c, v in zip(coef, vectors):

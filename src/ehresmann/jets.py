@@ -613,7 +613,7 @@ def dot(xs, ys):
     number take the fold itself.
     """
     if xs and xs[0].__class__ is JetBatch:
-        return _dot_batches([list(xs)], list(ys))[0]
+        return dots([xs], ys)[0]
     value = 0.0
     slots = None
     for x, y in zip(xs, ys):
@@ -653,34 +653,45 @@ def dots(rows, ys) -> list:
     in one fold: the products of every row and term are formed at once."""
     rows = [list(row) for row in rows]
     ys = list(ys)
-    if rows and any(s.__class__ is JetBatch for s in ys[:1] + rows[0][:1]):
-        return _dot_batches(rows, ys)
-    return [dot(row, ys) for row in rows]
-
-
-def _dot_batches(rows, ys) -> list:
+    like = next((s for s in ys if s.__class__ is JetBatch), None) or next(
+        (s for row in rows for s in row if s.__class__ is JetBatch), None)
+    if like is None:
+        return [dot(row, ys) for row in rows]
     k = len(ys)
+    flat = [x for row in rows for x in row]
+    if k and len(flat) == len(rows) * k:
+        xa = _stack_terms(flat, like)
+        ya = _stack_terms(ys, like)
+        if xa is not None and ya is not None:
+            if xa.shape[1:] != ya.shape[1:]:
+                raise JetShapeError("cannot contract jets of different "
+                                    "shapes into one sum")
+            xa = xa.reshape((len(rows), k) + xa.shape[1:]).swapaxes(0, 1)
+            return unstack(fold_products(xa, ya[:, None], like.depth),
+                           like.depth, like.nvars)
+    return [_fold(row, ys) for row in rows]
+
+
+def _stack_terms(terms, like: JetBatch):
+    """The terms' slot arrays, stacked, or None when a number sits among
+    batches that carry slots (a number times a jet scales every slot, which
+    the fold of :func:`dot` keeps).  At depth 0 a batch is P floats, so a
+    number stacks as P copies."""
     try:
-        # a number among the terms has no slot array
-        xa = [x.a for row in rows if len(row) == k for x in row]
-        ya = [y.a for y in ys]
+        return np.array([s.a for s in terms])
     except AttributeError:
-        xa = None
-    if not k or xa is None or len(xa) != len(rows) * k:
-        return [_fold(row, ys) for row in rows]
-    try:
-        xa = np.array(xa)
-        ya = np.array(ya)
+        batches = [i for i, s in enumerate(terms) if s.__class__ is JetBatch]
+        if any(terms[i].depth for i in batches):
+            return None
+        out = np.empty((len(terms), like.a.shape[0]))
+        numbers = [i for i, s in enumerate(terms) if s.__class__ is not JetBatch]
+        out[numbers] = np.array([float(terms[i]) for i in numbers])[:, None]
+        if batches:
+            out[batches] = np.array([terms[i].a for i in batches])
+        return out
     except ValueError:
         raise JetShapeError("cannot contract jets of different shapes "
                             "into one sum") from None
-    if xa.shape[1:] != ya.shape[1:]:
-        raise JetShapeError("cannot contract jets of different shapes "
-                            "into one sum")
-    y0 = ys[0]
-    xa = xa.reshape((len(rows), k) + xa.shape[1:]).swapaxes(0, 1)
-    return unstack(fold_products(xa, ya[:, None], y0.depth), y0.depth,
-                   y0.nvars)
 
 
 def extract(value, orders) -> float:
