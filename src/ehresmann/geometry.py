@@ -148,26 +148,22 @@ class ChartedSpace:
         """Coordinate jets of ``depth`` levels at a point, or batches at
         each point of a point set; ``name`` is the operation blamed when a
         point's depth cap is below ``depth``."""
+        batch = is_point_set(point)
+        for p in point if batch else (point,):
+            if isinstance(p, Point) and p.depth is not None \
+                    and depth > p.depth:
+                raise DepthBudgetError(name, depth, p.depth)
         config = JetConfig(self.coords, depth)
-        if is_point_set(point):
-            for p in point:
-                if p.depth is not None and depth > p.depth:
-                    raise DepthBudgetError(name, depth, p.depth)
-            values = tuple(p.values for p in point)
+        if batch:
+            values = PointSetKey(p.values for p in point)
             env = Env(zip(self.coords, jets.seed_points(config, values)))
-            env.points = values
-            env.key = (PointSetKey(values), depth)
         else:
-            if isinstance(point, Point):
-                if point.depth is not None and depth > point.depth:
-                    raise DepthBudgetError(name, depth, point.depth)
-                values = point.values
-            else:
-                values = tuple(point)
+            values = point.values if isinstance(point, Point) else tuple(point)
             env = Env(zip(self.coords, jets.seed(config, values)))
-            env.points = None
-            env.key = (tuple(map(float, values)), depth)
+            values = tuple(map(float, values))
         env.depth = depth
+        env.points = values if batch else None
+        env.key = (values, depth)
         return env
 
     def constraint_residual(self, values) -> float:
@@ -241,33 +237,24 @@ def is_point_set(point) -> bool:
         point[0], Point)
 
 
-class PointSetKey:
-    """Names a point set in a memo key.  Its hash is taken once, so a cache
-    lookup does not hash the set's P x n floats again; equal point values
-    mean equal keys."""
+class PointSetKey(tuple):
+    """The values of a point set, hashed once: a memo lookup under it does
+    not hash the set's P x n floats again."""
 
-    __slots__ = ("values", "_hash")
-
-    def __init__(self, values: tuple):
-        self.values = values
-        self._hash = hash(values)
+    def __init__(self, values):
+        self.hash = tuple.__hash__(self)
 
     def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (other.__class__ is PointSetKey
-                                 and self.values == other.values)
+        return self.hash
 
 
 class Env(dict):
     """Coordinate jets seeded at one point: ``env[c]`` is coordinate ``c``.
 
     ``depth`` is the seeded depth and ``key`` is ``(point values, depth)``,
-    the memo key of every evaluation in this environment.  A batched
-    environment, seeded at a point set, holds a :class:`jets.JetBatch` per
-    coordinate; its ``points`` are the point values in order (None for one
-    point) and its key names the point set by a :class:`PointSetKey`.
+    the memo key of every evaluation in this environment.  Seeded at a
+    point set, it holds a :class:`jets.JetBatch` per coordinate and its
+    ``points`` are the point values (None at one point).
     """
 
     __slots__ = ("depth", "key", "points")
@@ -302,11 +289,8 @@ def _value_rows(rows, env: Env):
     array indexed (point, row, column) over a point set."""
     if env.points is None:
         return [[value_of(e) for e in row] for row in rows]
-    out = np.empty((len(env.points), len(rows), len(rows[0]) if rows else 0))
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            out[:, i, j] = value_of(e)
-    return out
+    return np.array([[np.broadcast_to(value_of(e), len(env.points))
+                      for e in row] for row in rows]).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +343,7 @@ class _Field:
         return cls(space, fn, 0, name)
 
     def values(self, point) -> list:
-        """Component values at a point; at a point set, one list per point,
-        from one batched evaluation."""
+        """Component values at a point, or one list per point of a set."""
         env = self.space.seed_env(point, self.cost, self.name)
         if env.points is None:
             return [value_of(c) for c in self.at(env)]
@@ -545,13 +528,13 @@ def _first_slots(comps, t: int) -> list:
 
 
 def _bracket_fold(xs, ys, t: int) -> list:
-    """The bracket fold over a point set.  The components are stacked at
-    depth ``t + 1`` into arrays indexed (component, point, slots...); every
-    product of the fold is formed at once, indexed (component, point,
-    variable, slots...), then ``acc = acc + a * p - b * q`` folds over the
-    variables in order."""
-    xa = jets.stack(xs, t + 1, xs[0])
-    ya = jets.stack(ys, t + 1, xs[0])
+    """The bracket over a point set: the components stacked at depth
+    ``t + 1``, every product of the fold formed at once (indexed component,
+    point, variable, slots...), then ``acc = acc + a * p - b * q`` folded
+    over the variables in order."""
+    xs, ys = ([jets.truncate(c, t + 1) for c in cs] for cs in (xs, ys))
+    xa = jets.stack(xs, xs[0])
+    ya = jets.stack(ys, xs[0])
     first = jets.mul_slots(xa[..., 0].swapaxes(0, 1)[None], ya[:, :, 1:], t)
     second = jets.mul_slots(ya[..., 0].swapaxes(0, 1)[None], xa[:, :, 1:], t)
     # 0.0 + a jet adds to its value slots alone
@@ -632,9 +615,8 @@ def frame_ratio(mat) -> float:
 
 
 def gate_frame(mat, point):
-    """Raise unless the frame matrix's ratio is above the degeneracy gate.
-    A stack of matrices, one per point of a point set, is gated point by
-    point in order, so the first degenerate point is named."""
+    """Raise unless the frame matrix's ratio is above the degeneracy gate;
+    a stack of matrices is gated point by point, in order."""
     if isinstance(mat, np.ndarray) and mat.ndim == 3:
         for m, p in zip(mat, point):
             gate_frame(m, p)
@@ -668,52 +650,42 @@ def _invert(rows, n):
 
 def _invert_points(rows, n):
     """:func:`_invert` over a point set, on one array indexed (point, row,
-    column, slots...).  Each step acts on all points and rows at once: the
-    pivot is the first largest value per point, rows swap by fancy
-    indexing, and at depth 0 a zero factor leaves its row as it is.  The
-    identity half starts as numbers, so the first step scales it and
-    subtracts from it as a number meets a jet."""
+    column, slots...), each step on all points and rows at once: the pivot
+    is the first largest value per point, rows swap by fancy indexing, and
+    at depth 0 a zero factor leaves its row alone."""
     like = next(e for row in rows for e in row if e.__class__ is JetBatch)
-    t, nvars, points = like.depth, like.nvars, like.a.shape[0]
-    slots = (1 + nvars,) * t
+    t, nvars, points = like.depth, like.nvars, len(like.a)
     value = (Ellipsis,) + (0,) * t
-    aug = np.zeros((points, n, 2 * n) + slots)
-    aug[:, :, :n] = np.moveaxis(jets.stack(
-        [e for row in rows for e in row], t, like), 0, 1).reshape(
-            (points, n, n) + slots)
+    aug = np.zeros((points, n, 2 * n) + (1 + nvars,) * t)
+    aug[:, :, :n] = jets.stack([e for row in rows for e in row], like).reshape(
+        (n, n, points) + aug.shape[3:]).transpose(
+            (2, 0, 1) + tuple(range(3, 3 + t)))
     aug[(slice(None), np.arange(n), np.arange(n, 2 * n)) + (0,) * t] = 1.0
     idx = np.arange(points)
     for col in range(n):
-        vals = aug[value]
-        piv = col + np.abs(vals[:, col:, col]).argmax(axis=1)
-        if jets.first_point(np.abs(vals[idx, piv, col]) == 0.0) is not None:
+        vals = np.abs(aug[value][:, :, col])
+        piv = col + vals[:, col:].argmax(axis=1)
+        if (vals[idx, piv] == 0.0).any():
             raise GeometryError("exactly singular matrix in frame solve")
         top = aug[idx, piv]
         aug[idx, piv] = aug[idx, col]
         aug[idx, col] = top
         row = aug[:, col]
-        if t == 0:
-            aug[:, col] = row * (1.0 / row[:, col])[:, None]
-            factor = aug[:, :, col]
-            keep = factor != 0.0
-            keep[:, col] = False
-            aug = np.where(keep[:, :, None],
-                           aug - factor[:, :, None] * aug[:, None, col], aug)
-            continue
         inv_p = jets.reciprocal_slots(row[:, col], t) * 1.0
         scaled = jets.mul_slots(row, inv_p[:, None], t)
-        if col == 0:
+        if col == 0:    # a number times a jet scales every slot
             ident = row[:, n:][value]
             scaled[:, n:] = inv_p[:, None] * ident.reshape(ident.shape
                                                            + (1,) * t)
         aug[:, col] = scaled
-        prod = jets.mul_slots(aug[:, :, col][:, :, None], aug[:, None, col],
-                              t)
+        factor = aug[:, :, col]
+        prod = jets.mul_slots(factor[:, :, None], aug[:, None, col], t)
         new = aug - prod
-        if col == 0:
-            right = -prod[:, :, n:]
-            right[value] = aug[:, :, n:][value] - prod[:, :, n:][value]
-            new[:, :, n:] = right
+        if col == 0:    # a number minus a jet negates every other slot
+            new[:, :, n:] = -prod[:, :, n:]
+            new[:, :, n:][value] = aug[:, :, n:][value] - prod[:, :, n:][value]
+        if t == 0:
+            new = np.where((factor != 0.0)[:, :, None], new, aug)
         new[:, col] = aug[:, col]
         aug = new
     return [jets.unstack(np.moveaxis(aug[:, i, n:], 1, 0), t, nvars)
@@ -796,9 +768,8 @@ class FrameSolver:
         return [covector(i) for i in range(len(self.fields))]
 
     def coefficients_at_point(self, point, components) -> list:
-        """Coefficients of a vector given by its components at a point; at
-        a point set, one list per point from one batched solve, with one
-        component list per point."""
+        """Coefficients of a vector's components at a point, or of one
+        component list per point of a set."""
         env = self.space.seed_env(point, self.cost, "frame solve")
         if env.points is None:
             return _expand(_value_rows(self.inverse(env), env), components)
@@ -848,8 +819,8 @@ def _combination(coef, vectors, n) -> list:
     """Components of ``sum_i coef[i] * vectors[i]``, each the left fold
     from ``0.0`` over ``i``.  Over jets a component is one ``jets.dot``;
     over floats updating whole vectors term by term is faster.  Over a
-    point set every component folds at once, in ``jets.dots`` (IEEE
-    products and sums do not depend on operand order)."""
+    point set all components fold at once (IEEE products and sums do not
+    depend on operand order)."""
     if coef and coef[0].__class__ is Jet:
         return [jets.dot(coef, col) for col in zip(*vectors)]
     if any(c.__class__ is JetBatch for c in coef) or any(

@@ -18,19 +18,14 @@ symmetry of mixed partials holds by construction (same arithmetic path).
 :func:`extract` returns raw derivatives, not Taylor coefficients; no
 factorial scaling is applied.
 
-A :class:`JetBatch` is one scalar at P points: one float64 array whose
-slots are a jet's nested slots, flattened in the same order.  Its shape is
-``(P,)`` at depth 0 and ``(P,) + (1 + nvars,) * depth`` deeper: along each
-slot axis index 0 is the level's value and index ``1 + i`` the partial in
-variable ``i``.  Index 0 on the last axis is :meth:`Jet.lowered`, and an
-entry whose first slot index is 0 while a later one is not carries no
-meaning (it is kept at zero).  Every operation below accepts it and gives,
-at each point, the bits the same operation gives on that point's
-:class:`Jet` (or float, at depth 0): the arithmetic runs as whole-array
-elementwise ufuncs along points and slots, every sum stays a left fold in
-the scalar order, the value slots of ``sin``, ``cos``, ``tan``, ``exp``,
-``ln``, ``sqrt`` and ``x ** n`` come from :mod:`math` point by point, and a
-domain error names the first offending point.
+A :class:`JetBatch` holds one scalar at P points as one float64 array of
+shape ``(P,) + (1 + nvars,) * depth``: along a slot axis, index 0 is the
+level's value and ``1 + i`` the partial in variable ``i``, so index 0 on
+the last axis is :meth:`Jet.lowered`.  Every operation here gives a batch,
+at each point, the bits it gives that point's jet (or float, at depth 0):
+slots combine by elementwise ufuncs, sums fold left in the same order,
+transcendental values come from :mod:`math` point by point, and a domain
+error names the first offending point.
 """
 
 from __future__ import annotations
@@ -181,16 +176,10 @@ class Jet:
         return -self
 
 
-# ---------------------------------------------------------------------------
-# batches: one scalar at P points, as one array
-# ---------------------------------------------------------------------------
-
-
 @lru_cache(maxsize=None)
 def _slots(depth: int):
-    """Index tuples over the trailing ``depth`` slot axes: the value slot,
-    the partials (first slot index 1 on), and the new axis that lines a
-    level-down array up with the partials."""
+    """Indices over the trailing ``depth`` slot axes: the value slot, the
+    partials, and a new axis lining a level-down array up with them."""
     rest = (slice(None),) * (depth - 1)
     return ((Ellipsis,) + (0,) * depth, (Ellipsis, slice(1, None)) + rest,
             (Ellipsis, None) + rest)
@@ -206,9 +195,7 @@ def _assemble(value, parts, depth: int):
 
 
 def mul_slots(a, b, depth: int):
-    """The jet product of slot arrays, broadcast over their leading axes:
-    value times value, and partial ``i`` as ``p_i * lowered(b) +
-    lowered(a) * q_i`` one level down, as :meth:`Jet.__mul__` computes it."""
+    """The jet product of slot arrays, as :meth:`Jet.__mul__` forms it."""
     if depth == 0:
         return a * b
     val, part, new = _slots(depth)
@@ -218,6 +205,7 @@ def mul_slots(a, b, depth: int):
 
 
 def reciprocal_slots(a, depth: int):
+    """The reciprocal of slot arrays, as :func:`_reciprocal` computes it."""
     if depth == 0:
         return 1.0 / a
     val, part, new = _slots(depth)
@@ -228,10 +216,9 @@ def reciprocal_slots(a, depth: int):
 
 
 def fold_products(xs, ys, depth: int):
-    """``sum(x * y)`` over the leading (term) axis of two slot arrays, as
+    """``sum(x * y)`` over the first (term) axis of slot arrays, as
     :func:`dot` folds it: the value from ``0.0``, the partials from the
-    first term's product rule, in term order.  Every product is formed at
-    once; only the sums fold."""
+    first product."""
     terms = mul_slots(xs, ys, depth)
     acc = terms[0].copy()
     val = _slots(depth)[0]
@@ -241,25 +228,28 @@ def fold_products(xs, ys, depth: int):
     return acc
 
 
-def first_point(mask):
-    """The index of the first point where ``mask`` holds, or None."""
-    if not mask.any():
-        return None
-    return int(mask.argmax())
-
-
-def _at_points(fn, values):
-    """``fn`` of each point's value through :mod:`math`, point by point."""
-    return np.array([fn(v) for v in values.tolist()], dtype=float)
+def _binary(slots_op, number_op):
+    """A batch operator: ``slots_op`` on slot arrays, ``number_op`` on a
+    number."""
+    def op(self, other):
+        if other.__class__ is JetBatch:
+            if self.depth != other.depth or self.nvars != other.nvars:
+                raise JetShapeError(
+                    f"cannot combine jets of shape (depth={self.depth}, "
+                    f"nvars={self.nvars}) and (depth={other.depth}, "
+                    f"nvars={other.nvars})")
+            return JetBatch(slots_op(self.a, other.a, self.depth),
+                            self.depth, self.nvars)
+        if isinstance(other, _NUMBER):
+            return number_op(self, other)
+        return NotImplemented
+    return op
 
 
 class JetBatch:
-    """One scalar at P points: ``a`` holds each point's jet slots (see the
-    module docstring for the layout).  ``value`` and ``partials`` are the
-    per-point value array and the level-down batches; at depth 0 a batch
-    behaves as P floats do.  Where a float overflows or turns NaN silently,
-    numpy warns unless run under ``np.errstate``, as the package's batched
-    evaluations are."""
+    """One scalar at P points, its slots in ``a``.  At depth 0 a batch acts
+    as P floats do, except that numpy warns where floats overflow silently
+    unless under ``np.errstate``, as the package's batched evaluations are."""
 
     __slots__ = ("a", "depth", "nvars")
     __array_ufunc__ = None      # numpy scalars defer to the methods below
@@ -281,234 +271,163 @@ class JetBatch:
     def lowered(self) -> "JetBatch":
         return JetBatch(self.a[..., 0], self.depth - 1, self.nvars)
 
-    def _check(self, other: "JetBatch") -> None:
-        if self.depth != other.depth or self.nvars != other.nvars:
-            raise JetShapeError(
-                f"cannot combine jets of shape (depth={self.depth}, "
-                f"nvars={self.nvars}) and (depth={other.depth}, "
-                f"nvars={other.nvars})")
-
     def _new(self, a) -> "JetBatch":
         return JetBatch(a, self.depth, self.nvars)
 
     def _with_value(self, value) -> "JetBatch":
-        """The same slots with new value slots: a jet adds a number to its
-        value alone."""
+        # a jet adds a number to its value slot alone
         a = self.a.copy()
         a[_slots(self.depth)[0]] = value
         return self._new(a)
 
-    def __repr__(self):
-        return (f"JetBatch(points={self.a.shape[0]}, depth={self.depth}, "
-                f"nvars={self.nvars})")
-
-    def __add__(self, other):
-        if other.__class__ is JetBatch:
-            self._check(other)
-            return self._new(self.a + other.a)
-        if isinstance(other, _NUMBER):
-            return self._with_value(self.value + other)
-        return NotImplemented
-
-    __radd__ = __add__
+    __add__ = __radd__ = _binary(lambda a, b, d: a + b,
+                                 lambda x, c: x._with_value(x.value + c))
+    __sub__ = _binary(lambda a, b, d: a - b,
+                      lambda x, c: x._with_value(x.value - c))
+    __mul__ = __rmul__ = _binary(mul_slots, lambda x, c: x._new(x.a * c))
+    __pow__ = Jet.__pow__
 
     def __neg__(self):
         return self._new(-self.a)
 
-    def __sub__(self, other):
-        if other.__class__ is JetBatch:
-            self._check(other)
-            return self._new(self.a - other.a)
-        if isinstance(other, _NUMBER):
-            return self._with_value(self.value - other)
-        return NotImplemented
-
     def __rsub__(self, other):
-        if isinstance(other, _NUMBER):
-            return (-self)._with_value(other - self.value)
-        return NotImplemented
+        if not isinstance(other, _NUMBER):
+            return NotImplemented
+        return (-self)._with_value(other - self.value)
 
-    def __mul__(self, other):
-        if other.__class__ is JetBatch:
-            self._check(other)
-            return self._new(mul_slots(self.a, other.a, self.depth))
-        if isinstance(other, _NUMBER):
-            return self._new(self.a * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    _float_div = _binary(lambda a, b, d: a / _nonzero(b),
+                         lambda x, c: x._new(x.a / _nonzero(c)))
 
     def __truediv__(self, other):
-        if self.depth == 0:
-            if other.__class__ is JetBatch:
-                self._check(other)
-                other = other.a
-            elif not isinstance(other, _NUMBER):
-                return NotImplemented
-            if first_point(np.asarray(other) == 0.0) is not None:
-                raise ZeroDivisionError("float division by zero")
-            return self._new(self.a / other)
-        if other.__class__ is JetBatch:
-            return self * _reciprocal(other)
+        if self.depth == 0:     # as floats divide
+            return self._float_div(other)
         if isinstance(other, _NUMBER):
             if other == 0:
                 raise JetDomainError("/", "division by zero")
             return self * (1.0 / other)
-        return NotImplemented
+        return self * _reciprocal(other)
 
     def __rtruediv__(self, other):
         if not isinstance(other, _NUMBER):
             return NotImplemented
         if self.depth == 0:
-            if first_point(self.a == 0.0) is not None:
-                raise ZeroDivisionError("float division by zero")
-            return self._new(other / self.a)
+            return self._new(other / _nonzero(self.a))
         return _reciprocal(self) * other
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, int) and not isinstance(exponent, bool):
-            return ipow(self, exponent)
-        raise TypeError("jet ** exponent needs an int; use pow_general otherwise")
 
     def __abs__(self):
         if self.depth == 0:
             return self._new(np.abs(self.a))
-        v = self.value
-        if first_point(v == 0.0) is not None:
-            raise JetDomainError("abs", "derivative undefined at zero")
-        mask = (v > 0).reshape((-1,) + (1,) * self.depth)
-        return self._new(np.where(mask, self.a, -self.a))
+        _domain(self, lambda v: v == 0.0, "abs",
+                "derivative undefined at zero")
+        positive = (self.value > 0).reshape((-1,) + (1,) * self.depth)
+        return self._new(np.where(positive, self.a, -self.a))
+
+
+def _nonzero(b):
+    """A divisor at depth 0, which divides as floats do."""
+    if np.any(np.equal(b, 0.0)):
+        raise ZeroDivisionError("float division by zero")
+    return b
+
+
+def _domain(x, bad, operation: str, detail: str) -> None:
+    """Raise where ``bad`` holds for the value: over a batch, at the first
+    such point, whose value ``detail`` names."""
+    v = x.value if isinstance(x, (Jet, JetBatch)) else x
+    if x.__class__ is JetBatch:
+        hits = np.flatnonzero(bad(v))
+        if hits.size:
+            raise JetDomainError(operation, detail.format(float(v[hits[0]])))
+    elif bad(v):
+        raise JetDomainError(operation, detail.format(v))
 
 
 def _reciprocal(x):
+    _domain(x, lambda v: v == 0, "/", "division by zero")
     if x.__class__ is JetBatch:
-        if first_point(x.value == 0.0) is not None:
-            raise JetDomainError("/", "division by zero")
         return x._new(reciprocal_slots(x.a, x.depth))
     if isinstance(x, Jet):
-        if x.value == 0.0:
-            raise JetDomainError("/", "division by zero")
         rl = _reciprocal(x.lowered())
         neg_sq = -(rl * rl)
         return Jet(1.0 / x.value,
                    tuple(neg_sq * p for p in x.partials),
                    x.depth, x.nvars)
-    if x == 0:
-        raise JetDomainError("/", "division by zero")
     return 1.0 / x
 
 
-def _lift(x: Jet, value: float, derivative) -> Jet:
-    """Chain rule: map ``x`` through f where f(x.value) == value and
-    ``derivative`` computes f' generically (on a jet one level down)."""
-    dv = derivative(x.lowered())
-    return Jet(value, tuple(dv * p for p in x.partials), x.depth, x.nvars)
-
-
-def _lift_batch(x: JetBatch, fn, derivative) -> JetBatch:
-    """:func:`_lift` at every point, with ``fn`` of each value through
-    :mod:`math`; a depth-0 batch takes ``fn`` alone, as floats do."""
-    value = _at_points(fn, x.value)
-    if x.depth == 0:
+def _lift(x, fn, derivative):
+    """Chain rule: map ``x`` through f, where ``fn`` gives f of a value (of
+    each point's, for a batch) and ``derivative`` computes f' generically
+    one level down.  A depth-0 batch takes ``fn`` alone, as floats do."""
+    batch = x.__class__ is JetBatch
+    value = np.array([fn(v) for v in x.value.tolist()], dtype=float) \
+        if batch else fn(x.value)
+    if batch and x.depth == 0:
         return x._new(value)
-    _, part, new = _slots(x.depth)
     dv = derivative(x.lowered())
+    if not batch:
+        return Jet(value, tuple(dv * p for p in x.partials), x.depth, x.nvars)
+    _, part, new = _slots(x.depth)
     return x._new(_assemble(value, mul_slots(dv.a[new], x.a[part],
                                              x.depth - 1), x.depth))
 
 
-def _check_points(bad, values, operation: str, detail: str) -> None:
-    """Raise a domain error naming the value at the first point where
-    ``bad`` holds."""
-    k = first_point(bad)
-    if k is not None:
-        raise JetDomainError(operation, detail.format(float(values[k])))
-
-
 def sin(x):
-    if x.__class__ is JetBatch:
-        return _lift_batch(x, math.sin, cos)
-    if isinstance(x, Jet):
-        return _lift(x, math.sin(x.value), cos)
+    if isinstance(x, (Jet, JetBatch)):
+        return _lift(x, math.sin, cos)
     return math.sin(x)
 
 
 def cos(x):
-    if x.__class__ is JetBatch:
-        return _lift_batch(x, math.cos, lambda u: -sin(u))
-    if isinstance(x, Jet):
-        return _lift(x, math.cos(x.value), lambda u: -sin(u))
+    if isinstance(x, (Jet, JetBatch)):
+        return _lift(x, math.cos, lambda u: -sin(u))
     return math.cos(x)
 
 
 def tan(x):
-    if x.__class__ is JetBatch:
-        return _lift_batch(x, math.tan, lambda u: 1.0 + tan(u) * tan(u))
-    if isinstance(x, Jet):
-        return _lift(x, math.tan(x.value), lambda u: 1.0 + tan(u) * tan(u))
+    if isinstance(x, (Jet, JetBatch)):
+        return _lift(x, math.tan, lambda u: 1.0 + tan(u) * tan(u))
     return math.tan(x)
 
 
 def exp(x):
-    if x.__class__ is JetBatch:
-        return _lift_batch(x, math.exp, exp)
-    if isinstance(x, Jet):
-        return _lift(x, math.exp(x.value), exp)
+    if isinstance(x, (Jet, JetBatch)):
+        return _lift(x, math.exp, exp)
     return math.exp(x)
 
 
 def ln(x):
-    if x.__class__ is JetBatch:
-        _check_points(x.value <= 0.0, x.value, "ln",
-                      "argument {} is not positive")
-        return _lift_batch(x, math.log, _reciprocal)
-    if isinstance(x, Jet):
-        if x.value <= 0.0:
-            raise JetDomainError("ln", f"argument {x.value} is not positive")
-        return _lift(x, math.log(x.value), _reciprocal)
-    if x <= 0.0:
-        raise JetDomainError("ln", f"argument {x} is not positive")
+    _domain(x, lambda v: v <= 0.0, "ln", "argument {} is not positive")
+    if isinstance(x, (Jet, JetBatch)):
+        return _lift(x, math.log, _reciprocal)
     return math.log(x)
 
 
 def sqrt(x):
-    if x.__class__ is JetBatch:
-        if x.depth == 0:
-            _check_points(x.a < 0.0, x.a, "sqrt", "argument {} is negative")
-        else:
-            _check_points(x.value <= 0.0, x.value, "sqrt",
-                          "argument {} is not positive")
-        return _lift_batch(x, math.sqrt, lambda u: 0.5 * _reciprocal(sqrt(u)))
-    if isinstance(x, Jet):
-        if x.value <= 0.0:
-            raise JetDomainError("sqrt", f"argument {x.value} is not positive")
-        return _lift(x, math.sqrt(x.value), lambda u: 0.5 * _reciprocal(sqrt(u)))
-    if x < 0.0:
-        raise JetDomainError("sqrt", f"argument {x} is negative")
-    return math.sqrt(x)
+    if depth_of(x):
+        _domain(x, lambda v: v <= 0.0, "sqrt", "argument {} is not positive")
+        return _lift(x, math.sqrt, lambda u: 0.5 * _reciprocal(sqrt(u)))
+    _domain(x, lambda v: v < 0.0, "sqrt", "argument {} is negative")
+    return _lift(x, math.sqrt, None) if x.__class__ is JetBatch \
+        else math.sqrt(x)
 
 
 def ipow(x, n: int):
     """``x**n`` for integer n by the chain rule; negative n via reciprocal."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("ipow exponent must be an int")
-    if isinstance(x, Jet) or x.__class__ is JetBatch and x.depth > 0:
+    if depth_of(x):
         if n == 0:
             return 1.0
         if n < 0:
             return _reciprocal(ipow(x, -n))
         if n == 1:
             return x
-        if x.__class__ is JetBatch:
-            return _lift_batch(x, lambda v: v ** n,
-                               lambda u: float(n) * ipow(u, n - 1))
-        return _lift(x, x.value ** n, lambda u: float(n) * ipow(u, n - 1))
+        return _lift(x, lambda v: v ** n, lambda u: float(n) * ipow(u, n - 1))
+    if n < 0:
+        _domain(x, lambda v: v == 0, "^", "zero base with negative exponent")
     if x.__class__ is JetBatch:
-        if n < 0 and first_point(x.a == 0) is not None:
-            raise JetDomainError("^", "zero base with negative exponent")
-        return x._new(_at_points(lambda v: v ** n, x.a))
-    if n < 0 and x == 0:
-        raise JetDomainError("^", "zero base with negative exponent")
+        return _lift(x, lambda v: v ** n, None)
     return float(x) ** n
 
 
@@ -568,31 +487,33 @@ def seed(config: JetConfig, point) -> list:
 
 
 def seed_points(config: JetConfig, points) -> list:
-    """Coordinate batches at a sequence of points: variable i carries, at
-    every point, the slots :func:`seed` gives it there."""
+    """Coordinate batches at a sequence of points, each point's slots those
+    :func:`seed` gives there."""
     n, depth = len(config.variables), config.depth
-    for point in points:
-        if len(point) != n:
-            raise JetShapeError(
-                f"point has {len(point)} coordinates for {n} variables")
-    values = np.array(points, dtype=float).reshape(len(points), n)
+    if any(len(point) != n for point in points):
+        raise JetShapeError(f"a point does not have {n} coordinates")
     a = np.zeros((n, len(points)) + (1 + n,) * depth)
-    a[_slots(depth)[0]] = values.T
+    a[_slots(depth)[0]] = np.array(points, dtype=float).reshape(-1, n).T
     if depth:
         a[(np.arange(n), slice(None), np.arange(1, n + 1))
           + (0,) * (depth - 1)] = 1.0
     return unstack(a, depth, n)
 
 
-def stack(scalars, depth: int, like: JetBatch):
-    """The slot arrays of batches (and numbers, lifted as constants) at one
-    depth, stacked along a new first axis; ``like`` gives the point and
-    variable counts."""
-    return np.array([
-        s.a if s.__class__ is JetBatch and s.depth == depth
-        else truncate(s, depth).a if s.__class__ is JetBatch
-        else constant(float(s), like.nvars, depth, like.a.shape[0]).a
-        for s in scalars])
+def stack(scalars, like: JetBatch):
+    """Slot arrays of batches shaped as ``like``, stacked on a new first
+    axis.  At depth 0 a number stacks as P copies; among batches with slots
+    it gives None, since a jet times a number scales every slot."""
+    try:
+        try:
+            return np.array([s.a for s in scalars])
+        except AttributeError:
+            if like.depth:
+                return None
+            return np.array([s.a if s.__class__ is JetBatch
+                             else [float(s)] * len(like.a) for s in scalars])
+    except ValueError:
+        raise JetShapeError("cannot stack jets of different shapes") from None
 
 
 def unstack(a, depth: int, nvars: int) -> list:
@@ -649,49 +570,24 @@ def _fold(xs, ys):
 
 
 def dots(rows, ys) -> list:
-    """``[dot(row, ys) for row in rows]``.  Over batches all rows contract
-    in one fold: the products of every row and term are formed at once."""
+    """``[dot(row, ys) for row in rows]``; over batches, one fold for all
+    rows."""
     rows = [list(row) for row in rows]
     ys = list(ys)
-    like = next((s for s in ys if s.__class__ is JetBatch), None) or next(
-        (s for row in rows for s in row if s.__class__ is JetBatch), None)
+    flat = [x for row in rows for x in row]
+    like = next((s for s in ys + flat if s.__class__ is JetBatch), None)
     if like is None:
         return [dot(row, ys) for row in rows]
-    k = len(ys)
-    flat = [x for row in rows for x in row]
-    if k and len(flat) == len(rows) * k:
-        xa = _stack_terms(flat, like)
-        ya = _stack_terms(ys, like)
+    if ys and len(flat) == len(rows) * len(ys):
+        xa, ya = stack(flat, like), stack(ys, like)
         if xa is not None and ya is not None:
             if xa.shape[1:] != ya.shape[1:]:
                 raise JetShapeError("cannot contract jets of different "
                                     "shapes into one sum")
-            xa = xa.reshape((len(rows), k) + xa.shape[1:]).swapaxes(0, 1)
-            return unstack(fold_products(xa, ya[:, None], like.depth),
-                           like.depth, like.nvars)
+            xa = xa.reshape((len(rows), len(ys)) + xa.shape[1:])
+            return unstack(fold_products(xa.swapaxes(0, 1), ya[:, None],
+                                         like.depth), like.depth, like.nvars)
     return [_fold(row, ys) for row in rows]
-
-
-def _stack_terms(terms, like: JetBatch):
-    """The terms' slot arrays, stacked, or None when a number sits among
-    batches that carry slots (a number times a jet scales every slot, which
-    the fold of :func:`dot` keeps).  At depth 0 a batch is P floats, so a
-    number stacks as P copies."""
-    try:
-        return np.array([s.a for s in terms])
-    except AttributeError:
-        batches = [i for i, s in enumerate(terms) if s.__class__ is JetBatch]
-        if any(terms[i].depth for i in batches):
-            return None
-        out = np.empty((len(terms), like.a.shape[0]))
-        numbers = [i for i, s in enumerate(terms) if s.__class__ is not JetBatch]
-        out[numbers] = np.array([float(terms[i]) for i in numbers])[:, None]
-        if batches:
-            out[batches] = np.array([terms[i].a for i in batches])
-        return out
-    except ValueError:
-        raise JetShapeError("cannot contract jets of different shapes "
-                            "into one sum") from None
 
 
 def extract(value, orders) -> float:
@@ -705,20 +601,26 @@ def extract(value, orders) -> float:
     A plain number is a constant: every derivative of it is exactly zero.
     Walking past the bottom of a genuine jet still raises
     :class:`JetDepthError`, because there the higher orders were truncated
-    rather than known to vanish.
+    rather than known to vanish.  Over a batch: one value per point.
     """
     total = 0
     for k in orders:
         if k < 0:
             raise ValueError("derivative orders must be non-negative")
         total += k
-    if value.__class__ is JetBatch:
-        return _extract_batch(value, orders, total)
-    if not isinstance(value, Jet):
+    if not depth_of(value):
+        if value.__class__ is JetBatch:
+            return value.a * 0.0 if total > 0 else value.a.copy()
         return 0.0 if total > 0 else float(value)
     if len(orders) != value.nvars:
         raise JetShapeError(
             f"{len(orders)} orders given for a jet with {value.nvars} variables")
+    if value.__class__ is JetBatch:
+        if total > value.depth:
+            raise JetDepthError(
+                f"total order {total} exceeds the stored derivative depth")
+        index = tuple(1 + i for i, k in enumerate(orders) for _ in range(k))
+        return value.a[(Ellipsis,) + index + (0,) * (value.depth - total)]
     cur = value
     for i, k in enumerate(orders):
         for _ in range(k):
@@ -729,25 +631,10 @@ def extract(value, orders) -> float:
     return cur.value if isinstance(cur, Jet) else float(cur)
 
 
-def _extract_batch(value: JetBatch, orders, total: int):
-    """:func:`extract` at every point of a batch: one value per point."""
-    if len(orders) != value.nvars:
-        raise JetShapeError(
-            f"{len(orders)} orders given for a jet with {value.nvars} variables")
-    if total > value.depth:
-        raise JetDepthError(
-            f"total order {total} exceeds the stored derivative depth")
-    index = [1 + i for i, k in enumerate(orders) for _ in range(k)]
-    return value.a[(Ellipsis,) + tuple(index)
-                   + (0,) * (value.depth - total)].copy()
-
-
 def value_of(s):
     """The plain numeric value of a scalar (jet or number); of a batch, the
     array of its values."""
-    if s.__class__ is JetBatch:
-        return s.value
-    return s.value if isinstance(s, Jet) else float(s)
+    return s.value if isinstance(s, (Jet, JetBatch)) else float(s)
 
 
 def depth_of(s) -> int:
@@ -758,15 +645,10 @@ def depth_of(s) -> int:
 def truncate(s, depth: int):
     """Drop derivative information above ``depth`` (plain float at depth 0;
     a batch keeps index 0 on its last slot axes)."""
-    if s.__class__ is JetBatch:
-        if s.depth < depth:
-            raise JetShapeError(
-                f"jet depth {s.depth} is below requested {depth}")
-        if s.depth == depth:
-            return s
+    if s.__class__ is JetBatch and s.depth > depth:
         return JetBatch(s.a[(Ellipsis,) + (0,) * (s.depth - depth)], depth,
                         s.nvars)
-    if not isinstance(s, Jet):
+    if not isinstance(s, (Jet, JetBatch)):
         if depth == 0:
             return float(s)
         raise JetShapeError("cannot deepen a plain number; use constant()")

@@ -37,8 +37,8 @@ from .covderiv import (
 from .geometry import (
     ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame,
     GeometryError, Point, ScalarField, VectorField, _as_depth, _partial,
-    annihilation, directional, is_point_set, dual_coframe, endo_add, endo_scale,
-    lie_derivative_endo, pairing, vf_add, vf_scale, vf_sub,
+    annihilation, directional, dual_coframe, endo_add, endo_scale,
+    is_point_set, lie_derivative_endo, pairing, vf_add, vf_scale, vf_sub,
 )
 from .jets import extract, value_of
 from .report import CheckRecord, DevTracker, max_abs, per_point

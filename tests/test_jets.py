@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ehresmann import jets
 from ehresmann.jets import (
     Jet, JetBatch, JetConfig, JetDepthError, JetDomainError, JetShapeError,
-    constant, dot, extract, ipow, seed, truncate, value_of,
+    constant, depth_of, dot, extract, ipow, seed, truncate, value_of,
 )
 from helpers import central_difference, random_expression, rel_err
 
@@ -439,7 +439,7 @@ def _orders(nvars, depth):
 def _slot_hexes(result, nvars, k=None):
     """Every slot ``extract`` reads, as hex; ``k`` picks a batch's point
     (a plain number is the same at every point)."""
-    depth = jets.depth_of(result)
+    depth = depth_of(result)
     out = [depth]
     for o in _orders(nvars, depth):
         v = extract(result, o)
@@ -469,9 +469,9 @@ _BATCH_OPS = {
     "number-over": lambda u, v: 3.0 / u,
     "over-zero": lambda u, v: u / 0.0,
     **{f"ipow{n}": (lambda u, v, n=n: ipow(u, n)) for n in range(-3, 5)},
-    **{f"truncate{d}": (lambda u, v, d=d: truncate(u, min(d, jets.depth_of(u))))
+    **{f"truncate{d}": (lambda u, v, d=d: truncate(u, min(d, depth_of(u))))
        for d in range(4)},
-    "lowered": lambda u, v: u.lowered() if jets.depth_of(u) else u,
+    "lowered": lambda u, v: u.lowered() if depth_of(u) else u,
 }
 
 _SMALL = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),

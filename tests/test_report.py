@@ -76,8 +76,8 @@ _EXPECTED = {
     "nan-second-field": ("nan", (0.0, 0.5)),
     "raise-order": (EvalDomainError, "domain error in 'ln' at 'ln(y-3.0)': "
                                      "argument -1.0 is not positive"),
-    "raise-at-k": (EvalDomainError, "domain error in 'sqrt' at "
-                                    "'sqrt(y-1.0)': argument -0.5 is negative"),
+    "raise-at-k": (EvalDomainError, "domain error in 'sqrt' at 'sqrt(y-1.0)': "
+                                    "argument -0.5 is negative"),
 }
 
 
