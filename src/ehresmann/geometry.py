@@ -289,8 +289,11 @@ def _value_rows(rows, env: Env):
     array indexed (point, row, column) over a point set."""
     if env.points is None:
         return [[value_of(e) for e in row] for row in rows]
-    return np.array([[np.broadcast_to(value_of(e), len(env.points))
-                      for e in row] for row in rows]).transpose(2, 0, 1)
+    out = np.empty((len(env.points), len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[:, i, j] = value_of(e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +535,8 @@ def _bracket_fold(xs, ys, t: int) -> list:
     ``t + 1``, every product of the fold formed at once (indexed component,
     point, variable, slots...), then ``acc = acc + a * p - b * q`` folded
     over the variables in order."""
-    xs, ys = ([jets.truncate(c, t + 1) for c in cs] for cs in (xs, ys))
-    xa = jets.stack(xs, xs[0])
-    ya = jets.stack(ys, xs[0])
+    xa, ya = (jets.stack([jets.truncate(c, t + 1) for c in cs], xs[0])
+              for cs in (xs, ys))
     first = jets.mul_slots(xa[..., 0].swapaxes(0, 1)[None], ya[:, :, 1:], t)
     second = jets.mul_slots(ya[..., 0].swapaxes(0, 1)[None], xa[:, :, 1:], t)
     # 0.0 + a jet adds to its value slots alone
