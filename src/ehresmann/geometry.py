@@ -630,7 +630,8 @@ def gate_frame(mat, point):
 
 def _invert(rows, n):
     """Gauss-Jordan with partial pivoting on the value part; generic scalars."""
-    if any(e.__class__ is JetBatch for row in rows for e in row):
+    if rows[0][0].__class__ is not Jet and any(
+            e.__class__ is JetBatch for row in rows for e in row):
         return _invert_points(rows, n)
     aug = [list(rows[i]) + [1.0 if j == i else 0.0 for j in range(n)]
            for i in range(n)]
@@ -757,6 +758,8 @@ class FrameSolver:
         t = env.depth - max(self.cost, X.cost)
         inv = self.rows_at(env, t)
         xs = _comps_at(X, env, t)
+        if env.points is None:
+            return [jets.dot(inv[i], xs) for i in rows]
         return jets.dots([inv[i] for i in rows], xs)
 
     def coframe(self, suffix: str = "*") -> list:
@@ -825,8 +828,7 @@ def _combination(coef, vectors, n) -> list:
     depend on operand order)."""
     if coef and coef[0].__class__ is Jet:
         return [jets.dot(coef, col) for col in zip(*vectors)]
-    if any(c.__class__ is JetBatch for c in coef) or any(
-            e.__class__ is JetBatch for v in vectors for e in v):
+    if coef and coef[0].__class__ is JetBatch:
         return jets.dots(zip(*vectors), coef)
     out = [0.0] * n
     for c, v in zip(coef, vectors):
@@ -880,7 +882,9 @@ class Endo11:
             def fn(env):
                 t = env.depth - cost
                 xs = _comps_at(X, env, t)
-                coef = jets.dots([_comps_at(w, env, t) for w, _ in terms], xs)
+                ws = [_comps_at(w, env, t) for w, _ in terms]
+                coef = [jets.dot(w, xs) for w in ws] if env.points is None \
+                    else jets.dots(ws, xs)
                 return _combination(
                     coef, [_comps_at(e, env, t) for _, e in terms], n)
 

@@ -343,15 +343,19 @@ def _domain(x, bad, operation: str, detail: str) -> None:
 
 
 def _reciprocal(x):
-    _domain(x, lambda v: v == 0, "/", "division by zero")
     if x.__class__ is JetBatch:
+        _domain(x, lambda v: v == 0, "/", "division by zero")
         return x._new(reciprocal_slots(x.a, x.depth))
     if isinstance(x, Jet):
+        if x.value == 0.0:
+            raise JetDomainError("/", "division by zero")
         rl = _reciprocal(x.lowered())
         neg_sq = -(rl * rl)
         return Jet(1.0 / x.value,
                    tuple(neg_sq * p for p in x.partials),
                    x.depth, x.nvars)
+    if x == 0:
+        raise JetDomainError("/", "division by zero")
     return 1.0 / x
 
 
@@ -416,7 +420,7 @@ def ipow(x, n: int):
     """``x**n`` for integer n by the chain rule; negative n via reciprocal."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("ipow exponent must be an int")
-    if depth_of(x):
+    if isinstance(x, Jet) or x.__class__ is JetBatch and x.depth:
         if n == 0:
             return 1.0
         if n < 0:
