@@ -632,20 +632,25 @@ def _at_point(s, k):
     return s
 
 
-def _pivoting_frame():
-    """Three fields on R^3 whose pivot rows differ from point to point."""
+_FRAMES = {
+    # pivot rows that differ from point to point
+    "pivoting": (["x", "1", "y*y"], ["sin(y)", "x*y", "1"],
+                 ["z", "cos(x)", "x-z"]),
+    # constant entries, so exact zeros in the inverse keep their signs
+    "sparse": (["x", "1", "0"], ["0", "1", "y"], ["1", "0", "2"]),
+}
+
+
+def _pivoting_frame(kind="pivoting"):
     space = ChartedSpace("r3", ("x", "y", "z"), ((-2.0, 2.0),) * 3)
-    fields = (
-        VectorField.from_exprs(space, ["x", "1", "y*y"], "E1"),
-        VectorField.from_exprs(space, ["sin(y)", "x*y", "1"], "E2"),
-        VectorField.from_exprs(space, ["z", "cos(x)", "x-z"], "E3"),
-    )
-    return space, fields
+    return space, tuple(VectorField.from_exprs(space, c, f"E{i + 1}")
+                        for i, c in enumerate(_FRAMES[kind]))
 
 
+@pytest.mark.parametrize("kind", sorted(_FRAMES))
 @pytest.mark.parametrize("depth", [0, 1, 2])
-def test_batched_frame_solve_is_bit_equal_per_point(depth):
-    space, fields = _pivoting_frame()
+def test_batched_frame_solve_is_bit_equal_per_point(kind, depth):
+    space, fields = _pivoting_frame(kind)
     points = space.sample_points(CheckConfig(seed=3, samples=6))
     solver = FrameSolver(space, fields)
     batch = solver.inverse(space.seed_env(points, depth))

@@ -464,6 +464,9 @@ _BATCH_OPS = {
     "sqrt": lambda u, v: jets.sqrt(u),
     "pow": lambda u, v: jets.pow_general(u * u + 0.25, v),
     "dot": lambda u, v: dot([u, v, u], [v, u, v]),
+    # every term -0.0 where u, v are nonzero: the fold starts from 0.0
+    "dot-signed-zeros": lambda u, v: dot([-0.0 * u, -0.0 * v], [u, v]),
+    "dot-numbers": lambda u, v: dot([u, 2.0, v], [v, u, -0.0]),
     "number-left": lambda u, v: 1.5 - (2.5 + (-0.0 * u)),
     "number-right": lambda u, v: (u - 0.5) * 3.0 / 4.0,
     "number-over": lambda u, v: 3.0 / u,
