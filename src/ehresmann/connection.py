@@ -59,21 +59,18 @@ def build_connection(space, vertical: Frame, horizontal: Frame,
             f"vertical rank {vertical.rank} + horizontal rank "
             f"{horizontal.rank} != dim {space.dim} of {space.name}")
     fields = tuple(vertical.fields) + tuple(horizontal.fields)
-    validate_frame(space, fields, cfg)
+    columns = validate_frame(space, fields, cfg)
     if space.constraints:
         for f in fields:
             validate_tangent(space, f, cfg)
     if space.base_coords and not space.constraints:
         base_idx = [space.index(b) for b in space.base_coords]
-        tracker = DevTracker()
-        for p in space.sample_points(cfg):
-            for f in vertical.fields:
-                vals = f.values(p)
-                tracker.update(max_abs(vals[i] for i in base_idx))
-        if not tracker.max_dev <= VERTICALITY_TOL:
+        dev = max_abs(vals[i] for at_point in columns
+                      for vals in at_point[:vertical.rank] for i in base_idx)
+        if not dev <= VERTICALITY_TOL:
             raise ConnectionDataError(
                 f"vertical frame of {space.name} has base components up to "
-                f"{tracker.max_dev:.3e}; it does not project to zero")
+                f"{dev:.3e}; it does not project to zero")
     solver = FrameSolver(space, fields)
     p_v = projector_from_solver(solver, range(vertical.rank), "P_V")
     p_h = projector_from_solver(
@@ -179,7 +176,8 @@ def canonical_endos(conn: EhresmannConnection, blocks,
     space = conn.space
     fields = tuple(k_frame.fields) + tuple(
         f for b in blocks for f in b.fields)
-    solver = FrameSolver(space, fields)
+    solver = conn.solver if fields == conn.solver.fields \
+        else FrameSolver(space, fields)
     covs = solver.coframe("^*")
     k_covs = covs[:r]
 

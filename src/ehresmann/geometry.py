@@ -305,13 +305,15 @@ class _Field:
     """A rule ``_fn(env)`` that consumes ``cost`` derivative levels.
 
     The one caching rule: an evaluation is memoized under ``env.key`` and
-    normalized to depth ``env.depth - cost``.  ``from_exprs`` and ``values``
-    serve the component fields (vector and covector).  Each field type binds
-    ``at`` in its own namespace, so a profiler can wrap it per type.
+    normalized to depth ``env.depth - cost``.  ``from_exprs`` serves the
+    component fields (vector and covector); ``values`` all three, a scalar's
+    value as its one component.  Each field type binds ``at`` in its own
+    namespace, so a profiler can wrap it per type.
     """
 
     __slots__ = ("space", "name", "cost", "_fn", "_cache")
     _normalize = staticmethod(_comps_as_depth)
+    _listed = staticmethod(lambda comps: comps)
 
     def __init__(self, space, fn, cost, name):
         self.space = space
@@ -346,12 +348,13 @@ class _Field:
         return cls(space, fn, 0, name)
 
     def values(self, point) -> list:
-        """Component values at a point, or one list per point of a set."""
+        """Component values at a point, or one list per point of a set; a
+        scalar field has one component, its value."""
         env = self.space.seed_env(point, self.cost, self.name)
         if env.points is None:
-            return [value_of(c) for c in self.at(env)]
+            return [value_of(c) for c in self._listed(self.at(env))]
         with np.errstate(all="ignore"):
-            return _value_rows([self.at(env)], env)[:, 0].tolist()
+            return _value_rows([self._listed(self.at(env))], env)[:, 0].tolist()
 
 
 class ScalarField(_Field):
@@ -359,6 +362,7 @@ class ScalarField(_Field):
 
     __slots__ = ()
     _normalize = staticmethod(_as_depth)
+    _listed = staticmethod(lambda value: [value])
     at = _Field.at
 
     @staticmethod
@@ -374,8 +378,7 @@ class ScalarField(_Field):
         return ScalarField(space, lambda env: float(c), 0, repr(float(c)))
 
     def value_at(self, point) -> float:
-        env = self.space.seed_env(point, self.cost, self.name)
-        return value_of(self.at(env))
+        return self.values(point)[0]
 
 
 def _check_bound(space, e):
@@ -959,17 +962,18 @@ def projector_from_split(target: Frame, rest, name=None) -> Endo11:
 
 
 def validate_frame(space, fields, cfg: CheckConfig = DEFAULT_CHECK):
-    """Pointwise independence via the singular-value ratio; raises at the
-    first sample point where the frame is degenerate or not finite."""
+    """Each sample point's field values; raises at the first sample point
+    where the frame is degenerate or not finite (singular-value ratio)."""
     fields = tuple(fields)
 
     def gate(p, columns):
         gate_frame(np.array(columns).T, p.values)
+        return columns
 
-    per_point(space.sample_points(cfg),
-              lambda pts: [gate(p, cols) for p, cols in zip(
-                  pts, zip(*(f.values(pts) for f in fields)))],
-              lambda p: gate(p, [f.values(p) for f in fields]))
+    return per_point(space.sample_points(cfg),
+                     lambda pts: [gate(p, cols) for p, cols in zip(
+                         pts, zip(*(f.values(pts) for f in fields)))],
+                     lambda p: gate(p, [f.values(p) for f in fields]))
 
 
 def _partial(s, i: int) -> float:
@@ -980,18 +984,10 @@ def _partial(s, i: int) -> float:
 
 def annihilation(space, exprs, X: VectorField,
                  cfg: CheckConfig = DEFAULT_CHECK) -> DevTracker:
-    """The worst |grad(e) . X| over the sampled points and expressions."""
-    n = space.ambient_dim
-    tracker = DevTracker()
-    for p in space.sample_points(cfg):
-        env = space.seed_env(p, max(X.cost, 1))
-        xs = [value_of(c) for c in _comps_at(X, env, 0)]
-        for e in exprs:
-            ej = ex.evaluate(e, env)
-            grad = [_partial(ej, i) for i in range(n)]
-            tracker.update(abs(sum(g * x for g, x in zip(grad, xs))),
-                           p.values)
-    return tracker
+    """The worst |grad(e) . X| over the sampled points and expressions,
+    each ``grad(e) . X`` the directional derivative ``X(e)``."""
+    return DevTracker().track(space.sample_points(cfg), *(
+        directional(X, ScalarField.from_expr(space, e)) for e in exprs))
 
 
 def validate_tangent(space, X: VectorField, cfg: CheckConfig = DEFAULT_CHECK,

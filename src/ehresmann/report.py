@@ -75,8 +75,9 @@ class DevTracker:
 
     def track(self, points, *fields):
         """Fold in each field's largest absolute component at each point,
-        points outer and fields inner.  Over several points each field is
-        evaluated once for the whole point set."""
+        points outer and fields inner, and return the tracker.  A scalar
+        field's value is its one component.  Over several points each field
+        is evaluated once for the whole point set."""
         points = list(points)
         devs = per_point(
             points,
@@ -86,6 +87,7 @@ class DevTracker:
         for p, row in zip(points, devs):
             for dev in row:
                 self.update(dev, p.values)
+        return self
 
     def record(self, check_id: str, reference: str,
                threshold: float) -> CheckRecord:

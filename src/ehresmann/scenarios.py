@@ -22,10 +22,12 @@ import random
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import product
 
 import numpy as np
 
 from . import expr as ex
+from . import jets
 from .connection import (  # noqa: F401  (build_connection is re-exported)
     K_HORIZONTAL, K_VERTICAL, EhresmannConnection, SplitStructure,
     build_connection, validate_split,
@@ -36,12 +38,13 @@ from .covderiv import (
 )
 from .geometry import (
     ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame,
-    GeometryError, Point, ScalarField, VectorField, _as_depth, _partial,
+    GeometryError, Point, ScalarField, VectorField, _as_depth,
+    _comps_as_depth, _partial,
     annihilation, directional, dual_coframe, endo_add, endo_scale,
     is_point_set, lie_derivative_endo, pairing, vf_add, vf_scale, vf_sub,
 )
-from .jets import extract, value_of
-from .report import CheckRecord, DevTracker, max_abs, per_point
+from .jets import extract
+from .report import CheckRecord, DevTracker, per_point
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +130,19 @@ def ambient_dot_metric(space) -> Metric:
     return Metric(space, "ambient-dot", pair)
 
 
-def metric_compatibility_defect(nabla: CovDeriv, g: Metric, X, Y, Z,
-                                point: Point) -> float:
-    """X(g(Y,Z)) - g(nabla_X Y, Z) - g(Y, nabla_X Z) at a point."""
-    lead = directional(X, g.pair(Y, Z)).value_at(point)
-    return (lead - g.pair(nabla(X, Y), Z).value_at(point)
-            - g.pair(Y, nabla(X, Z)).value_at(point))
+def metric_compatibility_defect(nabla: CovDeriv, g: Metric, X, Y, Z):
+    """X(g(Y,Z)) - g(nabla_X Y, Z) - g(Y, nabla_X Z) as one ScalarField."""
+    terms = (directional(X, g.pair(Y, Z)), g.pair(nabla(X, Y), Z),
+             g.pair(Y, nabla(X, Z)))
+    cost = max(f.cost for f in terms)
+
+    def fn(env):
+        lead, a, b = (_as_depth(f.at(env), env.depth - cost, env)
+                      for f in terms)
+        return lead - a - b
+
+    return ScalarField(X.space, fn, cost,
+                       f"defect({X.name},{Y.name},{Z.name})")
 
 
 def symmetrize(nabla: CovDeriv) -> CovDeriv:
@@ -435,13 +445,17 @@ def _general_scenario(name, hs, v, cfg, table, ref, description,
         space, Frame((v,), "V"),
         [Frame((h,), f"H{i}") for i, h in enumerate(hs, 1)], K_VERTICAL, cfg)
     names = tuple(f.name for f in (*hs, v))
-    expected = [ExpectedRow("nabla", (x, y), table.get((x, y), {}), ref)
-                for x in names for y in names]
+    expected = [ExpectedRow("nabla", (x, y), {k: _E(e) for k, e in table.get(
+        (x, y), {}).items()}, ref) for x in names for y in names]
     return Scenario(
         name=name, section="general examples", description=description,
         space=space, conn=conn, split=split, nabla=nabla,
         fields={f.name: f for f in (*fields, *hs, v)}, frame_names=names,
         expected=expected + list(extra_rows), **kw)
+
+
+# the covector dual to V annihilates both lifts: dth - cos(th) dx - sin(th) dy
+TRIVIAL_R3_COFRAME = ("-cos(th)", "-sin(th)", "1")
 
 
 def trivial_r3(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
@@ -453,16 +467,9 @@ def trivial_r3(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
     v = VectorField.from_exprs(space, ["0", "0", "1"], "V")
 
     def coframe_check(cfg_run: CheckConfig) -> list:
-        # the covector dual to V annihilates both lifts and is
-        # dth - cos(th) dx - sin(th) dy
         psi = dual_coframe(space, [Frame((h1, h2, v), "full")])[2]
-        tracker = DevTracker()
-        for p in space.sample_points(cfg_run):
-            t = p.values[2]
-            got = psi.values(p)
-            want = [-math.cos(t), -math.sin(t), 1.0]
-            tracker.update(max_abs(a - b for a, b in zip(got, want)),
-                           p.values)
+        tracker = DevTracker().track(space.sample_points(cfg_run), vf_sub(
+            psi, CovectorField.from_exprs(space, TRIVIAL_R3_COFRAME, "dth")))
         return [tracker.record("trivial-r3:fibre-coframe",
                                "dual coframe of the lifted frame",
                                cfg_run.tolerance)]
@@ -516,19 +523,13 @@ def hopf(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
     def levi_civita_check(cfg_run: CheckConfig) -> list:
         sym = symmetrize(scen.nabla)
         frame = [lam, sig, v]
-        t_tracker = DevTracker()
-        for X in frame:
-            for Y in frame:
-                t_tracker.track(space.sample_points(cfg_run),
-                                torsion(sym, X, Y))
-        g_tracker = DevTracker()
-        for X in frame:
-            for Y in frame:
-                for Z in frame:
-                    for p in space.sample_points(cfg_run):
-                        g_tracker.update(
-                            abs(metric_compatibility_defect(
-                                sym, scen.metric, X, Y, Z, p)), p.values)
+        pts = space.sample_points(cfg_run)
+        t_tracker, g_tracker = DevTracker(), DevTracker()
+        for X, Y in product(frame, repeat=2):
+            t_tracker.track(pts, torsion(sym, X, Y))
+        for X, Y, Z in product(frame, repeat=3):
+            g_tracker.track(pts, metric_compatibility_defect(
+                sym, scen.metric, X, Y, Z))
         return [
             t_tracker.record("hopf:symmetrized-torsion",
                              "symmetrized operator is torsion-free",
@@ -760,6 +761,21 @@ def _entry_scalar(space, entry, name) -> ScalarField:
     return ScalarField.from_expr(space, _E(entry), name)
 
 
+def _lifts(space, n: int, table) -> list:
+    """H_a = d/dx^a - G^b_a d/du^b, G^b_a the field ``table[(b, a)]``."""
+    g_sf = _lookup(space, table)
+    cost = max((sf.cost for sf in table.values()), default=0)
+
+    def lift(a):
+        def fn(env):
+            return [1.0 if i == a else 0.0 for i in range(1, n + 1)] + [
+                -g_sf(b, a).at(env) for b in range(1, n + 1)]
+
+        return VectorField(space, fn, cost, f"H{a}")
+
+    return [lift(a) for a in range(1, n + 1)]
+
+
 def nonlinear_tangent(n: int, gamma: dict,
                       cfg: CheckConfig = DEFAULT_CHECK,
                       name: str = "nonlinear-tangent") -> Scenario:
@@ -776,16 +792,7 @@ def nonlinear_tangent(n: int, gamma: dict,
         table[(b, a)] = _entry_scalar(space, entry, f"G{b}_{a}")
 
     g_sf = _lookup(space, table)
-    cost = max((sf.cost for sf in table.values()), default=0)
-    hs = []
-    for a in range(1, n + 1):
-        def fn(env, a=a):
-            out = [1.0 if i == a else 0.0 for i in range(1, n + 1)]
-            for b in range(1, n + 1):
-                out.append(-g_sf(b, a).at(env))
-            return out
-
-        hs.append(VectorField(space, fn, cost, f"H{a}"))
+    hs = _lifts(space, n, table)
 
     def dg(c, a, b):
         # V_b(G^c_a), jet-differentiated
@@ -891,19 +898,11 @@ def _induced_projector(space, n: int, forces):
     return gamma_field, s_endo, p_h
 
 
-def _lift_tracker(space, n: int, lifts, g_sf, pts) -> DevTracker:
-    """Worst gap between each lift H_a and d/dx^a - G^b_a d/du^b, where
-    G^b_a is ``g_sf(b, a)``."""
+def _lift_tracker(space, lifts, table, pts) -> DevTracker:
+    """Worst gap between each lift H_a and ``_lifts(space, n, table)``."""
     tracker = DevTracker()
-    for a, h in enumerate(lifts, 1):
-        for p in pts:
-            vals = h.values(p)
-            for b in range(1, n + 1):
-                tracker.update(abs(-vals[space.index(f"u{b}")]
-                                   - g_sf(b, a).value_at(p)), p.values)
-            for i in range(1, n + 1):
-                tracker.update(abs(vals[i - 1] - (1.0 if i == a else 0.0)),
-                               p.values)
+    for h, want in zip(lifts, _lifts(space, len(lifts), table)):
+        tracker.track(pts, vf_sub(h, want))
     return tracker
 
 
@@ -948,13 +947,11 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
         pts = space.sample_points(cfg_run)
         records = []
         # S(Gamma) = Delta
-        tracker = DevTracker()
-        tracker.track(pts, vf_sub(s_endo(gamma_field), delta))
+        tracker = DevTracker().track(pts, vf_sub(s_endo(gamma_field), delta))
         records.append(tracker.record(f"{name}:s-gamma-is-dilation",
                                       "second-order condition", 1e-10))
         # projector coefficients match the force derivatives
-        tracker = _lift_tracker(space, n, hs,
-                                lambda b, a: gamma_sf[(b, a)], pts)
+        tracker = _lift_tracker(space, hs, gamma_sf, pts)
         records.append(tracker.record(
             f"{name}:projector-coefficients",
             "horizontal coefficients are the half force slopes", 1e-10))
@@ -989,18 +986,24 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
 
 def _euler_defect(space, scalars, degree: float, cfg: CheckConfig) -> float:
     """max |Delta(f) - degree * f| over sampled points: zero when every
-    scalar is fibre-homogeneous of that degree (Euler's relation)."""
-    n = space.dim // 2
-    tracker = DevTracker()
-    for p in space.sample_points(cfg):
-        for sf in scalars:
-            val = sf.at(space.seed_env(p, sf.cost + 1))
-            dil = 0.0
-            for a in range(1, n + 1):
-                ia = space.index(f"u{a}")
-                dil += p.values[ia] * _partial(val, ia)
-            tracker.update(abs(dil - degree * value_of(val)))
-    return tracker.max_dev
+    scalar is fibre-homogeneous of that degree (Euler's relation).  The
+    dilation Delta(f) folds over the fibre coordinates alone."""
+    fibre = [f"u{a}" for a in range(1, space.dim // 2 + 1)]
+
+    def defect(sf):
+        def fn(env):
+            t = env.depth - sf.cost - 1
+            val = sf.at(env)
+            dil = jets.dot(
+                _comps_as_depth([env[u] for u in fibre], t, env),
+                _comps_as_depth([val.partials[space.index(u)]
+                                 for u in fibre], t, env))
+            return dil - degree * _as_depth(val, t, env)
+
+        return ScalarField(space, fn, sf.cost + 1, f"euler({sf.name})")
+
+    return DevTracker().track(space.sample_points(cfg),
+                              *map(defect, scalars)).max_dev
 
 
 def is_spray(gamma_field: VectorField, forces,
@@ -1009,7 +1012,8 @@ def is_spray(gamma_field: VectorField, forces,
     """Degree-2 fibre homogeneity of the force terms."""
     space = gamma_field.space
     sfs = [_entry_scalar(space, f, f"f{b + 1}") for b, f in enumerate(forces)]
-    return _euler_defect(space, sfs, 2.0, cfg) < (tol or cfg.tolerance)
+    cfg = cfg if tol is None else replace(cfg, tolerance=tol)
+    return _euler_defect(space, sfs, 2.0, cfg) < cfg.tolerance
 
 
 def _spray_record(check_id, reference, space, forces, cfg) -> CheckRecord:
@@ -1023,8 +1027,8 @@ def homogeneity_check(space, gamma_sf: dict,
                       cfg: CheckConfig = DEFAULT_CHECK,
                       tol: float | None = None) -> bool:
     """Degree-1 fibre homogeneity: Delta(G^b_a) = G^b_a at sampled points."""
-    return _euler_defect(space, gamma_sf.values(), 1.0, cfg) \
-        < (tol or cfg.tolerance)
+    cfg = cfg if tol is None else replace(cfg, tolerance=tol)
+    return _euler_defect(space, gamma_sf.values(), 1.0, cfg) < cfg.tolerance
 
 
 @dataclass
@@ -1099,8 +1103,8 @@ def sode_sufficiency_check(scen: Scenario,
     p_h = _induced_projector(space, n, forces)[2]
 
     rec_tracker = _lift_tracker(
-        space, n, [p_h(VectorField.coordinate(space, f"x{c}"))
-                   for c in range(1, n + 1)], g_sf, pts)
+        space, [p_h(VectorField.coordinate(space, f"x{c}"))
+                for c in range(1, n + 1)], gamma_sf, pts)
     report.reconstruction_dev = rec_tracker.max_dev
     report.records.append(rec_tracker.record(
         f"{scen.name}:sufficiency:reconstruction",

@@ -133,6 +133,20 @@ def test_two_block_split_identities(tilted_circle):
     assert rep.max_dev < 1e-10
 
 
+def test_split_shares_the_connection_solver_when_the_frames_agree(
+        tilted_circle):
+    # under k-vertical with the horizontal frame's fields as blocks, in
+    # order, both solvers would invert the same matrix
+    space, v, h = tilted_circle
+    conn = build_connection(space, v, h, CFG)
+    blocks = [Frame((h.fields[0],), "H1"), Frame((h.fields[1],), "H2")]
+    assert canonical_endos(conn, blocks, K_VERTICAL, CFG).solver is \
+        conn.solver
+    swapped = canonical_endos(conn, blocks[::-1], K_VERTICAL, CFG)
+    assert swapped.solver is not conn.solver
+    assert swapped.solver.fields == (v.fields[0], h.fields[1], h.fields[0])
+
+
 def test_flipped_orientation_frame_blocks():
     # two fibre blocks of rank 1 over a rank-1 horizontal distribution
     space = ChartedSpace("flip", ("x", "u1", "u2"), base_coords=("x",))

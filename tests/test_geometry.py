@@ -244,6 +244,15 @@ def test_bracket_of_tangent_fields_stays_tangent(sphere3):
     assert geo.validate_tangent(space, b, CFG, tol=1e-9) < 1e-9
 
 
+def test_validate_tangent_rejects_a_normal_field(sphere3):
+    # grad(|x|^2 - 1) . (x, y, z, w) = 2 on the unit sphere
+    space = sphere3[0]
+    radial = VectorField.from_exprs(space, ["x", "y", "z", "w"], "radial")
+    with pytest.raises(GeometryError, match="not tangent") as err:
+        geo.validate_tangent(space, radial, CFG)
+    assert "2.000e+00" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # dual coframes and coefficients
 # ---------------------------------------------------------------------------

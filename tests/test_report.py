@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from ehresmann.expr import EvalDomainError
-from ehresmann.geometry import ChartedSpace, VectorField
+from ehresmann.geometry import ChartedSpace, ScalarField, VectorField
 from ehresmann.report import DevTracker, max_abs
 
 
@@ -105,6 +105,17 @@ def _track(points, *fields):
     tracker = DevTracker()
     tracker.track(points, *fields)
     return tracker
+
+
+def test_track_folds_a_scalar_field_as_one_value_per_point():
+    space, points = _line()
+    f = ScalarField.from_expr(space, "x*y - 1")
+    tracker = DevTracker()
+    assert tracker.track(points, f) is tracker
+    want = max(points, key=lambda p: abs(f.value_at(p)))
+    assert tracker.max_dev == abs(f.value_at(want))
+    assert tracker.worst_point == want.values
+    assert f.values(points) == [[f.value_at(p)] for p in points]
 
 
 def test_batched_track_reports_python_floats():

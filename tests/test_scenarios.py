@@ -9,10 +9,10 @@ import pytest
 
 from ehresmann import expr as ex
 from ehresmann import scenarios as sc
-from ehresmann.covderiv import torsion
+from ehresmann.covderiv import CovDeriv, torsion
 from ehresmann.geometry import (
-    CheckConfig, GeometryError, ScalarField, VectorField, lie_bracket,
-    vf_sub,
+    CheckConfig, GeometryError, ScalarField, VectorField, annihilation,
+    lie_bracket, vf_sub,
 )
 from ehresmann.jets import extract
 from ehresmann.scenarios import (
@@ -117,11 +117,11 @@ def test_hopf_metric_compatibility(hopf_scen):
     for p in pts:
         for (X, Y, Z) in [(sig, lam, v), (lam, sig, sig), (v, lam, sig)]:
             assert abs(metric_compatibility_defect(
-                sym, scen.metric, X, Y, Z, p)) < 1e-8
+                sym, scen.metric, X, Y, Z).value_at(p)) < 1e-8
         # the unsymmetrized operator also has zero defect on (Lambda,
         # Lambda, V): it kills the frame and the pairing is constant
         assert abs(metric_compatibility_defect(
-            scen.nabla, scen.metric, lam, lam, v, p)) < 1e-8
+            scen.nabla, scen.metric, lam, lam, v).value_at(p)) < 1e-8
 
 
 def test_flat_euclidean_metric_compatibility():
@@ -131,7 +131,7 @@ def test_flat_euclidean_metric_compatibility():
     h, v = scen.fields["H1"], scen.fields["V1"]
     for p in scen.space.sample_points(SMALL):
         assert abs(metric_compatibility_defect(
-            scen.nabla, g, h, h, v, p)) < 1e-12
+            scen.nabla, g, h, h, v).value_at(p)) < 1e-12
 
 
 def test_hopf_projection_kills_fibre_field(hopf_scen):
@@ -502,3 +502,127 @@ def test_builtins_check_each_point_set_in_one_batch(monkeypatch):
     for name in sc.BUILTIN_BUILDERS:
         records = sc.run_scenario_checks(sc.build_scenario(name, cfg), cfg)
         assert all(r.passed for r in records), name
+
+
+# ---------------------------------------------------------------------------
+# builds and extra checks fold whole point sets
+# ---------------------------------------------------------------------------
+
+
+def _spy_single_point_seeds(monkeypatch) -> list:
+    """Record every ``seed_env`` call at one point rather than a set."""
+    from ehresmann import geometry
+
+    seeded = []
+    original = geometry.ChartedSpace.seed_env
+
+    def spy(self, point, *args, **kwargs):
+        if not geometry.is_point_set(point):
+            seeded.append(point)
+        return original(self, point, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.ChartedSpace, "seed_env", spy)
+    return seeded
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS))
+def test_builds_and_extra_checks_seed_no_single_point(name, monkeypatch):
+    seeded = _spy_single_point_seeds(monkeypatch)
+    cfg = CheckConfig(samples=3)
+    scen = sc.build_scenario(name, cfg)
+    assert seeded == [], "build"
+    records = [r for extra in scen.extra_checks for r in extra(cfg)]
+    assert all(r.passed for r in records)
+    assert seeded == [], "extra checks"
+
+
+@pytest.mark.parametrize("name", ["trivial-r3", "hopf"])
+def test_full_runs_seed_no_single_point(name, monkeypatch):
+    # neither family has a per-point oracle in its expected table
+    seeded = _spy_single_point_seeds(monkeypatch)
+    cfg = CheckConfig(samples=3)
+    records = sc.run_scenario_checks(sc.build_scenario(name, cfg), cfg)
+    assert records and all(r.passed for r in records)
+    assert seeded == []
+
+
+def test_coframe_check_fails_against_a_sign_flipped_form(monkeypatch):
+    check = trivial_r3(SMALL).extra_checks[0]
+    assert check(SMALL)[0].passed
+    monkeypatch.setattr(sc, "TRIVIAL_R3_COFRAME",
+                        ("-cos(th)", "sin(th)", "1"))
+    rec = check(SMALL)[0]
+    assert rec.check_id == "trivial-r3:fibre-coframe"
+    assert not rec.passed and rec.max_dev > 1e-2
+
+
+def test_hopf_projection_check_fails_on_a_non_vertical_field(hopf_scen):
+    space = hopf_scen.space
+    exprs = tuple(ex.parse(s) for s in sc.HOPF_PROJECTION)
+    assert annihilation(space, exprs, hopf_scen.fields["V"],
+                        SMALL).max_dev < 1e-9
+    tracker = annihilation(space, exprs, hopf_scen.fields["Lambda"], SMALL)
+    assert tracker.max_dev > 0.1
+    assert tracker.worst_point in [p.values
+                                   for p in space.sample_points(SMALL)]
+
+
+def test_sode_lift_check_fails_against_a_perturbed_table():
+    scen = sode_projector(2, sc.DEFAULT_SODE_FORCES, SMALL)[2]
+    check = scen.extra_checks[0]
+    assert all(r.passed for r in check(SMALL))
+    table = scen.data["gamma_sf"]
+    g = table[(2, 1)]
+    table[(2, 1)] = ScalarField(scen.space, lambda env: g.at(env) + 1e-6,
+                                g.cost, "perturbed")
+    recs = {r.check_id: r for r in check(SMALL)}
+    rec = recs["sode-tangent:projector-coefficients"]
+    assert not rec.passed and 5e-7 < rec.max_dev < 2e-6
+
+
+def test_metric_defect_of_an_incompatible_operator(hopf_scen, monkeypatch):
+    # the rule (X, Y) -> Y: X(g(L, L)) = 0 on the unit sphere, so the
+    # defect is -2 g(L, L) = -2
+    scen = hopf_scen
+    lam = scen.fields["Lambda"]
+    shift = CovDeriv(scen.space, lambda X, Y: Y, "shift", ())
+    defect = metric_compatibility_defect(shift, scen.metric, lam, lam, lam)
+    for p in scen.space.sample_points(SMALL):
+        assert defect.value_at(p) == pytest.approx(-2.0, abs=1e-12)
+    check = scen.extra_checks[1]
+    monkeypatch.setattr(sc, "symmetrize", lambda nabla: shift)
+    recs = {r.check_id: r for r in check(SMALL)}
+    rec = recs["hopf:levi-civita-compatibility"]
+    assert not rec.passed and rec.max_dev == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+def test_homogeneity_predicates_reject_a_bad_tol(tol, built):
+    scen = built("sode-tangent")
+    gamma = scen.fields["Gamma"]
+    with pytest.raises(ValueError, match="positive and finite"):
+        is_spray(gamma, sc.DEFAULT_SODE_FORCES, SMALL, tol=tol)
+    with pytest.raises(ValueError, match="positive and finite"):
+        homogeneity_check(scen.space, scen.data["gamma_sf"], SMALL, tol=tol)
+
+
+def test_homogeneity_predicates_take_a_given_tol(built):
+    scen = built("sode-tangent")
+    gamma = scen.fields["Gamma"]
+    assert is_spray(gamma, sc.DEFAULT_SODE_FORCES, SMALL)
+    assert not is_spray(gamma, sc.DEFAULT_SODE_FORCES, SMALL, tol=1e-300)
+    assert homogeneity_check(scen.space, scen.data["gamma_sf"], SMALL)
+    assert homogeneity_check(scen.space, scen.data["gamma_sf"], SMALL,
+                             tol=1e-3)
+
+
+def test_expected_entries_are_parsed_once(monkeypatch):
+    scen = trivial_r3(SMALL)
+    assert all(isinstance(e, ex.Expr) for row in scen.expected
+               for e in row.coeffs.values())
+    calls = []
+    original = ex.parse
+    monkeypatch.setattr(ex, "parse", lambda text: calls.append(text)
+                        or original(text))
+    assert all(r.passed for r in sc.expected_table_checks(scen, SMALL))
+    assert calls == []
