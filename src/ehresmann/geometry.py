@@ -26,6 +26,7 @@ vectors come out of one partial-pivot elimination, generic over jets.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -275,7 +276,20 @@ def _as_depth(s, depth: int, env: Env):
                          None if env.points is None else len(env.points))
 
 
-def _comps_as_depth(comps, depth: int, env: Env) -> list:
+def _comps_as_depth(comps, depth: int, env: Env):
+    """Components at an exact depth: a list at one point; over a point set
+    one batch, the component axis first, lifting numbers as
+    :func:`_as_depth` does."""
+    if comps.__class__ is JetBatch:
+        return jets.truncate(comps, depth)
+    if env.points is not None:
+        out = np.zeros((len(comps), len(env.points)) + (1 + len(env),) * depth)
+        for row, c in zip(out, comps):
+            if c.__class__ is JetBatch:
+                row[...] = _as_depth(c, depth, env).a
+            else:
+                row[(Ellipsis,) + (0,) * depth] = float(c)
+        return JetBatch(out, depth, len(env))
     # the common cases inline: values at depth 0, jets already at depth
     if depth == 0:
         return [c.value if c.__class__ is Jet else jets.truncate(c, 0)
@@ -284,16 +298,29 @@ def _comps_as_depth(comps, depth: int, env: Env) -> list:
             and c.depth == depth else _as_depth(c, depth, env) for c in comps]
 
 
-def _value_rows(rows, env: Env):
-    """The values of a matrix of scalars: lists of floats at one point, an
-    array indexed (point, row, column) over a point set."""
+def _value_rows(x, env: Env):
+    """The values of stacked scalars: of a matrix, lists of floats at one
+    point; over a point set, an array with the point axis first."""
     if env.points is None:
-        return [[value_of(e) for e in row] for row in rows]
-    out = np.empty((len(env.points), len(rows), len(rows[0])))
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            out[:, i, j] = value_of(e)
-    return out
+        return [[value_of(e) for e in row] for row in x]
+    return np.moveaxis(x.value, -1, 0)
+
+
+def _gradient(s, depth: int, env: Env):
+    """A scalar's first-order partials at an exact depth, stacked over a
+    point set (the variable axis first)."""
+    if s.__class__ is JetBatch:
+        return jets.truncate(JetBatch(np.moveaxis(s.a[:, 1:], 1, 0),
+                                      s.depth - 1, s.nvars), depth)
+    return _comps_as_depth(s.partials, depth, env)
+
+
+def _contract(rows, xs):
+    """``[jets.dot(row, xs) for row in rows]`` over a point set, in one
+    fold: ``rows`` indexed (row, term, point, slots...), ``xs`` a batch
+    with the term axis first."""
+    return xs._new(jets.fold_products(rows.swapaxes(0, 1), xs.a[:, None],
+                                      xs.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +341,7 @@ class _Field:
     __slots__ = ("space", "name", "cost", "_fn", "_cache")
     _normalize = staticmethod(_comps_as_depth)
     _listed = staticmethod(lambda comps: comps)
+    _point_rows = staticmethod(_value_rows)
 
     def __init__(self, space, fn, cost, name):
         self.space = space
@@ -354,7 +382,7 @@ class _Field:
         if env.points is None:
             return [value_of(c) for c in self._listed(self.at(env))]
         with np.errstate(all="ignore"):
-            return _value_rows([self._listed(self.at(env))], env)[:, 0].tolist()
+            return self._point_rows(self.at(env), env).tolist()
 
 
 class ScalarField(_Field):
@@ -363,6 +391,8 @@ class ScalarField(_Field):
     __slots__ = ()
     _normalize = staticmethod(_as_depth)
     _listed = staticmethod(lambda value: [value])
+    _point_rows = staticmethod(lambda value, env: np.broadcast_to(
+        value_of(value), (len(env.points),))[:, None])
     at = _Field.at
 
     @staticmethod
@@ -452,7 +482,7 @@ def _check_space(a, b):
 # ---------------------------------------------------------------------------
 
 
-def vf_add(X: VectorField, Y: VectorField, name=None) -> VectorField:
+def _binary_field(op, X: VectorField, Y: VectorField, name) -> VectorField:
     _check_space(X, Y)
     cost = max(X.cost, Y.cost)
 
@@ -460,40 +490,37 @@ def vf_add(X: VectorField, Y: VectorField, name=None) -> VectorField:
         t = env.depth - cost
         xs = _comps_at(X, env, t)
         ys = _comps_at(Y, env, t)
-        return [a + b for a, b in zip(xs, ys)]
+        if env.points is not None:
+            return op(xs, ys)
+        return [op(a, b) for a, b in zip(xs, ys)]
 
-    return VectorField(X.space, fn, cost, name or f"({X.name}+{Y.name})")
+    return VectorField(X.space, fn, cost, name)
+
+
+def vf_add(X: VectorField, Y: VectorField, name=None) -> VectorField:
+    return _binary_field(operator.add, X, Y, name or f"({X.name}+{Y.name})")
 
 
 def vf_sub(X: VectorField, Y: VectorField, name=None) -> VectorField:
-    _check_space(X, Y)
-    cost = max(X.cost, Y.cost)
+    return _binary_field(operator.sub, X, Y, name or f"({X.name}-{Y.name})")
 
-    def fn(env):
-        t = env.depth - cost
-        xs = _comps_at(X, env, t)
-        ys = _comps_at(Y, env, t)
-        return [a - b for a, b in zip(xs, ys)]
 
-    return VectorField(X.space, fn, cost, name or f"({X.name}-{Y.name})")
+def _scaled(s, comps, env):
+    return s * comps if env.points is not None else [s * c for c in comps]
 
 
 def vf_scale(f, X: VectorField, name=None) -> VectorField:
     """Scale by a number or by a scalar field (function-linear scaling)."""
     if isinstance(f, (int, float)):
         c = float(f)
-
-        def fn(env):
-            return [c * comp for comp in X.at(env)]
-
-        return VectorField(X.space, fn, X.cost, name or f"{c:g}*{X.name}")
+        return VectorField(X.space, lambda env: _scaled(c, X.at(env), env),
+                           X.cost, name or f"{c:g}*{X.name}")
     _check_space(f, X)
     cost = max(f.cost, X.cost)
 
     def fn(env):
         t = env.depth - cost
-        s = _as_depth(f.at(env), t, env)
-        return [s * comp for comp in _comps_at(X, env, t)]
+        return _scaled(_as_depth(f.at(env), t, env), _comps_at(X, env, t), env)
 
     return VectorField(X.space, fn, cost, name or f"({f.name})*{X.name}")
 
@@ -519,8 +546,7 @@ def directional(X: VectorField, f: ScalarField, name=None) -> ScalarField:
         fv = f.at(env)
         if jets.depth_of(fv) == 0:
             raise DepthBudgetError(f"{X.name}({f.name})", cost, env.depth)
-        return jets.dot(_comps_at(X, env, t),
-                        _comps_as_depth(fv.partials, t, env))
+        return jets.dot(_comps_at(X, env, t), _gradient(fv, t, env))
 
     return ScalarField(X.space, fn, cost, name or f"{X.name}({f.name})")
 
@@ -533,13 +559,12 @@ def _first_slots(comps, t: int) -> list:
     return [[jets.truncate(p, t) for p in c.partials] for c in comps]
 
 
-def _bracket_fold(xs, ys, t: int) -> list:
-    """The bracket over a point set: the components stacked at depth
+def _bracket_fold(xs, ys, t: int):
+    """The bracket over a point set: the stacked components at depth
     ``t + 1``, every product of the fold formed at once (indexed component,
     point, variable, slots...), then ``acc = acc + a * p - b * q`` folded
     over the variables in order."""
-    xa, ya = (jets.stack([jets.truncate(c, t + 1) for c in cs], xs[0])
-              for cs in (xs, ys))
+    xa, ya = (jets.truncate(cs, t + 1).a for cs in (xs, ys))
     first = jets.mul_slots(xa[..., 0].swapaxes(0, 1)[None], ya[:, :, 1:], t)
     second = jets.mul_slots(ya[..., 0].swapaxes(0, 1)[None], xa[:, :, 1:], t)
     # 0.0 + a jet adds to its value slots alone
@@ -550,7 +575,7 @@ def _bracket_fold(xs, ys, t: int) -> list:
     for j in range(1, first.shape[2]):
         acc += first[:, :, j]
         acc -= second[:, :, j]
-    return jets.unstack(acc, t, xs[0].nvars)
+    return JetBatch(acc, t, xs.nvars)
 
 
 def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
@@ -569,7 +594,7 @@ def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
         t = env.depth - cost
         xs = X.at(env)
         ys = Y.at(env)
-        if xs[0].__class__ is JetBatch:
+        if env.points is not None:
             return _bracket_fold(xs, ys, t)
         xt = _comps_as_depth(xs, t, env)
         yt = _comps_as_depth(ys, t, env)
@@ -632,9 +657,9 @@ def gate_frame(mat, point):
 
 
 def _invert(rows, n):
-    """Gauss-Jordan with partial pivoting on the value part; generic scalars."""
-    if rows[0][0].__class__ is not Jet and any(
-            e.__class__ is JetBatch for row in rows for e in row):
+    """Gauss-Jordan with partial pivoting on the value part; generic scalars
+    as lists of rows, or one batch indexed (row, column, point, slots...)."""
+    if rows.__class__ is JetBatch:
         return _invert_points(rows, n)
     aug = [list(rows[i]) + [1.0 if j == i else 0.0 for j in range(n)]
            for i in range(n)]
@@ -654,18 +679,16 @@ def _invert(rows, n):
     return [row[n:] for row in aug]
 
 
-def _invert_points(rows, n):
+def _invert_points(mat, n):
     """:func:`_invert` over a point set, on one array indexed (point, row,
     column, slots...), each step on all points and rows at once: the pivot
     is the first largest value per point, rows swap by fancy indexing, and
-    at depth 0 a zero factor leaves its row alone."""
-    like = next(e for row in rows for e in row if e.__class__ is JetBatch)
-    t, nvars, points = like.depth, like.nvars, len(like.a)
+    at depth 0 a zero factor leaves its row alone.  The inverse is one
+    batch indexed (row, column, point, slots...)."""
+    t, nvars, points = mat.depth, mat.nvars, mat.a.shape[2]
     value = (Ellipsis,) + (0,) * t
     aug = np.zeros((points, n, 2 * n) + (1 + nvars,) * t)
-    aug[:, :, :n] = jets.stack([e for row in rows for e in row], like).reshape(
-        (n, n, points) + aug.shape[3:]).transpose(
-            (2, 0, 1) + tuple(range(3, 3 + t)))
+    aug[:, :, :n] = np.moveaxis(mat.a, 2, 0)
     aug[(slice(None), np.arange(n), np.arange(n, 2 * n)) + (0,) * t] = 1.0
     idx = np.arange(points)
     for col in range(n):
@@ -694,8 +717,7 @@ def _invert_points(rows, n):
             new = np.where((factor != 0.0)[:, :, None], new, aug)
         new[:, col] = aug[:, col]
         aug = new
-    return [jets.unstack(np.moveaxis(aug[:, i, n:], 1, 0), t, nvars)
-            for i in range(n)]
+    return mat._new(np.ascontiguousarray(np.moveaxis(aug[:, :, n:], 0, 2)))
 
 
 class FrameSolver:
@@ -721,14 +743,12 @@ class FrameSolver:
         self._cache: dict = {}
 
     def _columns(self, env, target):
-        n = self.space.ambient_dim
         cols = [_comps_at(f, env, target) for f in self.fields]
         for c in self.space.constraints:
             cj = ex.evaluate(c, env)
             if jets.depth_of(cj) == 0:
                 raise DepthBudgetError("constraint gradient", 1, 0)
-            cols.append([_as_depth(cj.partials[j], target, env)
-                         for j in range(n)])
+            cols.append(_gradient(cj, target, env))
         return cols
 
     def inverse(self, env):
@@ -739,7 +759,10 @@ class FrameSolver:
             raise DepthBudgetError("frame solve", self.cost, env.depth)
         n = self.space.ambient_dim
         cols = self._columns(env, env.depth - self.cost)
-        mat = [[cols[j][i] for j in range(n)] for i in range(n)]
+        if env.points is None:
+            mat = [[cols[j][i] for j in range(n)] for i in range(n)]
+        else:
+            mat = cols[0]._new(np.stack([c.a for c in cols], axis=1))
         gate_frame(_value_rows(mat, env),
                    env.key[0] if env.points is None else env.points)
         inv = _invert(mat, n)
@@ -751,8 +774,9 @@ class FrameSolver:
         if env.depth - self.cost == target:
             return self.inverse(env)
         return _truncated(self, env, target, self.inverse,
-                          lambda inv, t, e: [_comps_as_depth(row, t, e)
-                                             for row in inv])
+                          lambda inv, t, e: jets.truncate(inv, t)
+                          if e.points is not None else
+                          [_comps_as_depth(row, t, e) for row in inv])
 
     def coefficients_for(self, env, X: VectorField, rows) -> list:
         """Coefficients of X against the solver fields numbered ``rows``,
@@ -763,15 +787,18 @@ class FrameSolver:
         xs = _comps_at(X, env, t)
         if env.points is None:
             return [jets.dot(inv[i], xs) for i in rows]
-        return jets.dots([inv[i] for i in rows], xs)
+        return _contract(inv.a[list(rows)], xs)
 
     def coframe(self, suffix: str = "*") -> list:
         """The covectors dual to the solver fields, w^i(e_j) = delta^i_j,
         each read off one row of the shared inverse."""
         def covector(i):
-            return CovectorField(self.space,
-                                 lambda env: list(self.inverse(env)[i]),
-                                 self.cost, f"{self.fields[i].name}{suffix}")
+            def fn(env):
+                inv = self.inverse(env)
+                return inv._new(inv.a[i]) if env.points else list(inv[i])
+
+            return CovectorField(self.space, fn, self.cost,
+                                 f"{self.fields[i].name}{suffix}")
 
         return [covector(i) for i in range(len(self.fields))]
 
@@ -827,12 +854,11 @@ def _combination(coef, vectors, n) -> list:
     """Components of ``sum_i coef[i] * vectors[i]``, each the left fold
     from ``0.0`` over ``i``.  Over jets a component is one ``jets.dot``;
     over floats updating whole vectors term by term is faster.  Over a
-    point set all components fold at once (IEEE products and sums do not
-    depend on operand order)."""
+    point set all components fold at once."""
+    if coef.__class__ is JetBatch:
+        return _contract(np.stack([v.a for v in vectors], axis=1), coef)
     if coef and coef[0].__class__ is Jet:
         return [jets.dot(coef, col) for col in zip(*vectors)]
-    if coef and coef[0].__class__ is JetBatch:
-        return jets.dots(zip(*vectors), coef)
     out = [0.0] * n
     for c, v in zip(coef, vectors):
         out = [o + c * e for o, e in zip(out, v)]
@@ -887,7 +913,7 @@ class Endo11:
                 xs = _comps_at(X, env, t)
                 ws = [_comps_at(w, env, t) for w, _ in terms]
                 coef = [jets.dot(w, xs) for w in ws] if env.points is None \
-                    else jets.dots(ws, xs)
+                    else _contract(np.stack([w.a for w in ws]), xs)
                 return _combination(
                     coef, [_comps_at(e, env, t) for _, e in terms], n)
 

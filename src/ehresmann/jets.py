@@ -21,11 +21,13 @@ factorial scaling is applied.
 A :class:`JetBatch` holds one scalar at P points as one float64 array of
 shape ``(P,) + (1 + nvars,) * depth``: along a slot axis, index 0 is the
 level's value and ``1 + i`` the partial in variable ``i``, so index 0 on
-the last axis is :meth:`Jet.lowered`.  Every operation here gives a batch,
-at each point, the bits it gives that point's jet (or float, at depth 0):
-slots combine by elementwise ufuncs, sums fold left in the same order,
-transcendental values come from :mod:`math` point by point, and a domain
-error names the first offending point.
+the last axis is :meth:`Jet.lowered`; a field's n components are one batch
+``(n, P) + (1 + nvars,) * depth``, as operations read slots from the end.
+Every operation here gives a batch, at each point, the bits it gives that
+point's jet (or float, at depth 0): slots combine by elementwise ufuncs,
+sums fold left in the same order, transcendental values come from
+:mod:`math` point by point, and a domain error names the first offending
+point.
 """
 
 from __future__ import annotations
@@ -247,8 +249,9 @@ def _binary(slots_op, number_op):
 
 
 class JetBatch:
-    """One scalar at P points, its slots in ``a``.  At depth 0 a batch acts
-    as P floats do, except that numpy warns where floats overflow silently
+    """One scalar at P points, its slots in ``a`` (or stacked scalars, on
+    leading axes before the point axis).  At depth 0 a batch acts as P
+    floats do, except that numpy warns where floats overflow silently
     unless under ``np.errstate``, as the package's batched evaluations are."""
 
     __slots__ = ("a", "depth", "nvars")
@@ -265,8 +268,8 @@ class JetBatch:
 
     @property
     def partials(self) -> tuple:
-        return tuple(JetBatch(self.a[:, 1 + i], self.depth - 1, self.nvars)
-                     for i in range(self.nvars))
+        parts = np.moveaxis(self.a[_slots(self.depth)[1]], -self.depth, 0)
+        return tuple(JetBatch(p, self.depth - 1, self.nvars) for p in parts)
 
     def lowered(self) -> "JetBatch":
         return JetBatch(self.a[..., 0], self.depth - 1, self.nvars)
@@ -319,7 +322,7 @@ class JetBatch:
             return self._new(np.abs(self.a))
         _domain(self, lambda v: v == 0.0, "abs",
                 "derivative undefined at zero")
-        positive = (self.value > 0).reshape((-1,) + (1,) * self.depth)
+        positive = (self.value > 0)[(Ellipsis,) + (None,) * self.depth]
         return self._new(np.where(positive, self.a, -self.a))
 
 
@@ -332,9 +335,10 @@ def _nonzero(b):
 
 def _domain(x, bad, operation: str, detail: str) -> None:
     """Raise where ``bad`` holds for the value: over a batch, at the first
-    such point, whose value ``detail`` names."""
+    such point (in point order), whose value ``detail`` names."""
     v = x.value if isinstance(x, (Jet, JetBatch)) else x
     if x.__class__ is JetBatch:
+        v = np.moveaxis(v, -1, 0).ravel()
         hits = np.flatnonzero(bad(v))
         if hits.size:
             raise JetDomainError(operation, detail.format(float(v[hits[0]])))
@@ -364,8 +368,8 @@ def _lift(x, fn, derivative):
     each point's, for a batch) and ``derivative`` computes f' generically
     one level down.  A depth-0 batch takes ``fn`` alone, as floats do."""
     batch = x.__class__ is JetBatch
-    value = np.array([fn(v) for v in x.value.tolist()], dtype=float) \
-        if batch else fn(x.value)
+    value = np.array([fn(v) for v in x.value.ravel().tolist()], dtype=float
+                     ).reshape(x.value.shape) if batch else fn(x.value)
     if batch and x.depth == 0:
         return x._new(value)
     dv = derivative(x.lowered())
@@ -501,28 +505,7 @@ def seed_points(config: JetConfig, points) -> list:
     if depth:
         a[(np.arange(n), slice(None), np.arange(1, n + 1))
           + (0,) * (depth - 1)] = 1.0
-    return unstack(a, depth, n)
-
-
-def stack(scalars, like: JetBatch):
-    """Slot arrays of batches shaped as ``like``, stacked on a new first
-    axis.  At depth 0 a number stacks as P copies; among batches with slots
-    it gives None, since a jet times a number scales every slot."""
-    try:
-        try:
-            return np.array([s.a for s in scalars])
-        except AttributeError:
-            if like.depth:
-                return None
-            return np.array([s.a if s.__class__ is JetBatch
-                             else [float(s)] * len(like.a) for s in scalars])
-    except ValueError:
-        raise JetShapeError("cannot stack jets of different shapes") from None
-
-
-def unstack(a, depth: int, nvars: int) -> list:
-    """Batches along the first axis of a stacked slot array."""
-    return [JetBatch(x, depth, nvars) for x in a]
+    return [JetBatch(x, depth, n) for x in a]
 
 
 def dot(xs, ys):
@@ -533,12 +516,15 @@ def dot(xs, ys):
     value folds ``x.value * y.value`` and slot ``m`` folds the product rule
     ``x.partials[m] * y.lowered() + x.lowered() * y.partials[m]`` from the
     first term on, the same operations in the same order as the fold.  At
-    depth 1 the slots are floats.  Over batches the products of all terms
-    are formed at once and only the sums fold.  Sequences holding a plain
-    number take the fold itself.
+    depth 1 the slots are floats.  Over two stacked batches (the terms on
+    the first axis) the products of all terms are formed at once and only
+    the sums fold.  Other sequences, of batches or holding a plain number,
+    take the fold itself.
     """
-    if xs and xs[0].__class__ is JetBatch:
-        return dots([xs], ys)[0]
+    if xs.__class__ is JetBatch:
+        if xs.a.shape != ys.a.shape or xs.depth != ys.depth:
+            raise JetShapeError("cannot contract jets of different shapes")
+        return xs._new(fold_products(xs.a, ys.a, xs.depth))
     value = 0.0
     slots = None
     for x, y in zip(xs, ys):
@@ -571,27 +557,6 @@ def _fold(xs, ys):
     for x, y in zip(xs, ys):
         acc = acc + x * y
     return acc
-
-
-def dots(rows, ys) -> list:
-    """``[dot(row, ys) for row in rows]``; over batches, one fold for all
-    rows."""
-    rows = [list(row) for row in rows]
-    ys = list(ys)
-    flat = [x for row in rows for x in row]
-    like = next((s for s in ys + flat if s.__class__ is JetBatch), None)
-    if like is None:
-        return [dot(row, ys) for row in rows]
-    if ys and len(flat) == len(rows) * len(ys):
-        xa, ya = stack(flat, like), stack(ys, like)
-        if xa is not None and ya is not None:
-            if xa.shape[1:] != ya.shape[1:]:
-                raise JetShapeError("cannot contract jets of different "
-                                    "shapes into one sum")
-            xa = xa.reshape((len(rows), len(ys)) + xa.shape[1:])
-            return unstack(fold_products(xa.swapaxes(0, 1), ya[:, None],
-                                         like.depth), like.depth, like.nvars)
-    return [_fold(row, ys) for row in rows]
 
 
 def extract(value, orders) -> float:

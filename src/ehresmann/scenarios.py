@@ -105,14 +105,22 @@ class Metric:
         return self._pair(X, Y)
 
     def validate_positive_definite(self, frame_fields, cfg: CheckConfig):
-        worst = math.inf
-        for p in self.space.sample_points(cfg):
-            g = np.array([[self.pair(a, b).value_at(p) for b in frame_fields]
-                          for a in frame_fields])
+        r = len(frame_fields)
+        pairs = [self.pair(a, b) for a in frame_fields for b in frame_fields]
+
+        def lowest(p, g):
             if not np.isfinite(g).all():
                 raise GeometryError(
                     f"metric {self.name} is not finite at {p.values}")
-            worst = min(worst, float(np.linalg.eigvalsh(g)[0]))
+            return float(np.linalg.eigvalsh(g)[0])
+
+        worst = min([math.inf] + per_point(
+            self.space.sample_points(cfg),
+            lambda pts: list(map(lowest, pts, np.reshape(
+                [f.values(pts) for f in pairs],
+                (r, r, -1)).transpose(2, 0, 1))),
+            lambda p: lowest(p, np.reshape([f.value_at(p) for f in pairs],
+                                           (r, r)))))
         if not worst > 0:
             raise GeometryError(
                 f"metric {self.name} is not positive definite on the frame: "

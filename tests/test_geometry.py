@@ -9,6 +9,7 @@ import pytest
 
 from ehresmann import expr as ex
 from ehresmann import geometry as geo
+from ehresmann import jets
 from ehresmann.geometry import (
     ChartedSpace, CheckConfig, CovectorField, DepthBudgetError, Endo11,
     Frame, FrameSolver, GeometryError, OffManifoldError, ScalarField,
@@ -17,7 +18,8 @@ from ehresmann.geometry import (
     lie_derivative_endo, pairing, projector_from_split, vf_add, vf_scale,
     vf_sub,
 )
-from ehresmann.jets import Jet, JetBatch
+from ehresmann.jets import Jet, JetBatch, JetDomainError
+from ehresmann.report import DevTracker
 from helpers import random_expression
 
 CFG = CheckConfig(samples=8)
@@ -633,10 +635,14 @@ def _unflatten(a, depth, nvars):
 
 
 def _at_point(s, k):
-    """What a batch (or a list of them) holds at point ``k``, as jets."""
+    """What a batch (or a list of them) holds at point ``k``, as jets; a
+    batch with axes before its point axis (stacked components, or an
+    inverse's rows and columns) as nested lists along those axes."""
     if isinstance(s, list):
         return [_at_point(c, k) for c in s]
     if isinstance(s, JetBatch):
+        if s.a.ndim > s.depth + 1:
+            return [_at_point(JetBatch(c, s.depth, s.nvars), k) for c in s.a]
         return _unflatten(s.a[k], s.depth, s.nvars)
     return s
 
@@ -708,3 +714,85 @@ def test_point_set_keys_name_the_point_values():
     assert key != space.seed_env(points, 2).key
     assert key != space.seed_env(points[:2], 1).key
     assert key != space.seed_env(points[0], 1).key
+
+
+def _mapped(X, fn, name):
+    """``fn`` on each component of X, once on the stacked components over a
+    point set."""
+    def comps(env):
+        xs = X.at(env)
+        return fn(xs) if env.points is not None else [fn(c) for c in xs]
+
+    return VectorField(X.space, comps, X.cost, name)
+
+
+def _algebra_fields():
+    space, frame = _pivoting_frame("sparse")
+    a = VectorField.from_exprs(space, ["x*y", "sin(z)", ex.Const(0.0)], "A")
+    b = VectorField.from_exprs(space, [ex.Const(-0.0), "exp(x/2)", "y-z"],
+                               "B")
+    zero = VectorField.zero(space)
+    # numbers beside a coordinate batch, lifted only where they meet it
+    mixed = VectorField(space, lambda env: [0.0, env["x"], -0.0], 0, "M")
+    f = ScalarField.from_expr(space, "x*z+1")
+    w = CovectorField.from_exprs(space, ["y", ex.Const(-0.0), "x*x"], "w")
+    solver = FrameSolver(space, frame)
+    ab = lie_bracket(a, b)
+    return space, {
+        "add": vf_add(a, b), "add-zero": vf_add(mixed, zero),
+        "sub": vf_sub(b, zero), "sub-mixed": vf_sub(mixed, a),
+        "scale-number": vf_scale(-2.0, b),
+        "scale-signed-zero": vf_scale(-0.0, mixed),
+        "scale-field": vf_scale(f, mixed), "scale-field-jets": vf_scale(f, b),
+        "pairing": pairing(w, mixed), "pairing-jets": pairing(w, a),
+        "directional": directional(mixed, f),
+        "directional-jets": directional(b, f),
+        "bracket": ab, "bracket-zero": lie_bracket(zero, a),
+        "bracket-cost-2": lie_bracket(mixed, ab),
+        "projector": geo.projector_from_solver(solver, (0, 2), "P")(mixed),
+        "projector-bracket": geo.projector_from_solver(solver, (1,), "Q")(ab),
+        "terms": Endo11.from_terms(
+            space, [(w, a), (solver.coframe()[1], mixed)], "T")(b),
+        "inverse-row": solver.coframe()[0],
+        "lifted": _mapped(a, lambda c: jets.sqrt(c * c + 1.0), "sqrt(A*A+1)"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_algebra_fields()[1]))
+def test_stacked_field_algebra_is_bit_equal_per_point(name):
+    space, fields = _algebra_fields()
+    field = fields[name]
+    points = space.sample_points(CheckConfig(seed=7, samples=5, depth=4))
+    assert _bits(field.values(points)) == \
+        _bits([field.values(p) for p in points])
+    for depth in range(field.cost, field.cost + 3):
+        batch = field.at(space.seed_env(points, depth))
+        for k, p in enumerate(points):
+            want = field.at(space.seed_env(p, depth))
+            assert _bits(_at_point(batch, k)) == _bits(want), (depth, k)
+
+
+@pytest.mark.parametrize("op", [jets.ln, jets.sqrt])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_stacked_domain_error_is_the_per_point_loops_first(op, depth):
+    space = ChartedSpace("r2", ("a", "b"))
+    # the second component goes bad at point 3 of 5, the first at point 4
+    points = [space.point(v) for v in [(0.5, 0.25), (0.75, 0.5),
+                                       (0.25, -0.5), (-0.75, -0.25),
+                                       (0.5, 0.5)]]
+    field = _mapped(VectorField.from_exprs(space, ["a", "b"], "X"), op,
+                    "op(X)")
+
+    def first_error(run):
+        with pytest.raises(JetDomainError) as err:
+            run()
+        return type(err.value), err.value.operation, err.value.detail
+
+    want = first_error(lambda: [field.at(space.seed_env(p, depth))
+                                for p in points])
+    assert want[2].startswith("argument -0.5 ")
+    assert first_error(
+        lambda: field.at(space.seed_env(points, depth))) == want
+    if depth == 0:
+        assert first_error(lambda: field.values(points)) == want
+        assert first_error(lambda: DevTracker().track(points, field)) == want

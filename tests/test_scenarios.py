@@ -159,6 +159,14 @@ def test_metric_with_nan_values_names_the_point(hopf_scen):
     assert str(first.values) in str(err.value)
 
 
+def test_metric_validation_seeds_no_single_point(hopf_scen, monkeypatch):
+    frame = [hopf_scen.fields[n] for n in hopf_scen.frame_names]
+    seeded = _spy_single_point_seeds(monkeypatch)
+    low = hopf_scen.metric.validate_positive_definite(frame, SMALL)
+    assert seeded == []
+    assert low > 0.5
+
+
 # ---------------------------------------------------------------------------
 # affine tangent bundle
 # ---------------------------------------------------------------------------
