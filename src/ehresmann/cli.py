@@ -280,7 +280,11 @@ def _get_scenario(name_or_path: str, cfg: CheckConfig) -> sc.Scenario:
 
 
 def cmd_list(fmt: str = "table") -> str:
-    rows = [(n, *entry) for n, entry in sorted(sc.CATALOG.items())]
+    rows = []
+    for n, desc in sorted(sc.CATALOG.items()):
+        # section and dimension do not depend on the sample points
+        scen = sc.build_scenario(n, CheckConfig(samples=1))
+        rows.append((n, scen.section, scen.space.dim, desc))
     if fmt == "json":
         return json.dumps([{"name": n, "section": sect, "dim": dim}
                            for n, sect, dim, _desc in rows],

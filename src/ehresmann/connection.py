@@ -178,7 +178,7 @@ def canonical_endos(conn: EhresmannConnection, blocks,
         f for b in blocks for f in b.fields)
     solver = conn.solver if fields == conn.solver.fields \
         else FrameSolver(space, fields)
-    covs = solver.coframe("^*")
+    covs = solver.coframe()
     k_covs = covs[:r]
 
     s_names, q_names, (s_tot_name, q_tot_name) = _endo_labels(

@@ -14,8 +14,8 @@ coordinate derivatives at the point, which is what brackets and Lie
 derivatives read.  An ``Env`` carries its seeded ``depth`` and its memo
 ``key``, ``(point values, depth)``: equal keys mean bit-equal inputs, so every
 cache keys on it.  A field caches its own evaluation under ``env.key``, at
-depth ``env.depth - cost``; a truncation below that depth (of field
-components or of frame-solve rows) is cached under ``(env.key, target)``.
+depth ``env.depth - cost``; a truncation of its components below that depth
+is cached under ``(env.key, target)``.
 
 Embedded spaces (constraint expressions ``c_k = 0``) keep all fields in
 ambient coordinates.  Pointwise frame solves append the constraint gradients
@@ -29,6 +29,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 import numpy as np
 
@@ -38,6 +39,12 @@ from .jets import Jet, JetBatch, JetConfig, value_of
 from .report import DevTracker, max_abs, per_point
 
 FRAME_DEGENERACY_RATIO = 1e-8
+
+
+def _left_sum(values) -> float:
+    """``(0.0 + a) + b + ...`` in order.  The builtin ``sum`` of floats is
+    compensated from Python 3.12 on, so its bits depend on the interpreter."""
+    return reduce(operator.add, values, 0.0)
 
 
 class GeometryError(Exception):
@@ -186,7 +193,7 @@ class ChartedSpace:
             res = self.constraint_residual(vals)
             if not res <= tol:
                 if project and self.sphere and res < 1e-8:
-                    norm = math.sqrt(sum(v * v for v in vals))
+                    norm = math.sqrt(_left_sum(v * v for v in vals))
                     vals = tuple(v / norm for v in vals)
                 else:
                     raise OffManifoldError(
@@ -203,7 +210,7 @@ class ChartedSpace:
             if self.sphere:
                 while True:
                     raw = [rng.uniform(lo, hi) for lo, hi in self.intervals]
-                    norm = math.sqrt(sum(v * v for v in raw))
+                    norm = math.sqrt(_left_sum(v * v for v in raw))
                     if norm >= 0.1:
                         break
                 points.append(Point(self, tuple(v / norm for v in raw),
@@ -453,22 +460,17 @@ class CovectorField(_Field):
     at = _Field.at
 
 
-def _truncated(owner, env, target: int, full, normalize):
-    """``full(env)`` normalized to depth ``target``, cached in
-    ``owner._cache`` under ``(env.key, target)``."""
-    key = (env.key, target)
-    hit = owner._cache.get(key)
-    if hit is None:
-        hit = normalize(full(env), target, env)
-        owner._cache[key] = hit
-    return hit
-
-
 def _comps_at(field, env, target: int) -> list:
-    """Components of a field truncated to an exact depth."""
+    """Components of a field truncated to an exact depth, cached in the
+    field's cache under ``(env.key, target)``."""
     if env.depth - field.cost == target:
         return field.at(env)
-    return _truncated(field, env, target, field.at, _comps_as_depth)
+    key = (env.key, target)
+    hit = field._cache.get(key)
+    if hit is None:
+        hit = _comps_as_depth(field.at(env), target, env)
+        field._cache[key] = hit
+    return hit
 
 
 def _check_space(a, b):
@@ -724,9 +726,9 @@ class FrameSolver:
     """Pointwise inverse of the matrix whose columns are frame fields.
 
     On embedded spaces the constraint gradients are appended as extra
-    columns to square the system.  Inverses are cached per ``env.key``,
-    so projectors, coframes and coefficient extractions built over the same
-    frame share one elimination per sample point.
+    columns to square the system.  The solver gates the frame and inverts
+    it, caching one inverse per ``env.key``; everything built over the
+    frame reads that inverse through the one shared :meth:`coframe`.
     """
 
     def __init__(self, space, fields):
@@ -741,6 +743,8 @@ class FrameSolver:
         base = max((f.cost for f in self.fields), default=0)
         self.cost = max(base, 1) if space.constraints else base
         self._cache: dict = {}
+        self._coframe = tuple(self._covector(i)
+                              for i in range(len(self.fields)))
 
     def _columns(self, env, target):
         cols = [_comps_at(f, env, target) for f in self.fields]
@@ -769,38 +773,19 @@ class FrameSolver:
         self._cache[env.key] = inv
         return inv
 
-    def rows_at(self, env, target: int) -> list:
-        """Inverse rows truncated to an exact depth."""
-        if env.depth - self.cost == target:
-            return self.inverse(env)
-        return _truncated(self, env, target, self.inverse,
-                          lambda inv, t, e: jets.truncate(inv, t)
-                          if e.points is not None else
-                          [_comps_as_depth(row, t, e) for row in inv])
+    def _covector(self, i) -> CovectorField:
+        def fn(env):
+            inv = self.inverse(env)
+            return inv._new(inv.a[i]) if env.points else list(inv[i])
 
-    def coefficients_for(self, env, X: VectorField, rows) -> list:
-        """Coefficients of X against the solver fields numbered ``rows``,
-        in that order (constraint slots trail at the end for embedded
-        spaces); only those rows of the inverse are contracted."""
-        t = env.depth - max(self.cost, X.cost)
-        inv = self.rows_at(env, t)
-        xs = _comps_at(X, env, t)
-        if env.points is None:
-            return [jets.dot(inv[i], xs) for i in rows]
-        return _contract(inv.a[list(rows)], xs)
+        return CovectorField(self.space, fn, self.cost,
+                             f"{self.fields[i].name}*")
 
-    def coframe(self, suffix: str = "*") -> list:
+    def coframe(self) -> tuple:
         """The covectors dual to the solver fields, w^i(e_j) = delta^i_j,
-        each read off one row of the shared inverse."""
-        def covector(i):
-            def fn(env):
-                inv = self.inverse(env)
-                return inv._new(inv.a[i]) if env.points else list(inv[i])
-
-            return CovectorField(self.space, fn, self.cost,
-                                 f"{self.fields[i].name}{suffix}")
-
-        return [covector(i) for i in range(len(self.fields))]
+        each read off one row of the shared inverse.  Built once, so every
+        projector and endomorphism over this solver shares their caches."""
+        return self._coframe
 
     def coefficients_at_point(self, point, components) -> list:
         """Coefficients of a vector's components at a point, or of one
@@ -814,15 +799,13 @@ class FrameSolver:
 
 
 def _expand(flat, components) -> list[float]:
-    n = len(components)
-    return [sum(flat[i][j] * components[j] for j in range(n))
-            for i in range(n)]
+    return [_left_sum(map(operator.mul, row, components)) for row in flat]
 
 
-def dual_coframe(space, frames, name_suffix="*") -> list[CovectorField]:
+def dual_coframe(space, frames) -> tuple:
     """Covectors dual to the concatenated frames: w^i(e_j) = delta^i_j."""
     fields = tuple(f for frame in frames for f in frame.fields)
-    return FrameSolver(space, fields).coframe(name_suffix)
+    return FrameSolver(space, fields).coframe()
 
 
 def frame_coefficients(space, frames, components, point) -> list[float]:
@@ -836,8 +819,9 @@ def frame_coefficients(space, frames, components, point) -> list[float]:
     for c, f in zip(trimmed, fields):
         vals = f.values(point)
         recon = [r + c * v for r, v in zip(recon, vals)]
-    norm = math.sqrt(sum(v * v for v in components)) or 1.0
-    resid = math.sqrt(sum((r - v) ** 2 for r, v in zip(recon, components)))
+    norm = math.sqrt(_left_sum(v * v for v in components)) or 1.0
+    resid = math.sqrt(_left_sum((r - v) ** 2
+                                for r, v in zip(recon, components)))
     if not resid <= 1e-10 * max(norm, 1.0):
         raise GeometryError(
             f"vector is not in the span of the frame at {point}: "
@@ -850,28 +834,16 @@ def frame_coefficients(space, frames, components, point) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _combination(coef, vectors, n) -> list:
-    """Components of ``sum_i coef[i] * vectors[i]``, each the left fold
-    from ``0.0`` over ``i``.  Over jets a component is one ``jets.dot``;
-    over floats updating whole vectors term by term is faster.  Over a
-    point set all components fold at once."""
-    if coef.__class__ is JetBatch:
-        return _contract(np.stack([v.a for v in vectors], axis=1), coef)
-    if coef and coef[0].__class__ is Jet:
-        return [jets.dot(coef, col) for col in zip(*vectors)]
-    out = [0.0] * n
-    for c, v in zip(coef, vectors):
-        out = [o + c * e for o, e in zip(out, v)]
-    return out
-
-
 class Endo11:
     """A (1,1)-tensor as a rule sending vector fields to vector fields.
 
-    All constructors below produce function-linear actions; the test suite
-    verifies that property by sampling.  Applications are memoized per
-    argument instance, so repeated formula assembly over the same fields
-    shares one output field (and its warm evaluation cache).
+    Every projector and endomorphism pair is a sum of coframe covectors
+    tensored with frame fields, built by :meth:`from_terms`; the other
+    constructors combine such tensors.  All of them produce function-linear
+    actions; the test suite verifies that property by sampling.
+    Applications are memoized per argument instance, so repeated formula
+    assembly over the same fields shares one output field (and its warm
+    evaluation cache).
     """
 
     __slots__ = ("space", "name", "_apply", "_memo")
@@ -900,22 +872,32 @@ class Endo11:
 
     @staticmethod
     def from_terms(space, terms, name):
-        """Sum of (covector ⊗ vector field) terms."""
+        """Sum of (covector ⊗ vector field) terms: each component of the
+        image is the left fold from ``0.0`` of ``w(X) * e``.  Over jets a
+        component is one ``jets.dot``; over floats updating whole vectors
+        term by term is faster.  Over a point set every pairing, and then
+        every component, folds at once."""
         terms = tuple(terms)
 
         def apply_fn(X):
-            cost = max([X.cost] + [max(w.cost, e.cost) for w, e in terms]) \
-                if terms else X.cost
+            cost = max([X.cost] + [max(w.cost, e.cost) for w, e in terms])
             n = space.ambient_dim
 
             def fn(env):
                 t = env.depth - cost
                 xs = _comps_at(X, env, t)
                 ws = [_comps_at(w, env, t) for w, _ in terms]
-                coef = [jets.dot(w, xs) for w in ws] if env.points is None \
-                    else _contract(np.stack([w.a for w in ws]), xs)
-                return _combination(
-                    coef, [_comps_at(e, env, t) for _, e in terms], n)
+                es = [_comps_at(e, env, t) for _, e in terms]
+                if env.points is not None:
+                    coef = _contract(np.stack([w.a for w in ws]), xs)
+                    return _contract(np.stack([e.a for e in es], axis=1), coef)
+                coef = [jets.dot(w, xs) for w in ws]
+                if coef and coef[0].__class__ is Jet:
+                    return [jets.dot(coef, col) for col in zip(*es)]
+                out = [0.0] * n
+                for c, e in zip(coef, es):
+                    out = [o + c * v for o, v in zip(out, e)]
+                return out
 
             return VectorField(space, fn, cost, f"{name}({X.name})")
 
@@ -954,24 +936,11 @@ def lie_derivative_endo(G: VectorField, T: Endo11, name=None) -> Endo11:
 
 
 def projector_from_solver(solver: FrameSolver, indices, name) -> Endo11:
-    """Projector onto the span of the indexed solver fields, along the rest."""
-    indices = tuple(indices)
-    space = solver.space
-
-    def apply_fn(X):
-        cost = max(solver.cost, X.cost)
-        n = space.ambient_dim
-
-        def fn(env):
-            t = env.depth - cost
-            coef = solver.coefficients_for(env, X, indices)
-            return _combination(
-                coef, [_comps_at(solver.fields[i], env, t) for i in indices],
-                n)
-
-        return VectorField(space, fn, cost, f"{name}({X.name})")
-
-    return Endo11(space, apply_fn, name)
+    """Projector onto the span of the indexed solver fields, along the rest:
+    the sum of ``w^i ⊗ e_i`` over the indices."""
+    coframe = solver.coframe()
+    return Endo11.from_terms(
+        solver.space, [(coframe[i], solver.fields[i]) for i in indices], name)
 
 
 def projector_from_split(target: Frame, rest, name=None) -> Endo11:
@@ -998,8 +967,7 @@ def validate_frame(space, fields, cfg: CheckConfig = DEFAULT_CHECK):
 
     return per_point(space.sample_points(cfg),
                      lambda pts: [gate(p, cols) for p, cols in zip(
-                         pts, zip(*(f.values(pts) for f in fields)))],
-                     lambda p: gate(p, [f.values(p) for f in fields]))
+                         pts, zip(*(f.values(pts) for f in fields)))])
 
 
 def _partial(s, i: int) -> float:

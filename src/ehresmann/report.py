@@ -43,19 +43,18 @@ def max_abs(values) -> float:
     return worst
 
 
-def per_point(points, batched, single) -> list:
-    """One result per point: ``batched(points)`` gives them all from one
-    evaluation over the point set, ``single(p)`` one point's.  One point
-    takes ``single``, and so does every point when the batched call
-    raises: the error is then the one the point-by-point loop raises, at
-    the same point."""
+def per_point(points, batched) -> list:
+    """One result per point, from ``batched(points)``, one evaluation over
+    the point set.  When that raises on several points, each point is
+    evaluated as a one-point set, in order: the error is then the one the
+    point-by-point loop raises, at the same point."""
     points = list(points)
     if len(points) > 1:
         try:
             return batched(points)
         except Exception:
             pass
-    return [single(p) for p in points]
+    return [batched([p])[0] for p in points]
 
 
 class DevTracker:
@@ -79,11 +78,8 @@ class DevTracker:
         field's value is its one component.  Over several points each field
         is evaluated once for the whole point set."""
         points = list(points)
-        devs = per_point(
-            points,
-            lambda pts: list(zip(*([max_abs(row) for row in f.values(pts)]
-                                   for f in fields))),
-            lambda p: [max_abs(f.values(p)) for f in fields])
+        devs = per_point(points, lambda pts: list(zip(*(
+            [max_abs(row) for row in f.values(pts)] for f in fields))))
         for p, row in zip(points, devs):
             for dev in row:
                 self.update(dev, p.values)

@@ -118,9 +118,7 @@ class Metric:
             self.space.sample_points(cfg),
             lambda pts: list(map(lowest, pts, np.reshape(
                 [f.values(pts) for f in pairs],
-                (r, r, -1)).transpose(2, 0, 1))),
-            lambda p: lowest(p, np.reshape([f.value_at(p) for f in pairs],
-                                           (r, r)))))
+                (r, r, -1)).transpose(2, 0, 1)))))
         if not worst > 0:
             raise GeometryError(
                 f"metric {self.name} is not positive definite on the frame: "
@@ -246,10 +244,8 @@ def expected_table_checks(scen: Scenario, cfg: CheckConfig) -> list:
 
         tracker = DevTracker()
         for p, row_devs in zip(pts, per_point(
-                pts,
-                lambda ps: [devs(p, c) for p, c in zip(
-                    ps, scen.coefficients(out, ps))],
-                lambda p: devs(p, scen.coefficients(out, p)))):
+                pts, lambda ps: [devs(p, c) for p, c in zip(
+                    ps, scen.coefficients(out, ps))])):
             for dev in row_devs:
                 tracker.update(dev, p.values)
         records.append(tracker.record(
@@ -1351,16 +1347,10 @@ def build_scenario(name: str, cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
 
 
 CATALOG = {
-    "trivial-r3": ("general examples", 3,
-                   "trivial bundle over the plane, circle-angle fibre"),
-    "hopf": ("general examples", 3,
-             "Hopf fibration of the 3-sphere, rotation frame"),
-    "affine-tangent": ("tangent bundle", 4,
-                       "lift of an affine base connection with torsion"),
-    "nonlinear-tangent": ("tangent bundle", 4,
-                          "general nonlinear tangent-bundle connection"),
-    "sode-tangent": ("tangent bundle", 4,
-                     "connection induced by a second-order equation field"),
-    "frame-bundle": ("frame bundle", 6,
-                     "frame bundle with column-split fibre coordinates"),
+    "trivial-r3": "trivial bundle over the plane, circle-angle fibre",
+    "hopf": "Hopf fibration of the 3-sphere, rotation frame",
+    "affine-tangent": "lift of an affine base connection with torsion",
+    "nonlinear-tangent": "general nonlinear tangent-bundle connection",
+    "sode-tangent": "connection induced by a second-order equation field",
+    "frame-bundle": "frame bundle with column-split fibre coordinates",
 }

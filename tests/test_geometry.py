@@ -152,13 +152,35 @@ def test_separately_seeded_envs_share_one_cache_entry(plane_circle):
     solver = FrameSolver(space, (v, h1, h2))
     inv = solver.inverse(e1)
     assert solver.inverse(e2) is inv
-    assert solver.rows_at(e2, 0) is solver.rows_at(e1, 0)
-    assert len(solver._cache) == 2
+    assert len(solver._cache) == 1
+    # a truncated coframe row is cached by its covector field
+    w = solver.coframe()[0]
+    assert geo._comps_at(w, e2, 0) is geo._comps_at(w, e1, 0)
+    assert len(w._cache) == 2
+    assert dual_coframe(space, [Frame((v, h1, h2))])[0].name == "V*"
 
 
 # ---------------------------------------------------------------------------
 # Lie brackets
 # ---------------------------------------------------------------------------
+
+
+def test_float_sums_do_not_depend_on_the_interpreter(sphere3, monkeypatch):
+    # the builtin sum of floats is compensated from Python 3.12 on, as
+    # math.fsum is: [1e16, 1.0, -1e16] sums to 1.0 there, 0.0 left to right
+    space = sphere3[0]
+    cfg = CheckConfig(seed=11, samples=20)
+    points = space.sample_points(cfg)
+    near = (0.6, 0.8 + 1e-9, 1e-17, -1e-17)
+    projected = space.point(near, project=True)
+    rows = [[1e16, 1.0, -1e16], [1.0, 1e16, -1e16], [-1e16, 1e16, 1.0]]
+    expanded = geo._expand(rows, [1.0, 1.0, 1.0])
+    assert expanded == [0.0, 0.0, 1.0]
+    monkeypatch.setattr(geo, "sum", math.fsum, raising=False)
+    assert [p.values for p in space.sample_points(cfg)] == \
+        [p.values for p in points]
+    assert space.point(near, project=True).values == projected.values
+    assert geo._expand(rows, [1.0, 1.0, 1.0]) == expanded
 
 
 def test_bracket_with_itself_vanishes(tangent_affine):
@@ -562,28 +584,74 @@ def _bits(s):
     return float(s).hex()
 
 
+def _projector_reference(solver, indices, X, env):
+    """A projector as the full solve gives it: the rows of the whole
+    inverse, truncated to the output depth, each left-folded against X,
+    then combined with the frame fields, each component from 0.0."""
+    t = env.depth - max(solver.cost, X.cost)
+    inv = solver.inverse(env)
+    xs = geo._comps_at(X, env, t)
+    coef = []
+    for i in indices:
+        acc = 0.0
+        for w, x in zip(inv[i], xs):
+            acc = acc + jets.truncate(w, t) * x
+        coef.append(acc)
+    out = []
+    for k in range(solver.space.ambient_dim):
+        acc = 0.0
+        for c, i in zip(coef, indices):
+            acc = acc + c * geo._comps_at(solver.fields[i], env, t)[k]
+        out.append(acc)
+    return out
+
+
+def _check_projectors(solver, fields, points):
+    """Every projector of ``solver`` on index sets (0,), (2, 0) and all
+    fields, applied to each field, against the reference at each point,
+    alone and as part of the point set, at two depths."""
+    for indices in ((0,), (2, 0), tuple(range(len(solver.fields)))):
+        for X in fields:
+            field = geo.projector_from_solver(solver, indices, "P")(X)
+            assert field.cost == max(solver.cost, X.cost)
+            for depth in (field.cost, field.cost + 1):
+                batch = field.at(solver.space.seed_env(points, depth))
+                for k, p in enumerate(points):
+                    env = solver.space.seed_env(p, depth)
+                    want = _bits(_projector_reference(solver, indices, X, env))
+                    assert _bits(field.at(env)) == want, (indices, X.name)
+                    assert _bits(_at_point(batch, k)) == want, (indices, k)
+
+
 def test_coefficient_rows_match_the_full_solve(sphere3):
+    # the Hopf solve squares its system with a constraint column
     space, lam, sig, v = sphere3
     solver = FrameSolver(space, (lam, sig, v))
-    X = vf_add(vf_scale(ScalarField.from_expr(space, "x*y+2"), lam),
-               lie_bracket(sig, v))
-    n = space.ambient_dim
-    for p in space.sample_points(CheckConfig(samples=3)):
-        env = space.seed_env(p, 3)
-        t = env.depth - max(solver.cost, X.cost)
-        inv = solver.rows_at(env, t)
-        xs = geo._comps_at(X, env, t)
-        full = []
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc = acc + inv[i][j] * xs[j]
-            full.append(acc)
-        assert _bits(solver.coefficients_for(env, X, range(n))) == \
-            _bits(full)
-        for rows in ((1,), (2, 0), (3,)):
-            assert _bits(solver.coefficients_for(env, X, rows)) == \
-                _bits([full[i] for i in rows])
+    assert solver.cost == 1 and len(solver.fields) < space.ambient_dim
+    bracket = lie_bracket(sig, v)
+    fields = [vf_add(vf_scale(ScalarField.from_expr(space, "x*y+2"), lam), v),
+              bracket, lie_bracket(lam, bracket)]
+    assert [X.cost for X in fields] == [0, 1, 2]
+    _check_projectors(solver, fields,
+                      space.sample_points(CheckConfig(samples=3)))
+
+
+def test_projectors_match_the_full_solve_on_permuted_frames():
+    from ehresmann.scenarios import build_scenario
+
+    scen = build_scenario("frame-bundle", CheckConfig(samples=2))
+    conn, split = scen.conn, scen.split
+    # the split's solver orders the connection's fields as H + V blocks
+    assert split.solver is not conn.solver
+    assert sorted(map(id, split.solver.fields)) == \
+        sorted(map(id, conn.solver.fields))
+    h1, v1 = conn.horizontal.fields[0], conn.vertical.fields[0]
+    bracket = lie_bracket(h1, v1)
+    fields = [vf_add(h1, v1), bracket, lie_bracket(h1, bracket)]
+    assert [X.cost for X in fields] == [0, 1, 2]
+    points = scen.space.sample_points(CheckConfig(seed=4, samples=2))
+    for solver in (conn.solver, split.solver):
+        _check_projectors(solver, fields, points)
 
 
 def _bracket_before_hoisting(X, Y, env):

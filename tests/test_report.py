@@ -13,13 +13,14 @@ from ehresmann.report import DevTracker, max_abs
 
 
 class _Fixed:
-    """A stand-in field with the same components at every point."""
+    """A stand-in field with the same components at every point of a
+    point set."""
 
     def __init__(self, comps):
         self.comps = comps
 
-    def values(self, point):
-        return self.comps
+    def values(self, points):
+        return [self.comps for _ in points]
 
 
 def _point(*values):

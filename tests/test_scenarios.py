@@ -474,11 +474,11 @@ def test_builtin_suites_pass(name, built):
     assert not failed, failed
 
 
-def test_catalog_matches_built_scenarios(built):
+def test_catalog_matches_built_scenarios():
+    # section and dimension come from the built scenarios themselves
     assert set(sc.CATALOG) == set(sc.BUILTIN_BUILDERS)
-    for name, (section, dim, _desc) in sc.CATALOG.items():
-        scen = built(name)
-        assert (section, dim) == (scen.section, scen.space.dim), name
+    for name, desc in sc.CATALOG.items():
+        assert isinstance(desc, str) and desc, name
 
 
 def test_unexpected_nonzero_component_fails_the_table():
@@ -495,14 +495,11 @@ def test_unexpected_nonzero_component_fails_the_table():
 
 def test_builtins_check_each_point_set_in_one_batch(monkeypatch):
     """Every batched evaluation of a build and its checks completes: none
-    falls back to the point-by-point path."""
+    falls back to one-point sets."""
     from ehresmann import geometry, report
 
-    def strict(points, batched, single):
-        points = list(points)
-        if len(points) > 1:
-            return batched(points)
-        return [single(p) for p in points]
+    def strict(points, batched):
+        return batched(list(points))
 
     for module in (report, geometry, sc):
         monkeypatch.setattr(module, "per_point", strict)
@@ -546,12 +543,14 @@ def test_builds_and_extra_checks_seed_no_single_point(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["trivial-r3", "hopf"])
 def test_full_runs_seed_no_single_point(name, monkeypatch):
-    # neither family has a per-point oracle in its expected table
+    # neither family has a per-point oracle in its expected table; one
+    # sample point is checked as a one-point set
     seeded = _spy_single_point_seeds(monkeypatch)
-    cfg = CheckConfig(samples=3)
-    records = sc.run_scenario_checks(sc.build_scenario(name, cfg), cfg)
-    assert records and all(r.passed for r in records)
-    assert seeded == []
+    for samples in (3, 1):
+        cfg = CheckConfig(samples=samples)
+        records = sc.run_scenario_checks(sc.build_scenario(name, cfg), cfg)
+        assert records and all(r.passed for r in records)
+        assert seeded == [], samples
 
 
 def test_coframe_check_fails_against_a_sign_flipped_form(monkeypatch):
