@@ -437,9 +437,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_at(argv) -> list:
+    """``--at X`` as ``--at=X``: argparse takes a value such as ``-1,0``,
+    which starts with ``-`` and is not one number, for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--at":
+            out[-1] = f"--at={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_joined_at(sys.argv[1:] if argv is None
+                                      else argv))
     try:
         if ns.command == "list":
             print(cmd_list(ns.format))

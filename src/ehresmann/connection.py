@@ -17,10 +17,11 @@ import numpy as np
 
 from .geometry import (
     CheckConfig, DEFAULT_CHECK, Endo11, FRAME_DEGENERACY_RATIO,
-    Frame, FrameSolver, GeometryError, VectorField, _invert, frame_ratio,
-    projector_from_solver, validate_frame, validate_tangent, vf_add, vf_scale,
-    vf_sub,
+    Frame, FrameSolver, GeometryError, VectorField, _invert_points,
+    frame_ratio, projector_from_solver, validate_frame, validate_tangent,
+    vf_add, vf_scale, vf_sub,
 )
+from .jets import JetBatch
 from .report import DevTracker, max_abs
 
 SPLIT_IDENTITY_TOL = 1e-10
@@ -204,7 +205,8 @@ def canonical_endos(conn: EhresmannConnection, blocks,
                 raise ConnectionDataError(
                     f"pairing matrix is singular for block {block.name!r}: "
                     f"singular-value ratio {ratio:.3e}")
-            minv = _invert([[float(x) for x in row] for row in mat], r)
+            minv = _invert_points(JetBatch(np.array(
+                mat, dtype=float)[:, :, None], 0, 0), r).a[:, :, 0]
             k_images = [
                 _combine(space, k_frame.fields,
                          [mat[c][b] for c in range(r)],

@@ -104,12 +104,9 @@ class CovDeriv:
         self._memo = {}
 
     def __call__(self, X: VectorField, Y: VectorField) -> VectorField:
-        key = (id(X), id(Y))
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] is X and hit[1] is Y:
-            return hit[2]
-        out = self.rule(X, Y)
-        self._memo[key] = (X, Y, out)
+        out = self._memo.get((X, Y))
+        if out is None:
+            out = self._memo[X, Y] = self.rule(X, Y)
         return out
 
 

@@ -1,26 +1,29 @@
 """Charted spaces, vector fields, coframes, projectors and (1,1)-tensors.
 
-Everything evaluable here is generic over the jet scalar: evaluating a field
-in an environment of coordinate jets of depth ``k`` yields components that
+Everything evaluable here runs on :class:`jets.JetBatch` arrays over a
+point set, and a single point is a one-point set: evaluating a field in an
+environment of coordinate batches of depth ``k`` yields components that
 carry exact derivatives.  Derived objects (Lie brackets, pointwise solves
 through constraint gradients, Lie derivatives) consume derivative levels;
 each field records that consumption as its ``cost``, and evaluation fails
 loudly when the available depth cannot cover it, naming the operation chain.
 
 The evaluation contract: an environment is an :class:`Env`, the space's
-coordinate functions seeded as jets at a point (``ChartedSpace.seed_env``).
-Under that contract the first-order slots of any evaluated component are its
-coordinate derivatives at the point, which is what brackets and Lie
-derivatives read.  An ``Env`` carries its seeded ``depth`` and its memo
-``key``, ``(point values, depth)``: equal keys mean bit-equal inputs, so every
-cache keys on it.  A field caches its own evaluation under ``env.key``, at
-depth ``env.depth - cost``; a truncation of its components below that depth
-is cached under ``(env.key, target)``.
+coordinate functions seeded as jets over a point set
+(``ChartedSpace.seed_env``).  Under that contract the first-order slots of
+any evaluated component are its coordinate derivatives at each point, which
+is what brackets and Lie derivatives read.  An ``Env`` carries its seeded
+``depth`` and its memo ``key``, ``(point values, depth)``: equal keys mean
+bit-equal inputs, so every cache keys on it.  A field caches its own
+evaluation under ``env.key``, at depth ``env.depth - cost``; a truncation
+of its components below that depth is cached under ``(env.key, target)``.
 
 Embedded spaces (constraint expressions ``c_k = 0``) keep all fields in
 ambient coordinates.  Pointwise frame solves append the constraint gradients
 as extra columns to square the system, so frame coefficients of tangent
-vectors come out of one partial-pivot elimination, generic over jets.
+vectors come out of one partial-pivot elimination over the point set.
+The scalar jets of :mod:`jets` take no part here: they are the reference
+algebra the tests hold these kernels to.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import expr as ex
 from . import jets
-from .jets import Jet, JetBatch, JetConfig, value_of
+from .jets import JetBatch, JetConfig, value_of
 from .report import DevTracker, max_abs, per_point
 
 FRAME_DEGENERACY_RATIO = 1e-8
@@ -153,24 +156,21 @@ class ChartedSpace:
         return self.coords.index(coord)
 
     def seed_env(self, point, depth: int, name: str = "seed_env") -> "Env":
-        """Coordinate jets of ``depth`` levels at a point, or batches at
-        each point of a point set; ``name`` is the operation blamed when a
-        point's depth cap is below ``depth``."""
-        batch = is_point_set(point)
-        for p in point if batch else (point,):
+        """Coordinate batches of ``depth`` levels over a point set; one
+        point (a :class:`Point` or its values) is a one-point set.  ``name``
+        is the operation blamed when a point's depth cap is below
+        ``depth``."""
+        points = point if is_point_set(point) else (point,)
+        for p in points:
             if isinstance(p, Point) and p.depth is not None \
                     and depth > p.depth:
                 raise DepthBudgetError(name, depth, p.depth)
-        config = JetConfig(self.coords, depth)
-        if batch:
-            values = PointSetKey(p.values for p in point)
-            env = Env(zip(self.coords, jets.seed_points(config, values)))
-        else:
-            values = point.values if isinstance(point, Point) else tuple(point)
-            env = Env(zip(self.coords, jets.seed(config, values)))
-            values = tuple(map(float, values))
+        values = PointSetKey(p.values if isinstance(p, Point)
+                             else tuple(map(float, p)) for p in points)
+        env = Env(zip(self.coords, jets.seed_points(
+            JetConfig(self.coords, depth), values)))
         env.depth = depth
-        env.points = values if batch else None
+        env.points = values
         env.key = (values, depth)
         return env
 
@@ -257,20 +257,21 @@ class PointSetKey(tuple):
 
 
 class Env(dict):
-    """Coordinate jets seeded at one point: ``env[c]`` is coordinate ``c``.
+    """Coordinate batches seeded over a point set: ``env[c]`` is the
+    :class:`jets.JetBatch` of coordinate ``c``.
 
-    ``depth`` is the seeded depth and ``key`` is ``(point values, depth)``,
-    the memo key of every evaluation in this environment.  Seeded at a
-    point set, it holds a :class:`jets.JetBatch` per coordinate and its
-    ``points`` are the point values (None at one point).
+    ``depth`` is the seeded depth, ``points`` the point values and ``key``
+    is ``(points, depth)``, the memo key of every evaluation in this
+    environment.
     """
 
     __slots__ = ("depth", "key", "points")
 
 
 def _as_depth(s, depth: int, env: Env):
-    """Normalize a scalar to an exact depth (truncate jets, lift numbers)."""
-    if isinstance(s, (Jet, JetBatch)):
+    """Normalize a scalar to an exact depth (truncate batches, lift
+    numbers)."""
+    if s.__class__ is JetBatch:
         if s.depth == depth:
             return s
         if s.depth > depth:
@@ -279,47 +280,34 @@ def _as_depth(s, depth: int, env: Env):
             f"internal: scalar of depth {s.depth} below target {depth}")
     if depth == 0:
         return float(s)
-    return jets.constant(float(s), len(env), depth,
-                         None if env.points is None else len(env.points))
+    return jets.constant(float(s), len(env), depth, len(env.points))
 
 
 def _comps_as_depth(comps, depth: int, env: Env):
-    """Components at an exact depth: a list at one point; over a point set
-    one batch, the component axis first, lifting numbers as
+    """Components at an exact depth as one batch, the component axis
+    first; a list of components is stacked, numbers lifted as
     :func:`_as_depth` does."""
     if comps.__class__ is JetBatch:
         return jets.truncate(comps, depth)
-    if env.points is not None:
-        out = np.zeros((len(comps), len(env.points)) + (1 + len(env),) * depth)
-        for row, c in zip(out, comps):
-            if c.__class__ is JetBatch:
-                row[...] = _as_depth(c, depth, env).a
-            else:
-                row[(Ellipsis,) + (0,) * depth] = float(c)
-        return JetBatch(out, depth, len(env))
-    # the common cases inline: values at depth 0, jets already at depth
-    if depth == 0:
-        return [c.value if c.__class__ is Jet else jets.truncate(c, 0)
-                if c.__class__ is JetBatch else float(c) for c in comps]
-    return [c if (c.__class__ is Jet or c.__class__ is JetBatch)
-            and c.depth == depth else _as_depth(c, depth, env) for c in comps]
+    out = np.zeros((len(comps), len(env.points)) + (1 + len(env),) * depth)
+    for row, c in zip(out, comps):
+        if c.__class__ is JetBatch:
+            row[...] = _as_depth(c, depth, env).a
+        else:
+            row[(Ellipsis,) + (0,) * depth] = float(c)
+    return JetBatch(out, depth, len(env))
 
 
-def _value_rows(x, env: Env):
-    """The values of stacked scalars: of a matrix, lists of floats at one
-    point; over a point set, an array with the point axis first."""
-    if env.points is None:
-        return [[value_of(e) for e in row] for row in x]
+def _value_rows(x):
+    """The values of stacked scalars, the point axis first."""
     return np.moveaxis(x.value, -1, 0)
 
 
-def _gradient(s, depth: int, env: Env):
-    """A scalar's first-order partials at an exact depth, stacked over a
-    point set (the variable axis first)."""
-    if s.__class__ is JetBatch:
-        return jets.truncate(JetBatch(np.moveaxis(s.a[:, 1:], 1, 0),
-                                      s.depth - 1, s.nvars), depth)
-    return _comps_as_depth(s.partials, depth, env)
+def _gradient(s, depth: int):
+    """A scalar's first-order partials at an exact depth, the variable
+    axis first."""
+    return jets.truncate(JetBatch(np.moveaxis(s.a[:, 1:], 1, 0),
+                                  s.depth - 1, s.nvars), depth)
 
 
 def _contract(rows, xs):
@@ -347,8 +335,7 @@ class _Field:
 
     __slots__ = ("space", "name", "cost", "_fn", "_cache")
     _normalize = staticmethod(_comps_as_depth)
-    _listed = staticmethod(lambda comps: comps)
-    _point_rows = staticmethod(_value_rows)
+    _point_rows = staticmethod(lambda comps, env: _value_rows(comps))
 
     def __init__(self, space, fn, cost, name):
         self.space = space
@@ -386,10 +373,9 @@ class _Field:
         """Component values at a point, or one list per point of a set; a
         scalar field has one component, its value."""
         env = self.space.seed_env(point, self.cost, self.name)
-        if env.points is None:
-            return [value_of(c) for c in self._listed(self.at(env))]
         with np.errstate(all="ignore"):
-            return self._point_rows(self.at(env), env).tolist()
+            rows = self._point_rows(self.at(env), env).tolist()
+        return rows if is_point_set(point) else rows[0]
 
 
 class ScalarField(_Field):
@@ -397,7 +383,6 @@ class ScalarField(_Field):
 
     __slots__ = ()
     _normalize = staticmethod(_as_depth)
-    _listed = staticmethod(lambda value: [value])
     _point_rows = staticmethod(lambda value, env: np.broadcast_to(
         value_of(value), (len(env.points),))[:, None])
     at = _Field.at
@@ -490,11 +475,7 @@ def _binary_field(op, X: VectorField, Y: VectorField, name) -> VectorField:
 
     def fn(env):
         t = env.depth - cost
-        xs = _comps_at(X, env, t)
-        ys = _comps_at(Y, env, t)
-        if env.points is not None:
-            return op(xs, ys)
-        return [op(a, b) for a, b in zip(xs, ys)]
+        return op(_comps_at(X, env, t), _comps_at(Y, env, t))
 
     return VectorField(X.space, fn, cost, name)
 
@@ -507,22 +488,18 @@ def vf_sub(X: VectorField, Y: VectorField, name=None) -> VectorField:
     return _binary_field(operator.sub, X, Y, name or f"({X.name}-{Y.name})")
 
 
-def _scaled(s, comps, env):
-    return s * comps if env.points is not None else [s * c for c in comps]
-
-
 def vf_scale(f, X: VectorField, name=None) -> VectorField:
     """Scale by a number or by a scalar field (function-linear scaling)."""
     if isinstance(f, (int, float)):
         c = float(f)
-        return VectorField(X.space, lambda env: _scaled(c, X.at(env), env),
+        return VectorField(X.space, lambda env: c * X.at(env),
                            X.cost, name or f"{c:g}*{X.name}")
     _check_space(f, X)
     cost = max(f.cost, X.cost)
 
     def fn(env):
         t = env.depth - cost
-        return _scaled(_as_depth(f.at(env), t, env), _comps_at(X, env, t), env)
+        return _as_depth(f.at(env), t, env) * _comps_at(X, env, t)
 
     return VectorField(X.space, fn, cost, name or f"({f.name})*{X.name}")
 
@@ -548,21 +525,13 @@ def directional(X: VectorField, f: ScalarField, name=None) -> ScalarField:
         fv = f.at(env)
         if jets.depth_of(fv) == 0:
             raise DepthBudgetError(f"{X.name}({f.name})", cost, env.depth)
-        return jets.dot(_comps_at(X, env, t), _gradient(fv, t, env))
+        return jets.dot(_comps_at(X, env, t), _gradient(fv, t))
 
     return ScalarField(X.space, fn, cost, name or f"{X.name}({f.name})")
 
 
-def _first_slots(comps, t: int) -> list:
-    """Each component's first-order slots at depth ``t``.  They are already
-    at ``t`` unless the components were evaluated deeper than ``t + 1``."""
-    if comps[0].depth == t + 1:
-        return [c.partials for c in comps]
-    return [[jets.truncate(p, t) for p in c.partials] for c in comps]
-
-
 def _bracket_fold(xs, ys, t: int):
-    """The bracket over a point set: the stacked components at depth
+    """The bracket of stacked components at depth
     ``t + 1``, every product of the fold formed at once (indexed component,
     point, variable, slots...), then ``acc = acc + a * p - b * q`` folded
     over the variables in order."""
@@ -589,28 +558,10 @@ def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
     """
     _check_space(X, Y)
     cost = max(X.cost, Y.cost) + 1
-    n = X.space.ambient_dim
-    label = name or f"[{X.name},{Y.name}]"
-
-    def fn(env):
-        t = env.depth - cost
-        xs = X.at(env)
-        ys = Y.at(env)
-        if env.points is not None:
-            return _bracket_fold(xs, ys, t)
-        xt = _comps_as_depth(xs, t, env)
-        yt = _comps_as_depth(ys, t, env)
-        dx = _first_slots(xs, t)
-        dy = _first_slots(ys, t)
-        out = []
-        for i in range(n):
-            acc = 0.0
-            for a, p, b, q in zip(xt, dy[i], yt, dx[i]):
-                acc = acc + a * p - b * q
-            out.append(acc)
-        return out
-
-    return VectorField(X.space, fn, cost, label)
+    return VectorField(
+        X.space, lambda env: _bracket_fold(X.at(env), Y.at(env),
+                                           env.depth - cost),
+        cost, name or f"[{X.name},{Y.name}]")
 
 
 # ---------------------------------------------------------------------------
@@ -658,35 +609,12 @@ def gate_frame(mat, point):
         raise SingularFrameError(point, ratio)
 
 
-def _invert(rows, n):
-    """Gauss-Jordan with partial pivoting on the value part; generic scalars
-    as lists of rows, or one batch indexed (row, column, point, slots...)."""
-    if rows.__class__ is JetBatch:
-        return _invert_points(rows, n)
-    aug = [list(rows[i]) + [1.0 if j == i else 0.0 for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(value_of(aug[r][col])))
-        if abs(value_of(aug[piv][col])) == 0.0:
-            raise GeometryError("exactly singular matrix in frame solve")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1.0 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col:
-                factor = aug[r][col]
-                if isinstance(factor, Jet) or factor != 0.0:
-                    aug[r] = [a - factor * b
-                              for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _invert_points(mat, n):
-    """:func:`_invert` over a point set, on one array indexed (point, row,
-    column, slots...), each step on all points and rows at once: the pivot
-    is the first largest value per point, rows swap by fancy indexing, and
-    at depth 0 a zero factor leaves its row alone.  The inverse is one
-    batch indexed (row, column, point, slots...)."""
+    """Gauss-Jordan with partial pivoting on the value part, of the batch
+    ``mat`` indexed (row, column, point, slots...), each step on all points
+    and rows at once: the pivot is the first largest value per point, rows
+    swap by fancy indexing, and at depth 0 a zero factor leaves its row
+    alone.  The inverse is one batch indexed like ``mat``."""
     t, nvars, points = mat.depth, mat.nvars, mat.a.shape[2]
     value = (Ellipsis,) + (0,) * t
     aug = np.zeros((points, n, 2 * n) + (1 + nvars,) * t)
@@ -752,7 +680,7 @@ class FrameSolver:
             cj = ex.evaluate(c, env)
             if jets.depth_of(cj) == 0:
                 raise DepthBudgetError("constraint gradient", 1, 0)
-            cols.append(_gradient(cj, target, env))
+            cols.append(_gradient(cj, target))
         return cols
 
     def inverse(self, env):
@@ -761,22 +689,17 @@ class FrameSolver:
             return hit
         if env.depth < self.cost:
             raise DepthBudgetError("frame solve", self.cost, env.depth)
-        n = self.space.ambient_dim
         cols = self._columns(env, env.depth - self.cost)
-        if env.points is None:
-            mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-        else:
-            mat = cols[0]._new(np.stack([c.a for c in cols], axis=1))
-        gate_frame(_value_rows(mat, env),
-                   env.key[0] if env.points is None else env.points)
-        inv = _invert(mat, n)
+        mat = cols[0]._new(np.stack([c.a for c in cols], axis=1))
+        gate_frame(_value_rows(mat), env.points)
+        inv = _invert_points(mat, self.space.ambient_dim)
         self._cache[env.key] = inv
         return inv
 
     def _covector(self, i) -> CovectorField:
         def fn(env):
             inv = self.inverse(env)
-            return inv._new(inv.a[i]) if env.points else list(inv[i])
+            return inv._new(inv.a[i])
 
         return CovectorField(self.space, fn, self.cost,
                              f"{self.fields[i].name}*")
@@ -787,15 +710,13 @@ class FrameSolver:
         projector and endomorphism over this solver shares their caches."""
         return self._coframe
 
-    def coefficients_at_point(self, point, components) -> list:
-        """Coefficients of a vector's components at a point, or of one
-        component list per point of a set."""
-        env = self.space.seed_env(point, self.cost, "frame solve")
-        if env.points is None:
-            return _expand(_value_rows(self.inverse(env), env), components)
+    def coefficients(self, env, rows) -> list:
+        """Each point's frame coefficients of the vector whose components
+        are that point's entry of ``rows``, from the values of the inverse
+        in ``env``."""
         with np.errstate(all="ignore"):
-            flat = _value_rows(self.inverse(env), env).tolist()
-        return [_expand(f, c) for f, c in zip(flat, components)]
+            flat = _value_rows(self.inverse(env)).tolist()
+        return [_expand(f, c) for f, c in zip(flat, rows)]
 
 
 def _expand(flat, components) -> list[float]:
@@ -813,7 +734,8 @@ def frame_coefficients(space, frames, components, point) -> list[float]:
     raises unless the expansion reconstructs the vector."""
     fields = tuple(f for frame in frames for f in frame.fields)
     solver = FrameSolver(space, fields)
-    coef = solver.coefficients_at_point(point, list(components))
+    env = space.seed_env(point, solver.cost, "frame solve")
+    coef = solver.coefficients(env, [list(components)])[0]
     trimmed = coef[:len(fields)]
     recon = [0.0] * space.ambient_dim
     for c, f in zip(trimmed, fields):
@@ -859,11 +781,9 @@ class Endo11:
             raise SpaceMismatchError(
                 f"{self.name} on {self.space.name} applied to {X.name} "
                 f"on {X.space.name}")
-        hit = self._memo.get(id(X))
-        if hit is not None and hit[0] is X:
-            return hit[1]
-        out = self._apply(X)
-        self._memo[id(X)] = (X, out)
+        out = self._memo.get(X)
+        if out is None:
+            out = self._memo[X] = self._apply(X)
         return out
 
     @staticmethod
@@ -873,31 +793,21 @@ class Endo11:
     @staticmethod
     def from_terms(space, terms, name):
         """Sum of (covector ⊗ vector field) terms: each component of the
-        image is the left fold from ``0.0`` of ``w(X) * e``.  Over jets a
-        component is one ``jets.dot``; over floats updating whole vectors
-        term by term is faster.  Over a point set every pairing, and then
-        every component, folds at once."""
+        image is the left fold from ``0.0`` of ``w(X) * e``.  Every
+        pairing, and then every component, folds at once over the point
+        set."""
         terms = tuple(terms)
 
         def apply_fn(X):
             cost = max([X.cost] + [max(w.cost, e.cost) for w, e in terms])
-            n = space.ambient_dim
 
             def fn(env):
                 t = env.depth - cost
                 xs = _comps_at(X, env, t)
-                ws = [_comps_at(w, env, t) for w, _ in terms]
-                es = [_comps_at(e, env, t) for _, e in terms]
-                if env.points is not None:
-                    coef = _contract(np.stack([w.a for w in ws]), xs)
-                    return _contract(np.stack([e.a for e in es], axis=1), coef)
-                coef = [jets.dot(w, xs) for w in ws]
-                if coef and coef[0].__class__ is Jet:
-                    return [jets.dot(coef, col) for col in zip(*es)]
-                out = [0.0] * n
-                for c, e in zip(coef, es):
-                    out = [o + c * v for o, v in zip(out, e)]
-                return out
+                ws = np.stack([_comps_at(w, env, t).a for w, _ in terms])
+                es = np.stack([_comps_at(e, env, t).a for _, e in terms],
+                              axis=1)
+                return _contract(es, _contract(ws, xs))
 
             return VectorField(space, fn, cost, f"{name}({X.name})")
 
@@ -970,12 +880,6 @@ def validate_frame(space, fields, cfg: CheckConfig = DEFAULT_CHECK):
                          pts, zip(*(f.values(pts) for f in fields)))])
 
 
-def _partial(s, i: int) -> float:
-    """The first-order partial of a scalar in seeded variable ``i``: the
-    value of its ``i``-th slot, zero for a plain number."""
-    return value_of(s.partials[i]) if isinstance(s, Jet) else 0.0
-
-
 def annihilation(space, exprs, X: VectorField,
                  cfg: CheckConfig = DEFAULT_CHECK) -> DevTracker:
     """The worst |grad(e) . X| over the sampled points and expressions,
@@ -998,6 +902,8 @@ def validate_tangent(space, X: VectorField, cfg: CheckConfig = DEFAULT_CHECK,
 
 
 def eval_vector_field(X: VectorField, point, cfg: CheckConfig = DEFAULT_CHECK):
-    """Components of X at a point, lifted to jets seeded at that point."""
-    env = X.space.seed_env(point, cfg.depth)
-    return X.at(env)
+    """Components of X at a point, lifted to jets seeded at that point: one
+    batch per component, holding the point's slots alone."""
+    with np.errstate(all="ignore"):
+        comps = X.at(X.space.seed_env(point, cfg.depth))
+    return [comps._new(c[0]) for c in comps.a]

@@ -1,8 +1,8 @@
 """Nested forward-mode automatic differentiation.
 
-A scalar in this package is either a plain float (derivative depth 0) or a
-:class:`Jet`: a value together with one first-derivative scalar per active
-variable, nested ``depth`` levels deep.  Evaluating any composition of the
+The reference algebra is the scalar :class:`Jet`: a value together with
+one first-derivative scalar per active variable, nested ``depth`` levels
+deep (a plain float is depth 0).  Evaluating any composition of the
 arithmetic below over seeded jets yields every mixed partial derivative of
 the composition up to total order ``depth``, with no truncation error beyond
 float round-off.
@@ -18,7 +18,9 @@ symmetry of mixed partials holds by construction (same arithmetic path).
 :func:`extract` returns raw derivatives, not Taylor coefficients; no
 factorial scaling is applied.
 
-A :class:`JetBatch` holds one scalar at P points as one float64 array of
+The package itself computes on :class:`JetBatch` alone (one point is a
+one-point batch); ``Jet`` is the reference the tests hold it to.  A
+``JetBatch`` holds one scalar at P points as one float64 array of
 shape ``(P,) + (1 + nvars,) * depth``: along a slot axis, index 0 is the
 level's value and ``1 + i`` the partial in variable ``i``, so index 0 on
 the last axis is :meth:`Jet.lowered`; a field's n components are one batch
@@ -27,7 +29,8 @@ Every operation here gives a batch, at each point, the bits it gives that
 point's jet (or float, at depth 0): slots combine by elementwise ufuncs,
 sums fold left in the same order, transcendental values come from
 :mod:`math` point by point, and a domain error names the first offending
-point.
+point.  At every depth a value slot is the depth-0 float result; a
+quotient's value slot is the float quotient, not ``x * (1/y)``.
 """
 
 from __future__ import annotations
@@ -149,18 +152,25 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def _with_value(self, value) -> "Jet":
+        return Jet(value, self.partials, self.depth, self.nvars)
+
+    # a quotient's value slot is the float quotient, as at depth 0; its
+    # partials are those of x * (1/y)
+
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            return self * _reciprocal(other)
+            return (self * _reciprocal(other))._with_value(
+                self.value / other.value)
         if isinstance(other, _NUMBER):
             if other == 0:
                 raise JetDomainError("/", "division by zero")
-            return self * (1.0 / other)
+            return (self * (1.0 / other))._with_value(self.value / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, _NUMBER):
-            return _reciprocal(self) * other
+            return (_reciprocal(self) * other)._with_value(other / self.value)
         return NotImplemented
 
     def __pow__(self, exponent):
@@ -235,11 +245,7 @@ def _binary(slots_op, number_op):
     number."""
     def op(self, other):
         if other.__class__ is JetBatch:
-            if self.depth != other.depth or self.nvars != other.nvars:
-                raise JetShapeError(
-                    f"cannot combine jets of shape (depth={self.depth}, "
-                    f"nvars={self.nvars}) and (depth={other.depth}, "
-                    f"nvars={other.nvars})")
+            Jet._check(self, other)
             return JetBatch(slots_op(self.a, other.a, self.depth),
                             self.depth, self.nvars)
         if isinstance(other, _NUMBER):
@@ -307,15 +313,17 @@ class JetBatch:
         if isinstance(other, _NUMBER):
             if other == 0:
                 raise JetDomainError("/", "division by zero")
-            return self * (1.0 / other)
-        return self * _reciprocal(other)
+            quotient = self * (1.0 / other)
+        else:
+            quotient = self * _reciprocal(other)
+        return quotient._with_value(self.value / value_of(other))
 
     def __rtruediv__(self, other):
         if not isinstance(other, _NUMBER):
             return NotImplemented
         if self.depth == 0:
             return self._new(other / _nonzero(self.a))
-        return _reciprocal(self) * other
+        return (_reciprocal(self) * other)._with_value(other / self.value)
 
     def __abs__(self):
         if self.depth == 0:
@@ -363,13 +371,21 @@ def _reciprocal(x):
     return 1.0 / x
 
 
+def _map_values(fn, x):
+    """``fn`` of a scalar's value; of a batch, of each point's value as a
+    Python float."""
+    if x.__class__ is not JetBatch:
+        return fn(x.value)
+    return np.array([fn(v) for v in x.value.ravel().tolist()],
+                    dtype=float).reshape(x.value.shape)
+
+
 def _lift(x, fn, derivative):
     """Chain rule: map ``x`` through f, where ``fn`` gives f of a value (of
     each point's, for a batch) and ``derivative`` computes f' generically
     one level down.  A depth-0 batch takes ``fn`` alone, as floats do."""
     batch = x.__class__ is JetBatch
-    value = np.array([fn(v) for v in x.value.ravel().tolist()], dtype=float
-                     ).reshape(x.value.shape) if batch else fn(x.value)
+    value = _map_values(fn, x)
     if batch and x.depth == 0:
         return x._new(value)
     dv = derivative(x.lowered())
@@ -427,8 +443,9 @@ def ipow(x, n: int):
     if isinstance(x, Jet) or x.__class__ is JetBatch and x.depth:
         if n == 0:
             return 1.0
-        if n < 0:
-            return _reciprocal(ipow(x, -n))
+        if n < 0:     # the value slot is the float power
+            return _reciprocal(ipow(x, -n))._with_value(
+                _map_values(lambda v: v ** n, x))
         if n == 1:
             return x
         return _lift(x, lambda v: v ** n, lambda u: float(n) * ipow(u, n - 1))
@@ -510,49 +527,13 @@ def seed_points(config: JetConfig, points) -> list:
 
 def dot(xs, ys):
     """``sum(x * y)`` over two sequences of scalars, rounded exactly as the
-    left fold ``acc = 0.0; acc = acc + x * y`` it replaces.
-
-    Over jets of one shape no product or partial sum is built as a jet: the
-    value folds ``x.value * y.value`` and slot ``m`` folds the product rule
-    ``x.partials[m] * y.lowered() + x.lowered() * y.partials[m]`` from the
-    first term on, the same operations in the same order as the fold.  At
-    depth 1 the slots are floats.  Over two stacked batches (the terms on
-    the first axis) the products of all terms are formed at once and only
-    the sums fold.  Other sequences, of batches or holding a plain number,
-    take the fold itself.
-    """
+    left fold ``acc = 0.0; acc = acc + x * y``.  Over two stacked batches
+    (the terms on the first axis) the products of all terms are formed at
+    once and only the sums fold; other sequences take the fold itself."""
     if xs.__class__ is JetBatch:
         if xs.a.shape != ys.a.shape or xs.depth != ys.depth:
             raise JetShapeError("cannot contract jets of different shapes")
         return xs._new(fold_products(xs.a, ys.a, xs.depth))
-    value = 0.0
-    slots = None
-    for x, y in zip(xs, ys):
-        if x.__class__ is not Jet or y.__class__ is not Jet:
-            break
-        if slots is None:
-            depth, nvars = x.depth, x.nvars
-        if (x.depth != depth or x.nvars != nvars or y.depth != depth
-                or y.nvars != nvars):
-            raise JetShapeError(
-                f"cannot contract jets of shape (depth={x.depth}, "
-                f"nvars={x.nvars}) and (depth={y.depth}, nvars={y.nvars}) "
-                f"into a sum of shape (depth={depth}, nvars={nvars})")
-        xl = x.lowered()
-        yl = y.lowered()
-        value = value + x.value * y.value
-        if slots is None:
-            slots = [p * yl + xl * q for p, q in zip(x.partials, y.partials)]
-        else:
-            slots = [s + (p * yl + xl * q)
-                     for s, p, q in zip(slots, x.partials, y.partials)]
-    else:
-        return value if slots is None else Jet(value, tuple(slots), depth,
-                                                nvars)
-    return _fold(xs, ys)
-
-
-def _fold(xs, ys):
     acc = 0.0
     for x, y in zip(xs, ys):
         acc = acc + x * y

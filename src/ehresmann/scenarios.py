@@ -38,12 +38,12 @@ from .covderiv import (
 )
 from .geometry import (
     ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame,
-    GeometryError, Point, ScalarField, VectorField, _as_depth,
-    _comps_as_depth, _partial,
-    annihilation, directional, dual_coframe, endo_add, endo_scale,
-    is_point_set, lie_derivative_endo, pairing, vf_add, vf_scale, vf_sub,
+    GeometryError, ScalarField, VectorField, _as_depth, _comps_as_depth,
+    _value_rows, annihilation, directional, dual_coframe, endo_add,
+    endo_scale, is_point_set, lie_derivative_endo, pairing, vf_add,
+    vf_scale, vf_sub,
 )
-from .jets import extract
+from .jets import extract, value_of
 from .report import CheckRecord, DevTracker, per_point
 
 
@@ -206,12 +206,18 @@ class Scenario:
 
     def coefficients(self, vf: VectorField, point) -> dict:
         """Frame coefficients of ``vf`` at a point, by solver field name;
-        at a point set, one dict per point from one batched evaluation."""
-        comps = vf.values(point)
-        coefs = self.solver.coefficients_at_point(point, comps)
-        if is_point_set(point):
-            return [self._named(c) for c in coefs]
-        return self._named(coefs)
+        at a point set, one dict per point.  The inverse comes from the env
+        that gives vf's components, so a field built through the solver's
+        projectors brings its solve along; only a field cheaper than the
+        solver has its components read at depth 0 and the solve seeded on
+        its own."""
+        env = self.space.seed_env(point, vf.cost, vf.name)
+        with np.errstate(all="ignore"):
+            rows = _value_rows(vf.at(env)).tolist()
+        if vf.cost < self.solver.cost:
+            env = self.space.seed_env(point, self.solver.cost, "frame solve")
+        named = [self._named(c) for c in self.solver.coefficients(env, rows)]
+        return named if is_point_set(point) else named[0]
 
     def _named(self, coefs) -> dict:
         out = {f.name: c for f, c in zip(self.solver.fields, coefs)}
@@ -220,13 +226,15 @@ class Scenario:
         return out
 
 
-def _eval_coeff(entry, point: Point) -> float:
-    if callable(entry):
-        return float(entry(point))
-    if isinstance(entry, (int, float)):
-        return float(entry)
-    env = dict(zip(point.space.coords, point.values))
-    return float(ex.evaluate(_E(entry), env))
+def _eval_coeff(entry, points, env0) -> list[float]:
+    """An expected-table entry at each point of a set, in one evaluation:
+    a callable (as the oracles below, of a point or a point set), a number
+    or an expression, evaluated in ``env0``, the points seeded at depth
+    0."""
+    with np.errstate(all="ignore"):
+        vals = entry(points) if callable(entry) else value_of(
+            ex.evaluate(_E(entry), env0))
+    return np.broadcast_to(vals, (len(points),)).tolist()
 
 
 def expected_table_checks(scen: Scenario, cfg: CheckConfig) -> list:
@@ -237,15 +245,17 @@ def expected_table_checks(scen: Scenario, cfg: CheckConfig) -> list:
                        scen.fields[row.args[0]], scen.fields[row.args[1]])
         tol = row.tol if row.tol is not None else cfg.tolerance
 
-        def devs(p, coefs):
-            return [abs(got - (_eval_coeff(row.coeffs.get(name, 0.0), p)
-                               if not name.startswith("offspan") else 0.0))
-                    for name, got in coefs.items()]
+        def devs(ps):
+            coefs = scen.coefficients(out, ps)
+            env0 = scen.space.seed_env(ps, 0)
+            want = {name: [0.0] * len(ps) if name.startswith("offspan")
+                    else _eval_coeff(row.coeffs.get(name, 0.0), ps, env0)
+                    for name in coefs[0]}
+            return [[abs(got - want[name][k]) for name, got in c.items()]
+                    for k, c in enumerate(coefs)]
 
         tracker = DevTracker()
-        for p, row_devs in zip(pts, per_point(
-                pts, lambda ps: [devs(p, c) for p, c in zip(
-                    ps, scen.coefficients(out, ps))])):
+        for p, row_devs in zip(pts, per_point(pts, devs)):
             for dev in row_devs:
                 tracker.update(dev, p.values)
         records.append(tracker.record(
@@ -575,15 +585,32 @@ def _tm_space(n: int, name: str) -> ChartedSpace:
                         base_coords=tuple(f"x{i}" for i in range(1, n + 1)))
 
 
+def _per_point_set(fn):
+    """An expected-table oracle from ``fn(points)``, one value per point of
+    a set: at a point set those values, at one point a float."""
+    def entry(point):
+        points = point if is_point_set(point) else [point]
+        with np.errstate(all="ignore"):
+            vals = np.broadcast_to(fn(points), (len(points),))
+        return vals if points is point else float(vals[0])
+
+    return entry
+
+
+def _orders(space, *coords) -> tuple:
+    """The :func:`jets.extract` orders of d/d(coords[0]) d/d(coords[1])..."""
+    orders = [0] * space.ambient_dim
+    for c in coords:
+        orders[space.index(c)] += 1
+    return tuple(orders)
+
+
 def _slope(sf: ScalarField, coord: str):
-    """d(sf)/d(coord) as a point function, via one jet level."""
+    """d(sf)/d(coord) as an oracle, via one jet level."""
     space = sf.space
-    i = space.index(coord)
-
-    def at_point(p: Point) -> float:
-        return _partial(sf.at(space.seed_env(p, sf.cost + 1)), i)
-
-    return at_point
+    orders = _orders(space, coord)
+    return _per_point_set(lambda pts: extract(
+        sf.at(space.seed_env(pts, sf.cost + 1)), orders))
 
 
 def _tangent_scenario(name, n, hs, cfg, tag, family, coeff, description,
@@ -719,30 +746,32 @@ def _curvature_bracket_oracle(space, g_expr, n, weights):
     """Direct evaluation of the bracket coefficient for lifted frames:
     K^c_dab = d_b G^c_ad - d_a G^c_bd + G^e_ad G^c_be - G^e_bd G^c_ae,
     contracted against the fibre coordinates ``weights`` (w_1..w_n).
-    Jet-differentiated coefficients; fully independent of the bracket path.
+    The coefficients are differentiated by jets, independently of the
+    bracket path.
     """
 
     def coefficient(c, a, b):
-        def at_point(p: Point) -> float:
-            env1 = space.seed_env(p, 1)
-            env0 = dict(zip(space.coords, p.values))
+        def fn(points):
+            env1 = space.seed_env(points, 1)
+            env0 = space.seed_env(points, 0)
 
             def g(cc, aa, bb):
-                return ex.evaluate(g_expr(cc, aa, bb), env0)
+                return value_of(ex.evaluate(g_expr(cc, aa, bb), env0))
 
             def dg(cc, aa, bb, wrt):
-                return _partial(ex.evaluate(g_expr(cc, aa, bb), env1),
-                                space.index(f"x{wrt}"))
+                return extract(ex.evaluate(g_expr(cc, aa, bb), env1),
+                               _orders(space, f"x{wrt}"))
 
             total = 0.0
             for d in range(1, n + 1):
                 k = dg(c, a, d, b) - dg(c, b, d, a)
                 for e in range(1, n + 1):
-                    k += g(e, a, d) * g(c, b, e) - g(e, b, d) * g(c, a, e)
-                total += k * p.values[space.index(weights[d - 1])]
+                    k = k + (g(e, a, d) * g(c, b, e)
+                             - g(e, b, d) * g(c, a, e))
+                total = total + k * value_of(env0[weights[d - 1]])
             return total
 
-        return at_point
+        return _per_point_set(fn)
 
     return coefficient
 
@@ -803,17 +832,17 @@ def nonlinear_tangent(n: int, gamma: dict,
         return _slope(g_sf(c, a), f"u{b}")
 
     def h_applied(a, sf: ScalarField):
-        """H_a(sf) as a point function: d/dx^a - G^e_a d/du^e applied."""
+        """H_a(sf) as an oracle: d/dx^a - G^e_a d/du^e applied."""
 
-        def at_point(p: Point) -> float:
-            val = sf.at(space.seed_env(p, sf.cost + 1))
-            out = _partial(val, space.index(f"x{a}"))
+        def fn(points):
+            val = sf.at(space.seed_env(points, sf.cost + 1))
+            out = extract(val, _orders(space, f"x{a}"))
             for e in range(1, n + 1):
-                out -= g_sf(e, a).value_at(p) * _partial(
-                    val, space.index(f"u{e}"))
+                out = out - np.array(g_sf(e, a).values(points))[:, 0] \
+                    * extract(val, _orders(space, f"u{e}"))
             return out
 
-        return at_point
+        return _per_point_set(fn)
 
     def extra_rows(a, b):
         if a == b:
@@ -932,18 +961,10 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
 
     def d2f(c, a, b):
         # V_b(Y^c_a) = -(1/2) d2 f^c / du^a du^b
-        ia = space.index(f"u{a}")
-        ib = space.index(f"u{b}")
-
-        def at_point(p: Point) -> float:
-            env = space.seed_env(p, force_sf[c - 1].cost + 2)
-            val = force_sf[c - 1].at(env)
-            orders = [0] * space.ambient_dim
-            orders[ia] += 1
-            orders[ib] += 1
-            return -0.5 * extract(val, tuple(orders))
-
-        return at_point
+        sf = force_sf[c - 1]
+        orders = _orders(space, f"u{a}", f"u{b}")
+        return _per_point_set(lambda pts: -0.5 * extract(
+            sf.at(space.seed_env(pts, sf.cost + 2)), orders))
 
     delta = dilation_field(space, n)
 

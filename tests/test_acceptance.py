@@ -4,23 +4,19 @@ seed 42, tolerance 1e-8, derivative depth 3."""
 
 from __future__ import annotations
 
-import math
 import random
-
-import pytest
 
 from ehresmann import expr as ex
 from ehresmann import scenarios as sc
 from ehresmann.covderiv import (
     check_parallelism_equivalence, glue_derivatives, torsion,
 )
-from ehresmann.geometry import CheckConfig, DEFAULT_CHECK, VectorField, \
-    vf_add
+from ehresmann.geometry import CheckConfig, DEFAULT_CHECK, vf_add
 from ehresmann.jets import JetConfig, extract, seed
 from ehresmann.scenarios import (
     affine_tangent, cycle_decomposition, frame_bundle, is_spray,
     nonlinear_tangent, potential_connection, sode_projector,
-    sode_sufficiency_check, symmetrize, metric_compatibility_defect,
+    sode_sufficiency_check,
 )
 
 from helpers import central_difference, random_expression, rel_err

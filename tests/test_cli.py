@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ehresmann import cli
 from ehresmann import scenarios as sc
 from ehresmann.cli import (
-    Report, ScenarioFileError, cmd_eval, cmd_list, cmd_verify,
+    ScenarioFileError, cmd_eval, cmd_list, cmd_verify,
     load_scenario_file, main,
 )
 from ehresmann.geometry import CheckConfig
@@ -140,6 +140,51 @@ def test_eval_off_manifold_point_rejected(capsys):
     code = main(["eval", "hopf", "field", "V", "--at", "2,0,0,0"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_eval_accepts_a_negative_first_coordinate(capsys):
+    assert main(["eval", "hopf", "field", "V", "--at=-1,0,0,0"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["eval", "hopf", "field", "V", "--at", "-1,0,0,0"]) == 0
+    assert capsys.readouterr().out == joined
+    assert "at Point(-1, 0, 0, 0)" in joined
+
+
+@pytest.mark.parametrize("name,args,at", [
+    ("trivial-r3", ["H1", "H2"], [0.3, -0.2, 0.7]),
+    ("hopf", ["Lambda", "Sigma"], [0.5, 0.5, -0.5, 0.5]),
+    ("affine-tangent", ["H1", "H2"], [0.1, -0.4, 0.6, 0.2]),
+])
+def test_one_nabla_query_makes_one_frame_solve(name, args, at, built,
+                                               monkeypatch):
+    # the projectors inside nabla invert the frame in the env that the
+    # coefficients read, so the query inverts it once
+    from ehresmann import geometry
+
+    scen = built(name)
+    solves = []
+    inverse = geometry.FrameSolver.inverse
+
+    def counted(solver, env):
+        if env.key not in solver._cache:
+            solves.append(env.depth - solver.cost)
+        return inverse(solver, env)
+
+    monkeypatch.setattr(geometry.FrameSolver, "inverse", counted)
+    monkeypatch.setattr(cli, "_get_scenario", lambda *args: scen)
+    cmd_eval(name, "nabla", args, at)
+    assert len(solves) == 1, solves
+
+
+def test_eval_reads_a_cheap_field_at_depth_zero(tmp_path, capsys):
+    # Hopf's solve needs one jet level for its constraint column; the
+    # field's components stay at depth 0, where abs(x) at x = 0 is defined
+    doc = copy.deepcopy(HOPF_DOC)
+    doc["fields"]["W"] = ["abs(x)", "0", "0", "0"]
+    path = tmp_path / "hopf.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["eval", str(path), "field", "W", "--at", "0,1,0,0"]) == 0
+    assert "components: x=0, y=0, z=0, w=0" in capsys.readouterr().out
 
 
 def test_eval_non_finite_point_rejected(capsys):

@@ -11,7 +11,7 @@ from ehresmann.connection import (
     SplitStructure, build_connection, canonical_endos, validate_split,
 )
 from ehresmann.geometry import (
-    ChartedSpace, CheckConfig, Frame, VectorField, vf_sub,
+    ChartedSpace, CheckConfig, Frame, VectorField,
 )
 from ehresmann.report import CheckRecord
 

@@ -584,13 +584,45 @@ def _bits(s):
     return float(s).hex()
 
 
+def _jets_at(field, env, target=None):
+    """A field's components in a one-point ``env`` as ``Jet`` s, truncated
+    to ``target`` when given."""
+    comps = field.at(env) if target is None else \
+        geo._comps_at(field, env, target)
+    return _at_point(comps, 0)
+
+
+def _jet_inverse(solver, env):
+    """The frame solve at one point as plain Gauss-Jordan over ``Jet`` s
+    (the scalar reference of the batched elimination): partial pivoting on
+    the values, the first largest value wins, and a factor that is the
+    float 0.0 leaves its row alone."""
+    n = solver.space.ambient_dim
+    cols = [_at_point(c, 0) for c in
+            solver._columns(env, env.depth - solver.cost)]
+    aug = [[cols[j][i] for j in range(n)]
+           + [1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = max(range(col, n),
+                  key=lambda r: abs(jets.value_of(aug[r][col])))
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv_p = 1.0 / aug[col][col]
+        aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(n):
+            factor = aug[r][col]
+            if r != col and (isinstance(factor, Jet) or factor != 0.0):
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def _projector_reference(solver, indices, X, env):
-    """A projector as the full solve gives it: the rows of the whole
-    inverse, truncated to the output depth, each left-folded against X,
-    then combined with the frame fields, each component from 0.0."""
+    """A projector as the full solve gives it at one point, over ``Jet`` s:
+    the rows of the whole inverse, truncated to the output depth, each
+    left-folded against X, then combined with the frame fields, each
+    component from 0.0."""
     t = env.depth - max(solver.cost, X.cost)
-    inv = solver.inverse(env)
-    xs = geo._comps_at(X, env, t)
+    inv = _at_point(solver.inverse(env), 0)
+    xs = _jets_at(X, env, t)
     coef = []
     for i in indices:
         acc = 0.0
@@ -601,7 +633,7 @@ def _projector_reference(solver, indices, X, env):
     for k in range(solver.space.ambient_dim):
         acc = 0.0
         for c, i in zip(coef, indices):
-            acc = acc + c * geo._comps_at(solver.fields[i], env, t)[k]
+            acc = acc + c * _jets_at(solver.fields[i], env, t)[k]
         out.append(acc)
     return out
 
@@ -619,7 +651,8 @@ def _check_projectors(solver, fields, points):
                 for k, p in enumerate(points):
                     env = solver.space.seed_env(p, depth)
                     want = _bits(_projector_reference(solver, indices, X, env))
-                    assert _bits(field.at(env)) == want, (indices, X.name)
+                    assert _bits(_jets_at(field, env)) == want, \
+                        (indices, X.name)
                     assert _bits(_at_point(batch, k)) == want, (indices, k)
 
 
@@ -655,20 +688,19 @@ def test_projectors_match_the_full_solve_on_permuted_frames():
 
 
 def _bracket_before_hoisting(X, Y, env):
-    """The bracket kernel as it was written before its slots were hoisted:
-    every entry normalized on its own."""
+    """The bracket kernel at one point as it was written over ``Jet`` s
+    before its slots were hoisted: every entry truncated on its own."""
     n = X.space.ambient_dim
     t = env.depth - (max(X.cost, Y.cost) + 1)
-    xs = X.at(env)
-    ys = Y.at(env)
-    xt = [geo._as_depth(c, t, env) for c in xs]
-    yt = [geo._as_depth(c, t, env) for c in ys]
+    xs = _jets_at(X, env)
+    ys = _jets_at(Y, env)
     out = []
     for i in range(n):
         acc = 0.0
         for j in range(n):
-            acc = acc + xt[j] * geo._as_depth(ys[i].partials[j], t, env) \
-                      - yt[j] * geo._as_depth(xs[i].partials[j], t, env)
+            acc = acc + jets.truncate(xs[j], t) * jets.truncate(
+                ys[i].partials[j], t) - jets.truncate(ys[j], t) * \
+                jets.truncate(xs[i].partials[j], t)
         out.append(acc)
     return out
 
@@ -685,7 +717,7 @@ def test_bracket_of_unequal_costs_matches_the_unhoisted_kernel(
         field = lie_bracket(X, Y)
         for p in space.sample_points(CheckConfig(samples=3)):
             env = space.seed_env(p, depth)
-            assert _bits(field.at(env)) == \
+            assert _bits(_jets_at(field, env)) == \
                 _bits(_bracket_before_hoisting(X, Y, env))
 
 
@@ -738,8 +770,10 @@ def test_batched_frame_solve_is_bit_equal_per_point(kind, depth):
     solver = FrameSolver(space, fields)
     batch = solver.inverse(space.seed_env(points, depth))
     for k, p in enumerate(points):
-        want = solver.inverse(space.seed_env(p, depth))
-        assert _bits(_at_point(batch, k)) == _bits(want)
+        env = space.seed_env(p, depth)
+        want = _bits(_jet_inverse(solver, env))
+        assert _bits(_at_point(solver.inverse(env), 0)) == want
+        assert _bits(_at_point(batch, k)) == want
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -757,7 +791,7 @@ def test_batched_fields_are_bit_equal_per_point(tangent_affine, depth):
             continue
         batch = field.at(space.seed_env(points, depth))
         for k, p in enumerate(points):
-            want = field.at(space.seed_env(p, depth))
+            want = _jets_at(field, space.seed_env(p, depth))
             assert _bits(_at_point(batch, k)) == _bits(want)
         assert field.values(points) == [field.values(p) for p in points]
 
@@ -785,13 +819,8 @@ def test_point_set_keys_name_the_point_values():
 
 
 def _mapped(X, fn, name):
-    """``fn`` on each component of X, once on the stacked components over a
-    point set."""
-    def comps(env):
-        xs = X.at(env)
-        return fn(xs) if env.points is not None else [fn(c) for c in xs]
-
-    return VectorField(X.space, comps, X.cost, name)
+    """``fn`` on each component of X, once on the stacked components."""
+    return VectorField(X.space, lambda env: fn(X.at(env)), X.cost, name)
 
 
 def _algebra_fields():
@@ -836,7 +865,7 @@ def test_stacked_field_algebra_is_bit_equal_per_point(name):
     for depth in range(field.cost, field.cost + 3):
         batch = field.at(space.seed_env(points, depth))
         for k, p in enumerate(points):
-            want = field.at(space.seed_env(p, depth))
+            want = _jets_at(field, space.seed_env(p, depth))
             assert _bits(_at_point(batch, k)) == _bits(want), (depth, k)
 
 

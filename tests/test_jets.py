@@ -173,6 +173,27 @@ def test_integer_pow_negative_exponent():
     assert rel_err(extract(f, (2,)), 6.0 / 16.0) < 1e-14
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_quotient_value_slot_is_the_float_quotient(depth):
+    # a jet divides as x * (1/y); its value slot must still be the float
+    # x / y, as every value slot is the depth-0 result
+    rng = random.Random(20211014)
+    draws = [(rng.uniform(-4.0, 4.0), rng.choice((-1, 1))
+              * rng.uniform(0.1, 4.0)) for _ in range(2000)]
+    cfg = JetConfig(("a", "b"), depth)
+    xb, yb = jets.seed_points(cfg, draws)
+    cases = {
+        "a/b": (lambda x, y: x / y, lambda a, b: a / b),
+        "a/3": (lambda x, y: x / 3, lambda a, b: a / 3),
+        "3/b": (lambda x, y: 3.0 / y, lambda a, b: 3.0 / b),
+        "b^-2": (lambda x, y: ipow(y, -2), lambda a, b: b ** -2),
+    }
+    for name, (op, float_op) in cases.items():
+        want = [float_op(a, b).hex() for a, b in draws]
+        assert [op(*seed(cfg, d)).value.hex() for d in draws] == want, name
+        assert [v.hex() for v in op(xb, yb).value.tolist()] == want, name
+
+
 def test_pow_general_matches_ipow_for_positive_base():
     (x,) = seed(JetConfig(("x",), 3), (1.7,))
     a = ipow(x, 3)
@@ -390,8 +411,19 @@ def _dot_operands(draw):
 @settings(max_examples=150, deadline=None)
 @given(_dot_operands())
 def test_dot_is_bit_equal_to_the_fold(operands):
+    # over jets dot is the fold; over the terms stacked as one-point
+    # batches it is the batched contraction, held to that fold
     xs, ys = operands
-    assert _bits(dot(xs, ys)) == _bits(_fold(xs, ys))
+    want = _fold(xs, ys)
+    assert _bits(dot(xs, ys)) == _bits(want)
+    if xs:
+        depth = depth_of(xs[0])
+        nvars = xs[0].nvars if depth else 1
+        xb, yb = (JetBatch(np.array([_slot_array(s, nvars, depth)
+                                     for s in ss])[:, None], depth, nvars)
+                  for ss in (xs, ys))
+        assert _slot_hexes(dot(xb, yb), nvars, 0) == \
+            _slot_hexes(want, nvars)
 
 
 def test_dot_mixed_numbers_take_the_fold():

@@ -12,11 +12,9 @@ from ehresmann import scenarios as sc
 from ehresmann.covderiv import CovDeriv, torsion
 from ehresmann.geometry import (
     CheckConfig, GeometryError, ScalarField, VectorField, annihilation,
-    lie_bracket, vf_sub,
 )
-from ehresmann.jets import extract
 from ehresmann.scenarios import (
-    ExpectedRow, Metric, SubspaceBasis, affine_tangent, ambient_dot_metric,
+    Metric, affine_tangent, ambient_dot_metric,
     cycle_decomposition, frame_bundle, homogeneity_check, is_spray,
     metric_compatibility_defect, nonlinear_tangent, potential_connection,
     sode_projector, sode_sufficiency_check, symmetrize, trivial_r3,
