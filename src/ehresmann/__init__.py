@@ -18,7 +18,7 @@ from .jets import (  # noqa: F401
 )
 from .geometry import (  # noqa: F401
     ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK,
-    DepthBudgetError, Endo11, Frame, FrameSolver, GeometryError,
+    DepthBudgetError, Endo11, FieldStack, Frame, FrameSolver, GeometryError,
     OffManifoldError, Point, ScalarField, SingularFrameError,
     SpaceMismatchError, VectorField, directional, dual_coframe, endo_add,
     endo_compose, endo_scale, endo_sub, eval_vector_field,

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import (
-    CheckConfig, DEFAULT_CHECK, Endo11, FRAME_DEGENERACY_RATIO,
+    CheckConfig, DEFAULT_CHECK, Endo11, FRAME_DEGENERACY_RATIO, FieldStack,
     Frame, FrameSolver, GeometryError, VectorField, _invert_points,
     frame_ratio, projector_from_solver, validate_frame, validate_tangent,
     vf_add, vf_scale, vf_sub,
@@ -129,6 +130,12 @@ class SplitStructure:
     @property
     def all_fields(self) -> tuple:
         return self.solver.fields
+
+    @cached_property
+    def stack(self) -> FieldStack:
+        """The frame on a member axis, built once per split, so the checks
+        that stack it share one evaluation cache."""
+        return FieldStack(self.all_fields)
 
 
 def _endo_labels(orientation: str, n: int):

@@ -18,6 +18,11 @@ bit-equal inputs, so every cache keys on it.  A field caches its own
 evaluation under ``env.key``, at depth ``env.depth - cost``; a truncation
 of its components below that depth is cached under ``(env.key, target)``.
 
+A :class:`FieldStack` puts fields of one ``cost`` on a leading member
+axis, ``(F, n, P) + slots``: a tree of the field algebra over a stacked
+field evaluates every member at once, with the bits each member gets
+alone, as a point set does for its points.
+
 Embedded spaces (constraint expressions ``c_k = 0``) keep all fields in
 ambient coordinates.  Pointwise frame solves append the constraint gradients
 as extra columns to square the system, so frame coefficients of tangent
@@ -313,8 +318,13 @@ def _gradient(s, depth: int):
 def _contract(rows, xs):
     """``[jets.dot(row, xs) for row in rows]`` over a point set, in one
     fold: ``rows`` indexed (row, term, point, slots...), ``xs`` a batch
-    with the term axis first."""
-    return xs._new(jets.fold_products(rows.swapaxes(0, 1), xs.a[:, None],
+    with the term axis first, or after a leading member axis, which the
+    result then carries too (``rows``, read off a frame, never does)."""
+    if xs.a.ndim - xs.depth == 2:
+        return xs._new(jets.fold_products(rows.swapaxes(0, 1), xs.a[:, None],
+                                          xs.depth))
+    return xs._new(jets.fold_products(rows.swapaxes(0, 1)[:, None],
+                                      np.moveaxis(xs.a, 1, 0)[:, :, None],
                                       xs.depth))
 
 
@@ -534,8 +544,11 @@ def _bracket_fold(xs, ys, t: int):
     """The bracket of stacked components at depth
     ``t + 1``, every product of the fold formed at once (indexed component,
     point, variable, slots...), then ``acc = acc + a * p - b * q`` folded
-    over the variables in order."""
+    over the variables in order.  Either operand may carry a leading
+    member axis, which the bracket then carries too."""
     xa, ya = (jets.truncate(cs, t + 1).a for cs in (xs, ys))
+    if xa.ndim > t + 3 or ya.ndim > t + 3:
+        return _member_bracket_fold(xa, ya, t, xs.nvars)
     first = jets.mul_slots(xa[..., 0].swapaxes(0, 1)[None], ya[:, :, 1:], t)
     second = jets.mul_slots(ya[..., 0].swapaxes(0, 1)[None], xa[:, :, 1:], t)
     # 0.0 + a jet adds to its value slots alone
@@ -547,6 +560,28 @@ def _bracket_fold(xs, ys, t: int):
         acc += first[:, :, j]
         acc -= second[:, :, j]
     return JetBatch(acc, t, xs.nvars)
+
+
+def _member_bracket_fold(xa, ya, t: int, nvars: int):
+    """:func:`_bracket_fold` of slot arrays of which one or both are
+    indexed (member, component, point, slots...): the same products and
+    the same fold, the variable axis counted from the end."""
+    rest = (slice(None),) * t
+    part = (Ellipsis, slice(1, None)) + rest
+
+    def values(a):      # (component, point) -> (1, point, variable)
+        return np.expand_dims(np.swapaxes(a[..., 0], -t - 2, -t - 1), -t - 3)
+
+    first = jets.mul_slots(values(xa), ya[part], t)
+    second = jets.mul_slots(values(ya), xa[part], t)
+    acc = first[(Ellipsis, 0) + rest].copy()
+    value = (Ellipsis,) + (0,) * t
+    acc[value] = 0.0 + acc[value]
+    acc -= second[(Ellipsis, 0) + rest]
+    for j in range(1, first.shape[-t - 1]):
+        acc += first[(Ellipsis, j) + rest]
+        acc -= second[(Ellipsis, j) + rest]
+    return JetBatch(acc, t, nvars)
 
 
 def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
@@ -562,6 +597,65 @@ def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
         X.space, lambda env: _bracket_fold(X.at(env), Y.at(env),
                                            env.depth - cost),
         cost, name or f"[{X.name},{Y.name}]")
+
+
+# ---------------------------------------------------------------------------
+# member stacks
+# ---------------------------------------------------------------------------
+
+
+def _stacked(members) -> VectorField:
+    """One field whose components are the members' batches stacked on a
+    leading member axis, ``(F, n, P) + slots``; the members share a cost."""
+    head = members[0]
+    for m in members:
+        _check_space(head, m)
+
+    def fn(env):
+        return head.at(env)._new(np.stack([m.at(env).a for m in members]))
+
+    return VectorField(head.space, fn, head.cost,
+                       "{" + ",".join(m.name for m in members) + "}")
+
+
+class FieldStack:
+    """Vector fields on a member axis: one stacked field per cost group
+    (the fields of one ``cost``, in order of first appearance).
+
+    Built over a stacked field, a tree of the field algebra above (sums,
+    brackets, :class:`Endo11` applications) evaluates all its members at
+    once, and member ``i`` of the result has the bits of the same tree
+    built over member ``i`` alone: along the member axis every kernel
+    broadcasts the same elementwise operations and folds in the same
+    order.  Equal costs keep each member at the depth it has alone.
+    """
+
+    def __init__(self, fields):
+        groups: dict = {}
+        for f in dict.fromkeys(fields):
+            groups.setdefault(f.cost, []).append(f)
+        self.groups = tuple(_stacked(m) for m in groups.values())
+        self._where = {f: (g, i) for g, m in enumerate(groups.values())
+                       for i, f in enumerate(m)}
+
+    def track(self, tracker: DevTracker, points, members, build):
+        """Fold ``build(Y)`` into ``tracker`` for each ``Y`` of ``members``
+        (fields of this stack), as ``tracker.track(points, build(Y))`` in
+        that order does, from one evaluation of ``build`` per cost group.
+        When one raises, that loop itself runs, so the error is the one the
+        loop raises, at the same member and point."""
+        points = list(points)
+        try:
+            rows = [build(g).values(points) for g in self.groups]
+        except Exception:
+            for Y in members:
+                tracker.track(points, build(Y))
+            return tracker
+        for Y in members:
+            g, i = self._where[Y]
+            for p, at_point in zip(points, rows[g]):
+                tracker.update(max_abs(at_point[i]), p.values)
+        return tracker
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +783,11 @@ class FrameSolver:
             return hit
         if env.depth < self.cost:
             raise DepthBudgetError("frame solve", self.cost, env.depth)
-        cols = self._columns(env, env.depth - self.cost)
-        mat = cols[0]._new(np.stack([c.a for c in cols], axis=1))
-        gate_frame(_value_rows(mat), env.points)
-        inv = _invert_points(mat, self.space.ambient_dim)
+        with np.errstate(all="ignore"):
+            cols = self._columns(env, env.depth - self.cost)
+            mat = cols[0]._new(np.stack([c.a for c in cols], axis=1))
+            gate_frame(_value_rows(mat), env.points)
+            inv = _invert_points(mat, self.space.ambient_dim)
         self._cache[env.key] = inv
         return inv
 

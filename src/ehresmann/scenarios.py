@@ -397,8 +397,9 @@ def parallel_tensor_checks(scen: Scenario, cfg: CheckConfig) -> list:
     for T in tensors:
         tracker = DevTracker()
         for X in frame:
-            for Y in frame:
-                tracker.track(pts, nabla_of_endo(scen.nabla, T, X, Y))
+            scen.split.stack.track(
+                tracker, pts, frame,
+                lambda Ys: nabla_of_endo(scen.nabla, T, X, Ys))
         records.append(tracker.record(
             f"{scen.name}:{label}:{T.name}",
             "structure tensors are parallel", cfg.tolerance))
@@ -414,7 +415,8 @@ def parallelism_equivalence_checks(scen: Scenario, cfg: CheckConfig) -> list:
     records = []
     probes = scen.split.all_fields
     for b in range(len(scen.nabla.parts)):
-        rep = check_parallelism_equivalence(scen.nabla, b, probes, cfg)
+        rep = check_parallelism_equivalence(scen.nabla, b, probes, cfg,
+                                            stack=scen.split.stack)
         prefix = f"{scen.name}:parallelism:{rep.block}"
         records += [
             CheckRecord(f"{prefix}:nabla-p", "projector parallelism",

@@ -110,3 +110,12 @@ def central_difference(f, point, orders, h=1e-5):
 def rel_err(got: float, want: float) -> float:
     scale = max(abs(want), 1.0)
     return abs(got - want) / scale
+
+
+def raised(fn):
+    """``(type, message)`` of the error ``fn()`` raises, or None."""
+    try:
+        fn()
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+    return None

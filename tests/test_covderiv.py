@@ -15,9 +15,13 @@ from ehresmann.covderiv import (
     glue_derivatives, nabla_of_endo, torsion, total_derivative,
 )
 from ehresmann.geometry import (
-    ChartedSpace, CheckConfig, CovectorField, Endo11, Frame, ScalarField,
-    VectorField, directional, lie_bracket, pairing, vf_add, vf_scale, vf_sub,
+    ChartedSpace, CheckConfig, CovectorField, Endo11, FieldStack, Frame,
+    ScalarField, VectorField, directional, lie_bracket, pairing, vf_add,
+    vf_scale, vf_sub,
 )
+from ehresmann.jets import JetDomainError, JetShapeError, ln
+from ehresmann.report import DevTracker
+from helpers import raised
 
 CFG = CheckConfig(samples=8)
 
@@ -387,6 +391,43 @@ def test_parallelism_equivalence_corrupted_rule_fails_both_sides(affine):
     assert not rep.nabla_p_passes
     assert not rep.image_passes
     assert rep.agree
+
+
+def test_parallelism_side_a_raises_the_per_pair_error(affine):
+    # the corrupted block rule takes ln(x2 * dx1(Y)), which the stacked
+    # probes cannot evaluate (a pairing does not broadcast a member axis)
+    # and the first pair in loop order fails at the first point with
+    # x2 <= 0: the check must raise that pair's error
+    space, hs, vs, conn, split, nabla = affine
+    w = CovectorField.from_exprs(space, ["x2", "0", "0", "0"], "x2dx1")
+    b = 1
+    p_b, ext_b = nabla.parts[b]
+
+    def corrupted_ext(X, Y, _orig=ext_b):
+        paired = pairing(w, Y)
+        log = ScalarField(space, lambda env: ln(paired.at(env)),
+                          paired.cost, f"ln({paired.name})")
+        return vf_add(_orig(X, Y), vf_scale(log, vs[0]))
+
+    parts = list(nabla.parts)
+    parts[b] = (p_b, corrupted_ext)
+    bad = glue_derivatives(parts, CFG, probe_fields=split.all_fields,
+                           provenance="corrupted")
+    probes = (*hs, *vs)
+    pts = space.sample_points(CFG)
+
+    def loop():
+        for X in probes:
+            for Y in probes:
+                DevTracker().track(pts, nabla_of_endo(bad, p_b, X, Y))
+
+    want = raised(loop)
+    assert want[0] is JetDomainError and "argument -" in want[1]
+    ys = FieldStack(probes).groups[0]
+    assert raised(lambda: nabla_of_endo(bad, p_b, hs[0], ys).values(
+        pts))[0] is JetShapeError
+    assert raised(lambda: check_parallelism_equivalence(
+        bad, b, probes, CFG)) == want
 
 
 def test_parallelism_image_set_sees_every_sample_point(affine):

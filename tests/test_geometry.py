@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import pytest
 
@@ -360,6 +361,21 @@ def test_non_finite_frame_is_degenerate_at_a_point():
     p = space.point((0.5, 0.25))
     with pytest.raises(SingularFrameError) as err:
         FrameSolver(space, (x1, x2)).inverse(space.seed_env(p, 1))
+    assert err.value.point == p.values and math.isnan(err.value.ratio)
+
+
+def test_frame_solve_runs_quietly():
+    """A direct frame solve, as the kernel benchmark makes one, lets floats
+    overflow silently: no numpy warning escapes, here raised as an error,
+    and the degenerate point is still named."""
+    space = ChartedSpace("r2", ("a", "b"))
+    x1 = VectorField.coordinate(space, "a")
+    x2 = VectorField.from_exprs(space, ["0", "b*1e300*1e300"], "X2")
+    p = space.point((0.5, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularFrameError) as err:
+            FrameSolver(space, (x1, x2)).inverse(space.seed_env(p, 1))
     assert err.value.point == p.values and math.isnan(err.value.ratio)
 
 
@@ -867,6 +883,41 @@ def test_stacked_field_algebra_is_bit_equal_per_point(name):
         for k, p in enumerate(points):
             want = _jets_at(field, space.seed_env(p, depth))
             assert _bits(_at_point(batch, k)) == _bits(want), (depth, k)
+
+
+def _member_trees():
+    """Trees with a member on either side of a bracket and as the argument
+    of a coframe sum, as functions of the member."""
+    space, fields = _algebra_fields()
+    a, b = fields["add"], fields["scale-field-jets"]
+    solver = FrameSolver(space, _pivoting_frame("sparse")[1])
+    proj = geo.projector_from_solver(solver, (0, 2), "P")
+    return space, (a, b, fields["bracket"], fields["sub-mixed"]), {
+        "bracket-left": lambda Y: lie_bracket(Y, b),
+        "bracket-right": lambda Y: lie_bracket(a, Y),
+        "bracket-both": lambda Y: lie_bracket(Y, vf_scale(-2.0, Y)),
+        "projector": lambda Y: proj(lie_bracket(a, proj(Y))),
+        "sum": lambda Y: vf_sub(vf_add(Y, a), proj(Y)),
+    }
+
+
+@pytest.mark.parametrize("tree", sorted(_member_trees()[2]))
+def test_member_axis_trees_are_bit_equal_per_member(tree):
+    space, members, trees = _member_trees()
+    build = trees[tree]
+    stack = geo.FieldStack(members)
+    assert [stack._where[Y] for Y in members] == [(0, 0), (0, 1), (1, 0),
+                                                  (0, 2)]
+    points = space.sample_points(CheckConfig(seed=5, samples=4, depth=4))
+    for Y in members:
+        g, i = stack._where[Y]
+        stacked, alone = build(stack.groups[g]), build(Y)
+        assert stacked.cost == alone.cost
+        for depth in range(alone.cost, alone.cost + 2):
+            env = space.seed_env(points, depth)
+            got, want = stacked.at(env), alone.at(env)
+            assert got.a[i].shape == want.a.shape
+            assert got.a[i].tobytes() == want.a.tobytes(), (Y.name, depth)
 
 
 @pytest.mark.parametrize("op", [jets.ln, jets.sqrt])

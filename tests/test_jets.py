@@ -513,13 +513,16 @@ _SMALL = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                    st.floats(min_value=-3.0, max_value=3.0))
 
 
-def _small_scalars(nvars, depth):
+def _jet_of_slots(a, nvars, depth):
+    """The jet whose slots in the batch layout are ``a``: its value at
+    index 0 of every axis, partial ``i`` at ``1 + i`` on the first axis
+    (the slots that are index 0 first and not index 0 later are not read;
+    ``_slot_array`` writes zeros there)."""
     if depth == 0:
-        return _SMALL
-    return st.builds(
-        lambda v, ps: Jet(v, tuple(ps), depth, nvars), _SMALL,
-        st.lists(_small_scalars(nvars, depth - 1), min_size=nvars,
-                 max_size=nvars))
+        return float(a)
+    return Jet(float(a[(0,) * depth]),
+               tuple(_jet_of_slots(a[1 + i], nvars, depth - 1)
+                     for i in range(nvars)), depth, nvars)
 
 
 @st.composite
@@ -527,9 +530,14 @@ def _batch_case(draw):
     nvars = draw(st.integers(1, 4))
     depth = draw(st.integers(0, 3))
     count = draw(st.integers(1, 5))
-    scalars = _small_scalars(nvars, depth)
-    us = draw(st.lists(scalars, min_size=count, max_size=count))
-    vs = draw(st.lists(scalars, min_size=count, max_size=count))
+    size = (1 + nvars) ** depth
+    flat = st.lists(_SMALL, min_size=size, max_size=size)
+
+    def scalars():
+        return [_jet_of_slots(np.reshape(draw(flat), (1 + nvars,) * depth),
+                              nvars, depth) for _ in range(count)]
+
+    us, vs = scalars(), scalars()
     return nvars, depth, us, vs, draw(st.sampled_from(sorted(_BATCH_OPS)))
 
 

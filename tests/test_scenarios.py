@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -9,7 +10,8 @@ import pytest
 
 from ehresmann import expr as ex
 from ehresmann import scenarios as sc
-from ehresmann.covderiv import CovDeriv, torsion
+from ehresmann.cli import load_scenario_file, main
+from ehresmann.covderiv import CovDeriv, nabla_of_endo, torsion
 from ehresmann.geometry import (
     CheckConfig, GeometryError, ScalarField, VectorField, annihilation,
 )
@@ -19,6 +21,9 @@ from ehresmann.scenarios import (
     metric_compatibility_defect, nonlinear_tangent, potential_connection,
     sode_projector, sode_sufficiency_check, symmetrize, trivial_r3,
 )
+from ehresmann.report import DevTracker
+from helpers import raised
+from test_cli import TRIVIAL_DOC
 
 CFG = CheckConfig(samples=8)
 SMALL = CheckConfig(samples=5)
@@ -631,3 +636,146 @@ def test_expected_entries_are_parsed_once(monkeypatch):
                         or original(text))
     assert all(r.passed for r in sc.expected_table_checks(scen, SMALL))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the frame on a member axis
+# ---------------------------------------------------------------------------
+
+
+STACK_CFG = CheckConfig(samples=3)
+
+
+def _stack_scenario(name):
+    if name == "frame3":
+        return frame_bundle(3, (1, 2, 0), sc.DEFAULT_FRAME_GAMMA, STACK_CFG)
+    return sc.build_scenario(name, STACK_CFG)
+
+
+def _stacked_tensors(scen) -> list:
+    """The tensors the parallel-tensor family and side A of the
+    parallelism family differentiate, each once."""
+    split = scen.split
+    tensors = [split.s_total, split.q_total, split.p_k, *split.p_blocks]
+    tensors += [p for p, _ in scen.nabla.parts]
+    return list(dict.fromkeys(tensors))
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_stacked_members_are_bit_equal_to_the_per_pair_fields(name):
+    """Each member of ``(nabla_X T)(Ys)`` over a cost group has the bits of
+    ``(nabla_X T)(Y)`` built over that member alone, for every tensor both
+    stacked families differentiate.  sode-tangent's frame has two cost
+    groups; the tangent scenarios are equal-rank (S and Q)."""
+    scen = _stack_scenario(name)
+    pts = scen.space.sample_points(STACK_CFG)
+    stack = scen.split.stack
+    costs = [f.cost for f in scen.frame_fields()]
+    assert len(stack.groups) == len(set(costs)) == (
+        2 if name == "sode-tangent" else 1)
+    compared = 0
+    for T in _stacked_tensors(scen):
+        for X in scen.frame_fields():
+            stacked = [nabla_of_endo(scen.nabla, T, X, g).values(pts)
+                       for g in stack.groups]
+            for Y in scen.frame_fields():
+                g, i = stack._where[Y]
+                got = [[v.hex() for v in row[i]] for row in stacked[g]]
+                want = [[v.hex() for v in row] for row in
+                        nabla_of_endo(scen.nabla, T, X, Y).values(pts)]
+                assert got == want, (T.name, X.name, Y.name)
+                compared += 1
+    assert compared == len(_stacked_tensors(scen)) * len(
+        scen.frame_fields()) ** 2
+
+
+def _per_pair_parallel(scen, cfg):
+    """The parallel-tensor family as a loop over frame pairs."""
+    pts = scen.space.sample_points(cfg)
+    frame = scen.frame_fields()
+    if scen.construction == "equal-rank":
+        tensors = [scen.split.s_total, scen.split.q_total]
+    else:
+        tensors = [scen.split.p_k, *scen.split.p_blocks]
+    out = []
+    for T in tensors:
+        tracker = DevTracker()
+        for X in frame:
+            for Y in frame:
+                tracker.track(pts, nabla_of_endo(scen.nabla, T, X, Y))
+        out.append((tracker.max_dev, tracker.worst_point))
+    return out
+
+
+@pytest.mark.parametrize("name", ["sode-tangent", "hopf"])
+def test_stacked_families_fold_as_the_per_pair_loops(name):
+    """Same worst deviation and worst point, with the members read in loop
+    order (the frame order differs from the stack's)."""
+    scen = _stack_scenario(name)
+    got = [(r.max_dev, r.worst_point)
+           for r in sc.parallel_tensor_checks(scen, STACK_CFG)]
+    assert got == _per_pair_parallel(_stack_scenario(name), STACK_CFG)
+
+
+def test_parallel_families_evaluate_one_tree_per_direction(monkeypatch):
+    """Both families differentiate along the stacked frame, never along a
+    single frame field."""
+    from ehresmann import covderiv
+
+    scen = _stack_scenario("trivial-r3")
+    seen = []
+    original = covderiv.nabla_of_endo
+
+    def spy(nabla, T, X, Y):
+        seen.append(Y)
+        return original(nabla, T, X, Y)
+
+    monkeypatch.setattr(covderiv, "nabla_of_endo", spy)
+    monkeypatch.setattr(sc, "nabla_of_endo", spy)
+    sc.parallel_tensor_checks(scen, STACK_CFG)
+    sc.parallelism_equivalence_checks(scen, STACK_CFG)
+    frame, parts = scen.frame_fields(), len(scen.nabla.parts)
+    assert set(seen) == set(scen.split.stack.groups)
+    assert len(seen) == (1 + len(scen.split.p_blocks) + parts) * len(frame)
+
+
+def _bad_point_doc(tmp_path):
+    """The trivial bundle with ``sqrt((x - c)^2)`` in H1, where ``c`` is the
+    x of the second sample point: every value is fine, and at that point
+    alone the derivative is undefined."""
+    doc = json.loads(json.dumps(TRIVIAL_DOC))
+    c = trivial_r3(STACK_CFG).space.sample_points(STACK_CFG)[1].values[0]
+    doc["fields"]["H1"] = ["1", "0", f"cos(th)+sqrt((x-({c!r}))^2)"]
+    path = tmp_path / "bad-point.json"
+    path.write_text(json.dumps(doc))
+    return str(path), c, lambda: load_scenario_file(str(path), STACK_CFG)
+
+
+def test_stacked_families_raise_the_per_pair_error(tmp_path):
+    _, _, load = _bad_point_doc(tmp_path)
+
+    def side_a_loop():
+        scen = load()
+        pts = scen.space.sample_points(STACK_CFG)
+        probes = scen.split.all_fields
+        for p, _ in scen.nabla.parts:
+            for X in probes:
+                for Y in probes:
+                    DevTracker().track(pts, nabla_of_endo(scen.nabla, p, X, Y))
+
+    want = raised(lambda: _per_pair_parallel(load(), STACK_CFG))
+    assert want is not None and "not positive" in want[1]
+    assert raised(lambda: sc.parallel_tensor_checks(load(), STACK_CFG)) \
+        == want
+    assert raised(side_a_loop) == want
+    assert raised(lambda: sc.parallelism_equivalence_checks(
+        load(), STACK_CFG)) == want
+
+
+def test_verify_of_a_bad_point_file_ends_as_before(tmp_path, capsys):
+    path, c, _ = _bad_point_doc(tmp_path)
+    assert main(["verify", path, "--samples", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: domain error in 'sqrt' at 'sqrt((x-{c!r})"
+                       f"^2.0)': argument 0.0 is not positive\n")
