@@ -272,24 +272,22 @@ class ParallelismReport:
         return self.nabla_p_passes == self.image_passes
 
 
-def check_parallelism_equivalence(nabla: CovDeriv, b_index: int, probe_fields,
-                cfg: CheckConfig = DEFAULT_CHECK,
-                tol: float | None = None,
-                stack: FieldStack | None = None) -> ParallelismReport:
-    """Both sides over every pair of probe fields.  Side A evaluates
-    ``(nabla_X P_B)`` once per probe X over ``stack``, the probes on a
-    member axis (a stack holding them all; built here when not given)."""
+def check_parallelism_equivalence(nabla: CovDeriv, b_index: int,
+                probes: FieldStack, cfg: CheckConfig = DEFAULT_CHECK,
+                tol: float | None = None) -> ParallelismReport:
+    """Both sides over every pair of ``probes.fields``.  Side A evaluates
+    ``(nabla_X P_B)`` once per probe X over the stacked probes."""
     if not nabla.parts:
         raise CovDerivError("operator carries no glued parts to check")
     p_b, ext_b = nabla.parts[b_index]
     tol = tol if tol is not None else cfg.tolerance
     pts = nabla.space.sample_points(cfg)
-    stack = stack or FieldStack(probe_fields)
+    probe_fields = probes.fields
 
     side_a = DevTracker()
     for X in probe_fields:
-        stack.track(side_a, pts, probe_fields,
-                    lambda Ys: nabla_of_endo(nabla, p_b, X, Ys))
+        probes.track(side_a, pts, probe_fields,
+                     lambda Ys: nabla_of_endo(nabla, p_b, X, Ys))
 
     # a probe enters the image set unless its projection vanishes at every
     # sample point

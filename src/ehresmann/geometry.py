@@ -541,31 +541,12 @@ def directional(X: VectorField, f: ScalarField, name=None) -> ScalarField:
 
 
 def _bracket_fold(xs, ys, t: int):
-    """The bracket of stacked components at depth
-    ``t + 1``, every product of the fold formed at once (indexed component,
-    point, variable, slots...), then ``acc = acc + a * p - b * q`` folded
-    over the variables in order.  Either operand may carry a leading
-    member axis, which the bracket then carries too."""
+    """The bracket of stacked components at depth ``t + 1``, every product
+    of the fold formed at once (indexed component, point, variable,
+    slots...), then ``acc = acc + a * p - b * q`` folded over the variables
+    in order.  Either operand may carry a leading member axis, which the
+    bracket then carries too: the axes are counted from the end."""
     xa, ya = (jets.truncate(cs, t + 1).a for cs in (xs, ys))
-    if xa.ndim > t + 3 or ya.ndim > t + 3:
-        return _member_bracket_fold(xa, ya, t, xs.nvars)
-    first = jets.mul_slots(xa[..., 0].swapaxes(0, 1)[None], ya[:, :, 1:], t)
-    second = jets.mul_slots(ya[..., 0].swapaxes(0, 1)[None], xa[:, :, 1:], t)
-    # 0.0 + a jet adds to its value slots alone
-    acc = first[:, :, 0].copy()
-    value = (Ellipsis,) + (0,) * t
-    acc[value] = 0.0 + acc[value]
-    acc -= second[:, :, 0]
-    for j in range(1, first.shape[2]):
-        acc += first[:, :, j]
-        acc -= second[:, :, j]
-    return JetBatch(acc, t, xs.nvars)
-
-
-def _member_bracket_fold(xa, ya, t: int, nvars: int):
-    """:func:`_bracket_fold` of slot arrays of which one or both are
-    indexed (member, component, point, slots...): the same products and
-    the same fold, the variable axis counted from the end."""
     rest = (slice(None),) * t
     part = (Ellipsis, slice(1, None)) + rest
 
@@ -574,6 +555,7 @@ def _member_bracket_fold(xa, ya, t: int, nvars: int):
 
     first = jets.mul_slots(values(xa), ya[part], t)
     second = jets.mul_slots(values(ya), xa[part], t)
+    # 0.0 + a jet adds to its value slots alone
     acc = first[(Ellipsis, 0) + rest].copy()
     value = (Ellipsis,) + (0,) * t
     acc[value] = 0.0 + acc[value]
@@ -581,7 +563,7 @@ def _member_bracket_fold(xa, ya, t: int, nvars: int):
     for j in range(1, first.shape[-t - 1]):
         acc += first[(Ellipsis, j) + rest]
         acc -= second[(Ellipsis, j) + rest]
-    return JetBatch(acc, t, nvars)
+    return JetBatch(acc, t, xs.nvars)
 
 
 def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
@@ -619,8 +601,9 @@ def _stacked(members) -> VectorField:
 
 
 class FieldStack:
-    """Vector fields on a member axis: one stacked field per cost group
-    (the fields of one ``cost``, in order of first appearance).
+    """Vector fields on a member axis: ``fields`` in the order given, one
+    stacked field per cost group (the fields of one ``cost``, in order of
+    first appearance).
 
     Built over a stacked field, a tree of the field algebra above (sums,
     brackets, :class:`Endo11` applications) evaluates all its members at
@@ -628,31 +611,36 @@ class FieldStack:
     built over member ``i`` alone: along the member axis every kernel
     broadcasts the same elementwise operations and folds in the same
     order.  Equal costs keep each member at the depth it has alone.
+    ``fallbacks`` counts the calls of :meth:`track` that ran per member.
     """
 
     def __init__(self, fields):
+        self.fields = tuple(fields)
         groups: dict = {}
-        for f in dict.fromkeys(fields):
+        for f in dict.fromkeys(self.fields):
             groups.setdefault(f.cost, []).append(f)
         self.groups = tuple(_stacked(m) for m in groups.values())
         self._where = {f: (g, i) for g, m in enumerate(groups.values())
                        for i, f in enumerate(m)}
+        self.fallbacks = 0
 
     def track(self, tracker: DevTracker, points, members, build):
-        """Fold ``build(Y)`` into ``tracker`` for each ``Y`` of ``members``
-        (fields of this stack), as ``tracker.track(points, build(Y))`` in
-        that order does, from one evaluation of ``build`` per cost group.
-        When one raises, that loop itself runs, so the error is the one the
-        loop raises, at the same member and point."""
+        """Fold ``build(Y)`` into ``tracker`` for each ``Y`` of ``members``,
+        as ``tracker.track(points, build(Y))`` in that order does, from one
+        evaluation of ``build`` per cost group.  When a member is not in
+        this stack or a stacked evaluation raises, that loop itself runs,
+        so the error is the one the loop raises, at the same member and
+        point."""
         points = list(points)
         try:
+            where = [self._where[Y] for Y in members]
             rows = [build(g).values(points) for g in self.groups]
         except Exception:
+            self.fallbacks += 1
             for Y in members:
                 tracker.track(points, build(Y))
             return tracker
-        for Y in members:
-            g, i = self._where[Y]
+        for g, i in where:
             for p, at_point in zip(points, rows[g]):
                 tracker.update(max_abs(at_point[i]), p.values)
         return tracker

@@ -413,10 +413,9 @@ def split_identity_checks(scen: Scenario, cfg: CheckConfig) -> list:
 
 def parallelism_equivalence_checks(scen: Scenario, cfg: CheckConfig) -> list:
     records = []
-    probes = scen.split.all_fields
     for b in range(len(scen.nabla.parts)):
-        rep = check_parallelism_equivalence(scen.nabla, b, probes, cfg,
-                                            stack=scen.split.stack)
+        rep = check_parallelism_equivalence(scen.nabla, b, scen.split.stack,
+                                            cfg)
         prefix = f"{scen.name}:parallelism:{rep.block}"
         records += [
             CheckRecord(f"{prefix}:nabla-p", "projector parallelism",

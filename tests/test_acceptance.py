@@ -11,7 +11,7 @@ from ehresmann import scenarios as sc
 from ehresmann.covderiv import (
     check_parallelism_equivalence, glue_derivatives, torsion,
 )
-from ehresmann.geometry import CheckConfig, DEFAULT_CHECK, vf_add
+from ehresmann.geometry import CheckConfig, DEFAULT_CHECK, FieldStack, vf_add
 from ehresmann.jets import JetConfig, extract, seed
 from ehresmann.scenarios import (
     affine_tangent, cycle_decomposition, frame_bundle, is_spray,
@@ -261,7 +261,8 @@ def test_criterion_08_projector_equivalence(built):
     bad = glue_derivatives(parts, DEFAULT_CHECK,
                     probe_fields=scen.split.all_fields,
                     provenance="corrupted")
-    rep = check_parallelism_equivalence(bad, b, scen.split.all_fields,
+    rep = check_parallelism_equivalence(bad, b,
+                                        FieldStack(scen.split.all_fields),
                                         DEFAULT_CHECK)
     control_ok = (not rep.nabla_p_passes) and (not rep.image_passes) \
         and rep.agree

@@ -354,7 +354,7 @@ def test_parallelism_equivalence_passes_on_canonical_operators(affine, tilted):
     for pack in (affine, tilted):
         split, nabla = pack[-2], pack[-1]
         for b in range(len(nabla.parts)):
-            rep = check_parallelism_equivalence(nabla, b, split.all_fields, CFG)
+            rep = check_parallelism_equivalence(nabla, b, split.stack, CFG)
             assert rep.nabla_p_passes and rep.image_passes and rep.agree
 
 
@@ -369,7 +369,7 @@ def test_parallelism_equivalence_single_part_trivially_passes(affine):
                                 ident, CFG, check_membership=False))
     glued = glue_derivatives([part], CFG, provenance="toy")
     probes = tuple(VectorField.coordinate(space, c) for c in space.coords)
-    rep = check_parallelism_equivalence(glued, 0, probes, CFG)
+    rep = check_parallelism_equivalence(glued, 0, FieldStack(probes), CFG)
     assert rep.nabla_p_passes and rep.image_passes
 
 
@@ -387,7 +387,8 @@ def test_parallelism_equivalence_corrupted_rule_fails_both_sides(affine):
     parts[b] = (p_b, corrupted_ext)
     bad = glue_derivatives(parts, CFG, probe_fields=split.all_fields,
                     provenance="corrupted")
-    rep = check_parallelism_equivalence(bad, b, split.all_fields, CFG)
+    rep = check_parallelism_equivalence(bad, b, FieldStack(split.all_fields),
+                                        CFG)
     assert not rep.nabla_p_passes
     assert not rep.image_passes
     assert rep.agree
@@ -426,8 +427,10 @@ def test_parallelism_side_a_raises_the_per_pair_error(affine):
     ys = FieldStack(probes).groups[0]
     assert raised(lambda: nabla_of_endo(bad, p_b, hs[0], ys).values(
         pts))[0] is JetShapeError
+    stack = FieldStack(probes)
     assert raised(lambda: check_parallelism_equivalence(
-        bad, b, probes, CFG)) == want
+        bad, b, stack, CFG)) == want
+    assert stack.fallbacks == 1
 
 
 def test_parallelism_image_set_sees_every_sample_point(affine):
@@ -450,7 +453,7 @@ def test_parallelism_image_set_sees_every_sample_point(affine):
     bad = glue_derivatives(parts, CFG, probe_fields=split.all_fields,
                            provenance="corrupted")
     probes = (vs[0], vs[1], hs[1], f)
-    rep = check_parallelism_equivalence(bad, b, probes, CFG)
+    rep = check_parallelism_equivalence(bad, b, FieldStack(probes), CFG)
     assert not rep.nabla_p_passes
     assert not rep.image_passes
     assert rep.agree

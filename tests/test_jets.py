@@ -513,16 +513,15 @@ _SMALL = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                    st.floats(min_value=-3.0, max_value=3.0))
 
 
-def _jet_of_slots(a, nvars, depth):
-    """The jet whose slots in the batch layout are ``a``: its value at
-    index 0 of every axis, partial ``i`` at ``1 + i`` on the first axis
-    (the slots that are index 0 first and not index 0 later are not read;
-    ``_slot_array`` writes zeros there)."""
+def _jet_in_tree_order(values, nvars, depth):
+    """The jet that takes its next ``1 + nvars + ... + nvars ** depth``
+    values from the iterator ``values`` in tree order: its value, then
+    each partial in turn."""
     if depth == 0:
-        return float(a)
-    return Jet(float(a[(0,) * depth]),
-               tuple(_jet_of_slots(a[1 + i], nvars, depth - 1)
-                     for i in range(nvars)), depth, nvars)
+        return next(values)
+    value = next(values)
+    return Jet(value, tuple(_jet_in_tree_order(values, nvars, depth - 1)
+                            for _ in range(nvars)), depth, nvars)
 
 
 @st.composite
@@ -530,14 +529,10 @@ def _batch_case(draw):
     nvars = draw(st.integers(1, 4))
     depth = draw(st.integers(0, 3))
     count = draw(st.integers(1, 5))
-    size = (1 + nvars) ** depth
-    flat = st.lists(_SMALL, min_size=size, max_size=size)
-
-    def scalars():
-        return [_jet_of_slots(np.reshape(draw(flat), (1 + nvars,) * depth),
-                              nvars, depth) for _ in range(count)]
-
-    us, vs = scalars(), scalars()
+    size = 2 * count * sum(nvars ** k for k in range(depth + 1))
+    values = iter(draw(st.lists(_SMALL, min_size=size, max_size=size)))
+    us = [_jet_in_tree_order(values, nvars, depth) for _ in range(count)]
+    vs = [_jet_in_tree_order(values, nvars, depth) for _ in range(count)]
     return nvars, depth, us, vs, draw(st.sampled_from(sorted(_BATCH_OPS)))
 
 

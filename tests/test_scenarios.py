@@ -687,6 +687,10 @@ def test_stacked_members_are_bit_equal_to_the_per_pair_fields(name):
                 compared += 1
     assert compared == len(_stacked_tensors(scen)) * len(
         scen.frame_fields()) ** 2
+    # both families run stacked: no (T, X) falls back to the per-pair loop
+    sc.parallel_tensor_checks(scen, STACK_CFG)
+    sc.parallelism_equivalence_checks(scen, STACK_CFG)
+    assert stack.fallbacks == 0
 
 
 def _per_pair_parallel(scen, cfg):
