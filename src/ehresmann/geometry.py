@@ -549,12 +549,12 @@ def _bracket_fold(xs, ys, t: int):
     xa, ya = (jets.truncate(cs, t + 1).a for cs in (xs, ys))
     rest = (slice(None),) * t
     part = (Ellipsis, slice(1, None)) + rest
-
-    def values(a):      # (component, point) -> (1, point, variable)
-        return np.expand_dims(np.swapaxes(a[..., 0], -t - 2, -t - 1), -t - 3)
-
-    first = jets.mul_slots(values(xa), ya[part], t)
-    second = jets.mul_slots(values(ya), xa[part], t)
+    lift = (Ellipsis, None, slice(None), slice(None)) + rest
+    # values (component, point) -> (1, point, variable)
+    first = jets.mul_slots(xa[..., 0].swapaxes(-t - 2, -t - 1)[lift],
+                           ya[part], t)
+    second = jets.mul_slots(ya[..., 0].swapaxes(-t - 2, -t - 1)[lift],
+                            xa[part], t)
     # 0.0 + a jet adds to its value slots alone
     acc = first[(Ellipsis, 0) + rest].copy()
     value = (Ellipsis,) + (0,) * t
