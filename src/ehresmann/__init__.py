@@ -21,7 +21,7 @@ from .geometry import (  # noqa: F401
     DepthBudgetError, Endo11, FieldStack, Frame, FrameSolver, GeometryError,
     OffManifoldError, Point, ScalarField, SingularFrameError,
     SpaceMismatchError, VectorField, directional, dual_coframe, endo_add,
-    endo_compose, endo_scale, endo_sub, eval_vector_field,
+    endo_compose, endo_scale, eval_vector_field,
     frame_coefficients, lie_bracket, lie_derivative_endo, pairing,
     projector_from_split, validate_frame, validate_tangent, vf_add,
     vf_scale, vf_sub,

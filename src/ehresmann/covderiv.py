@@ -273,14 +273,13 @@ class ParallelismReport:
 
 
 def check_parallelism_equivalence(nabla: CovDeriv, b_index: int,
-                probes: FieldStack, cfg: CheckConfig = DEFAULT_CHECK,
-                tol: float | None = None) -> ParallelismReport:
+                probes: FieldStack, cfg: CheckConfig = DEFAULT_CHECK
+                ) -> ParallelismReport:
     """Both sides over every pair of ``probes.fields``.  Side A evaluates
     ``(nabla_X P_B)`` once per probe X over the stacked probes."""
     if not nabla.parts:
         raise CovDerivError("operator carries no glued parts to check")
     p_b, ext_b = nabla.parts[b_index]
-    tol = tol if tol is not None else cfg.tolerance
     pts = nabla.space.sample_points(cfg)
     probe_fields = probes.fields
 
@@ -305,4 +304,5 @@ def check_parallelism_equivalence(nabla: CovDeriv, b_index: int,
             z = ext_b(X, Y)
             side_b.track(pts, vf_sub(z, p_b(z)))
 
-    return ParallelismReport(p_b.name, side_a.max_dev, side_b.max_dev, tol)
+    return ParallelismReport(p_b.name, side_a.max_dev, side_b.max_dev,
+                             cfg.tolerance)

@@ -14,9 +14,12 @@ coordinate functions seeded as jets over a point set
 any evaluated component are its coordinate derivatives at each point, which
 is what brackets and Lie derivatives read.  An ``Env`` carries its seeded
 ``depth`` and its memo ``key``, ``(point values, depth)``: equal keys mean
-bit-equal inputs, so every cache keys on it.  A field caches its own
-evaluation under ``env.key``, at depth ``env.depth - cost``; a truncation
-of its components below that depth is cached under ``(env.key, target)``.
+bit-equal inputs, so every cache keys on it.  The one caching rule: a
+field caches its own evaluation under ``env.key``, at depth ``env.depth -
+cost``, and nothing else; a truncation below that depth is a view of that
+entry (:func:`jets.truncate` selects slots) and is not stored.  A frame
+solve is such a field too, and frame coefficients are contracted by the
+same kernel as every projector, :func:`_contract`.
 
 A :class:`FieldStack` puts fields of one ``cost`` on a leading member
 axis, ``(F, n, P) + slots``: a tree of the field algebra over a stacked
@@ -43,7 +46,7 @@ import numpy as np
 
 from . import expr as ex
 from . import jets
-from .jets import JetBatch, JetConfig, value_of
+from .jets import JetBatch, value_of
 from .report import DevTracker, max_abs, per_point
 
 FRAME_DEGENERACY_RATIO = 1e-8
@@ -172,8 +175,8 @@ class ChartedSpace:
                 raise DepthBudgetError(name, depth, p.depth)
         values = PointSetKey(p.values if isinstance(p, Point)
                              else tuple(map(float, p)) for p in points)
-        env = Env(zip(self.coords, jets.seed_points(
-            JetConfig(self.coords, depth), values)))
+        env = Env(zip(self.coords, jets.seed_points(len(self.coords),
+                                                    depth, values)))
         env.depth = depth
         env.points = values
         env.key = (values, depth)
@@ -455,17 +458,10 @@ class CovectorField(_Field):
     at = _Field.at
 
 
-def _comps_at(field, env, target: int) -> list:
-    """Components of a field truncated to an exact depth, cached in the
-    field's cache under ``(env.key, target)``."""
-    if env.depth - field.cost == target:
-        return field.at(env)
-    key = (env.key, target)
-    hit = field._cache.get(key)
-    if hit is None:
-        hit = _comps_as_depth(field.at(env), target, env)
-        field._cache[key] = hit
-    return hit
+def _comps_at(field, env, target: int):
+    """Components of a field truncated to an exact depth: a view of the
+    one cached evaluation, stored nowhere."""
+    return jets.truncate(field.at(env), target)
 
 
 def _check_space(a, b):
@@ -736,9 +732,13 @@ class FrameSolver:
     """Pointwise inverse of the matrix whose columns are frame fields.
 
     On embedded spaces the constraint gradients are appended as extra
-    columns to square the system.  The solver gates the frame and inverts
-    it, caching one inverse per ``env.key``; everything built over the
-    frame reads that inverse through the one shared :meth:`coframe`.
+    columns to square the system.  The solve is a field named ``"frame
+    solve"`` of cost :attr:`cost` that gates the frame and inverts it, so
+    it caches one inverse per ``env.key`` under the one caching rule;
+    ``_cache`` is its cache and :meth:`inverse` its ``at``.  Everything built
+    over the frame reads that inverse through the one shared
+    :meth:`coframe`, and :meth:`coefficients` contracts its values with
+    :func:`_contract`, as every projector does.
     """
 
     def __init__(self, space, fields):
@@ -752,7 +752,8 @@ class FrameSolver:
                 f"{n}-dimensional solve")
         base = max((f.cost for f in self.fields), default=0)
         self.cost = max(base, 1) if space.constraints else base
-        self._cache: dict = {}
+        self._solve = _Field(space, self._invert, self.cost, "frame solve")
+        self._cache = self._solve._cache
         self._coframe = tuple(self._covector(i)
                               for i in range(len(self.fields)))
 
@@ -765,19 +766,15 @@ class FrameSolver:
             cols.append(_gradient(cj, target))
         return cols
 
-    def inverse(self, env):
-        hit = self._cache.get(env.key)
-        if hit is not None:
-            return hit
-        if env.depth < self.cost:
-            raise DepthBudgetError("frame solve", self.cost, env.depth)
+    def _invert(self, env):
         with np.errstate(all="ignore"):
             cols = self._columns(env, env.depth - self.cost)
             mat = cols[0]._new(np.stack([c.a for c in cols], axis=1))
             gate_frame(_value_rows(mat), env.points)
-            inv = _invert_points(mat, self.space.ambient_dim)
-        self._cache[env.key] = inv
-        return inv
+            return _invert_points(mat, self.space.ambient_dim)
+
+    def inverse(self, env):
+        return self._solve.at(env)
 
     def _covector(self, i) -> CovectorField:
         def fn(env):
@@ -793,17 +790,13 @@ class FrameSolver:
         projector and endomorphism over this solver shares their caches."""
         return self._coframe
 
-    def coefficients(self, env, rows) -> list:
+    def coefficients(self, env, comps) -> list:
         """Each point's frame coefficients of the vector whose components
-        are that point's entry of ``rows``, from the values of the inverse
-        in ``env``."""
+        are ``comps``, a depth-0 batch over the points of ``env``: the
+        depth-0 rows of the inverse in ``env`` contracted with it."""
         with np.errstate(all="ignore"):
-            flat = _value_rows(self.inverse(env)).tolist()
-        return [_expand(f, c) for f, c in zip(flat, rows)]
-
-
-def _expand(flat, components) -> list[float]:
-    return [_left_sum(map(operator.mul, row, components)) for row in flat]
+            inv = jets.truncate(self.inverse(env), 0)
+            return _value_rows(_contract(inv.a, comps)).tolist()
 
 
 def dual_coframe(space, frames) -> tuple:
@@ -818,7 +811,9 @@ def frame_coefficients(space, frames, components, point) -> list[float]:
     fields = tuple(f for frame in frames for f in frame.fields)
     solver = FrameSolver(space, fields)
     env = space.seed_env(point, solver.cost, "frame solve")
-    coef = solver.coefficients(env, [list(components)])[0]
+    comps = JetBatch(np.array(components, dtype=float)[:, None], 0,
+                     space.ambient_dim)
+    coef = solver.coefficients(env, comps)[0]
     trimmed = coef[:len(fields)]
     recon = [0.0] * space.ambient_dim
     for c, f in zip(trimmed, fields):
@@ -900,11 +895,6 @@ class Endo11:
 def endo_add(A: Endo11, B: Endo11, name=None) -> Endo11:
     return Endo11(A.space, lambda X: vf_add(A(X), B(X)),
                   name or f"({A.name}+{B.name})")
-
-
-def endo_sub(A: Endo11, B: Endo11, name=None) -> Endo11:
-    return Endo11(A.space, lambda X: vf_sub(A(X), B(X)),
-                  name or f"({A.name}-{B.name})")
 
 
 def endo_scale(c: float, A: Endo11, name=None) -> Endo11:

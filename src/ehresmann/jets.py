@@ -511,10 +511,11 @@ def seed(config: JetConfig, point) -> list:
             for v, parts in zip(point, slots)]
 
 
-def seed_points(config: JetConfig, points) -> list:
-    """Coordinate batches at a sequence of points, each point's slots those
-    :func:`seed` gives there."""
-    n, depth = len(config.variables), config.depth
+def seed_points(n: int, depth: int, points) -> list:
+    """Coordinate batches of ``n`` variables at a sequence of points, each
+    point's slots those :func:`seed` gives there."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     if any(len(point) != n for point in points):
         raise JetShapeError(f"a point does not have {n} coordinates")
     a = np.zeros((n, len(points)) + (1 + n,) * depth)

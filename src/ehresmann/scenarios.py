@@ -39,9 +39,8 @@ from .covderiv import (
 from .geometry import (
     ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame,
     GeometryError, ScalarField, VectorField, _as_depth, _comps_as_depth,
-    _value_rows, annihilation, directional, dual_coframe, endo_add,
-    endo_scale, is_point_set, lie_derivative_endo, pairing, vf_add,
-    vf_scale, vf_sub,
+    annihilation, directional, dual_coframe, endo_add, endo_scale,
+    is_point_set, lie_derivative_endo, pairing, vf_add, vf_scale, vf_sub,
 )
 from .jets import extract, value_of
 from .report import CheckRecord, DevTracker, per_point
@@ -213,10 +212,10 @@ class Scenario:
         its own."""
         env = self.space.seed_env(point, vf.cost, vf.name)
         with np.errstate(all="ignore"):
-            rows = _value_rows(vf.at(env)).tolist()
+            comps = vf.at(env)
         if vf.cost < self.solver.cost:
             env = self.space.seed_env(point, self.solver.cost, "frame solve")
-        named = [self._named(c) for c in self.solver.coefficients(env, rows)]
+        named = [self._named(c) for c in self.solver.coefficients(env, comps)]
         return named if is_point_set(point) else named[0]
 
     def _named(self, coefs) -> dict:
@@ -295,9 +294,9 @@ def _random_combo(rng, fields, name) -> VectorField:
     return out
 
 
-def axiom_suite_checks(scen: Scenario, cfg: CheckConfig,
-                       functions: int = 3) -> list:
-    """Function-linearity, the Leibniz rule, and both additivities."""
+def axiom_suite_checks(scen: Scenario, cfg: CheckConfig) -> list:
+    """Function-linearity, the Leibniz rule, and both additivities, over
+    three random functions and frame fields."""
     rng = _suite_rng(cfg, scen, "axioms")
     pts = scen.space.sample_points(cfg)
     frame = scen.frame_fields()
@@ -305,7 +304,7 @@ def axiom_suite_checks(scen: Scenario, cfg: CheckConfig,
     trackers = {k: DevTracker() for k in
                 ("function-linearity", "leibniz",
                  "additivity-direction", "additivity-argument")}
-    for _ in range(functions):
+    for _ in range(3):
         f = _random_scalar(rng, scen.space)
         X = rng.choice(frame)
         Y = rng.choice(frame)
@@ -328,9 +327,9 @@ def axiom_suite_checks(scen: Scenario, cfg: CheckConfig,
             for k in trackers]
 
 
-def torsion_curvature_checks(scen: Scenario, cfg: CheckConfig,
-                             draws: int = 3) -> list:
-    """The vertical torsion of horizontal arguments carries the curvature.
+def torsion_curvature_checks(scen: Scenario, cfg: CheckConfig) -> list:
+    """The vertical torsion of horizontal arguments carries the curvature,
+    over three random pairs of frame combinations.
 
     With the conventions used here (T = nabla_X Y - nabla_Y X - [X, Y] and
     R(X, Y) = P_V([P_H X, P_H Y])), the derivative of horizontal arguments
@@ -342,7 +341,7 @@ def torsion_curvature_checks(scen: Scenario, cfg: CheckConfig,
     conn = scen.conn
     frame = scen.frame_fields()
     tracker = DevTracker()
-    for _ in range(draws):
+    for _ in range(3):
         X = _random_combo(rng, frame, "X")
         Y = _random_combo(rng, frame, "Y")
         t = torsion(scen.nabla, conn.p_h(X), conn.p_h(Y))
@@ -354,15 +353,15 @@ def torsion_curvature_checks(scen: Scenario, cfg: CheckConfig,
                            cfg.tolerance)]
 
 
-def torsion_property_checks(scen: Scenario, cfg: CheckConfig,
-                            draws: int = 2) -> list:
-    """Antisymmetry and function-bilinearity of the torsion."""
+def torsion_property_checks(scen: Scenario, cfg: CheckConfig) -> list:
+    """Antisymmetry and function-bilinearity of the torsion, over two
+    random draws."""
     rng = _suite_rng(cfg, scen, "torsion-props")
     pts = scen.space.sample_points(cfg)
     frame = scen.frame_fields()
     anti = DevTracker()
     flin = DevTracker()
-    for _ in range(draws):
+    for _ in range(2):
         X = rng.choice(frame)
         Y = rng.choice(frame)
         f = _random_scalar(rng, scen.space)

@@ -233,7 +233,7 @@ def test_criterion_07_axiom_suite(built):
     ok = True
     for name in ALL_SCENARIOS:
         scen = built(name)
-        recs = sc.axiom_suite_checks(scen, DEFAULT_CHECK, functions=3)
+        recs = sc.axiom_suite_checks(scen, DEFAULT_CHECK)
         ok = ok and all(r.passed for r in recs)
         devs[name] = worst(recs)
     report(7, "covariant-derivative-axioms-all-scenarios", ok,

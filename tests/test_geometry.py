@@ -6,6 +6,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from ehresmann import expr as ex
@@ -150,14 +151,21 @@ def test_separately_seeded_envs_share_one_cache_entry(plane_circle):
         first = f.at(e1)
         assert f.at(e2) is first
         assert len(f._cache) == 1, f.name
+    # a truncation is a view of the one entry, stored nowhere
+    bracket = fields[1]
+    low = geo._comps_at(bracket, e2, 0)
+    assert low.depth == 0 and low.a.base is bracket.at(e1).a
+    assert len(bracket._cache) == 1
     solver = FrameSolver(space, (v, h1, h2))
     inv = solver.inverse(e1)
     assert solver.inverse(e2) is inv
-    assert len(solver._cache) == 1
-    # a truncated coframe row is cached by its covector field
     w = solver.coframe()[0]
-    assert geo._comps_at(w, e2, 0) is geo._comps_at(w, e1, 0)
-    assert len(w._cache) == 2
+    assert geo._comps_at(w, e2, 0).a.base is w.at(e1).a.base is inv.a
+    assert len(w._cache) == 1
+    # the solve caches one inverse per key
+    e3 = space.seed_env(p, 1)
+    solver.inverse(e3)
+    assert list(solver._cache) == [e1.key, e3.key]
     assert dual_coframe(space, [Frame((v, h1, h2))])[0].name == "V*"
 
 
@@ -166,7 +174,8 @@ def test_separately_seeded_envs_share_one_cache_entry(plane_circle):
 # ---------------------------------------------------------------------------
 
 
-def test_float_sums_do_not_depend_on_the_interpreter(sphere3, monkeypatch):
+def test_float_sums_do_not_depend_on_the_interpreter(sphere3, plane_circle,
+                                                     monkeypatch):
     # the builtin sum of floats is compensated from Python 3.12 on, as
     # math.fsum is: [1e16, 1.0, -1e16] sums to 1.0 there, 0.0 left to right
     space = sphere3[0]
@@ -175,13 +184,22 @@ def test_float_sums_do_not_depend_on_the_interpreter(sphere3, monkeypatch):
     near = (0.6, 0.8 + 1e-9, 1e-17, -1e-17)
     projected = space.point(near, project=True)
     rows = [[1e16, 1.0, -1e16], [1.0, 1e16, -1e16], [-1e16, 1e16, 1.0]]
-    expanded = geo._expand(rows, [1.0, 1.0, 1.0])
-    assert expanded == [0.0, 0.0, 1.0]
+    inverse = JetBatch(np.array(rows)[:, :, None], 0, 3)
+    ones = JetBatch(np.ones((3, 1)), 0, 3)
+    _, h1, h2, v = plane_circle
+    solver = FrameSolver(plane_circle[0], (v, h1, h2))
+    monkeypatch.setattr(solver, "inverse", lambda env: inverse)
+
+    def coefficients():
+        return geo._contract(inverse.a, ones).a[:, 0].tolist(), \
+            solver.coefficients(None, ones)
+
+    assert coefficients() == ([0.0, 0.0, 1.0], [[0.0, 0.0, 1.0]])
     monkeypatch.setattr(geo, "sum", math.fsum, raising=False)
     assert [p.values for p in space.sample_points(cfg)] == \
         [p.values for p in points]
     assert space.point(near, project=True).values == projected.values
-    assert geo._expand(rows, [1.0, 1.0, 1.0]) == expanded
+    assert coefficients() == ([0.0, 0.0, 1.0], [[0.0, 0.0, 1.0]])
 
 
 def test_bracket_with_itself_vanishes(tangent_affine):

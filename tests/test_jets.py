@@ -181,7 +181,7 @@ def test_quotient_value_slot_is_the_float_quotient(depth):
     draws = [(rng.uniform(-4.0, 4.0), rng.choice((-1, 1))
               * rng.uniform(0.1, 4.0)) for _ in range(2000)]
     cfg = JetConfig(("a", "b"), depth)
-    xb, yb = jets.seed_points(cfg, draws)
+    xb, yb = jets.seed_points(2, depth, draws)
     cases = {
         "a/b": (lambda x, y: x / y, lambda a, b: a / b),
         "a/3": (lambda x, y: x / 3, lambda a, b: a / 3),
@@ -567,7 +567,7 @@ def test_batch_is_bit_equal_to_the_per_point_jets(case):
 def test_seed_points_matches_seed_at_every_point():
     cfg = JetConfig(("x", "y", "z"), 3)
     points = [(0.5, -0.0, 2.0), (1.0, 3.0, -1.5)]
-    batch = jets.seed_points(cfg, points)
+    batch = jets.seed_points(3, 3, points)
     for k, p in enumerate(points):
         for b, s in zip(batch, seed(cfg, p)):
             assert _slot_hexes(b, 3, k) == _slot_hexes(s, 3)
@@ -578,15 +578,15 @@ def test_seed_points_matches_seed_at_every_point():
     (jets.sqrt, "argument -2.0 is not positive"),
 ])
 def test_batch_domain_error_names_the_first_offending_point(op, detail):
-    (x,) = jets.seed_points(JetConfig(("x",), 1), [(1.0,), (-2.0,), (-3.0,)])
+    (x,) = jets.seed_points(1, 1, [(1.0,), (-2.0,), (-3.0,)])
     with pytest.raises(JetDomainError) as info:
         op(x)
     assert info.value.detail == detail
 
 
 def test_batch_shape_mismatch_raises():
-    (a,) = jets.seed_points(JetConfig(("x",), 1), [(1.0,), (2.0,)])
-    (b,) = jets.seed_points(JetConfig(("x",), 2), [(1.0,), (2.0,)])
+    (a,) = jets.seed_points(1, 1, [(1.0,), (2.0,)])
+    (b,) = jets.seed_points(1, 2, [(1.0,), (2.0,)])
     with pytest.raises(JetShapeError):
         a + b
     with pytest.raises(JetShapeError):

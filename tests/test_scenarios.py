@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -13,7 +14,8 @@ from ehresmann import scenarios as sc
 from ehresmann.cli import load_scenario_file, main
 from ehresmann.covderiv import CovDeriv, nabla_of_endo, torsion
 from ehresmann.geometry import (
-    CheckConfig, GeometryError, ScalarField, VectorField, annihilation,
+    CheckConfig, GeometryError, PointSetKey, ScalarField, VectorField,
+    _Field, annihilation,
 )
 from ehresmann.scenarios import (
     Metric, affine_tangent, ambient_dot_metric,
@@ -475,6 +477,23 @@ def test_builtin_suites_pass(name, built):
     assert recs
     failed = [r.check_id for r in recs if not r.passed]
     assert not failed, failed
+
+
+def test_every_field_caches_under_env_keys_alone(built):
+    """The one caching rule: after every built-in's checks, each live field,
+    the frame solves among them, holds its entries under ``env.key``,
+    ``(point-set key, depth)``, and under nothing else."""
+    cfg = CheckConfig(samples=3)
+    for name in sorted(sc.BUILTIN_BUILDERS):
+        sc.run_scenario_checks(built(name), cfg)
+    gc.collect()
+    fields = [o for o in gc.get_objects() if isinstance(o, _Field)]
+    stray = [(f.name, key) for f in fields for key in f._cache
+             if not (key.__class__ is tuple and len(key) == 2
+                     and key[0].__class__ is PointSetKey
+                     and key[1].__class__ is int)]
+    assert stray == []
+    assert any(f.name == "frame solve" and f._cache for f in fields)
 
 
 def test_catalog_matches_built_scenarios():
