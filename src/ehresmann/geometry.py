@@ -607,7 +607,9 @@ class FieldStack:
     built over member ``i`` alone: along the member axis every kernel
     broadcasts the same elementwise operations and folds in the same
     order.  Equal costs keep each member at the depth it has alone.
-    ``fallbacks`` counts the calls of :meth:`track` that ran per member.
+    ``fallbacks`` counts the calls of :meth:`track` that ran per member,
+    and the expected-table rows (read off one ``op(X, Ys)`` per op, X and
+    cost group) that ran per pair.
     """
 
     def __init__(self, fields):
@@ -808,6 +810,9 @@ def dual_coframe(space, frames) -> tuple:
 def frame_coefficients(space, frames, components, point) -> list[float]:
     """Expand a tangent vector (given by components at a point) in frames;
     raises unless the expansion reconstructs the vector."""
+    if len(components) != space.ambient_dim:
+        raise GeometryError(f"{len(components)} components for "
+                            f"{space.ambient_dim}-dimensional {space.name}")
     fields = tuple(f for frame in frames for f in frame.fields)
     solver = FrameSolver(space, fields)
     env = space.seed_env(point, solver.cost, "frame solve")

@@ -209,13 +209,16 @@ class Scenario:
         that gives vf's components, so a field built through the solver's
         projectors brings its solve along; only a field cheaper than the
         solver has its components read at depth 0 and the solve seeded on
-        its own."""
+        its own.  On a member axis, one dict per member at each point."""
         env = self.space.seed_env(point, vf.cost, vf.name)
         with np.errstate(all="ignore"):
             comps = vf.at(env)
         if vf.cost < self.solver.cost:
             env = self.space.seed_env(point, self.solver.cost, "frame solve")
-        named = [self._named(c) for c in self.solver.coefficients(env, comps)]
+        rows = self.solver.coefficients(env, comps)
+        if comps.a.ndim - comps.depth == 3:
+            return [[self._named(m) for m in c] for c in rows]
+        named = [self._named(c) for c in rows]
         return named if is_point_set(point) else named[0]
 
     def _named(self, coefs) -> dict:
@@ -225,36 +228,57 @@ class Scenario:
         return out
 
 
-def _eval_coeff(entry, points, env0) -> list[float]:
-    """An expected-table entry at each point of a set, in one evaluation:
-    a callable (as the oracles below, of a point or a point set), a number
-    or an expression, evaluated in ``env0``, the points seeded at depth
-    0."""
-    with np.errstate(all="ignore"):
-        vals = entry(points) if callable(entry) else value_of(
-            ex.evaluate(_E(entry), env0))
-    return np.broadcast_to(vals, (len(points),)).tolist()
+def _eval_coeff(entry, points, env0, memo) -> list[float]:
+    """An expected-table entry at each point of a set, evaluated once per
+    ``memo``: a callable (as the oracles below), a number or an expression
+    in ``env0`` (the points at depth 0).  An absent entry or a zero
+    constant is zeros, unevaluated: ``abs(got - want)`` keeps its bits."""
+    if entry is None or _is_zero(entry):
+        return [0.0] * len(points)
+    if id(entry) not in memo:
+        with np.errstate(all="ignore"):
+            vals = entry(points) if callable(entry) else value_of(
+                ex.evaluate(_E(entry), env0))
+        memo[id(entry)] = np.broadcast_to(vals, (len(points),)).tolist()
+    return memo[id(entry)]
+
+
+def _coeff_devs(row, coefs, points, env0, memo) -> list:
+    """Each point's deviations of its dict in ``coefs`` from the row."""
+    want = {name: _eval_coeff(None if name.startswith("offspan") else
+                              row.coeffs.get(name), points, env0, memo)
+            for name in coefs[0]}
+    return [[abs(got - want[name][k]) for name, got in c.items()]
+            for k, c in enumerate(coefs)]
 
 
 def expected_table_checks(scen: Scenario, cfg: CheckConfig) -> list:
+    """One record per expected row, read off one stacked ``op(X, Ys)`` per
+    (op, X, cost group) of the split's stack.  A row whose ``Y`` is not in
+    the stack, or whose stacked evaluation or comparison raises, runs per
+    pair (its error is the per-row loop's); ``stack.fallbacks`` counts it."""
     records = []
     pts = scen.space.sample_points(cfg)
+    stack, groups = scen.split.stack, {}
+    env0, memo = scen.space.seed_env(pts, 0), {}
     for row in scen.expected:
-        out = op_field(scen.conn, scen.nabla, row.op,
-                       scen.fields[row.args[0]], scen.fields[row.args[1]])
+        X, Y = (scen.fields[a] for a in row.args)
         tol = row.tol if row.tol is not None else cfg.tolerance
-
-        def devs(ps):
-            coefs = scen.coefficients(out, ps)
-            env0 = scen.space.seed_env(ps, 0)
-            want = {name: [0.0] * len(ps) if name.startswith("offspan")
-                    else _eval_coeff(row.coeffs.get(name, 0.0), ps, env0)
-                    for name in coefs[0]}
-            return [[abs(got - want[name][k]) for name, got in c.items()]
-                    for k, c in enumerate(coefs)]
-
+        try:
+            g, i = stack._where[Y]
+            if (row.op, X, g) not in groups:
+                groups[row.op, X, g] = scen.coefficients(op_field(
+                    scen.conn, scen.nabla, row.op, X, stack.groups[g]), pts)
+            all_devs = _coeff_devs(row, [c[i] for c in groups[row.op, X, g]],
+                                   pts, env0, memo)
+        except Exception:
+            stack.fallbacks += 1
+            out = op_field(scen.conn, scen.nabla, row.op, X, Y)
+            all_devs = per_point(pts, lambda ps: _coeff_devs(
+                row, scen.coefficients(out, ps), ps,
+                scen.space.seed_env(ps, 0), {}))
         tracker = DevTracker()
-        for p, row_devs in zip(pts, per_point(pts, devs)):
+        for p, row_devs in zip(pts, all_devs):
             for dev in row_devs:
                 tracker.update(dev, p.values)
         records.append(tracker.record(

@@ -369,6 +369,16 @@ def test_frame_coefficients_rejects_nan_components(sphere3):
                            [math.nan, 0.0, 0.0, 0.0], p)
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_frame_coefficients_checks_the_component_count(count):
+    space = ChartedSpace("r3", ("x", "y", "z"))
+    frame = Frame(tuple(VectorField.coordinate(space, c) for c in "xyz"))
+    with pytest.raises(GeometryError,
+                       match=f"^{count} components for 3-dimensional r3$"):
+        frame_coefficients(space, [frame], [1.0, 2.0, 3.0, 4.0][:count],
+                           space.point((0.5, 0.25, 1.0)))
+
+
 def test_non_finite_frame_is_degenerate_at_a_point():
     space = ChartedSpace("r2", ("a", "b"))
     x1 = VectorField.coordinate(space, "a")

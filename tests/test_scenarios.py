@@ -7,12 +7,13 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ehresmann import expr as ex
 from ehresmann import scenarios as sc
 from ehresmann.cli import load_scenario_file, main
-from ehresmann.covderiv import CovDeriv, nabla_of_endo, torsion
+from ehresmann.covderiv import CovDeriv, nabla_of_endo, op_field, torsion
 from ehresmann.geometry import (
     CheckConfig, GeometryError, PointSetKey, ScalarField, VectorField,
     _Field, annihilation,
@@ -23,7 +24,8 @@ from ehresmann.scenarios import (
     metric_compatibility_defect, nonlinear_tangent, potential_connection,
     sode_projector, sode_sufficiency_check, symmetrize, trivial_r3,
 )
-from ehresmann.report import DevTracker
+from ehresmann.jets import value_of
+from ehresmann.report import DevTracker, per_point
 from helpers import raised
 from test_cli import TRIVIAL_DOC
 
@@ -730,14 +732,77 @@ def _per_pair_parallel(scen, cfg):
     return out
 
 
-@pytest.mark.parametrize("name", ["sode-tangent", "hopf"])
+def _per_row_table(scen, cfg):
+    """The expected table as a loop over its rows, each row's field built
+    on its own and every entry evaluated, zeros too."""
+    pts = scen.space.sample_points(cfg)
+    out = []
+
+    def entry_values(entry, ps, env0):
+        with np.errstate(all="ignore"):
+            vals = entry(ps) if callable(entry) else value_of(
+                ex.evaluate(sc._E(entry), env0))
+        return np.broadcast_to(vals, (len(ps),)).tolist()
+
+    for row in scen.expected:
+        field = op_field(scen.conn, scen.nabla, row.op,
+                         *(scen.fields[a] for a in row.args))
+
+        def devs(ps):
+            coefs = scen.coefficients(field, ps)
+            env0 = scen.space.seed_env(ps, 0)
+            want = {name: [0.0] * len(ps) if name.startswith("offspan")
+                    else entry_values(row.coeffs.get(name, ex.Const(0.0)),
+                                      ps, env0)
+                    for name in coefs[0]}
+            return [[abs(got - want[name][k]) for name, got in c.items()]
+                    for k, c in enumerate(coefs)]
+
+        tracker = DevTracker()
+        for p, row_devs in zip(pts, per_point(pts, devs)):
+            for dev in row_devs:
+                tracker.update(dev, p.values)
+        out.append((tracker.max_dev, tracker.worst_point))
+    return out
+
+
+@pytest.mark.parametrize("name", ["sode-tangent", "hopf", "affine-tangent"])
 def test_stacked_families_fold_as_the_per_pair_loops(name):
     """Same worst deviation and worst point, with the members read in loop
-    order (the frame order differs from the stack's)."""
+    order (the frame order differs from the stack's); the expected table's
+    records are the per-row loop's."""
     scen = _stack_scenario(name)
     got = [(r.max_dev, r.worst_point)
            for r in sc.parallel_tensor_checks(scen, STACK_CFG)]
     assert got == _per_pair_parallel(_stack_scenario(name), STACK_CFG)
+    got = [(r.max_dev, r.worst_point)
+           for r in sc.expected_table_checks(scen, STACK_CFG)]
+    assert got == _per_row_table(_stack_scenario(name), STACK_CFG)
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_stacked_table_rows_are_bit_equal_to_the_per_pair_coefficients(name):
+    """Member ``i`` of the coefficients of ``op(X, Ys)``, one stacked field
+    per (op, X, cost group), has the bits of ``op(X, Y_i)``'s own, for
+    every expected row; the table reads every row so, none per pair."""
+    scen = _stack_scenario(name)
+    pts = scen.space.sample_points(STACK_CFG)
+    stack, groups = scen.split.stack, {}
+    for row in scen.expected:
+        X, Y = (scen.fields[a] for a in row.args)
+        g, i = stack._where[Y]
+        if (row.op, X, g) not in groups:
+            groups[row.op, X, g] = scen.coefficients(op_field(
+                scen.conn, scen.nabla, row.op, X, stack.groups[g]), pts)
+        want = scen.coefficients(op_field(scen.conn, scen.nabla, row.op, X,
+                                          Y), pts)
+        assert [[(k, v.hex()) for k, v in c[i].items()]
+                for c in groups[row.op, X, g]] == \
+            [[(k, v.hex()) for k, v in c.items()] for c in want], \
+            (row.op, row.args)
+    fresh = _stack_scenario(name)
+    sc.expected_table_checks(fresh, STACK_CFG)
+    assert fresh.split.stack.fallbacks == 0
 
 
 def test_parallel_families_evaluate_one_tree_per_direction(monkeypatch):
@@ -793,6 +858,11 @@ def test_stacked_families_raise_the_per_pair_error(tmp_path):
     assert raised(side_a_loop) == want
     assert raised(lambda: sc.parallelism_equivalence_checks(
         load(), STACK_CFG)) == want
+    table = raised(lambda: _per_row_table(load(), STACK_CFG))
+    assert table is not None and "not positive" in table[1]
+    scen = load()
+    assert raised(lambda: sc.expected_table_checks(scen, STACK_CFG)) == table
+    assert scen.split.stack.fallbacks == 1
 
 
 def test_verify_of_a_bad_point_file_ends_as_before(tmp_path, capsys):
