@@ -209,7 +209,8 @@ class Scenario:
         that gives vf's components, so a field built through the solver's
         projectors brings its solve along; only a field cheaper than the
         solver has its components read at depth 0 and the solve seeded on
-        its own.  On a member axis, one dict per member at each point."""
+        its own.  On a member axis, one dict per member at each point of
+        a set."""
         env = self.space.seed_env(point, vf.cost, vf.name)
         with np.errstate(all="ignore"):
             comps = vf.at(env)
