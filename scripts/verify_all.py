@@ -1,13 +1,30 @@
 #!/usr/bin/env python3
-"""Run the verification suite of every built-in scenario and summarize."""
+"""Run the verification suite of every built-in scenario and summarize.
+
+Each line also gives the cache entries the scenario's fields hold after
+its run and the peak resident memory of the process so far."""
 
 import argparse
+import gc
+import resource
 import sys
 import time
 
-from ehresmann.geometry import CheckConfig
+from ehresmann.geometry import CheckConfig, _Field
 from ehresmann import scenarios as sc
 from ehresmann.report import max_abs
+
+
+def live_entries() -> int:
+    """Cache entries held by the live fields, frame solves included."""
+    gc.collect()
+    return sum(len(o._cache) for o in gc.get_objects()
+               if isinstance(o, _Field))
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident set size (``ru_maxrss`` is in KB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main() -> int:
@@ -24,12 +41,14 @@ def main() -> int:
         t0 = time.time()
         scen = sc.build_scenario(name, cfg)
         records = sc.run_scenario_checks(scen, cfg)
+        seconds = time.time() - t0
         bad = [r for r in records if not r.passed]
         failures += len(bad)
         worst = max_abs(r.max_dev for r in records)
         status = "ok" if not bad else f"{len(bad)} FAILED"
         print(f"{name:<20} {len(records):>3} checks  worst dev "
-              f"{worst:.2e}  {time.time() - t0:5.1f}s  {status}")
+              f"{worst:.2e}  {seconds:5.1f}s  {live_entries():>5} entries  "
+              f"peak {peak_rss_mb():5.1f} MB  {status}")
         for r in bad:
             print(f"    FAIL {r.check_id}: {r.max_dev:.3e} "
                   f"(tol {r.threshold:.1e})")

@@ -61,6 +61,8 @@ def build_connection(space, vertical: Frame, horizontal: Frame,
             f"vertical rank {vertical.rank} + horizontal rank "
             f"{horizontal.rank} != dim {space.dim} of {space.name}")
     fields = tuple(vertical.fields) + tuple(horizontal.fields)
+    for f in fields:    # read by the validators, the solve and every check
+        f.share()
     columns = validate_frame(space, fields, cfg)
     if space.constraints:
         for f in fields:

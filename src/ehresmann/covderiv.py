@@ -92,7 +92,8 @@ class CovDeriv:
     ``parts`` keeps the (projector, extended rule) pairs the operator was
     glued from, so per-block diagnostics stay available downstream.
     Outputs are memoized per argument-instance pair; fields are immutable,
-    so a repeated (X, Y) always means the same derivative field.
+    so a repeated (X, Y) always means the same derivative field, and a
+    memo output is marked by :meth:`~geometry._Field.share`.
     """
 
     space: object
@@ -106,7 +107,7 @@ class CovDeriv:
     def __call__(self, X: VectorField, Y: VectorField) -> VectorField:
         out = self._memo.get((X, Y))
         if out is None:
-            out = self._memo[X, Y] = self.rule(X, Y)
+            out = self._memo[X, Y] = self.rule(X, Y).share()
         return out
 
 

@@ -17,8 +17,12 @@ is what brackets and Lie derivatives read.  An ``Env`` carries its seeded
 bit-equal inputs, so every cache keys on it.  The one caching rule: a
 field caches its own evaluation under ``env.key``, at depth ``env.depth -
 cost``, and nothing else; a truncation below that depth is a view of that
-entry (:func:`jets.truncate` selects slots) and is not stored.  A frame
-solve is such a field too, and frame coefficients are contracted by the
+entry (:func:`jets.truncate` selects slots) and is not stored.  A field
+counts the reads of it in the rules of other fields (each constructor
+passes the fields its rule reads as ``operands``), and a field read
+exactly once stores nothing: it is evaluated only inside its one reader.
+Memo outputs and frame solves, handed to many callers, always store.  A
+frame solve is a field too, and frame coefficients are contracted by the
 same kernel as every projector, :func:`_contract`.
 
 A :class:`FieldStack` puts fields of one ``cost`` on a leading member
@@ -339,23 +343,37 @@ def _contract(rows, xs):
 class _Field:
     """A rule ``_fn(env)`` that consumes ``cost`` derivative levels.
 
-    The one caching rule: an evaluation is memoized under ``env.key`` and
-    normalized to depth ``env.depth - cost``.  ``from_exprs`` serves the
-    component fields (vector and covector); ``values`` all three, a scalar's
-    value as its one component.  Each field type binds ``at`` in its own
-    namespace, so a profiler can wrap it per type.
+    ``operands`` are the fields the rule reads, one entry per read; each
+    adds one to that field's ``readers``.  The one caching rule: an
+    evaluation is normalized to depth ``env.depth - cost`` and memoized
+    under ``env.key``, unless the field has exactly one reader.  Such a
+    field is evaluated only inside its reader's evaluation, which stores
+    or is itself evaluated once, so storing it would keep a batch that is
+    never read again.  A field nothing reads stores (a check, ``values``
+    or ``Scenario.coefficients`` evaluates it).  Readers are counted as
+    they are built, so a field that callers outside any rule also read
+    (a memo output, a frame solve, a coefficient table that oracles read)
+    is marked by :meth:`share` and always stores.  ``from_exprs`` serves
+    the component fields (vector and covector); ``values`` all three, a
+    scalar's value as its one component.  Each field type binds ``at`` in
+    its own namespace, so a profiler can wrap it per type.
     """
 
-    __slots__ = ("space", "name", "cost", "_fn", "_cache")
+    __slots__ = ("space", "name", "cost", "_fn", "_cache", "readers",
+                 "shared")
     _normalize = staticmethod(_comps_as_depth)
     _point_rows = staticmethod(lambda comps, env: _value_rows(comps))
 
-    def __init__(self, space, fn, cost, name):
+    def __init__(self, space, fn, cost, name, operands=()):
         self.space = space
         self._fn = fn
         self.cost = cost
         self.name = name
         self._cache = {}
+        self.readers = 0
+        self.shared = False
+        for f in operands:
+            f.readers += 1
 
     def at(self, env):
         hit = self._cache.get(env.key)
@@ -363,8 +381,16 @@ class _Field:
             if env.depth < self.cost:
                 raise DepthBudgetError(self.name, self.cost, env.depth)
             hit = self._normalize(self._fn(env), env.depth - self.cost, env)
-            self._cache[env.key] = hit
+            if self.readers != 1 or self.shared:
+                self._cache[env.key] = hit
         return hit
+
+    def share(self):
+        """Store every evaluation, however many fields read this one: a
+        memo output or a frame solve is handed to many callers, which may
+        evaluate it directly.  Returns the field."""
+        self.shared = True
+        return self
 
     @classmethod
     def from_exprs(cls, space, components, name):
@@ -483,7 +509,7 @@ def _binary_field(op, X: VectorField, Y: VectorField, name) -> VectorField:
         t = env.depth - cost
         return op(_comps_at(X, env, t), _comps_at(Y, env, t))
 
-    return VectorField(X.space, fn, cost, name)
+    return VectorField(X.space, fn, cost, name, (X, Y))
 
 
 def vf_add(X: VectorField, Y: VectorField, name=None) -> VectorField:
@@ -499,7 +525,7 @@ def vf_scale(f, X: VectorField, name=None) -> VectorField:
     if isinstance(f, (int, float)):
         c = float(f)
         return VectorField(X.space, lambda env: c * X.at(env),
-                           X.cost, name or f"{c:g}*{X.name}")
+                           X.cost, name or f"{c:g}*{X.name}", (X,))
     _check_space(f, X)
     cost = max(f.cost, X.cost)
 
@@ -507,7 +533,8 @@ def vf_scale(f, X: VectorField, name=None) -> VectorField:
         t = env.depth - cost
         return _as_depth(f.at(env), t, env) * _comps_at(X, env, t)
 
-    return VectorField(X.space, fn, cost, name or f"({f.name})*{X.name}")
+    return VectorField(X.space, fn, cost, name or f"({f.name})*{X.name}",
+                       (f, X))
 
 
 def pairing(omega: CovectorField, X: VectorField, name=None) -> ScalarField:
@@ -518,7 +545,8 @@ def pairing(omega: CovectorField, X: VectorField, name=None) -> ScalarField:
         t = env.depth - cost
         return jets.dot(_comps_at(omega, env, t), _comps_at(X, env, t))
 
-    return ScalarField(X.space, fn, cost, name or f"{omega.name}({X.name})")
+    return ScalarField(X.space, fn, cost, name or f"{omega.name}({X.name})",
+                       (omega, X))
 
 
 def directional(X: VectorField, f: ScalarField, name=None) -> ScalarField:
@@ -533,7 +561,8 @@ def directional(X: VectorField, f: ScalarField, name=None) -> ScalarField:
             raise DepthBudgetError(f"{X.name}({f.name})", cost, env.depth)
         return jets.dot(_comps_at(X, env, t), _gradient(fv, t))
 
-    return ScalarField(X.space, fn, cost, name or f"{X.name}({f.name})")
+    return ScalarField(X.space, fn, cost, name or f"{X.name}({f.name})",
+                       (X, f))
 
 
 def _bracket_fold(xs, ys, t: int):
@@ -574,7 +603,7 @@ def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
     return VectorField(
         X.space, lambda env: _bracket_fold(X.at(env), Y.at(env),
                                            env.depth - cost),
-        cost, name or f"[{X.name},{Y.name}]")
+        cost, name or f"[{X.name},{Y.name}]", (X, Y))
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +619,12 @@ def _stacked(members) -> VectorField:
         _check_space(head, m)
 
     def fn(env):
-        return head.at(env)._new(np.stack([m.at(env).a for m in members]))
+        comps = [m.at(env) for m in members]
+        return comps[0]._new(np.stack([c.a for c in comps]))
 
     return VectorField(head.space, fn, head.cost,
-                       "{" + ",".join(m.name for m in members) + "}")
+                       "{" + ",".join(m.name for m in members) + "}",
+                       members)
 
 
 class FieldStack:
@@ -754,7 +785,8 @@ class FrameSolver:
                 f"{n}-dimensional solve")
         base = max((f.cost for f in self.fields), default=0)
         self.cost = max(base, 1) if space.constraints else base
-        self._solve = _Field(space, self._invert, self.cost, "frame solve")
+        self._solve = _Field(space, self._invert, self.cost, "frame solve",
+                             self.fields).share()
         self._cache = self._solve._cache
         self._coframe = tuple(self._covector(i)
                               for i in range(len(self.fields)))
@@ -784,7 +816,7 @@ class FrameSolver:
             return inv._new(inv.a[i])
 
         return CovectorField(self.space, fn, self.cost,
-                             f"{self.fields[i].name}*")
+                             f"{self.fields[i].name}*", (self._solve,))
 
     def coframe(self) -> tuple:
         """The covectors dual to the solver fields, w^i(e_j) = delta^i_j,
@@ -848,7 +880,7 @@ class Endo11:
     actions; the test suite verifies that property by sampling.
     Applications are memoized per argument instance, so repeated formula
     assembly over the same fields shares one output field (and its warm
-    evaluation cache).
+    evaluation cache); a memo output is marked by :meth:`_Field.share`.
     """
 
     __slots__ = ("space", "name", "_apply", "_memo")
@@ -866,7 +898,7 @@ class Endo11:
                 f"on {X.space.name}")
         out = self._memo.get(X)
         if out is None:
-            out = self._memo[X] = self._apply(X)
+            out = self._memo[X] = self._apply(X).share()
         return out
 
     @staticmethod
@@ -878,8 +910,12 @@ class Endo11:
         """Sum of (covector ⊗ vector field) terms: each component of the
         image is the left fold from ``0.0`` of ``w(X) * e``.  Every
         pairing, and then every component, folds at once over the point
-        set."""
+        set.  Every application reads every term, and applications are
+        built one at a time, so the term fields are shared."""
         terms = tuple(terms)
+        for term in terms:
+            for f in term:
+                f.share()
 
         def apply_fn(X):
             cost = max([X.cost] + [max(w.cost, e.cost) for w, e in terms])
@@ -892,7 +928,8 @@ class Endo11:
                               axis=1)
                 return _contract(es, _contract(ws, xs))
 
-            return VectorField(space, fn, cost, f"{name}({X.name})")
+            return VectorField(space, fn, cost, f"{name}({X.name})",
+                               (X,) + tuple(f for term in terms for f in term))
 
         return Endo11(space, apply_fn, name)
 

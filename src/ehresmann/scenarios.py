@@ -129,7 +129,7 @@ def ambient_dot_metric(space) -> Metric:
     """The pairing induced by the ambient dot product."""
 
     def pair(X, Y):
-        return pairing(CovectorField(space, Y.at, Y.cost, Y.name), X,
+        return pairing(CovectorField(space, Y.at, Y.cost, Y.name, (Y,)), X,
                        f"g({X.name},{Y.name})")
 
     return Metric(space, "ambient-dot", pair)
@@ -147,7 +147,7 @@ def metric_compatibility_defect(nabla: CovDeriv, g: Metric, X, Y, Z):
         return lead - a - b
 
     return ScalarField(X.space, fn, cost,
-                       f"defect({X.name},{Y.name},{Z.name})")
+                       f"defect({X.name},{Y.name},{Z.name})", terms)
 
 
 def symmetrize(nabla: CovDeriv) -> CovDeriv:
@@ -390,9 +390,9 @@ def torsion_property_checks(scen: Scenario, cfg: CheckConfig) -> list:
         X = rng.choice(frame)
         Y = rng.choice(frame)
         f = _random_scalar(rng, scen.space)
-        d_anti = vf_add(torsion(scen.nabla, X, Y),
-                        torsion(scen.nabla, Y, X))
-        t_scaled = vf_scale(f, torsion(scen.nabla, X, Y))
+        t_xy = torsion(scen.nabla, X, Y)
+        d_anti = vf_add(t_xy, torsion(scen.nabla, Y, X))
+        t_scaled = vf_scale(f, t_xy)
         d_left = vf_sub(torsion(scen.nabla, vf_scale(f, X), Y), t_scaled)
         d_right = vf_sub(torsion(scen.nabla, X, vf_scale(f, Y)), t_scaled)
         anti.track(pts, d_anti)
@@ -825,11 +825,13 @@ def _lifts(space, n: int, table) -> list:
     cost = max((sf.cost for sf in table.values()), default=0)
 
     def lift(a):
+        coefs = [g_sf(b, a) for b in range(1, n + 1)]
+
         def fn(env):
             return [1.0 if i == a else 0.0 for i in range(1, n + 1)] + [
-                -g_sf(b, a).at(env) for b in range(1, n + 1)]
+                -g.at(env) for g in coefs]
 
-        return VectorField(space, fn, cost, f"H{a}")
+        return VectorField(space, fn, cost, f"H{a}", coefs)
 
     return [lift(a) for a in range(1, n + 1)]
 
@@ -847,7 +849,8 @@ def nonlinear_tangent(n: int, gamma: dict,
     for (b, a), entry in gamma.items():
         if not (1 <= b <= n and 1 <= a <= n):
             raise ValueError(f"coefficient key {(b, a)} out of range 1..{n}")
-        table[(b, a)] = _entry_scalar(space, entry, f"G{b}_{a}")
+        # the oracles below read the entries directly, outside any rule
+        table[(b, a)] = _entry_scalar(space, entry, f"G{b}_{a}").share()
 
     g_sf = _lookup(space, table)
     hs = _lifts(space, n, table)
@@ -906,7 +909,7 @@ def potential_connection(n: int, forces, space=None) -> dict:
                 return -0.5 * sf.at(env).partials[i]
 
             table[(c, a)] = ScalarField(space, fn, sf.cost + 1,
-                                        f"-0.5*d({sf.name})/du{a}")
+                                        f"-0.5*d({sf.name})/du{a}", (sf,))
     return table
 
 
@@ -941,7 +944,7 @@ def sode_field(space, n: int, forces) -> VectorField:
         out += [sf.at(env) for sf in sfs]
         return out
 
-    return VectorField(space, fn, cost, "Gamma")
+    return VectorField(space, fn, cost, "Gamma", sfs)
 
 
 def _induced_projector(space, n: int, forces):
@@ -973,7 +976,8 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
     horizontal frame is P_H applied to the coordinate lifts.
     """
     space = _tm_space(n, name)
-    force_sf = [_entry_scalar(space, f, f"f{b + 1}")
+    # the Hessian oracle reads the forces directly, outside any rule
+    force_sf = [_entry_scalar(space, f, f"f{b + 1}").share()
                 for b, f in enumerate(forces)]
     gamma_field, s_endo, p_h = _induced_projector(space, n, force_sf)
 
@@ -1050,7 +1054,8 @@ def _euler_defect(space, scalars, degree: float, cfg: CheckConfig) -> float:
                                  for u in fibre], t, env))
             return dil - degree * _as_depth(val, t, env)
 
-        return ScalarField(space, fn, sf.cost + 1, f"euler({sf.name})")
+        return ScalarField(space, fn, sf.cost + 1, f"euler({sf.name})",
+                           (sf,))
 
     return DevTracker().track(space.sample_points(cfg),
                               *map(defect, scalars)).max_dev
@@ -1098,6 +1103,30 @@ class SodeSufficiencyReport:
                 and self.horizontal_torsion_dev < self.threshold)
 
 
+def _reconstructed_forces(space, n: int, gamma_sf: dict) -> list:
+    """The force terms f^b = -u^a G^b_a of a coefficient table.  Each is
+    read by the induced projector and then by the spray record, so it is
+    shared."""
+    g_sf = _lookup(space, gamma_sf)
+    force_cost = max(sf.cost for sf in gamma_sf.values()) if gamma_sf else 0
+    forces = []
+    for b in range(1, n + 1):
+        coefs = [g_sf(b, a) for a in range(1, n + 1)]
+
+        def fn(env, coefs=coefs):
+            t = env.depth - force_cost
+            acc = 0.0
+            for a, g in enumerate(coefs, 1):
+                ua = _as_depth(env[f"u{a}"], t, env)
+                ga = _as_depth(g.at(env), t, env)
+                acc = acc + ua * ga
+            return -acc
+
+        forces.append(ScalarField(space, fn, force_cost, f"f{b}",
+                                  coefs).share())
+    return forces
+
+
 def sode_sufficiency_check(scen: Scenario,
                            cfg: CheckConfig = DEFAULT_CHECK
                            ) -> SodeSufficiencyReport:
@@ -1110,7 +1139,6 @@ def sode_sufficiency_check(scen: Scenario,
     n = scen.data["n"]
     gamma_sf = scen.data["gamma_sf"]
     space = scen.space
-    g_sf = _lookup(space, gamma_sf)
     pts = space.sample_points(cfg)
     delta = scen.fields.get("Delta") or dilation_field(space, n)
     hs = [scen.fields[f"H{a}"] for a in range(1, n + 1)]
@@ -1136,20 +1164,8 @@ def sode_sufficiency_check(scen: Scenario,
     if not report.conditions_met:
         return report
 
-    # reconstruct: force terms f^b = -u^a G^b_a, then the induced projector
-    force_cost = max(sf.cost for sf in gamma_sf.values()) if gamma_sf else 0
-    forces = []
-    for b in range(1, n + 1):
-        def fn(env, b=b):
-            t = env.depth - force_cost
-            acc = 0.0
-            for a in range(1, n + 1):
-                ua = _as_depth(env[f"u{a}"], t, env)
-                ga = _as_depth(g_sf(b, a).at(env), t, env)
-                acc = acc + ua * ga
-            return -acc
-
-        forces.append(ScalarField(space, fn, force_cost, f"f{b}"))
+    # reconstruct the force terms, then the induced projector
+    forces = _reconstructed_forces(space, n, gamma_sf)
     p_h = _induced_projector(space, n, forces)[2]
 
     rec_tracker = _lift_tracker(

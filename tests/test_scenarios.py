@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import gc
 import json
 import math
@@ -15,8 +16,10 @@ from ehresmann import scenarios as sc
 from ehresmann.cli import load_scenario_file, main
 from ehresmann.covderiv import CovDeriv, nabla_of_endo, op_field, torsion
 from ehresmann.geometry import (
-    CheckConfig, GeometryError, PointSetKey, ScalarField, VectorField,
-    _Field, annihilation,
+    CheckConfig, CovectorField, Endo11, FieldStack, FrameSolver,
+    GeometryError, PointSetKey, ScalarField, VectorField, _Field,
+    annihilation, directional, lie_bracket, pairing, vf_add, vf_scale,
+    vf_sub,
 )
 from ehresmann.scenarios import (
     Metric, affine_tangent, ambient_dot_metric,
@@ -872,3 +875,149 @@ def test_verify_of_a_bad_point_file_ends_as_before(tmp_path, capsys):
     assert out.out == ""
     assert out.err == (f"error: domain error in 'sqrt' at 'sqrt((x-{c!r})"
                        f"^2.0)': argument 0.0 is not positive\n")
+
+
+# ---------------------------------------------------------------------------
+# store only what is read twice
+# ---------------------------------------------------------------------------
+
+
+_FIELD_TYPES = (_Field, ScalarField, VectorField, CovectorField)
+
+
+def _wrap_at(monkeypatch, before, after=lambda field: None):
+    """Wrap ``at`` of every field type (each binds its own): ``before(field,
+    env)`` runs ahead of the original, ``after(field)`` once it returns."""
+    for cls in _FIELD_TYPES:
+        def at(field, env, _at=cls.__dict__["at"]):
+            before(field, env)
+            try:
+                return _at(field, env)
+            finally:
+                after(field)
+
+        monkeypatch.setattr(cls, "at", at)
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_nothing_is_computed_twice_and_one_reader_fields_store_nothing(
+        name, monkeypatch):
+    """Over a build and its checks, no (field, ``env.key``) pair is computed
+    twice, and no field with exactly one reader, other than a shared one
+    (a memo output, a frame solve), keeps an entry.  The computed fields
+    are held, so that no id is reused."""
+    held, computed = {}, collections.Counter()
+
+    def count(field, env):
+        if env.key not in field._cache:
+            held[id(field)] = field
+            computed[id(field), env.key] += 1
+
+    _wrap_at(monkeypatch, count)
+    sc.run_scenario_checks(_stack_scenario(name), STACK_CFG)
+    assert computed
+    twice = [(held[i].name, n) for (i, _), n in computed.items() if n > 1]
+    assert twice == []
+    stored = [f.name for f in held.values()
+              if f.readers == 1 and not f.shared and f._cache]
+    assert stored == []
+
+
+def _fresh_fields():
+    """Fields on a tangent-bundle chart of dimension 2 that nothing reads
+    yet; X, Y, Z, W are a frame."""
+    space = sc._tm_space(2, "fresh")
+
+    def vf(name, *comps):
+        return VectorField.from_exprs(space, comps, name)
+
+    return dict(
+        space=space,
+        X=vf("X", "1", "0", "x1", "0"), Y=vf("Y", "0", "1", "0", "u1"),
+        Z=vf("Z", "0", "0", "1", "0"), W=vf("W", "0", "0", "x2", "1"),
+        f=ScalarField.from_expr(space, "x1*u1+2"),
+        g=ScalarField.from_expr(space, "u2*u2-x2"),
+        w=CovectorField.from_exprs(space, ["1", "0", "x1", "0"], "w"),
+        v=CovectorField.from_exprs(space, ["0", "u2", "0", "1"], "v"))
+
+
+def _metric_defect(d):
+    nabla = CovDeriv(d["space"], lie_bracket, "bracket")
+    return [sc.metric_compatibility_defect(
+        nabla, ambient_dot_metric(d["space"]), d["X"], d["Y"], d["Z"])]
+
+
+def _euler_defect(d):
+    """Builds the defect fields and evaluates them itself."""
+    sc._euler_defect(d["space"], [d["f"], d["g"]], 2.0,
+                     CheckConfig(samples=2))
+    return []
+
+
+# case -> (build the fields to evaluate from fresh ones, the reads of the
+# fresh fields their rules make)
+_READ_CASES = {
+    "vf_add": (lambda d: [vf_add(d["X"], d["Y"])], {"X": 1, "Y": 1}),
+    "vf_sub": (lambda d: [vf_sub(d["X"], d["X"])], {"X": 2}),
+    "vf_scale-number": (lambda d: [vf_scale(2.0, d["X"])], {"X": 1}),
+    "vf_scale-field": (lambda d: [vf_scale(d["f"], d["X"])],
+                       {"f": 1, "X": 1}),
+    "pairing": (lambda d: [pairing(d["w"], d["X"])], {"w": 1, "X": 1}),
+    "directional": (lambda d: [directional(d["X"], d["f"])],
+                    {"X": 1, "f": 1}),
+    "lie_bracket": (lambda d: [lie_bracket(d["X"], d["Y"])],
+                    {"X": 1, "Y": 1}),
+    "from_terms": (lambda d: [Endo11.from_terms(
+        d["space"], [(d["w"], d["Y"]), (d["v"], d["Z"])], "E")(d["X"])],
+        {"X": 1, "w": 1, "Y": 1, "v": 1, "Z": 1}),
+    "field-stack": (lambda d: list(FieldStack(
+        [d["X"], d["Y"], d["X"]]).groups), {"X": 1, "Y": 1}),
+    "coframe-rows": (lambda d: list(FrameSolver(
+        d["space"], [d[k] for k in "XYZW"]).coframe()),
+        {"X": 1, "Y": 1, "Z": 1, "W": 1}),
+    "ambient-dot-pair": (lambda d: [ambient_dot_metric(d["space"]).pair(
+        d["X"], d["Y"])], {"X": 1, "Y": 1}),
+    "metric-defect": (_metric_defect, {"X": 3, "Y": 3, "Z": 3}),
+    "lifts": (lambda d: sc._lifts(d["space"], 2, {
+        (1, 1): d["f"], (2, 1): d["g"], (2, 2): d["f"]}),
+        {"f": 2, "g": 1}),
+    "potential-connection": (lambda d: list(sc.potential_connection(
+        2, [d["f"], d["g"]], d["space"]).values()), {"f": 2, "g": 2}),
+    "sode-field": (lambda d: [sc.sode_field(d["space"], 2,
+                                            [d["f"], d["g"]])],
+                   {"f": 1, "g": 1}),
+    "euler-defect": (_euler_defect, {"f": 1, "g": 1}),
+    "reconstructed-forces": (lambda d: sc._reconstructed_forces(
+        d["space"], 2, {(1, 1): d["f"], (1, 2): d["g"], (2, 1): d["g"]}),
+        {"f": 1, "g": 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READ_CASES))
+def test_constructors_count_what_their_rules_read(case, monkeypatch):
+    """Each constructor adds one reader per read its rule makes: evaluated
+    once, every field's ``readers`` equals the ``at`` calls that other
+    fields' rules made on it, and each fresh operand's count rose by its
+    reads.  A missed registration never changes a value, it silently
+    recomputes, so only a count can catch it."""
+    d = _fresh_fields()
+    build, want = _READ_CASES[case]
+    reads, rules = collections.Counter(), [None]
+
+    def enter(field, env):
+        if rules[-1] is not None:
+            reads[field] += 1
+        rules.append(field)
+
+    _wrap_at(monkeypatch, enter, lambda field: rules.pop())
+    built = build(d)
+    if built:
+        env = d["space"].seed_env(d["space"].sample_points(
+            CheckConfig(samples=2)), max(f.cost for f in built))
+        for f in built:
+            f.at(env)
+    assert {k: d[k].readers for k in want} == want
+    assert {k: reads[d[k]] for k in want} == want
+    wrong = [(f.name, f.readers, n) for f, n in reads.items()
+             if f.readers != n]
+    assert wrong == []
