@@ -882,13 +882,10 @@ def test_verify_of_a_bad_point_file_ends_as_before(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-_FIELD_TYPES = (_Field, ScalarField, VectorField, CovectorField)
-
-
 def _wrap_at(monkeypatch, before, after=lambda field: None):
     """Wrap ``at`` of every field type (each binds its own): ``before(field,
     env)`` runs ahead of the original, ``after(field)`` once it returns."""
-    for cls in _FIELD_TYPES:
+    for cls in (_Field, ScalarField, VectorField, CovectorField):
         def at(field, env, _at=cls.__dict__["at"]):
             before(field, env)
             try:
