@@ -28,22 +28,20 @@ from .geometry import (  # noqa: F401
 )
 from .connection import (  # noqa: F401
     ConnectionDataError, EhresmannConnection, K_HORIZONTAL, K_VERTICAL,
-    SplitReport, SplitStructure, build_connection, canonical_endos,
-    validate_split,
+    SplitStructure, build_connection, canonical_endos, validate_split,
 )
 from .covderiv import (  # noqa: F401
-    CovDeriv, CovDerivError, MembershipError, ParallelismReport,
-    SubmoduleDeriv, check_parallelism_equivalence, ehresmann_curvature,
-    extend_derivative, glue_derivatives, nabla_of_endo, torsion,
-    total_derivative,
+    CovDeriv, CovDerivError, MembershipError, SubmoduleDeriv,
+    check_parallelism_equivalence, ehresmann_curvature, extend_derivative,
+    glue_derivatives, nabla_of_endo, torsion, total_derivative,
 )
 from .scenarios import (  # noqa: F401
-    BUILTIN_BUILDERS, ExpectedRow, Metric, Scenario, SodeSufficiencyReport,
-    SubspaceBasis, affine_tangent, ambient_dot_metric, build_scenario,
-    cycle_decomposition, dilation_field, frame_bundle, homogeneity_check,
-    hopf, is_spray, metric_compatibility_defect, nonlinear_tangent,
-    potential_connection, run_scenario_checks, sode_field, sode_projector,
-    sode_sufficiency_check, symmetrize, trivial_r3,
+    BUILTIN_BUILDERS, ExpectedRow, Scenario, SubspaceBasis, affine_tangent,
+    ambient_dot_metric, build_scenario, cycle_decomposition, dilation_field,
+    frame_bundle, homogeneity_check, hopf, is_spray,
+    metric_compatibility_defect, nonlinear_tangent, potential_connection,
+    run_scenario_checks, sode_field, sode_projector, sode_sufficiency_check,
+    symmetrize, trivial_r3, validate_positive_definite,
 )
 from .report import CheckRecord  # noqa: F401
 

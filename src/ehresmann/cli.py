@@ -94,16 +94,24 @@ def _check(ok, path, where, message):
 
 
 def _get(doc, key, path, where, kind, default=...):
-    """``doc[key]``, which must be of JSON type ``kind``; a missing key
-    gives ``default`` or, for a required key (no default), an error."""
-    if key not in doc:
+    """``doc[key]``, which must be of JSON type ``kind`` (``float`` takes
+    any number); a missing or ``null`` key gives ``default`` or, for a
+    required key (no default), an error."""
+    value = doc.get(key)
+    if value is None:
         _check(default is not ..., path, where, f"missing key {key!r}")
         return default
-    value = doc[key]
-    _check(isinstance(value, kind)
+    _check(isinstance(value, (int, float) if kind is float else kind)
            and (kind is bool or not isinstance(value, bool)),
-           path, f"{where}.{key}", f"expected {kind.__name__}")
+           path, f"{where}.{key}",
+           f"expected {'number' if kind is float else kind.__name__}")
     return value
+
+
+def _known(doc, keys, path, where):
+    """Reject a key of ``doc`` that its reader does not read."""
+    for key in doc:
+        _check(key in keys, path, f"{where}.{key}", "unknown key")
 
 
 def _finite(value) -> bool:
@@ -134,6 +142,8 @@ def _parse_in(path, where, text, coords):
 
 def _load_space(doc, name, path) -> ChartedSpace:
     space_doc = _get(doc, "space", path, "document", dict)
+    _known(space_doc, ("coords", "intervals", "constraints", "base",
+                       "sphere"), path, "space")
     coords = _names(_get(space_doc, "coords", path, "space", list), path,
                     "space.coords")
     intervals = _get(space_doc, "intervals", path, "space", dict, {})
@@ -164,6 +174,7 @@ def _load_expected(doc, path, fields, frame_names, coords) -> list:
                                  [])):
         where = f"expected[{i}]"
         _check(isinstance(row, dict), path, where, "expected dict")
+        _known(row, ("op", "args", "coeffs", "ref", "tol"), path, where)
         op = _get(row, "op", path, where, str)
         _check(op in OPS, path, f"{where}.op",
                f"unknown op {op!r}; available: {', '.join(OPS)}")
@@ -177,7 +188,7 @@ def _load_expected(doc, path, fields, frame_names, coords) -> list:
             _check(k in frame_names, path, f"{where}.coeffs.{k}",
                    f"not a frame field; frame: {', '.join(frame_names)}")
             coeffs[k] = _parse_in(path, f"{where}.coeffs.{k}", v, coords)
-        tol = row.get("tol")
+        tol = _get(row, "tol", path, where, float, None)
         _check(tol is None or _finite(tol) and tol > 0, path, f"{where}.tol",
                "expected a positive number")
         expected.append(sc.ExpectedRow(
@@ -200,6 +211,8 @@ def load_scenario_file(path: str,
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioFileError(path, "json", str(exc)) from None
     _check(isinstance(doc, dict), path, "document", "expected dict")
+    _known(doc, ("name", "space", "fields", "split", "expected", "metric",
+                 "section", "description", "notes"), path, "document")
 
     name = _get(doc, "name", path, "document", str,
                 os.path.splitext(os.path.basename(path))[0])
@@ -215,6 +228,8 @@ def load_scenario_file(path: str,
         fields[fname] = VectorField.from_exprs(space, parsed, fname)
 
     split_doc = _get(doc, "split", path, "document", dict)
+    _known(split_doc, ("k", "blocks", "orientation", "pairings"), path,
+           "split")
     orientation = _get(split_doc, "orientation", path, "split", str,
                        K_VERTICAL)
     _check(orientation in (K_VERTICAL, K_HORIZONTAL), path,
@@ -248,8 +263,8 @@ def load_scenario_file(path: str,
     frame_names = tuple(f.name for f in split.solver.fields)
     expected = _load_expected(doc, path, fields, frame_names, space.coords)
 
-    metric = doc.get("metric")
-    _check(metric in (None, "ambient-dot"), path, "metric",
+    metric = _get(doc, "metric", path, "document", str, None)
+    _check(metric in (None, "ambient-dot"), path, "document.metric",
            f"unsupported metric {metric!r}")
 
     return sc.Scenario(

@@ -4,8 +4,9 @@ A connection is packaged as a vertical and a horizontal frame over one
 chart, with the two projectors built from a shared pointwise solve.  A split
 structure refines one side into equal-rank blocks and carries the canonical
 endomorphism pairs between each block and the opposite distribution; all the
-algebraic identities the derivative formulas rely on are validated at
-construction time, and construction fails when they do not hold.
+algebraic identities the derivative formulas rely on are checked at
+construction time by :func:`validate_split`, which returns one
+``CheckRecord`` per identity, and construction fails when one fails.
 """
 
 from __future__ import annotations
@@ -249,12 +250,12 @@ def canonical_endos(conn: EhresmannConnection, blocks,
     split = SplitStructure(conn, orientation, k_frame, blocks,
                            tuple(s_endos), tuple(q_endos), s_total, q_total,
                            p_k, tuple(p_blocks), solver)
-    rep = validate_split(split, cfg)
-    if not rep.passed:
-        failed = [r.check_id for r in rep.records if not r.passed]
+    records = validate_split(split, cfg)
+    failed = [r.check_id for r in records if not r.passed]
+    if failed:
         raise ConnectionDataError(
-            f"split identities failed on {space.name}: {failed} "
-            f"(worst deviation {rep.max_dev:.3e})")
+            f"split identities failed on {space.name}: {failed} (worst "
+            f"deviation {max_abs(r.max_dev for r in records):.3e})")
     return split
 
 
@@ -268,22 +269,9 @@ def _combine(space, fields, coefficients, name) -> VectorField:
     return out if out is not None else VectorField.zero(space, name)
 
 
-@dataclass
-class SplitReport:
-    records: list
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
-    @property
-    def max_dev(self) -> float:
-        return max_abs(r.max_dev for r in self.records)
-
-
 def validate_split(split: SplitStructure,
-                   cfg: CheckConfig = DEFAULT_CHECK) -> SplitReport:
-    """Check every endomorphism-pair identity at sampled points.
+                   cfg: CheckConfig = DEFAULT_CHECK) -> list:
+    """One record per endomorphism-pair identity, checked at sampled points.
 
     The aggregate identity s_total . q_total = P_K is what the 1/sqrt(N)
     normalization exists for, so that is asserted directly; no per-term
@@ -317,4 +305,4 @@ def validate_split(split: SplitStructure,
         run(f"split:ker({s_a.name})⊇complement", s_a, outside)
     run("split:aggregate S∘Q=P_K",
         lambda X: vf_sub(split.s_total(split.q_total(X)), split.p_k(X)))
-    return SplitReport(records)
+    return records

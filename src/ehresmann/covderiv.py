@@ -10,7 +10,7 @@ reuses the identical code path.
 
 Derived operators: torsion, the curvature of the underlying connection, and
 the derivative of a (1,1)-tensor, plus the projector-parallelism equivalence
-check used as a cross-validation of the glue.
+check used as a cross-validation of the glue, which returns its records.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .geometry import (
     CheckConfig, DEFAULT_CHECK, Endo11, FieldStack, Frame, GeometryError,
     VectorField, lie_bracket, vf_add, vf_sub,
 )
-from .report import DevTracker
+from .report import CheckRecord, DevTracker
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -63,15 +63,15 @@ def assert_in_image(P: Endo11, Y: VectorField,
                               f"deviation {tracker.max_dev:.3e}")
 
 
-def extend_derivative(d: SubmoduleDeriv, P: Endo11,
-                 cfg: CheckConfig = DEFAULT_CHECK,
-                 check_membership: bool = True) -> Callable:
+def extend_derivative(d: SubmoduleDeriv, cfg: CheckConfig = DEFAULT_CHECK,
+                      check_membership: bool = True) -> Callable:
     """Extend d to arbitrary direction arguments.
 
-    The extension is d_{P(X)} Y plus the projected bracket correction
-    P([X - P(X), Y]); for X already in the image the correction vanishes
-    and the original rule is recovered.
+    With P = ``d.projector``, the extension is d_{P(X)} Y plus the
+    projected bracket correction P([X - P(X), Y]); for X already in the
+    image the correction vanishes and the original rule is recovered.
     """
+    P = d.projector
 
     def extended(X: VectorField, Y: VectorField) -> VectorField:
         if check_membership:
@@ -171,8 +171,7 @@ def total_derivative(split: SplitStructure,
             return _q(lie_bracket(X, _s(Y)))
 
         derivs.append(SubmoduleDeriv(split.p_blocks[a], l_rule, f"L{a + 1}"))
-    parts = [(d.projector, extend_derivative(d, d.projector, cfg,
-                                             check_membership=False))
+    parts = [(d.projector, extend_derivative(d, cfg, check_membership=False))
              for d in derivs]
     provenance = ("equal-rank" if split.n == 1 else "n-block"
                   if split.orientation == K_VERTICAL else "n-block-flipped")
@@ -250,34 +249,15 @@ def op_field(conn: EhresmannConnection, nabla: CovDeriv, op: str,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParallelismReport:
-    """Both sides of the equivalence: nabla P_B = 0 iff every block rule
-    keeps its values inside its own image."""
-
-    block: str
-    nabla_p_dev: float
-    image_dev: float
-    threshold: float
-
-    @property
-    def nabla_p_passes(self) -> bool:
-        return self.nabla_p_dev < self.threshold
-
-    @property
-    def image_passes(self) -> bool:
-        return self.image_dev < self.threshold
-
-    @property
-    def agree(self) -> bool:
-        return self.nabla_p_passes == self.image_passes
-
-
 def check_parallelism_equivalence(nabla: CovDeriv, b_index: int,
                 probes: FieldStack, cfg: CheckConfig = DEFAULT_CHECK
-                ) -> ParallelismReport:
-    """Both sides over every pair of ``probes.fields``.  Side A evaluates
-    ``(nabla_X P_B)`` once per probe X over the stacked probes."""
+                ) -> list:
+    """Both sides of the equivalence over every pair of ``probes.fields``:
+    nabla P_B = 0 iff every block rule keeps its values inside its own
+    image.  Three records, ``parallelism:<P_B>:nabla-p``,
+    ``:image-stability`` and ``:equivalence`` (both sides pass or both
+    fail).  Side A evaluates ``(nabla_X P_B)`` once per probe X over the
+    stacked probes."""
     if not nabla.parts:
         raise CovDerivError("operator carries no glued parts to check")
     p_b, ext_b = nabla.parts[b_index]
@@ -291,13 +271,8 @@ def check_parallelism_equivalence(nabla: CovDeriv, b_index: int,
 
     # a probe enters the image set unless its projection vanishes at every
     # sample point
-    image_fields = []
-    for f in probe_fields:
-        pf = p_b(f)
-        norm = DevTracker()
-        norm.track(pts, pf)
-        if not norm.max_dev <= 1e-8:
-            image_fields.append(pf)
+    image_fields = [pf for pf in map(p_b, probe_fields)
+                    if not DevTracker().track(pts, pf).max_dev <= 1e-8]
 
     side_b = DevTracker()
     for X in image_fields:
@@ -305,5 +280,14 @@ def check_parallelism_equivalence(nabla: CovDeriv, b_index: int,
             z = ext_b(X, Y)
             side_b.track(pts, vf_sub(z, p_b(z)))
 
-    return ParallelismReport(p_b.name, side_a.max_dev, side_b.max_dev,
-                             cfg.tolerance)
+    tol = cfg.tolerance
+    prefix = f"parallelism:{p_b.name}"
+    a_ok, b_ok = side_a.max_dev < tol, side_b.max_dev < tol
+    return [
+        CheckRecord(f"{prefix}:nabla-p", "projector parallelism",
+                    side_a.max_dev, tol, a_ok),
+        CheckRecord(f"{prefix}:image-stability",
+                    "block rules stay in their image", side_b.max_dev, tol,
+                    b_ok),
+        CheckRecord(f"{prefix}:equivalence", "both sides agree",
+                    0.0 if a_ok == b_ok else 1.0, 0.5, a_ok == b_ok)]

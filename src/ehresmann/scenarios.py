@@ -7,7 +7,9 @@ components) together with scenario-specific checks.  ``run_scenario_checks``
 drives everything a verification run asserts: the expected tables, the
 covariant-derivative axiom suite, split identities, the torsion/curvature
 relation, parallelism of the structure tensors, and the projector
-equivalence cross-check.
+equivalence cross-check.  Every check, ``sode_sufficiency_check`` included,
+returns its list of ``CheckRecord``; a metric is a pairing function
+``g(X, Y) -> ScalarField``.
 
 Families shipped: the trivial bundle over the plane with a circle fibre, the
 Hopf fibration, tangent-bundle connections (affine with torsion, nonlinear,
@@ -92,53 +94,42 @@ def _neg(a):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class Metric:
-    """A symmetric pairing of vector fields, as a scalar-field rule."""
+def validate_positive_definite(g, frame_fields, cfg: CheckConfig) -> float:
+    """The smallest eigenvalue of the Gram matrix ``g(a, b)`` over the
+    frame at the sample points, which must be positive; a non-finite Gram
+    entry names its point."""
+    r = len(frame_fields)
+    pairs = [g(a, b) for a in frame_fields for b in frame_fields]
 
-    space: object
-    name: str
-    _pair: object
+    def lowest(p, gram):
+        if not np.isfinite(gram).all():
+            raise GeometryError(f"metric is not finite at {p.values}")
+        return float(np.linalg.eigvalsh(gram)[0])
 
-    def pair(self, X: VectorField, Y: VectorField) -> ScalarField:
-        return self._pair(X, Y)
-
-    def validate_positive_definite(self, frame_fields, cfg: CheckConfig):
-        r = len(frame_fields)
-        pairs = [self.pair(a, b) for a in frame_fields for b in frame_fields]
-
-        def lowest(p, g):
-            if not np.isfinite(g).all():
-                raise GeometryError(
-                    f"metric {self.name} is not finite at {p.values}")
-            return float(np.linalg.eigvalsh(g)[0])
-
-        worst = min([math.inf] + per_point(
-            self.space.sample_points(cfg),
-            lambda pts: list(map(lowest, pts, np.reshape(
-                [f.values(pts) for f in pairs],
-                (r, r, -1)).transpose(2, 0, 1)))))
-        if not worst > 0:
-            raise GeometryError(
-                f"metric {self.name} is not positive definite on the frame: "
-                f"smallest eigenvalue {worst:.3e}")
-        return worst
+    worst = min([math.inf] + per_point(
+        frame_fields[0].space.sample_points(cfg),
+        lambda pts: list(map(lowest, pts, np.reshape(
+            [f.values(pts) for f in pairs], (r, r, -1)).transpose(2, 0, 1)))))
+    if not worst > 0:
+        raise GeometryError(
+            f"metric is not positive definite on the frame: smallest "
+            f"eigenvalue {worst:.3e}")
+    return worst
 
 
-def ambient_dot_metric(space) -> Metric:
-    """The pairing induced by the ambient dot product."""
+def ambient_dot_metric(space):
+    """The pairing ``g(X, Y) -> ScalarField`` of the ambient dot product."""
 
-    def pair(X, Y):
+    def g(X, Y):
         return pairing(CovectorField(space, Y.at, Y.cost, Y.name, (Y,)), X,
                        f"g({X.name},{Y.name})")
 
-    return Metric(space, "ambient-dot", pair)
+    return g
 
 
-def metric_compatibility_defect(nabla: CovDeriv, g: Metric, X, Y, Z):
+def metric_compatibility_defect(nabla: CovDeriv, g, X, Y, Z):
     """X(g(Y,Z)) - g(nabla_X Y, Z) - g(Y, nabla_X Z) as one ScalarField."""
-    terms = (directional(X, g.pair(Y, Z)), g.pair(nabla(X, Y), Z),
-             g.pair(Y, nabla(X, Z)))
+    terms = (directional(X, g(Y, Z)), g(nabla(X, Y), Z), g(Y, nabla(X, Z)))
     cost = max(f.cost for f in terms)
 
     def fn(env):
@@ -187,7 +178,7 @@ class Scenario:
     fields: dict
     frame_names: tuple
     expected: list
-    metric: Metric | None = None
+    metric: object = None       # a pairing g(X, Y) -> ScalarField
     extra_checks: list = dc_field(default_factory=list)
     notes: str = ""
     data: dict = dc_field(default_factory=dict)
@@ -430,26 +421,20 @@ def parallel_tensor_checks(scen: Scenario, cfg: CheckConfig) -> list:
     return records
 
 
-def split_identity_checks(scen: Scenario, cfg: CheckConfig) -> list:
+def _prefixed(scen: Scenario, records) -> list:
     return [replace(r, check_id=f"{scen.name}:{r.check_id}")
-            for r in validate_split(scen.split, cfg).records]
+            for r in records]
+
+
+def split_identity_checks(scen: Scenario, cfg: CheckConfig) -> list:
+    return _prefixed(scen, validate_split(scen.split, cfg))
 
 
 def parallelism_equivalence_checks(scen: Scenario, cfg: CheckConfig) -> list:
-    records = []
-    for b in range(len(scen.nabla.parts)):
-        rep = check_parallelism_equivalence(scen.nabla, b, scen.split.stack,
-                                            cfg)
-        prefix = f"{scen.name}:parallelism:{rep.block}"
-        records += [
-            CheckRecord(f"{prefix}:nabla-p", "projector parallelism",
-                        rep.nabla_p_dev, rep.threshold, rep.nabla_p_passes),
-            CheckRecord(f"{prefix}:image-stability",
-                        "block rules stay in their image",
-                        rep.image_dev, rep.threshold, rep.image_passes),
-            CheckRecord(f"{prefix}:equivalence", "both sides agree",
-                        0.0 if rep.agree else 1.0, 0.5, rep.agree)]
-    return records
+    return _prefixed(scen, [
+        r for b in range(len(scen.nabla.parts))
+        for r in check_parallelism_equivalence(scen.nabla, b,
+                                               scen.split.stack, cfg)])
 
 
 def run_scenario_checks(scen: Scenario, cfg: CheckConfig = DEFAULT_CHECK) -> list:
@@ -1025,15 +1010,14 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
                                      space, force_sf, cfg_run))
         return records
 
-    def sufficiency_extra(cfg_run: CheckConfig) -> list:
-        return sode_sufficiency_check(scenario, cfg_run).records
-
     scenario = _tangent_scenario(
         name, n, hs, cfg, "sode", "force-Hessian", d2f,
         "connection induced by a second-order equation field through the "
         "vertical endomorphism", lambda a, b: (),
         fields=(gamma_field, delta),
-        extra_checks=[projector_checks, sufficiency_extra],
+        extra_checks=[projector_checks,
+                      lambda cfg_run: sode_sufficiency_check(scenario,
+                                                             cfg_run)],
         data={"n": n, "forces": force_sf, "gamma_sf": gamma_sf})
     return gamma_field, p_h, scenario
 
@@ -1086,23 +1070,6 @@ def homogeneity_check(space, gamma_sf: dict,
     return _euler_defect(space, gamma_sf.values(), 1.0, cfg) < cfg.tolerance
 
 
-@dataclass
-class SodeSufficiencyReport:
-    """Outcome of the sufficiency test on a tangent-bundle scenario."""
-
-    nabla_delta_dev: float
-    horizontal_torsion_dev: float
-    threshold: float
-    reconstruction_dev: float | None = None
-    reconstructed_spray: bool | None = None
-    records: list = dc_field(default_factory=list)
-
-    @property
-    def conditions_met(self) -> bool:
-        return (self.nabla_delta_dev < self.threshold
-                and self.horizontal_torsion_dev < self.threshold)
-
-
 def _reconstructed_forces(space, n: int, gamma_sf: dict) -> list:
     """The force terms f^b = -u^a G^b_a of a coefficient table.  Each is
     read by the induced projector and then by the spray record, so it is
@@ -1128,12 +1095,12 @@ def _reconstructed_forces(space, n: int, gamma_sf: dict) -> list:
 
 
 def sode_sufficiency_check(scen: Scenario,
-                           cfg: CheckConfig = DEFAULT_CHECK
-                           ) -> SodeSufficiencyReport:
+                           cfg: CheckConfig = DEFAULT_CHECK) -> list:
     """If the dilation field is horizontally parallel and the horizontal
-    torsion vanishes, the connection comes from a second-order field; the
-    reconstruction is performed and compared, and the reconstructed field
-    must be a spray."""
+    torsion vanishes, the connection comes from a second-order field.  One
+    record per condition; when both pass, the reconstruction is performed
+    and compared, and the reconstructed field must be a spray: two records
+    more."""
     if "gamma_sf" not in scen.data:
         raise ValueError("scenario carries no fibre coefficient table")
     n = scen.data["n"]
@@ -1153,16 +1120,13 @@ def sode_sufficiency_check(scen: Scenario,
                             scen.conn.p_h(torsion(scen.nabla, hs[i], hs[j])))
 
     tol = cfg.tolerance
-    report = SodeSufficiencyReport(a_tracker.max_dev, b_tracker.max_dev, tol)
-    report.records.append(a_tracker.record(
-        f"{scen.name}:sufficiency:dilation-parallel",
-        "horizontal derivative of the dilation field", tol))
-    report.records.append(b_tracker.record(
-        f"{scen.name}:sufficiency:horizontal-torsion",
-        "horizontal torsion of the connection", tol))
-
-    if not report.conditions_met:
-        return report
+    records = [
+        a_tracker.record(f"{scen.name}:sufficiency:dilation-parallel",
+                         "horizontal derivative of the dilation field", tol),
+        b_tracker.record(f"{scen.name}:sufficiency:horizontal-torsion",
+                         "horizontal torsion of the connection", tol)]
+    if not all(r.passed for r in records):
+        return records
 
     # reconstruct the force terms, then the induced projector
     forces = _reconstructed_forces(space, n, gamma_sf)
@@ -1171,16 +1135,12 @@ def sode_sufficiency_check(scen: Scenario,
     rec_tracker = _lift_tracker(
         space, [p_h(VectorField.coordinate(space, f"x{c}"))
                 for c in range(1, n + 1)], gamma_sf, pts)
-    report.reconstruction_dev = rec_tracker.max_dev
-    report.records.append(rec_tracker.record(
-        f"{scen.name}:sufficiency:reconstruction",
-        "induced connection coincides with the input", tol))
-
-    spray = _spray_record(f"{scen.name}:sufficiency:reconstructed-spray",
-                          "reconstructed field is a spray", space, forces, cfg)
-    report.reconstructed_spray = spray.passed
-    report.records.append(spray)
-    return report
+    return records + [
+        rec_tracker.record(f"{scen.name}:sufficiency:reconstruction",
+                           "induced connection coincides with the input",
+                           tol),
+        _spray_record(f"{scen.name}:sufficiency:reconstructed-spray",
+                      "reconstructed field is a spray", space, forces, cfg)]
 
 
 # ---------------------------------------------------------------------------

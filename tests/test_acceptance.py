@@ -168,15 +168,18 @@ def test_criterion_05_sode():
     # sufficiency on a homogeneous symmetric instance
     gamma = potential_connection(2, ["-(u1^2)-u1*u2", "x1*u1^2-u2^2"])
     pscen = nonlinear_tangent(2, gamma, DEFAULT_CHECK, name="suff-acc")
-    rep = sode_sufficiency_check(pscen, DEFAULT_CHECK)
+    suff = {r.check_id.rsplit(":", 1)[1]: r
+            for r in sode_sufficiency_check(pscen, DEFAULT_CHECK)}
+    rebuilt = suff["reconstruction"]
 
     ok = (coeff_dev < 1e-10 and spray_true and not spray_false
-          and rep.conditions_met and rep.reconstruction_dev < TOL
-          and rep.reconstructed_spray)
+          and suff["dilation-parallel"].passed
+          and suff["horizontal-torsion"].passed and rebuilt.max_dev < TOL
+          and suff["reconstructed-spray"].passed)
     report(5, "sode-connection", ok,
            f"coefficients {coeff_dev:.2e} < 1e-10, spray predicate "
            f"{spray_true}/{not spray_false}, reconstruction "
-           f"{rep.reconstruction_dev:.2e}")
+           f"{rebuilt.max_dev:.2e}")
 
 
 def test_criterion_06_frame_bundle():
@@ -261,14 +264,13 @@ def test_criterion_08_projector_equivalence(built):
     bad = glue_derivatives(parts, DEFAULT_CHECK,
                     probe_fields=scen.split.all_fields,
                     provenance="corrupted")
-    rep = check_parallelism_equivalence(bad, b,
-                                        FieldStack(scen.split.all_fields),
-                                        DEFAULT_CHECK)
-    control_ok = (not rep.nabla_p_passes) and (not rep.image_passes) \
-        and rep.agree
+    nabla_p, image, agree = check_parallelism_equivalence(
+        bad, b, FieldStack(scen.split.all_fields), DEFAULT_CHECK)
+    control_ok = (not nabla_p.passed) and (not image.passed) \
+        and agree.passed
     report(8, "projector-parallelism-equivalence", ok and control_ok,
            f"all scenarios pass; corrupted control fails both sides "
-           f"(devs {rep.nabla_p_dev:.2e}/{rep.image_dev:.2e})")
+           f"(devs {nabla_p.max_dev:.2e}/{image.max_dev:.2e})")
 
 
 def test_criterion_09_parallel_structure_tensors(built):

@@ -7,6 +7,8 @@ import copy
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,6 +22,7 @@ from ehresmann.cli import (
 from ehresmann.geometry import CheckConfig
 
 CFG = CheckConfig(samples=6)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 TRIVIAL_DOC = {
@@ -449,6 +452,73 @@ def test_malformed_scenario_file_names_the_key(path, value, key, tmp_path,
     assert f": {key}: " in str(err.value)
     assert main(["verify", str(target), "--samples", "2"]) == 2
     assert key in capsys.readouterr().err
+
+
+UNKNOWN_KEYS = [
+    ((), "expectd", "document.expectd"),
+    (("space",), "coord", "space.coord"),
+    (("split",), "pairing", "split.pairing"),
+    (("expected", 0), "tolerance", "expected[0].tolerance"),
+]
+
+
+@pytest.mark.parametrize("node,key,where", UNKNOWN_KEYS,
+                         ids=[u[2] for u in UNKNOWN_KEYS])
+def test_unknown_scenario_file_key_is_named(node, key, where, tmp_path,
+                                            capsys):
+    # a misspelled key is an error, not a key whose default applies
+    target = tmp_path / "typo.json"
+    target.write_text(json.dumps(_set(TRIVIAL_DOC, node + (key,), 1)))
+    with pytest.raises(ScenarioFileError) as err:
+        load_scenario_file(str(target), CFG)
+    assert f": {where}: unknown key" in str(err.value)
+    assert main(["verify", str(target), "--samples", "2"]) == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [
+    ("name",), ("expected",), ("metric",), ("space", "intervals"),
+    ("space", "constraints"), ("space", "base"), ("space", "sphere"),
+    ("split", "orientation"), ("split", "pairings"), ("expected", 0, "tol"),
+    ("expected", 0, "coeffs"), ("expected", 0, "ref"),
+], ids=lambda path: ".".join(map(str, path)))
+def test_null_optional_key_reads_as_absent(path, tmp_path):
+    absent = _set(TRIVIAL_DOC, path, None)
+    node = absent
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    records = []
+    for doc, where in ((_set(TRIVIAL_DOC, path, None), "null"),
+                       (absent, "absent")):
+        (tmp_path / where).mkdir()
+        target = tmp_path / where / "doc.json"
+        target.write_text(json.dumps(doc))
+        records.append(cli.cmd_verify(str(target), CFG).records)
+    assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("path,where", [
+    (("space",), "document"), (("fields",), "document"),
+    (("split", "k"), "split"), (("expected", 0, "op"), "expected[0]"),
+], ids=["space", "fields", "split.k", "expected.0.op"])
+def test_null_required_key_is_missing(path, where, tmp_path):
+    target = tmp_path / "null.json"
+    target.write_text(json.dumps(_set(TRIVIAL_DOC, path, None)))
+    with pytest.raises(ScenarioFileError,
+                       match=f": {re.escape(where)}: missing key "
+                             f"'{path[-1]}'"):
+        load_scenario_file(str(target), CFG)
+
+
+def test_readme_scenario_file_example_verifies(tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text("utf-8")
+    section = readme[readme.index("## Scenario files"):]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    target = tmp_path / "readme.json"
+    target.write_text(block)
+    assert main(["verify", str(target), "--samples", "5"]) == 0
+    assert "checks passed" in capsys.readouterr().out
 
 
 def _paths(node, prefix=()):

@@ -6,14 +6,15 @@ import math
 
 import pytest
 
+from ehresmann import connection
 from ehresmann.connection import (
-    ConnectionDataError, K_HORIZONTAL, K_VERTICAL, SplitReport,
-    SplitStructure, build_connection, canonical_endos, validate_split,
+    ConnectionDataError, K_HORIZONTAL, K_VERTICAL, SplitStructure,
+    build_connection, canonical_endos, validate_split,
 )
 from ehresmann.geometry import (
     ChartedSpace, CheckConfig, Frame, VectorField,
 )
-from ehresmann.report import CheckRecord
+from ehresmann.report import CheckRecord, max_abs
 
 CFG = CheckConfig(samples=8)
 
@@ -128,9 +129,9 @@ def test_two_block_split_identities(tilted_circle):
     conn = build_connection(space, v, h, CFG)
     blocks = [Frame((h.fields[0],), "H1"), Frame((h.fields[1],), "H2")]
     split = canonical_endos(conn, blocks, K_VERTICAL, CFG)
-    rep = validate_split(split, CFG)
-    assert rep.passed
-    assert rep.max_dev < 1e-10
+    records = validate_split(split, CFG)
+    assert all(r.passed for r in records)
+    assert max_abs(r.max_dev for r in records) < 1e-10
 
 
 def test_split_shares_the_connection_solver_when_the_frames_agree(
@@ -184,9 +185,9 @@ def test_corrupted_pairing_fails_validation(tilted_circle):
         split.s_endos, (split.q_endos[1], split.q_endos[0]),
         split.s_total, split.q_total, split.p_k, split.p_blocks,
         split.solver)
-    rep = validate_split(corrupted, CFG)
-    assert not rep.passed
-    failed = {r.check_id for r in rep.records if not r.passed}
+    records = validate_split(corrupted, CFG)
+    assert not all(r.passed for r in records)
+    failed = {r.check_id for r in records if not r.passed}
     assert any("∘" in cid and "=0" in cid for cid in failed) or \
         any("P_block" in cid for cid in failed)
 
@@ -199,7 +200,7 @@ def test_pairing_reorder_is_metamorphic(affine_tm):
     h2 = Frame((h.fields[1], h.fields[0]), "H")
     conn = build_connection(space, v2, h2, CFG)
     split = canonical_endos(conn, [h2], K_VERTICAL, CFG)
-    assert validate_split(split, CFG).passed
+    assert all(r.passed for r in validate_split(split, CFG))
 
 
 def test_explicit_pairing_matrix(affine_tm):
@@ -207,7 +208,7 @@ def test_explicit_pairing_matrix(affine_tm):
     conn = build_connection(space, v, h, CFG)
     pairing = [[0.0, 1.0], [1.0, 0.0]]  # swap the two K fields
     split = canonical_endos(conn, [h], K_VERTICAL, CFG, pairings=[pairing])
-    assert validate_split(split, CFG).passed
+    assert all(r.passed for r in validate_split(split, CFG))
     p = space.point((0.2, -0.3, 0.5, 0.7))
     assert split.s_endos[0](h.fields[0]).values(p) == pytest.approx(
         v.fields[1].values(p), abs=1e-10)
@@ -229,12 +230,19 @@ def test_nan_pairing_matrix_rejected(affine_tm):
                         pairings=[[[math.nan, 1.0], [1.0, 0.0]]])
 
 
-def test_split_report_keeps_nan_in_second_record():
+def test_split_report_keeps_nan_in_second_record(tilted_circle,
+                                                 monkeypatch):
+    # the construction error reports the worst deviation of the records
+    # validate_split returns: a NaN in the second record is not dropped
     recs = [CheckRecord(f"r{i}", "", dev, 1e-10, dev < 1e-10)
             for i, dev in enumerate([1e-12, math.nan, 1e-3])]
-    report = SplitReport(recs)
-    assert math.isnan(report.max_dev)
-    assert not report.passed
+    monkeypatch.setattr(connection, "validate_split", lambda split, cfg: recs)
+    space, v, h = tilted_circle
+    conn = build_connection(space, v, h, CFG)
+    blocks = [Frame((h.fields[0],), "H1"), Frame((h.fields[1],), "H2")]
+    with pytest.raises(ConnectionDataError,
+                       match=r"\['r1', 'r2'\] \(worst deviation nan\)"):
+        canonical_endos(conn, blocks, K_VERTICAL, CFG)
 
 
 @pytest.mark.parametrize("mat,shape", [

@@ -116,8 +116,7 @@ def test_extension_affine_vertical_of_horizontal_vanishes(affine):
 
 def test_membership_check_rejects_outside_argument(affine):
     space, (h1, h2), (v1, v2), conn, split, _ = affine
-    ext = extend_derivative(k_rule(split), split.p_k, CFG,
-                            check_membership=True)
+    ext = extend_derivative(k_rule(split), CFG, check_membership=True)
     with pytest.raises(MembershipError):
         ext(v1, h1)  # h1 is not vertical
 
@@ -136,7 +135,7 @@ def test_glue_single_identity_part_returns_rule(affine):
         return base
 
     part = (ident, extend_derivative(SubmoduleDeriv(ident, toy_rule, "all"),
-                                ident, CFG, check_membership=False))
+                                     CFG, check_membership=False))
     glued = glue_derivatives([part], CFG, provenance="toy")
     X = VectorField.from_exprs(space, ["1", "x2", "0", "0"], "X")
     Y = VectorField.from_exprs(space, ["0", "1", "u2", "0"], "Y")
@@ -354,8 +353,21 @@ def test_parallelism_equivalence_passes_on_canonical_operators(affine, tilted):
     for pack in (affine, tilted):
         split, nabla = pack[-2], pack[-1]
         for b in range(len(nabla.parts)):
-            rep = check_parallelism_equivalence(nabla, b, split.stack, CFG)
-            assert rep.nabla_p_passes and rep.image_passes and rep.agree
+            nabla_p, image, agree = check_parallelism_equivalence(
+                nabla, b, split.stack, CFG)
+            assert nabla_p.passed and image.passed and agree.passed
+
+
+def test_parallelism_equivalence_returns_three_records(affine):
+    split, nabla = affine[-2], affine[-1]
+    p_b = nabla.parts[1][0]
+    records = check_parallelism_equivalence(nabla, 1, split.stack, CFG)
+    assert [r.check_id for r in records] == [
+        f"parallelism:{p_b.name}:{side}"
+        for side in ("nabla-p", "image-stability", "equivalence")]
+    assert [r.threshold for r in records] == [CFG.tolerance] * 2 + [0.5]
+    assert records[2].max_dev == 0.0
+    assert all(r.worst_point is None for r in records)
 
 
 def test_parallelism_equivalence_single_part_trivially_passes(affine):
@@ -366,11 +378,12 @@ def test_parallelism_equivalence_single_part_trivially_passes(affine):
         return lie_bracket(X, Y)
 
     part = (ident, extend_derivative(SubmoduleDeriv(ident, rule, "all"),
-                                ident, CFG, check_membership=False))
+                                     CFG, check_membership=False))
     glued = glue_derivatives([part], CFG, provenance="toy")
     probes = tuple(VectorField.coordinate(space, c) for c in space.coords)
-    rep = check_parallelism_equivalence(glued, 0, FieldStack(probes), CFG)
-    assert rep.nabla_p_passes and rep.image_passes
+    nabla_p, image, _ = check_parallelism_equivalence(
+        glued, 0, FieldStack(probes), CFG)
+    assert nabla_p.passed and image.passed
 
 
 def test_parallelism_equivalence_corrupted_rule_fails_both_sides(affine):
@@ -387,11 +400,11 @@ def test_parallelism_equivalence_corrupted_rule_fails_both_sides(affine):
     parts[b] = (p_b, corrupted_ext)
     bad = glue_derivatives(parts, CFG, probe_fields=split.all_fields,
                     provenance="corrupted")
-    rep = check_parallelism_equivalence(bad, b, FieldStack(split.all_fields),
-                                        CFG)
-    assert not rep.nabla_p_passes
-    assert not rep.image_passes
-    assert rep.agree
+    nabla_p, image, agree = check_parallelism_equivalence(
+        bad, b, FieldStack(split.all_fields), CFG)
+    assert not nabla_p.passed
+    assert not image.passed
+    assert agree.passed
 
 
 def test_parallelism_side_a_raises_the_per_pair_error(affine):
@@ -453,10 +466,11 @@ def test_parallelism_image_set_sees_every_sample_point(affine):
     bad = glue_derivatives(parts, CFG, probe_fields=split.all_fields,
                            provenance="corrupted")
     probes = (vs[0], vs[1], hs[1], f)
-    rep = check_parallelism_equivalence(bad, b, FieldStack(probes), CFG)
-    assert not rep.nabla_p_passes
-    assert not rep.image_passes
-    assert rep.agree
+    nabla_p, image, agree = check_parallelism_equivalence(
+        bad, b, FieldStack(probes), CFG)
+    assert not nabla_p.passed
+    assert not image.passed
+    assert agree.passed
 
 
 # ---------------------------------------------------------------------------

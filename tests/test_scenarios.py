@@ -7,6 +7,8 @@ import gc
 import json
 import math
 import random
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +24,11 @@ from ehresmann.geometry import (
     vf_sub,
 )
 from ehresmann.scenarios import (
-    Metric, affine_tangent, ambient_dot_metric,
-    cycle_decomposition, frame_bundle, homogeneity_check, is_spray,
-    metric_compatibility_defect, nonlinear_tangent, potential_connection,
-    sode_projector, sode_sufficiency_check, symmetrize, trivial_r3,
+    affine_tangent, ambient_dot_metric, cycle_decomposition, frame_bundle,
+    homogeneity_check, is_spray, metric_compatibility_defect,
+    nonlinear_tangent, potential_connection, sode_projector,
+    sode_sufficiency_check, symmetrize, trivial_r3,
+    validate_positive_definite,
 )
 from ehresmann.jets import value_of
 from ehresmann.report import DevTracker, per_point
@@ -153,7 +156,7 @@ def test_hopf_projection_kills_fibre_field(hopf_scen):
 def test_metric_positive_definite(hopf_scen):
     scen = hopf_scen
     frame = [scen.fields[n] for n in scen.frame_names]
-    low = scen.metric.validate_positive_definite(frame, SMALL)
+    low = validate_positive_definite(scen.metric, frame, SMALL)
     assert low > 0.5  # the rotation frame is orthonormal on the sphere
 
 
@@ -161,10 +164,9 @@ def test_metric_with_nan_values_names_the_point(hopf_scen):
     scen = hopf_scen
     frame = [scen.fields[n] for n in scen.frame_names]
     nan = ScalarField.constant(scen.space, math.nan)
-    g = Metric(scen.space, "nan-metric", lambda X, Y: nan)
     first = scen.space.sample_points(SMALL)[0]
     with pytest.raises(GeometryError) as err:
-        g.validate_positive_definite(frame, SMALL)
+        validate_positive_definite(lambda X, Y: nan, frame, SMALL)
     assert "not finite" in str(err.value)
     assert str(first.values) in str(err.value)
 
@@ -172,7 +174,7 @@ def test_metric_with_nan_values_names_the_point(hopf_scen):
 def test_metric_validation_seeds_no_single_point(hopf_scen, monkeypatch):
     frame = [hopf_scen.fields[n] for n in hopf_scen.frame_names]
     seeded = _spy_single_point_seeds(monkeypatch)
-    low = hopf_scen.metric.validate_positive_definite(frame, SMALL)
+    low = validate_positive_definite(hopf_scen.metric, frame, SMALL)
     assert seeded == []
     assert low > 0.5
 
@@ -343,22 +345,30 @@ def test_sode_vertical_derivative_of_dilation():
             assert out.values(p) == pytest.approx(va.values(p), abs=1e-9)
 
 
+def _sufficiency(scen) -> dict:
+    """The sufficiency records of ``scen``, by the last part of their id."""
+    return {r.check_id.rsplit(":", 1)[1]: r
+            for r in sode_sufficiency_check(scen, CFG)}
+
+
 def test_sufficiency_positive_case():
     gamma = potential_connection(2, ["-(u1^2)-u1*u2", "x1*u1^2-u2^2"])
     scen = nonlinear_tangent(2, gamma, CFG, name="suff-pos")
-    rep = sode_sufficiency_check(scen, CFG)
-    assert rep.conditions_met
-    assert rep.reconstruction_dev is not None
-    assert rep.reconstruction_dev < 1e-8
-    assert rep.reconstructed_spray
+    recs = _sufficiency(scen)
+    assert recs["dilation-parallel"].passed
+    assert recs["horizontal-torsion"].passed
+    assert "reconstruction" in recs
+    assert recs["reconstruction"].max_dev < 1e-8
+    assert recs["reconstructed-spray"].passed
 
 
 def test_sufficiency_rejects_inhomogeneous():
     scen = nonlinear_tangent(1, {(1, 1): "1"}, CFG, name="suff-neg")
-    rep = sode_sufficiency_check(scen, CFG)
-    assert rep.nabla_delta_dev > 1e-3
-    assert not rep.conditions_met
-    assert rep.reconstruction_dev is None
+    recs = _sufficiency(scen)
+    assert recs["dilation-parallel"].max_dev > 1e-3
+    assert not (recs["dilation-parallel"].passed
+                and recs["horizontal-torsion"].passed)
+    assert "reconstruction" not in recs
 
 
 def test_sufficiency_rejects_asymmetric():
@@ -366,9 +376,19 @@ def test_sufficiency_rejects_asymmetric():
     aff = affine_tangent(2, {(1, 1, 2): "1"}, CFG, name="suff-tors")
     gamma_nl = {(1, 1): ex.parse("u2")}
     scen = nonlinear_tangent(2, gamma_nl, CFG, name="suff-tors-nl")
-    rep = sode_sufficiency_check(scen, CFG)
-    assert rep.horizontal_torsion_dev > 1e-3
-    assert not rep.conditions_met
+    recs = _sufficiency(scen)
+    assert recs["horizontal-torsion"].max_dev > 1e-3
+    assert not (recs["dilation-parallel"].passed
+                and recs["horizontal-torsion"].passed)
+
+
+def test_sode_reconstruction_demo_runs(capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / \
+        "sode_reconstruction_demo.py"
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(script), run_name="__main__")
+    assert done.value.code == 0
+    assert "demo ok" in capsys.readouterr().out
 
 
 def test_sode_feeds_back_through_nonlinear():
@@ -972,7 +992,7 @@ _READ_CASES = {
     "coframe-rows": (lambda d: list(FrameSolver(
         d["space"], [d[k] for k in "XYZW"]).coframe()),
         {"X": 1, "Y": 1, "Z": 1, "W": 1}),
-    "ambient-dot-pair": (lambda d: [ambient_dot_metric(d["space"]).pair(
+    "ambient-dot-pair": (lambda d: [ambient_dot_metric(d["space"])(
         d["X"], d["Y"])], {"X": 1, "Y": 1}),
     "metric-defect": (_metric_defect, {"X": 3, "Y": 3, "Z": 3}),
     "lifts": (lambda d: sc._lifts(d["space"], 2, {
