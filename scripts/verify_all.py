@@ -2,7 +2,8 @@
 """Run the verification suite of every built-in scenario and summarize.
 
 Each line also gives the cache entries the scenario's fields hold after
-its run and the peak resident memory of the process so far."""
+its run, the megabytes those entries retain, and the peak resident memory
+of the process so far."""
 
 import argparse
 import gc
@@ -10,16 +11,22 @@ import resource
 import sys
 import time
 
+import numpy as np
+
 from ehresmann.geometry import CheckConfig, _Field
 from ehresmann import scenarios as sc
 from ehresmann.report import max_abs
 
 
-def live_entries() -> int:
-    """Cache entries held by the live fields, frame solves included."""
+def live_entries() -> tuple:
+    """The cache entries held by the live fields, frame solves included,
+    and the megabytes of their batches (a constant scalar field may store
+    a bare number)."""
     gc.collect()
-    return sum(len(o._cache) for o in gc.get_objects()
-               if isinstance(o, _Field))
+    entries = [np.asarray(getattr(hit, "a", hit))
+               for o in gc.get_objects() if isinstance(o, _Field)
+               for hit in o._cache.values()]
+    return len(entries), sum(a.nbytes for a in entries) / 2 ** 20
 
 
 def peak_rss_mb() -> float:
@@ -46,9 +53,10 @@ def main() -> int:
         failures += len(bad)
         worst = max_abs(r.max_dev for r in records)
         status = "ok" if not bad else f"{len(bad)} FAILED"
+        entries, mb = live_entries()
         print(f"{name:<20} {len(records):>3} checks  worst dev "
-              f"{worst:.2e}  {seconds:5.1f}s  {live_entries():>5} entries  "
-              f"peak {peak_rss_mb():5.1f} MB  {status}")
+              f"{worst:.2e}  {seconds:5.1f}s  {entries:>5} entries "
+              f"{mb:5.1f} MB  peak {peak_rss_mb():5.1f} MB  {status}")
         for r in bad:
             print(f"    FAIL {r.check_id}: {r.max_dev:.3e} "
                   f"(tol {r.threshold:.1e})")

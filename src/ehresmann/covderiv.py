@@ -78,7 +78,7 @@ def extend_derivative(d: SubmoduleDeriv, cfg: CheckConfig = DEFAULT_CHECK,
             assert_in_image(P, Y, cfg)
         px = P(X)
         main = d.rule(px, Y)
-        correction = P(lie_bracket(vf_sub(X, px), Y))
+        correction = P.once(lie_bracket(vf_sub(X, px), Y))
         return vf_add(main, correction,
                       name=f"ext{d.name}_{X.name}({Y.name})")
 
@@ -165,10 +165,11 @@ def total_derivative(split: SplitStructure,
     """
     s, q = split.s_total, split.q_total
     derivs = [SubmoduleDeriv(split.p_k,
-                             lambda X, Y: s(lie_bracket(X, q(Y))), "K")]
+                             lambda X, Y: s.once(lie_bracket(X, q(Y))),
+                             "K")]
     for a in range(split.n):
         def l_rule(X, Y, _s=split.s_endos[a], _q=split.q_endos[a]):
-            return _q(lie_bracket(X, _s(Y)))
+            return _q.once(lie_bracket(X, _s(Y)))
 
         derivs.append(SubmoduleDeriv(split.p_blocks[a], l_rule, f"L{a + 1}"))
     parts = [(d.projector, extend_derivative(d, cfg, check_membership=False))
@@ -215,7 +216,7 @@ def ehresmann_curvature(conn: EhresmannConnection, X: VectorField,
                         Y: VectorField) -> VectorField:
     """R(X, Y) = P_V([P_H X, P_H Y]), the vertical obstruction to
     integrability of the horizontal distribution."""
-    out = conn.p_v(lie_bracket(conn.p_h(X), conn.p_h(Y)))
+    out = conn.p_v.once(lie_bracket(conn.p_h(X), conn.p_h(Y)))
     out.name = f"R({X.name},{Y.name})"
     return out
 

@@ -21,7 +21,10 @@ entry (:func:`jets.truncate` selects slots) and is not stored.  A field
 counts the reads of it in the rules of other fields (each constructor
 passes the fields its rule reads as ``operands``), and a field read
 exactly once stores nothing: it is evaluated only inside its one reader.
-Memo outputs and frame solves, handed to many callers, always store.  A
+Memo outputs and frame solves, handed to many callers, always store; an
+application to a field that no caller can pass again (``Endo11.once``, on
+the brackets the derivative engine builds) is no memo output, and the root
+of a stacked family, read once by ``FieldStack.track``, stores nothing.  A
 frame solve is a field too, and frame coefficients are contracted by the
 same kernel as every projector, :func:`_contract`.
 
@@ -353,10 +356,12 @@ class _Field:
     or ``Scenario.coefficients`` evaluates it).  Readers are counted as
     they are built, so a field that callers outside any rule also read
     (a memo output, a frame solve, a coefficient table that oracles read)
-    is marked by :meth:`share` and always stores.  ``from_exprs`` serves
-    the component fields (vector and covector); ``values`` all three, a
-    scalar's value as its one component.  Each field type binds ``at`` in
-    its own namespace, so a profiler can wrap it per type.
+    is marked by :meth:`share` and always stores; a caller that is a
+    field's only reader counts its read instead (``FieldStack.track``).
+    ``from_exprs`` serves the component fields (vector and covector);
+    ``values`` all three, a scalar's value as its one component.  Each
+    field type binds ``at`` in its own namespace, so a profiler can wrap
+    it per type.
     """
 
     __slots__ = ("space", "name", "cost", "_fn", "_cache", "readers",
@@ -659,11 +664,16 @@ class FieldStack:
         evaluation of ``build`` per cost group.  When a member is not in
         this stack or a stacked evaluation raises, that loop itself runs,
         so the error is the one the loop raises, at the same member and
-        point."""
+        point.  ``build`` builds a fresh root, so each stacked root is read
+        here alone; that read is counted, and the root stores nothing."""
         points = list(points)
         try:
             where = [self._where[Y] for Y in members]
-            rows = [build(g).values(points) for g in self.groups]
+            rows = []
+            for g in self.groups:
+                root = build(g)
+                root.readers += 1
+                rows.append(root.values(points))
         except Exception:
             self.fallbacks += 1
             for Y in members:
@@ -881,6 +891,10 @@ class Endo11:
     Applications are memoized per argument instance, so repeated formula
     assembly over the same fields shares one output field (and its warm
     evaluation cache); a memo output is marked by :meth:`_Field.share`.
+    :meth:`once` applies without the memo, for an argument built for that
+    one application, such as the brackets of the derivative engine: no
+    memo holds the argument, and the output is not shared, so it stores
+    nothing when exactly one field reads it.
     """
 
     __slots__ = ("space", "name", "_apply", "_memo")
@@ -892,14 +906,20 @@ class Endo11:
         self._memo = {}
 
     def __call__(self, X: VectorField) -> VectorField:
+        out = self._memo.get(X)
+        if out is None:
+            out = self._memo[X] = self.once(X).share()
+        return out
+
+    def once(self, X: VectorField) -> VectorField:
+        """The application to ``X``, neither memoized nor shared, for an
+        argument that no caller can pass again, such as a bracket built
+        for this one application."""
         if X.space is not self.space:
             raise SpaceMismatchError(
                 f"{self.name} on {self.space.name} applied to {X.name} "
                 f"on {X.space.name}")
-        out = self._memo.get(X)
-        if out is None:
-            out = self._memo[X] = self._apply(X).share()
-        return out
+        return self._apply(X)
 
     @staticmethod
     def identity(space, name="I"):
@@ -953,7 +973,7 @@ def lie_derivative_endo(G: VectorField, T: Endo11, name=None) -> Endo11:
     label = name or f"L_{G.name}{T.name}"
 
     def apply_fn(X):
-        out = vf_sub(lie_bracket(G, T(X)), T(lie_bracket(G, X)),
+        out = vf_sub(lie_bracket(G, T(X)), T.once(lie_bracket(G, X)),
                      name=f"{label}({X.name})")
         return out
 

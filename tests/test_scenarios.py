@@ -6,13 +6,17 @@ import collections
 import gc
 import json
 import math
+import os
 import random
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ehresmann import covderiv
 from ehresmann import expr as ex
 from ehresmann import scenarios as sc
 from ehresmann.cli import load_scenario_file, main
@@ -389,6 +393,19 @@ def test_sode_reconstruction_demo_runs(capsys):
         runpy.run_path(str(script), run_name="__main__")
     assert done.value.code == 0
     assert "demo ok" in capsys.readouterr().out
+
+
+def test_verify_all_script_runs_clean():
+    """The summary script runs every built-in in a fresh process."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "verify_all.py"),
+         "--samples", "3"], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "all scenarios clean"
 
 
 def test_sode_feeds_back_through_nonlinear():
@@ -938,6 +955,72 @@ def test_nothing_is_computed_twice_and_one_reader_fields_store_nothing(
     stored = [f.name for f in held.values()
               if f.readers == 1 and not f.shared and f._cache]
     assert stored == []
+
+
+def _memos(scen) -> list:
+    """The memo of every ``Endo11`` that the split or the connection holds,
+    alone or in a tuple."""
+    endos = []
+    for obj in (scen.split, scen.conn):
+        for v in vars(obj).values():
+            endos += [e for e in (v if isinstance(v, tuple) else (v,))
+                      if isinstance(e, Endo11)]
+    return [e._memo for e in dict.fromkeys(endos)]
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_engine_brackets_and_stacked_roots_are_held_by_no_cache(
+        name, monkeypatch):
+    """The engine applies S, Q_a and the projectors to brackets it builds
+    itself, through ``Endo11.once``, so after a build and its checks no
+    memo of the split or the connection is keyed by one of those brackets.
+    Each root that ``FieldStack.track`` builds over a cost group is read
+    there alone and keeps no entry."""
+    brackets, roots = [], []
+
+    def bracket(X, Y, _bracket=covderiv.lie_bracket):
+        brackets.append(_bracket(X, Y))
+        return brackets[-1]
+
+    def track(stack, tracker, points, members, build,
+              _track=FieldStack.track):
+        def recorded(Ys):
+            out = build(Ys)
+            if Ys in stack.groups:
+                roots.append(out)
+            return out
+
+        return _track(stack, tracker, points, members, recorded)
+
+    monkeypatch.setattr(covderiv, "lie_bracket", bracket)
+    monkeypatch.setattr(FieldStack, "track", track)
+    scen = _stack_scenario(name)
+    sc.run_scenario_checks(scen, STACK_CFG)
+    assert brackets and roots
+    assert scen.split.stack.fallbacks == 0
+    memos = _memos(scen)
+    keyed = [b.name for b in brackets if any(b in m for m in memos)]
+    assert keyed == []
+    kept = [(r.name, r.readers) for r in roots if r._cache or r.readers != 1]
+    assert kept == []
+
+
+def test_once_applies_without_the_memo():
+    """``E.once(X)`` has the bits of ``E(X)`` and adds no memo entry; only
+    the memo output is shared."""
+    d = _fresh_fields()
+    E = Endo11.from_terms(d["space"], [(d["w"], d["Y"]), (d["v"], d["Z"])],
+                          "E")
+    X = lie_bracket(d["X"], d["W"])
+    once = E.once(X)
+    assert E._memo == {} and not once.shared
+    pts = d["space"].sample_points(CheckConfig(samples=3))
+
+    def hexes(field):
+        return [[float.hex(c) for c in row] for row in field.values(pts)]
+
+    assert hexes(once) == hexes(E(X))
+    assert list(E._memo) == [X] and E(X).shared
 
 
 def _fresh_fields():
