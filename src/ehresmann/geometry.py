@@ -18,6 +18,9 @@ bit-equal inputs, so every cache keys on it.  The one caching rule: a
 field caches its own evaluation under ``env.key``, at depth ``env.depth -
 cost``, and nothing else; a truncation below that depth is a view of that
 entry (:func:`jets.truncate` selects slots) and is not stored.  A field
+keeps the entries of one point set, the last it stored over: a session of
+queries at fresh points holds one point's entries per field, and a
+verification recomputes only what its build's probe set displaced.  A field
 counts the reads of it in the rules of other fields (each constructor
 passes the fields its rule reads as ``operands``), and a field read
 exactly once stores nothing: it is evaluated only inside its one reader.
@@ -358,6 +361,10 @@ class _Field:
     (a memo output, a frame solve, a coefficient table that oracles read)
     is marked by :meth:`share` and always stores; a caller that is a
     field's only reader counts its read instead (``FieldStack.track``).
+    Entries live while their point set is the last one stored over:
+    storing over another point set first empties ``_cache`` in place
+    (``FrameSolver._cache`` aliases the dict), comparing point sets by
+    value, since every ``seed_env`` makes its own key.
     ``from_exprs`` serves the component fields (vector and covector);
     ``values`` all three, a scalar's value as its one component.  Each
     field type binds ``at`` in its own namespace, so a profiler can wrap
@@ -381,13 +388,16 @@ class _Field:
             f.readers += 1
 
     def at(self, env):
-        hit = self._cache.get(env.key)
+        cache = self._cache
+        hit = cache.get(env.key)
         if hit is None:
             if env.depth < self.cost:
                 raise DepthBudgetError(self.name, self.cost, env.depth)
             hit = self._normalize(self._fn(env), env.depth - self.cost, env)
             if self.readers != 1 or self.shared:
-                self._cache[env.key] = hit
+                if cache and next(iter(cache))[0] != env.points:
+                    cache.clear()
+                cache[env.key] = hit
         return hit
 
     def share(self):
@@ -777,7 +787,7 @@ class FrameSolver:
     On embedded spaces the constraint gradients are appended as extra
     columns to square the system.  The solve is a field named ``"frame
     solve"`` of cost :attr:`cost` that gates the frame and inverts it, so
-    it caches one inverse per ``env.key`` under the one caching rule;
+    it caches the inverses of one point set under the one caching rule;
     ``_cache`` is its cache and :meth:`inverse` its ``at``.  Everything built
     over the frame reads that inverse through the one shared
     :meth:`coframe`, and :meth:`coefficients` contracts its values with

@@ -707,10 +707,10 @@ def test_expected_entries_are_parsed_once(monkeypatch):
 STACK_CFG = CheckConfig(samples=3)
 
 
-def _stack_scenario(name):
+def _stack_scenario(name, cfg=STACK_CFG):
     if name == "frame3":
-        return frame_bundle(3, (1, 2, 0), sc.DEFAULT_FRAME_GAMMA, STACK_CFG)
-    return sc.build_scenario(name, STACK_CFG)
+        return frame_bundle(3, (1, 2, 0), sc.DEFAULT_FRAME_GAMMA, cfg)
+    return sc.build_scenario(name, cfg)
 
 
 def _stacked_tensors(scen) -> list:
@@ -1121,3 +1121,135 @@ def test_constructors_count_what_their_rules_read(case, monkeypatch):
     wrong = [(f.name, f.readers, n) for f, n in reads.items()
              if f.readers != n]
     assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# one point set per field
+# ---------------------------------------------------------------------------
+
+
+def _fresh_points(scen, cfg, count) -> list:
+    """``count`` points of the scenario's space that its build did not
+    evaluate: the seeded draw continued past the build's samples."""
+    return scen.space.sample_points(CheckConfig(
+        seed=cfg.seed, samples=cfg.samples + count))[cfg.samples:]
+
+
+def _answer(scen, row, p):
+    """An ``eval`` query: the row's op field, its components at ``p``,
+    then its frame coefficients there."""
+    out = op_field(scen.conn, scen.nabla, row.op, scen.fields[row.args[0]],
+                   scen.fields[row.args[1]])
+    return out, out.values(p), scen.coefficients(out, p)
+
+
+def _hexes(comps, coeffs):
+    return ([float.hex(c) for c in comps],
+            {k: float.hex(c) for k, c in coeffs.items()})
+
+
+def test_eval_sessions_hold_one_point_set_per_field():
+    """A session that answers every expected-table row of the built-ins at
+    a fresh point, sweep after sweep, holds as many live cache entries after
+    its third sweep as after its first: each field keeps only the last
+    point set it was evaluated over.  A query answered again at a point
+    whose entries are gone gives the same bits."""
+    cfg, sweeps = CheckConfig(), 3
+    scens = [sc.build_scenario(n, cfg) for n in sorted(sc.BUILTIN_BUILDERS)]
+    streams = [iter(_fresh_points(s, cfg, sweeps * len(s.expected)))
+               for s in scens]
+    first, counts = [], []
+    for sweep in range(sweeps):
+        for scen, stream in zip(scens, streams):
+            for row in scen.expected:
+                p = next(stream)
+                _, comps, coeffs = _answer(scen, row, p)
+                if sweep == 0 and row is scen.expected[0]:
+                    first.append((scen, row, p, _hexes(comps, coeffs)))
+        gc.collect()
+        fields = [o for o in gc.get_objects() if isinstance(o, _Field)]
+        counts.append(sum(len(f._cache) for f in fields))
+        mixed = [f.name for f in fields
+                 if len({key[0] for key in f._cache}) > 1]
+        assert mixed == []
+    assert counts[-1] == counts[0]
+    for scen, row, p, want in first:
+        _, comps, coeffs = _answer(scen, row, p)
+        assert _hexes(comps, coeffs) == want, (scen.name, row.args)
+
+
+def _point_set(space, cfg):
+    return PointSetKey(p.values for p in space.sample_points(cfg))
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_verify_recomputes_only_what_the_probe_displaced(name, monkeypatch):
+    """At the default config (frame3 at 10 samples), a build and its checks
+    evaluate two point sets: the sample set and, inside the build, the
+    5-point probe of ``glue_derivatives``.  A field evaluated over the probe
+    between two sample-set evaluations loses its sample-set entries, so
+    that pair is computed again; no (field, ``env.key``) pair is computed
+    more than twice, and every field computed twice was evaluated over the
+    sample set, the probe and the sample set again, in that order."""
+    held, computed, sets = {}, collections.Counter(), {}
+
+    def count(field, env):
+        if env.key not in field._cache:
+            held[id(field)] = field
+            computed[id(field), env.key] += 1
+            seq = sets.setdefault(id(field), [])
+            if not seq or seq[-1] != env.points:
+                seq.append(env.points)
+
+    cfg = CheckConfig(samples=10) if name == "frame3" else CheckConfig()
+    _wrap_at(monkeypatch, count)
+    scen = _stack_scenario(name, cfg)
+    sc.run_scenario_checks(scen, cfg)
+    sample = _point_set(scen.space, cfg)
+    probe = _point_set(scen.space, cfg.probe(5))
+    assert max(computed.values()) <= 2
+    twice = {i for (i, _), n in computed.items() if n == 2}
+    assert twice
+    order = [(held[i].name, sets[i]) for i in twice
+             if sets[i] != [sample, probe, sample]]
+    assert order == []
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS))
+def test_eval_query_reads_its_point_twice_and_the_solver_keeps_one(
+        name, monkeypatch):
+    """``Scenario.coefficients(out, p)`` after ``out.values(p)`` recomputes
+    nothing of the query: a row whose field reads the frame solve (every
+    op but a bracket) computes nothing more, and a bracket computes only
+    the solve and the frame fields it reads.  After queries at two points,
+    the solver's ``_cache`` is still its solve's one dict, holding the
+    second point's entries alone."""
+    computed = []
+
+    def count(field, env):
+        if env.key not in field._cache:
+            computed.append(field)
+
+    _wrap_at(monkeypatch, count)
+    cfg = CheckConfig()
+    scen = sc.build_scenario(name, cfg)
+    solver = scen.solver
+    allowed = {solver._solve, *solver.fields}
+    points = _fresh_points(scen, cfg, len(scen.expected))
+    for row, p in zip(scen.expected, points):
+        out = op_field(scen.conn, scen.nabla, row.op,
+                       scen.fields[row.args[0]], scen.fields[row.args[1]])
+        out.values(p)
+        del computed[:]
+        scen.coefficients(out, p)
+        if row.op == "bracket":
+            assert out not in computed and set(computed) <= allowed
+        else:
+            assert computed == [], (row.op, row.args)
+    row = next(r for r in scen.expected if r.op == "nabla")
+    for p in points[:2]:
+        _answer(scen, row, p)
+    assert solver._cache is solver._solve._cache
+    assert solver._cache
+    assert {key[0] for key in solver._cache} == {
+        PointSetKey([points[1].values])}
