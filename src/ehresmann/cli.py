@@ -93,25 +93,57 @@ def _check(ok, path, where, message):
         raise ScenarioFileError(path, where, message)
 
 
-def _get(doc, key, path, where, kind, default=...):
-    """``doc[key]``, which must be of JSON type ``kind`` (``float`` takes
-    any number); a missing or ``null`` key gives ``default`` or, for a
-    required key (no default), an error."""
-    value = doc.get(key)
-    if value is None:
-        _check(default is not ..., path, where, f"missing key {key!r}")
-        return default
-    _check(isinstance(value, (int, float) if kind is float else kind)
-           and (kind is bool or not isinstance(value, bool)),
-           path, f"{where}.{key}",
-           f"expected {'number' if kind is float else kind.__name__}")
-    return value
+REQUIRED = object()
+
+# The keys of each node of a scenario file, the one list of them: key ->
+# (JSON type, default or REQUIRED, allowed values...; none means any).  A
+# ``float`` takes any number, never a bool.  ``None`` defaults of ``name``
+# and ``description`` stand for the file's stem and "loaded from <path>".
+SCHEMA = {
+    "document": {
+        "name": (str, None), "space": (dict, REQUIRED),
+        "fields": (dict, REQUIRED), "split": (dict, REQUIRED),
+        "expected": (list, ()), "metric": (str, None, "ambient-dot"),
+        "section": (str, "scenario file"), "description": (str, None),
+        "notes": (str, "")},
+    "space": {
+        "coords": (list, REQUIRED), "intervals": (dict, {}),
+        "constraints": (list, ()), "base": (list, ()),
+        "sphere": (bool, False)},
+    "split": {
+        "k": (list, REQUIRED), "blocks": (list, REQUIRED),
+        "orientation": (str, K_VERTICAL, K_VERTICAL, K_HORIZONTAL),
+        "pairings": (list, None)},
+    "expected": {
+        "op": (str, REQUIRED, *OPS), "args": (list, REQUIRED),
+        "coeffs": (dict, {}), "ref": (str, "scenario file"),
+        "tol": (float, None)},
+}
 
 
-def _known(doc, keys, path, where):
-    """Reject a key of ``doc`` that its reader does not read."""
+def _read(doc, node, path, where) -> dict:
+    """Every key of ``SCHEMA[node]`` read from the dict ``doc``: a missing
+    or ``null`` key takes its default (a required one is an error), and a
+    present one must have its type and one of its allowed values."""
+    _check(isinstance(doc, dict), path, where, "expected dict")
     for key in doc:
-        _check(key in keys, path, f"{where}.{key}", "unknown key")
+        _check(key in SCHEMA[node], path, f"{where}.{key}", "unknown key")
+    out = {}
+    for key, (kind, default, *allowed) in SCHEMA[node].items():
+        value = doc.get(key)
+        if value is None:
+            _check(default is not REQUIRED, path, where,
+                   f"missing key {key!r}")
+            value = default
+        else:
+            _check(isinstance(value, (int, float) if kind is float else kind)
+                   and (kind is bool or not isinstance(value, bool)),
+                   path, f"{where}.{key}",
+                   f"expected {'number' if kind is float else kind.__name__}")
+            _check(not allowed or value in allowed, path, f"{where}.{key}",
+                   f"unknown value {value!r}; available: {', '.join(allowed)}")
+        out[key] = value
+    return out
 
 
 def _finite(value) -> bool:
@@ -140,60 +172,46 @@ def _parse_in(path, where, text, coords):
     return e
 
 
-def _load_space(doc, name, path) -> ChartedSpace:
-    space_doc = _get(doc, "space", path, "document", dict)
-    _known(space_doc, ("coords", "intervals", "constraints", "base",
-                       "sphere"), path, "space")
-    coords = _names(_get(space_doc, "coords", path, "space", list), path,
-                    "space.coords")
-    intervals = _get(space_doc, "intervals", path, "space", dict, {})
-    for c, iv in intervals.items():
+def _load_space(space_doc, name, path, cfg) -> ChartedSpace:
+    s = _read(space_doc, "space", path, "space")
+    coords = _names(s["coords"], path, "space.coords")
+    for c, iv in s["intervals"].items():
         _check(c in coords and isinstance(iv, list) and len(iv) == 2
                and all(map(_finite, iv)) and _finite(iv[1] - iv[0]),
                path, f"space.intervals.{c}",
                "expected [low, high] of finite numbers for a coordinate")
     constraints = tuple(
         _parse_in(path, f"space.constraints[{i}]", text, coords)
-        for i, text in enumerate(
-            _get(space_doc, "constraints", path, "space", list, [])))
-    base = _get(space_doc, "base", path, "space", list, [])
+        for i, text in enumerate(s["constraints"]))
     try:
-        return ChartedSpace(
+        space = ChartedSpace(
             name, tuple(coords),
-            tuple(tuple(intervals.get(c, (-1.0, 1.0))) for c in coords),
-            constraints,
-            sphere=_get(space_doc, "sphere", path, "space", bool, False),
-            base_coords=tuple(base))
-    except ValueError as exc:
+            tuple(tuple(s["intervals"].get(c, (-1.0, 1.0))) for c in coords),
+            constraints, sphere=s["sphere"], base_coords=tuple(s["base"]))
+        space.sample_points(cfg)  # a draw off the constraints fails here
+    except (ValueError, GeometryError) as exc:
         raise ScenarioFileError(path, "space", str(exc)) from None
+    return space
 
 
-def _load_expected(doc, path, fields, frame_names, coords) -> list:
+def _load_expected(rows, path, fields, frame_names, coords) -> list:
     expected = []
-    for i, row in enumerate(_get(doc, "expected", path, "document", list,
-                                 [])):
+    for i, row in enumerate(rows):
         where = f"expected[{i}]"
-        _check(isinstance(row, dict), path, where, "expected dict")
-        _known(row, ("op", "args", "coeffs", "ref", "tol"), path, where)
-        op = _get(row, "op", path, where, str)
-        _check(op in OPS, path, f"{where}.op",
-               f"unknown op {op!r}; available: {', '.join(OPS)}")
-        args = _get(row, "args", path, where, list)
-        _check(len(args) == 2
-               and all(isinstance(a, str) and a in fields for a in args),
+        r = _read(row, "expected", path, where)
+        _check(len(r["args"]) == 2
+               and all(isinstance(a, str) and a in fields for a in r["args"]),
                path, f"{where}.args",
                f"expected two of the fields {', '.join(fields)}")
         coeffs = {}
-        for k, v in _get(row, "coeffs", path, where, dict, {}).items():
+        for k, v in r["coeffs"].items():
             _check(k in frame_names, path, f"{where}.coeffs.{k}",
                    f"not a frame field; frame: {', '.join(frame_names)}")
             coeffs[k] = _parse_in(path, f"{where}.coeffs.{k}", v, coords)
-        tol = _get(row, "tol", path, where, float, None)
-        _check(tol is None or _finite(tol) and tol > 0, path, f"{where}.tol",
-               "expected a positive number")
-        expected.append(sc.ExpectedRow(
-            op, tuple(args), coeffs,
-            _get(row, "ref", path, where, str, "scenario file"), tol))
+        _check(r["tol"] is None or _finite(r["tol"]) and r["tol"] > 0, path,
+               f"{where}.tol", "expected a positive number")
+        expected.append(sc.ExpectedRow(r["op"], tuple(r["args"]), coeffs,
+                                       r["ref"], r["tol"]))
     return expected
 
 
@@ -210,16 +228,14 @@ def load_scenario_file(path: str,
         raise ScenarioFileError(path, "file", str(exc)) from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioFileError(path, "json", str(exc)) from None
-    _check(isinstance(doc, dict), path, "document", "expected dict")
-    _known(doc, ("name", "space", "fields", "split", "expected", "metric",
-                 "section", "description", "notes"), path, "document")
+    d = _read(doc, "document", path, "document")
 
-    name = _get(doc, "name", path, "document", str,
-                os.path.splitext(os.path.basename(path))[0])
-    space = _load_space(doc, name, path)
+    name = (os.path.splitext(os.path.basename(path))[0] if d["name"] is None
+            else d["name"])
+    space = _load_space(d["space"], name, path, cfg)
 
     fields = {}
-    for fname, comps in _get(doc, "fields", path, "document", dict).items():
+    for fname, comps in d["fields"].items():
         _check(isinstance(comps, list) and len(comps) == space.ambient_dim,
                path, f"fields.{fname}",
                f"needs {space.ambient_dim} component expressions")
@@ -227,13 +243,7 @@ def load_scenario_file(path: str,
                   for i, c in enumerate(comps)]
         fields[fname] = VectorField.from_exprs(space, parsed, fname)
 
-    split_doc = _get(doc, "split", path, "document", dict)
-    _known(split_doc, ("k", "blocks", "orientation", "pairings"), path,
-           "split")
-    orientation = _get(split_doc, "orientation", path, "split", str,
-                       K_VERTICAL)
-    _check(orientation in (K_VERTICAL, K_HORIZONTAL), path,
-           "split.orientation", f"unknown orientation {orientation!r}")
+    s = _read(d["split"], "split", path, "split")
 
     def frame_of(names, label, where):
         missing = [n for n in _names(names, path, where) if n not in fields]
@@ -241,42 +251,33 @@ def load_scenario_file(path: str,
         return Frame(tuple(fields[n] for n in names),
                      names[0] if len(names) == 1 else label)
 
-    k_frame = frame_of(_get(split_doc, "k", path, "split", list), "K",
-                       "split.k")
-    blocks_doc = _get(split_doc, "blocks", path, "split", list)
-    _check(blocks_doc, path, "split.blocks", "expected at least one block")
+    k_frame = frame_of(s["k"], "K", "split.k")
+    _check(s["blocks"], path, "split.blocks", "expected at least one block")
     blocks = [frame_of(b, f"L{i + 1}", f"split.blocks[{i}]")
-              for i, b in enumerate(blocks_doc)]
-    pairings = _get(split_doc, "pairings", path, "split", list, None)
-    for i, mat in enumerate(pairings or ()):
+              for i, b in enumerate(s["blocks"])]
+    for i, mat in enumerate(s["pairings"] or ()):
         _check(mat is None or isinstance(mat, list) and all(
             isinstance(row, list) and all(map(_finite, row)) for row in mat),
             path, f"split.pairings[{i}]",
             "expected null or a matrix of numbers")
     try:
-        conn, split, nabla = assemble(space, k_frame, blocks, orientation,
-                                      cfg, pairings)
+        conn, split, nabla = assemble(space, k_frame, blocks,
+                                      s["orientation"], cfg, s["pairings"])
     except (ConnectionDataError, GeometryError) as exc:
         raise ScenarioFileError(path, "split", str(exc)) from None
 
     # the solver's own ordering drives coefficient reporting
     frame_names = tuple(f.name for f in split.solver.fields)
-    expected = _load_expected(doc, path, fields, frame_names, space.coords)
-
-    metric = _get(doc, "metric", path, "document", str, None)
-    _check(metric in (None, "ambient-dot"), path, "document.metric",
-           f"unsupported metric {metric!r}")
-
     return sc.Scenario(
-        name=name,
-        section=_get(doc, "section", path, "document", str, "scenario file"),
-        description=_get(doc, "description", path, "document", str,
-                         f"loaded from {path}"),
+        name=name, section=d["section"],
+        description=(f"loaded from {path}" if d["description"] is None
+                     else d["description"]),
         space=space, conn=conn, split=split, nabla=nabla,
         fields=fields, frame_names=frame_names,
-        expected=expected,
-        metric=sc.ambient_dot_metric(space) if metric else None,
-        notes=_get(doc, "notes", path, "document", str, ""))
+        expected=_load_expected(d["expected"], path, fields, frame_names,
+                                space.coords),
+        metric=sc.ambient_dot_metric(space) if d["metric"] else None,
+        notes=d["notes"])
 
 
 def _get_scenario(name_or_path: str, cfg: CheckConfig) -> sc.Scenario:

@@ -55,9 +55,9 @@ class SubmoduleDeriv:
 def assert_in_image(P: Endo11, Y: VectorField,
                     cfg: CheckConfig = DEFAULT_CHECK,
                     tol: float = MEMBERSHIP_TOL):
-    """Numeric membership check: P(Y) = Y at a few sampled points."""
+    """Numeric membership check: P(Y) = Y at the sample points."""
     tracker = DevTracker()
-    tracker.track(Y.space.sample_points(cfg.probe()), vf_sub(P(Y), Y))
+    tracker.track(Y.space.sample_points(cfg), vf_sub(P(Y), Y))
     if not tracker.max_dev <= tol:
         raise MembershipError(f"{Y.name} is not in Img({P.name}): "
                               f"deviation {tracker.max_dev:.3e}")
@@ -123,7 +123,7 @@ def glue_derivatives(parts, cfg: CheckConfig = DEFAULT_CHECK,
     if probe_fields is None:
         probe_fields = tuple(VectorField.coordinate(space, c)
                              for c in space.coords)
-    pts = space.sample_points(cfg.probe(5))
+    pts = space.sample_points(cfg)
     tracker = DevTracker()
     for X in probe_fields:
         total = None

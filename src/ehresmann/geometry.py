@@ -20,10 +20,11 @@ cost``, and nothing else; a truncation below that depth is a view of that
 entry (:func:`jets.truncate` selects slots) and is not stored.  A field
 keeps the entries of one point set, the last it stored over: a session of
 queries at fresh points holds one point's entries per field, and a
-verification recomputes only what its build's probe set displaced.  A field
-counts the reads of it in the rules of other fields (each constructor
-passes the fields its rule reads as ``operands``), and a field read
-exactly once stores nothing: it is evaluated only inside its one reader.
+verification, which evaluates its sample set alone, computes nothing
+twice.  A field counts the reads of it in the rules of other fields (each
+constructor passes the fields its rule reads as ``operands``), and a field
+read exactly once stores nothing: it is evaluated only inside its one
+reader.
 Memo outputs and frame solves, handed to many callers, always store; an
 application to a field that no caller can pass again (``Endo11.once``, on
 the brackets the derivative engine builds) is no memo output, and the root
@@ -117,11 +118,6 @@ class CheckConfig:
             raise ValueError("tolerance must be positive and finite")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-
-    def probe(self, samples: int = 3) -> "CheckConfig":
-        """A cheaper config for spot checks inside hot paths."""
-        return CheckConfig(self.seed, min(self.samples, samples),
-                           self.tolerance, self.depth)
 
 
 DEFAULT_CHECK = CheckConfig()
@@ -221,7 +217,8 @@ class ChartedSpace:
 
     def sample_points(self, cfg: CheckConfig = DEFAULT_CHECK) -> list["Point"]:
         """Deterministic sample draw; equal config means equal points.  Each
-        point is capped at ``cfg.depth`` derivative levels."""
+        point is capped at ``cfg.depth`` derivative levels, and a sphere-rule
+        draw off the constraints raises :class:`OffManifoldError`."""
         rng = random.Random(cfg.seed)
         points = []
         for _ in range(cfg.samples):
@@ -231,8 +228,8 @@ class ChartedSpace:
                     norm = math.sqrt(_left_sum(v * v for v in raw))
                     if norm >= 0.1:
                         break
-                points.append(Point(self, tuple(v / norm for v in raw),
-                                    cfg.depth))
+                points.append(Point(self, self.point(
+                    v / norm for v in raw).values, cfg.depth))
             elif self.constraints:
                 raise GeometryError(
                     "sampling on a constrained space needs the sphere rule")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
@@ -438,6 +439,8 @@ MALFORMED = [
     (("split", "pairings"), 3, "split.pairings"),
     (("expected", 0, "tol"), "1e-8", "expected[0].tol"),
     (("expected", 0, "op"), "divergence", "expected[0].op"),
+    (("split", "orientation"), "sideways", "split.orientation"),
+    (("metric",), "riemann", "document.metric"),
 ]
 
 
@@ -511,6 +514,21 @@ def test_null_required_key_is_missing(path, where, tmp_path):
         load_scenario_file(str(target), CFG)
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("space", "constraints"), ["x^2+y^2+z^2+w^2-4"], "violates constraints"),
+    (("space", "sphere"), _DELETE, "needs the sphere rule"),
+], ids=["sphere-draw-off-the-constraints", "constraints-without-sphere"])
+def test_space_whose_draws_miss_the_constraints_is_blamed_on_space(
+        path, value, message, tmp_path, capsys):
+    # the sphere rule draws on the unit sphere; a radius-2 constraint must
+    # reject those draws, not verify over points off the manifold
+    target = tmp_path / "sphere.json"
+    target.write_text(json.dumps(_set(HOPF_DOC, path, value)))
+    assert main(["verify", str(target), "--samples", "3"]) == 2
+    err = capsys.readouterr().err
+    assert ": space: " in err and message in err
+
+
 def test_readme_scenario_file_example_verifies(tmp_path, capsys):
     readme = (ROOT / "README.md").read_text("utf-8")
     section = readme[readme.index("## Scenario files"):]
@@ -519,6 +537,25 @@ def test_readme_scenario_file_example_verifies(tmp_path, capsys):
     target.write_text(block)
     assert main(["verify", str(target), "--samples", "5"]) == 0
     assert "checks passed" in capsys.readouterr().out
+
+
+def test_readme_key_table_is_the_schema():
+    """The README's per-node key table lists the keys of ``cli.SCHEMA`` in
+    its order, with their types, which are required, and their allowed
+    values."""
+    readme = (ROOT / "README.md").read_text("utf-8")
+    section = readme[readme.index("## Scenario files"):
+                     readme.index("## JSON report schema")]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    names = {str: "string", dict: "object", list: "array", bool: "boolean",
+             float: "number"}
+    assert [(node, key, kind, default == "required", values)
+            for node, key, kind, default, values in rows] == [
+        (f"`{node}`", f"`{key}`", names[kind], default is cli.REQUIRED,
+         ", ".join(f"`{v}`" for v in allowed))
+        for node, table in cli.SCHEMA.items()
+        for key, (kind, default, *allowed) in table.items()]
 
 
 def _paths(node, prefix=()):
@@ -571,3 +608,129 @@ def test_fuzzed_scenario_files_end_in_an_exit_code(tmp_path_factory,
     assert (code == 0) == all(r["pass"] for r in records)
     if code == 0:
         assert all(math.isfinite(r["max_dev"]) for r in records)
+
+
+# ---------------------------------------------------------------------------
+# every input is read: each option and each scenario-file key, set to
+# another valid value, changes what a user sees
+# ---------------------------------------------------------------------------
+
+
+EVAL = ["eval", "affine-tangent", "nabla", "H1", "V1",
+        "--at", "0.1,0.2,0.3,0.4"]
+VERIFY = ["verify", "hopf", "--samples", "3", "--format", "json"]
+
+# (command, option dest) -> (argv, argv with that option changed)
+OPTION_CHANGES = {
+    ("list", "format"): (["list"], ["list", "--format", "json"]),
+    ("describe", "scenario"): (["describe", "trivial-r3"],
+                               ["describe", "hopf"]),
+    ("eval", "scenario"): (EVAL, [*EVAL[:1], "nonlinear-tangent", *EVAL[2:]]),
+    ("eval", "op"): (EVAL, [*EVAL[:2], "bracket", *EVAL[3:]]),
+    ("eval", "args"): (EVAL, [*EVAL[:4], "V2", *EVAL[5:]]),
+    ("eval", "at"): (EVAL, [*EVAL[:-1], "0.1,0.2,0.3,0.5"]),
+    ("eval", "format"): (EVAL, [*EVAL, "--format", "json"]),
+    ("verify", "scenario"): (VERIFY, [VERIFY[0], "trivial-r3",
+                                      *VERIFY[2:]]),
+    ("verify", "seed"): (VERIFY, [*VERIFY, "--seed", "7"]),
+    ("verify", "samples"): (VERIFY, [*VERIFY, "--samples", "4"]),
+    ("verify", "tol"): (VERIFY, [*VERIFY, "--tol", "1e-9"]),
+    # a cap, read when a check needs more: hopf needs 2 levels
+    ("verify", "depth"): (VERIFY, [*VERIFY, "--depth", "1"]),
+    ("verify", "format"): (VERIFY, [*VERIFY, "--format", "csv"]),
+}
+
+# one block of rank 2: a pairing other than the frame order moves nabla
+# (a rank-1 pairing c scales S_a by c and Q_a by 1/c, and nabla not at all)
+PAIRED_DOC = {
+    "space": {"coords": ["x1", "x2", "u1", "u2"], "base": ["x1", "x2"]},
+    "fields": {"H1": ["1", "0", "u2", "0"], "H2": ["0", "1", "0", "u1"],
+               "V1": ["0", "0", "1", "0"], "V2": ["0", "0", "0", "1"]},
+    "split": {"k": ["V1", "V2"], "blocks": [["H1", "H2"]]},
+    "expected": [{"op": "nabla", "args": ["H1", "H1"], "coeffs": {}}],
+}
+
+# (SCHEMA node, key) -> (path into TRIVIAL_DOC, or into the document of
+# KEY_BASES, and the value set there)
+KEY_CHANGES = {
+    ("document", "name"): (("name",), "renamed"),
+    ("document", "space"): (("space",), {
+        **TRIVIAL_DOC["space"], "intervals": {"th": [0.0, 1.0]}}),
+    ("document", "fields"): (("fields",), {
+        **TRIVIAL_DOC["fields"], "V": ["0", "0", "2"]}),
+    ("document", "split"): (("split",), {"k": ["V"],
+                                         "blocks": [["H2"], ["H1"]]}),
+    ("document", "expected"): (("expected",), []),
+    ("document", "metric"): (("metric",), "ambient-dot"),
+    ("document", "section"): (("section",), "renamed"),
+    ("document", "description"): (("description",), "renamed"),
+    ("document", "notes"): (("notes",), "renamed"),
+    ("space", "coords"): (("space", "coords"), ["x", "th", "y"]),
+    ("space", "intervals"): (("space", "intervals"), {"th": [0.0, 1.0]}),
+    ("space", "constraints"): (("space", "constraints"), ["th"]),
+    ("space", "base"): (("space", "base"), ["x", "th"]),
+    ("space", "sphere"): (("space", "sphere"), True),
+    ("split", "k"): (("split", "k"), ["H1"]),
+    ("split", "blocks"): (("split", "blocks"), [["H2"], ["H1"]]),
+    ("split", "orientation"): (("split", "orientation"), "k-horizontal"),
+    ("split", "pairings"): (("split", "pairings"), [[[0.0, 1.0],
+                                                     [1.0, 0.0]]]),
+    ("expected", "op"): (("expected", 0, "op"), "bracket"),
+    ("expected", "args"): (("expected", 0, "args"), ["H1", "H2"]),
+    ("expected", "coeffs"): (("expected", 0, "coeffs"), {}),
+    ("expected", "ref"): (("expected", 0, "ref"), "renamed"),
+    ("expected", "tol"): (("expected", 0, "tol"), 1e-9),
+}
+
+KEY_BASES = {("split", "pairings"): PAIRED_DOC}
+
+# the inputs whose change above leaves every output as it was, and why
+UNREAD = {
+    ("document", "metric"): "checked against its allowed values and stored "
+                            "on Scenario.metric; no generic check reads it",
+}
+
+
+def _outcome(argv):
+    """The exit code, stdout and stderr of ``main(argv)``; a JSON verify
+    report without its configuration echo."""
+    code, out, err = _run_main(argv)
+    if argv[0] == "verify" and out.startswith("{"):
+        out = json.loads(out)
+        del out["config"]
+    return code, out, err
+
+
+def test_every_option_and_scenario_file_key_changes_the_output(tmp_path):
+    """Each option of the parser and each key of ``cli.SCHEMA``, set to
+    another valid value, changes the exit code, stdout (a verify report's
+    records, not its configuration echo), stderr or the ``describe``
+    output, unless ``UNREAD`` says why it cannot.  An option or key with
+    no entry fails here."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    options = {(command, action.dest)
+               for command, sub in commands.choices.items()
+               for action in sub._actions if action.dest != "help"}
+    keys = {(node, key) for node, table in cli.SCHEMA.items()
+            for key in table}
+    assert set(OPTION_CHANGES) == options
+    assert set(KEY_CHANGES) == keys
+    assert set(UNREAD) <= keys | options
+
+    outcome = functools.lru_cache(lambda argv: _outcome(list(argv)))
+    unchanged = [option for option, (argv, changed) in OPTION_CHANGES.items()
+                 if outcome(tuple(argv)) == outcome(tuple(changed))]
+    target = str(tmp_path / "doc.json")
+
+    def seen(doc):
+        Path(target).write_text(json.dumps(doc))
+        return (_outcome(["verify", target, "--samples", "3", "--format",
+                          "json"]), _outcome(["describe", target]))
+
+    bases = {id(doc): seen(doc) for doc in (TRIVIAL_DOC, *KEY_BASES.values())}
+    for key, (path, value) in KEY_CHANGES.items():
+        doc = KEY_BASES.get(key, TRIVIAL_DOC)
+        if seen(_set(doc, path, value)) == bases[id(doc)]:
+            unchanged.append(key)
+    assert sorted(unchanged) == sorted(UNREAD)

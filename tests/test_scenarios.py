@@ -1185,34 +1185,25 @@ def _point_set(space, cfg):
 @pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
 def test_verify_recomputes_only_what_the_probe_displaced(name, monkeypatch):
     """At the default config (frame3 at 10 samples), a build and its checks
-    evaluate two point sets: the sample set and, inside the build, the
-    5-point probe of ``glue_derivatives``.  A field evaluated over the probe
-    between two sample-set evaluations loses its sample-set entries, so
-    that pair is computed again; no (field, ``env.key``) pair is computed
-    more than twice, and every field computed twice was evaluated over the
-    sample set, the probe and the sample set again, in that order."""
-    held, computed, sets = {}, collections.Counter(), {}
+    evaluate one point set, the sample set: the build's own checks
+    (``glue_derivatives``, ``assert_in_image``) draw no probe set of their
+    own, so no evaluation displaces another's entries and no (field,
+    ``env.key``) pair is computed twice."""
+    held, computed, sets = {}, collections.Counter(), set()
 
     def count(field, env):
         if env.key not in field._cache:
             held[id(field)] = field
             computed[id(field), env.key] += 1
-            seq = sets.setdefault(id(field), [])
-            if not seq or seq[-1] != env.points:
-                seq.append(env.points)
+            sets.add(env.points)
 
     cfg = CheckConfig(samples=10) if name == "frame3" else CheckConfig()
     _wrap_at(monkeypatch, count)
     scen = _stack_scenario(name, cfg)
     sc.run_scenario_checks(scen, cfg)
-    sample = _point_set(scen.space, cfg)
-    probe = _point_set(scen.space, cfg.probe(5))
-    assert max(computed.values()) <= 2
-    twice = {i for (i, _), n in computed.items() if n == 2}
-    assert twice
-    order = [(held[i].name, sets[i]) for i in twice
-             if sets[i] != [sample, probe, sample]]
-    assert order == []
+    assert sets == {_point_set(scen.space, cfg)}
+    twice = [(held[i].name, n) for (i, _), n in computed.items() if n > 1]
+    assert twice == []
 
 
 @pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS))
