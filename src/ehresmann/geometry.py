@@ -27,15 +27,16 @@ read exactly once stores nothing: it is evaluated only inside its one
 reader.
 Memo outputs and frame solves, handed to many callers, always store; an
 application to a field that no caller can pass again (``Endo11.once``, on
-the brackets the derivative engine builds) is no memo output, and the root
-of a stacked family, read once by ``FieldStack.track``, stores nothing.  A
-frame solve is a field too, and frame coefficients are contracted by the
-same kernel as every projector, :func:`_contract`.
+the brackets the derivative engine builds) is no memo output, and a
+check's root, read once by its fold (``DevTracker.track``), stores nothing.
+Frame solves and frame coefficients are fields too, contracted by the same
+kernel as every projector, :func:`_contract`.
 
 A :class:`FieldStack` puts fields of one ``cost`` on a leading member
 axis, ``(F, n, P) + slots``: a tree of the field algebra over a stacked
 field evaluates every member at once, with the bits each member gets
-alone, as a point set does for its points.
+alone, as a point set does for its points; every check on that axis
+folds through ``FieldStack.track``.
 
 Embedded spaces (constraint expressions ``c_k = 0``) keep all fields in
 ambient coordinates.  Pointwise frame solves append the constraint gradients
@@ -352,12 +353,12 @@ class _Field:
     under ``env.key``, unless the field has exactly one reader.  Such a
     field is evaluated only inside its reader's evaluation, which stores
     or is itself evaluated once, so storing it would keep a batch that is
-    never read again.  A field nothing reads stores (a check, ``values``
-    or ``Scenario.coefficients`` evaluates it).  Readers are counted as
+    never read again.  A field nothing reads stores (``values`` or
+    ``Scenario.coefficients`` evaluates it).  Readers are counted as
     they are built, so a field that callers outside any rule also read
     (a memo output, a frame solve, a coefficient table that oracles read)
-    is marked by :meth:`share` and always stores; a caller that is a
-    field's only reader counts its read instead (``FieldStack.track``).
+    is marked by :meth:`share` and always stores; a check's fold counts
+    its read instead (``DevTracker.track``, ``FieldStack.track``).
     Entries live while their point set is the last one stored over:
     storing over another point set first empties ``_cache`` in place
     (``FrameSolver._cache`` aliases the dict), comparing point sets by
@@ -650,9 +651,7 @@ class FieldStack:
     built over member ``i`` alone: along the member axis every kernel
     broadcasts the same elementwise operations and folds in the same
     order.  Equal costs keep each member at the depth it has alone.
-    ``fallbacks`` counts the calls of :meth:`track` that ran per member,
-    and the expected-table rows (read off one ``op(X, Ys)`` per op, X and
-    cost group) that ran per pair.
+    ``fallbacks`` counts the calls of :meth:`track` that ran per member.
     """
 
     def __init__(self, fields):
@@ -668,19 +667,19 @@ class FieldStack:
     def track(self, tracker: DevTracker, points, members, build):
         """Fold ``build(Y)`` into ``tracker`` for each ``Y`` of ``members``,
         as ``tracker.track(points, build(Y))`` in that order does, from one
-        evaluation of ``build`` per cost group.  When a member is not in
-        this stack or a stacked evaluation raises, that loop itself runs,
-        so the error is the one the loop raises, at the same member and
-        point.  ``build`` builds a fresh root, so each stacked root is read
-        here alone; that read is counted, and the root stores nothing."""
+        evaluation of ``build`` per cost group of ``members``.  When a
+        member is not in this stack or a stacked evaluation raises, that
+        loop itself runs, so the error is the one the loop raises, at the
+        same member and point.  ``build`` builds a fresh root, read here
+        alone; the read is counted, and the root stores nothing."""
         points = list(points)
         try:
             where = [self._where[Y] for Y in members]
-            rows = []
-            for g in self.groups:
-                root = build(g)
+            rows = {}
+            for g in sorted({g for g, _ in where}):
+                root = build(self.groups[g])
                 root.readers += 1
-                rows.append(root.values(points))
+                rows[g] = root.values(points)
         except Exception:
             self.fallbacks += 1
             for Y in members:
@@ -711,9 +710,6 @@ class Frame:
     @property
     def space(self):
         return self.fields[0].space
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
 
 
 def frame_ratio(mat) -> float:
@@ -840,6 +836,16 @@ class FrameSolver:
         each read off one row of the shared inverse.  Built once, so every
         projector and endomorphism over this solver shares their caches."""
         return self._coframe
+
+    def coefficient_field(self, X: VectorField) -> VectorField:
+        """X's frame coefficients, named after X, at cost ``max(X.cost,
+        self.cost)``: the inverse's rows contracted with X's components by
+        :func:`_contract`, as in :meth:`coefficients`, member by member."""
+        cost = max(X.cost, self.cost)
+        return VectorField(self.space, lambda env: _contract(
+            jets.truncate(self.inverse(env), env.depth - cost).a,
+            _comps_at(X, env, env.depth - cost)), cost, X.name,
+            (X, self._solve))
 
     def coefficients(self, env, comps) -> list:
         """Each point's frame coefficients of the vector whose components

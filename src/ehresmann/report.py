@@ -76,8 +76,11 @@ class DevTracker:
         """Fold in each field's largest absolute component at each point,
         points outer and fields inner, and return the tracker.  A scalar
         field's value is its one component.  Over several points each field
-        is evaluated once for the whole point set."""
+        is evaluated once for the whole point set.  The fold counts as a
+        reader of each field, so a root nothing else reads stores nothing."""
         points = list(points)
+        for f in fields:
+            f.readers += 1
         devs = per_point(points, lambda pts: list(zip(*(
             [max_abs(row) for row in f.values(pts)] for f in fields))))
         for p, row in zip(points, devs):

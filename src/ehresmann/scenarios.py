@@ -40,9 +40,10 @@ from .covderiv import (
 )
 from .geometry import (
     ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame,
-    GeometryError, ScalarField, VectorField, _as_depth, _comps_as_depth,
-    annihilation, directional, dual_coframe, endo_add, endo_scale,
-    is_point_set, lie_derivative_endo, pairing, vf_add, vf_scale, vf_sub,
+    GeometryError, Point, ScalarField, VectorField, _as_depth,
+    _comps_as_depth, annihilation, directional, dual_coframe, endo_add,
+    endo_scale, is_point_set, lie_derivative_endo, pairing, vf_add,
+    vf_scale, vf_sub,
 )
 from .jets import extract, value_of
 from .report import CheckRecord, DevTracker, per_point
@@ -200,16 +201,13 @@ class Scenario:
         that gives vf's components, so a field built through the solver's
         projectors brings its solve along; only a field cheaper than the
         solver has its components read at depth 0 and the solve seeded on
-        its own.  On a member axis, one dict per member at each point of
-        a set."""
+        its own.  The expected table reads ``solver.coefficient_field``."""
         env = self.space.seed_env(point, vf.cost, vf.name)
         with np.errstate(all="ignore"):
             comps = vf.at(env)
         if vf.cost < self.solver.cost:
             env = self.space.seed_env(point, self.solver.cost, "frame solve")
         rows = self.solver.coefficients(env, comps)
-        if comps.a.ndim - comps.depth == 3:
-            return [[self._named(m) for m in c] for c in rows]
         named = [self._named(c) for c in rows]
         return named if is_point_set(point) else named[0]
 
@@ -220,62 +218,54 @@ class Scenario:
         return out
 
 
-def _eval_coeff(entry, points, env0, memo) -> list[float]:
-    """An expected-table entry at each point of a set, evaluated once per
-    ``memo``: a callable (as the oracles below), a number or an expression
-    in ``env0`` (the points at depth 0).  An absent entry or a zero
-    constant is zeros, unevaluated: ``abs(got - want)`` keeps its bits."""
-    if entry is None or _is_zero(entry):
-        return [0.0] * len(points)
-    if id(entry) not in memo:
-        with np.errstate(all="ignore"):
-            vals = entry(points) if callable(entry) else value_of(
-                ex.evaluate(_E(entry), env0))
-        memo[id(entry)] = np.broadcast_to(vals, (len(points),)).tolist()
-    return memo[id(entry)]
+def _table_row(scen: Scenario, row: ExpectedRow, coef: VectorField,
+               cap: int) -> VectorField:
+    """The row's deviations at depth 0, named after ``coef``: ``coef``,
+    the frame coefficients of the row's op field, minus the row's entries,
+    each read at depth 0 over the env's coordinates (a callable at its
+    points, capped at ``cap`` levels as drawn).  An absent, zero or
+    off-span entry is zeros, unevaluated: the coefficient keeps its bits,
+    and a row with no other entry is its coefficients."""
+    live = [(j, e) for j, e in enumerate(
+        row.coeffs.get(f.name) for f in scen.solver.fields)
+        if e is not None and not _is_zero(e)]
 
+    def fn(env):
+        got = jets.truncate(coef.at(env), 0)
+        if not live:
+            return got
+        want = np.zeros(got.a.shape[-2:])
+        env0 = {c: jets.truncate(x, 0) for c, x in env.items()}
+        pts = [Point(scen.space, v, cap) for v in env.points]
+        for j, e in live:
+            want[j] = e(pts) if callable(e) else value_of(
+                ex.evaluate(_E(e), env0))
+        return got._new(got.a - want)
 
-def _coeff_devs(row, coefs, points, env0, memo) -> list:
-    """Each point's deviations of its dict in ``coefs`` from the row."""
-    want = {name: _eval_coeff(None if name.startswith("offspan") else
-                              row.coeffs.get(name), points, env0, memo)
-            for name in coefs[0]}
-    return [[abs(got - want[name][k]) for name, got in c.items()]
-            for k, c in enumerate(coefs)]
+    return VectorField(scen.space, fn, coef.cost, coef.name, (coef,))
 
 
 def expected_table_checks(scen: Scenario, cfg: CheckConfig) -> list:
-    """One record per expected row, read off one stacked ``op(X, Ys)`` per
-    (op, X, cost group) of the split's stack.  A row whose ``Y`` is not in
-    the stack, or whose stacked evaluation or comparison raises, runs per
-    pair (its error is the per-row loop's); ``stack.fallbacks`` counts it."""
-    records = []
+    """One record per expected row, the fold of one field root, the row's
+    deviations (:func:`_table_row`), by the split's stack over the cost
+    group of ``Y``.  The rows of one (op, X, cost group) share one
+    coefficient field, held while the table runs."""
     pts = scen.space.sample_points(cfg)
-    stack, groups = scen.split.stack, {}
-    env0, memo = scen.space.seed_env(pts, 0), {}
+    coefficients, records = {}, []
     for row in scen.expected:
         X, Y = (scen.fields[a] for a in row.args)
-        tol = row.tol if row.tol is not None else cfg.tolerance
-        try:
-            g, i = stack._where[Y]
-            if (row.op, X, g) not in groups:
-                groups[row.op, X, g] = scen.coefficients(op_field(
-                    scen.conn, scen.nabla, row.op, X, stack.groups[g]), pts)
-            all_devs = _coeff_devs(row, [c[i] for c in groups[row.op, X, g]],
-                                   pts, env0, memo)
-        except Exception:
-            stack.fallbacks += 1
-            out = op_field(scen.conn, scen.nabla, row.op, X, Y)
-            all_devs = per_point(pts, lambda ps: _coeff_devs(
-                row, scen.coefficients(out, ps), ps,
-                scen.space.seed_env(ps, 0), {}))
-        tracker = DevTracker()
-        for p, row_devs in zip(pts, all_devs):
-            for dev in row_devs:
-                tracker.update(dev, p.values)
+
+        def build(Ys):
+            key = (row.op, X, Ys)
+            if key not in coefficients:
+                coefficients[key] = scen.solver.coefficient_field(op_field(
+                    scen.conn, scen.nabla, row.op, X, Ys)).share()
+            return _table_row(scen, row, coefficients[key], cfg.depth)
+
+        tracker = scen.split.stack.track(DevTracker(), pts, [Y], build)
         records.append(tracker.record(
-            f"{scen.name}:{row.op}[{row.args[0]},{row.args[1]}]",
-            row.ref, tol))
+            f"{scen.name}:{row.op}[{row.args[0]},{row.args[1]}]", row.ref,
+            row.tol if row.tol is not None else cfg.tolerance))
     return records
 
 

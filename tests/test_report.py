@@ -14,7 +14,9 @@ from ehresmann.report import DevTracker, max_abs
 
 class _Fixed:
     """A stand-in field with the same components at every point of a
-    point set."""
+    point set; ``DevTracker.track`` counts its read."""
+
+    readers = 0
 
     def __init__(self, comps):
         self.comps = comps

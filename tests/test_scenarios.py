@@ -806,7 +806,7 @@ def _per_row_table(scen, cfg):
     return out
 
 
-@pytest.mark.parametrize("name", ["sode-tangent", "hopf", "affine-tangent"])
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
 def test_stacked_families_fold_as_the_per_pair_loops(name):
     """Same worst deviation and worst point, with the members read in loop
     order (the frame order differs from the stack's); the expected table's
@@ -822,9 +822,10 @@ def test_stacked_families_fold_as_the_per_pair_loops(name):
 
 @pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
 def test_stacked_table_rows_are_bit_equal_to_the_per_pair_coefficients(name):
-    """Member ``i`` of the coefficients of ``op(X, Ys)``, one stacked field
-    per (op, X, cost group), has the bits of ``op(X, Y_i)``'s own, for
-    every expected row; the table reads every row so, none per pair."""
+    """Member ``i`` of the coefficient field of ``op(X, Ys)``, one stacked
+    field per (op, X, cost group), has the bits of ``op(X, Y_i)``'s own
+    coefficients, for every expected row; the table reads every row so,
+    none per pair."""
     scen = _stack_scenario(name)
     pts = scen.space.sample_points(STACK_CFG)
     stack, groups = scen.split.stack, {}
@@ -832,13 +833,13 @@ def test_stacked_table_rows_are_bit_equal_to_the_per_pair_coefficients(name):
         X, Y = (scen.fields[a] for a in row.args)
         g, i = stack._where[Y]
         if (row.op, X, g) not in groups:
-            groups[row.op, X, g] = scen.coefficients(op_field(
-                scen.conn, scen.nabla, row.op, X, stack.groups[g]), pts)
+            groups[row.op, X, g] = scen.solver.coefficient_field(op_field(
+                scen.conn, scen.nabla, row.op, X, stack.groups[g])).values(
+                    pts)
         want = scen.coefficients(op_field(scen.conn, scen.nabla, row.op, X,
                                           Y), pts)
-        assert [[(k, v.hex()) for k, v in c[i].items()]
-                for c in groups[row.op, X, g]] == \
-            [[(k, v.hex()) for k, v in c.items()] for c in want], \
+        assert [[v.hex() for v in c[i]] for c in groups[row.op, X, g]] == \
+            [[v.hex() for v in c.values()] for c in want], \
             (row.op, row.args)
     fresh = _stack_scenario(name)
     sc.expected_table_checks(fresh, STACK_CFG)
@@ -914,6 +915,40 @@ def test_verify_of_a_bad_point_file_ends_as_before(tmp_path, capsys):
                        f"^2.0)': argument 0.0 is not positive\n")
 
 
+def _verify_json(doc, tmp_path, capsys):
+    """Exit code, records and stderr of ``verify --samples 3`` of ``doc``."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path), "--samples", "3", "--format", "json"])
+    out = capsys.readouterr()
+    return code, out.out and json.loads(out.out)["records"], out.err
+
+
+@pytest.mark.parametrize("entry", ["ln", "abs"])
+def test_an_expected_entry_that_fails_at_one_sample_point(
+        entry, tmp_path, capsys):
+    """With ``c`` the x of the second sample point, ``ln(x-c)`` in an entry
+    fails there alone, with the per-row loop's error; ``abs(x-c)`` has a
+    kink there, which an entry, read at depth 0, never differentiates: its
+    row deviates by the rounding of ``(sin(th)+a)-a`` alone."""
+    c = trivial_r3(STACK_CFG).space.sample_points(STACK_CFG)[1].values[0]
+    doc = json.loads(json.dumps(TRIVIAL_DOC))
+    row = next(r for r in doc["expected"] if r["args"] == ["H1", "H1"])
+    row["coeffs"]["H1"] = {
+        "ln": f"sin(th)+ln(x-({c!r}))",
+        "abs": f"sin(th)+abs(x-({c!r}))-abs(x-({c!r}))"}[entry]
+    got = _verify_json(doc, tmp_path, capsys)
+    if entry == "ln":
+        assert got == (2, "", f"error: domain error in 'ln' at "
+                              f"'ln(x-{c!r})': argument 0.0 is not "
+                              f"positive\n")
+    else:
+        code, records, err = _verify_json(TRIVIAL_DOC, tmp_path, capsys)
+        records[0].update(max_dev=2.0 ** -54, worst_point=[
+            0.7843591354096908, -0.8261223347411677, -0.15615636062945915])
+        assert got == (0, records, "") == (code, records, err)
+
+
 # ---------------------------------------------------------------------------
 # store only what is read twice
 # ---------------------------------------------------------------------------
@@ -975,8 +1010,9 @@ def test_engine_brackets_and_stacked_roots_are_held_by_no_cache(
     itself, through ``Endo11.once``, so after a build and its checks no
     memo of the split or the connection is keyed by one of those brackets.
     Each root that ``FieldStack.track`` builds over a cost group is read
-    there alone and keeps no entry."""
-    brackets, roots = [], []
+    there alone and keeps no entry, and no root that ``DevTracker.track``
+    folds keeps one unless it is shared."""
+    brackets, roots, folded = [], [], []
 
     def bracket(X, Y, _bracket=covderiv.lie_bracket):
         brackets.append(_bracket(X, Y))
@@ -992,16 +1028,23 @@ def test_engine_brackets_and_stacked_roots_are_held_by_no_cache(
 
         return _track(stack, tracker, points, members, recorded)
 
+    def fold(tracker, points, *fields, _fold=DevTracker.track):
+        folded.extend(fields)
+        return _fold(tracker, points, *fields)
+
     monkeypatch.setattr(covderiv, "lie_bracket", bracket)
     monkeypatch.setattr(FieldStack, "track", track)
+    monkeypatch.setattr(DevTracker, "track", fold)
     scen = _stack_scenario(name)
     sc.run_scenario_checks(scen, STACK_CFG)
-    assert brackets and roots
+    assert brackets and roots and folded
     assert scen.split.stack.fallbacks == 0
     memos = _memos(scen)
     keyed = [b.name for b in brackets if any(b in m for m in memos)]
     assert keyed == []
     kept = [(r.name, r.readers) for r in roots if r._cache or r.readers != 1]
+    assert kept == []
+    kept = [f.name for f in folded if f._cache and not f.shared]
     assert kept == []
 
 
