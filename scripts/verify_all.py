@@ -2,14 +2,18 @@
 """Run the verification suite of every built-in scenario and summarize.
 
 Each line also gives the cache entries the scenario's fields hold after
-its run, the megabytes those entries retain, and the peak resident memory
-of the process so far."""
+its run, the megabytes those entries retain, the peak of the memory
+Python allocations hold during the scenario's build and checks
+(``tracemalloc``, which slows the run), and the peak resident memory of
+the process so far, which hides the peak of each scenario after the
+first."""
 
 import argparse
 import gc
 import resource
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -44,11 +48,14 @@ def main() -> int:
     cfg = CheckConfig(ns.seed, ns.samples, ns.tol, ns.depth)
 
     failures = 0
+    tracemalloc.start()
     for name in sorted(sc.BUILTIN_BUILDERS):
+        tracemalloc.reset_peak()
         t0 = time.time()
         scen = sc.build_scenario(name, cfg)
         records = sc.run_scenario_checks(scen, cfg)
         seconds = time.time() - t0
+        traced = tracemalloc.get_traced_memory()[1] / 2 ** 20
         bad = [r for r in records if not r.passed]
         failures += len(bad)
         worst = max_abs(r.max_dev for r in records)
@@ -56,10 +63,12 @@ def main() -> int:
         entries, mb = live_entries()
         print(f"{name:<20} {len(records):>3} checks  worst dev "
               f"{worst:.2e}  {seconds:5.1f}s  {entries:>5} entries "
-              f"{mb:5.1f} MB  peak {peak_rss_mb():5.1f} MB  {status}")
+              f"{mb:5.1f} MB  traced peak {traced:5.1f} MB  "
+              f"peak {peak_rss_mb():5.1f} MB  {status}")
         for r in bad:
             print(f"    FAIL {r.check_id}: {r.max_dev:.3e} "
                   f"(tol {r.threshold:.1e})")
+        scen = records = bad = None     # out of the next scenario's peak
     print("all scenarios clean" if failures == 0
           else f"{failures} failed checks")
     return 0 if failures == 0 else 1

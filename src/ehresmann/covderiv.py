@@ -16,6 +16,7 @@ check used as a cross-validation of the glue, which returns its records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .connection import (
@@ -26,7 +27,7 @@ from .geometry import (
     CheckConfig, DEFAULT_CHECK, Endo11, FieldStack, Frame, GeometryError,
     VectorField, lie_bracket, vf_add, vf_sub,
 )
-from .report import CheckRecord, DevTracker
+from .report import DevTracker, deferred
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -258,7 +259,9 @@ def check_parallelism_equivalence(nabla: CovDeriv, b_index: int,
     image.  Three records, ``parallelism:<P_B>:nabla-p``,
     ``:image-stability`` and ``:equivalence`` (both sides pass or both
     fail).  Side A evaluates ``(nabla_X P_B)`` once per probe X over the
-    stacked probes."""
+    stacked probes.  The image set is selected at once, since it decides
+    which side-B fields are built; the records are completed when the
+    folds of both sides have run."""
     if not nabla.parts:
         raise CovDerivError("operator carries no glued parts to check")
     p_b, ext_b = nabla.parts[b_index]
@@ -268,12 +271,12 @@ def check_parallelism_equivalence(nabla: CovDeriv, b_index: int,
     side_a = DevTracker()
     for X in probe_fields:
         probes.track(side_a, pts, probe_fields,
-                     lambda Ys: nabla_of_endo(nabla, p_b, X, Ys))
+                     partial(nabla_of_endo, nabla, p_b, X))
 
     # a probe enters the image set unless its projection vanishes at every
     # sample point
     image_fields = [pf for pf in map(p_b, probe_fields)
-                    if not DevTracker().track(pts, pf).max_dev <= 1e-8]
+                    if not DevTracker().track_now(pts, pf).max_dev <= 1e-8]
 
     side_b = DevTracker()
     for X in image_fields:
@@ -283,12 +286,11 @@ def check_parallelism_equivalence(nabla: CovDeriv, b_index: int,
 
     tol = cfg.tolerance
     prefix = f"parallelism:{p_b.name}"
-    a_ok, b_ok = side_a.max_dev < tol, side_b.max_dev < tol
-    return [
-        CheckRecord(f"{prefix}:nabla-p", "projector parallelism",
-                    side_a.max_dev, tol, a_ok),
-        CheckRecord(f"{prefix}:image-stability",
-                    "block rules stay in their image", side_b.max_dev, tol,
-                    b_ok),
-        CheckRecord(f"{prefix}:equivalence", "both sides agree",
-                    0.0 if a_ok == b_ok else 1.0, 0.5, a_ok == b_ok)]
+    a = deferred(f"{prefix}:nabla-p", "projector parallelism", tol,
+                 lambda: (side_a.max_dev, None))
+    b = deferred(f"{prefix}:image-stability",
+                 "block rules stay in their image", tol,
+                 lambda: (side_b.max_dev, None))
+    return [a, b, deferred(f"{prefix}:equivalence", "both sides agree", 0.5,
+                           lambda: (0.0 if a.passed == b.passed else 1.0,
+                                    None))]

@@ -22,15 +22,22 @@ keeps the entries of one point set, the last it stored over: a session of
 queries at fresh points holds one point's entries per field, and a
 verification, which evaluates its sample set alone, computes nothing
 twice.  A field counts the reads of it in the rules of other fields (each
-constructor passes the fields its rule reads as ``operands``), and a field
-read exactly once stores nothing: it is evaluated only inside its one
-reader.
+constructor passes the fields its rule reads as ``operands``, which the
+field keeps), and a field read exactly once stores nothing: it is
+evaluated only inside its one reader.
 Memo outputs and frame solves, handed to many callers, always store; an
 application to a field that no caller can pass again (``Endo11.once``, on
 the brackets the derivative engine builds) is no memo output, and a
 check's root, read once by its fold (``DevTracker.track``), stores nothing.
 Frame solves and frame coefficients are fields too, contracted by the same
 kernel as every projector, :func:`_contract`.
+
+That rule holds outside a plan: for eval queries, a build's own checks,
+and a check called on its own.  A verification run is one :class:`Plan`:
+its checks register their folds, a walk over the operands counts the reads
+the run will make of each (field, env depth), and the folds then run in
+order, each evaluation stored only while reads of it remain and dropped at
+its last read, so no entry the run stored outlives it.
 
 A :class:`FieldStack` puts fields of one ``cost`` on a leading member
 axis, ``(F, n, P) + slots``: a tree of the field algebra over a stacked
@@ -58,6 +65,7 @@ import numpy as np
 
 from . import expr as ex
 from . import jets
+from . import report
 from .jets import JetBatch, value_of
 from .report import DevTracker, max_abs, per_point
 
@@ -187,6 +195,7 @@ class ChartedSpace:
         env.depth = depth
         env.points = values
         env.key = (values, depth)
+        env.live = None
         return env
 
     def constraint_residual(self, values) -> float:
@@ -278,10 +287,12 @@ class Env(dict):
 
     ``depth`` is the seeded depth, ``points`` the point values and ``key``
     is ``(points, depth)``, the memo key of every evaluation in this
-    environment.
+    environment.  ``live`` is ``None``, except in an env that a
+    :class:`Plan` seeds: there it maps each field to the reads of it that
+    the plan has still to make.
     """
 
-    __slots__ = ("depth", "key", "points")
+    __slots__ = ("depth", "key", "points", "live")
 
 
 def _as_depth(s, depth: int, env: Env):
@@ -344,33 +355,42 @@ def _contract(rows, xs):
 # ---------------------------------------------------------------------------
 
 
+# The cache of every field that has not stored yet, read and never written:
+# most fields store nothing, and a dict each would hold memory for nothing.
+_NO_ENTRIES = {}
+
+
 class _Field:
     """A rule ``_fn(env)`` that consumes ``cost`` derivative levels.
 
-    ``operands`` are the fields the rule reads, one entry per read; each
-    adds one to that field's ``readers``.  The one caching rule: an
-    evaluation is normalized to depth ``env.depth - cost`` and memoized
-    under ``env.key``, unless the field has exactly one reader.  Such a
-    field is evaluated only inside its reader's evaluation, which stores
-    or is itself evaluated once, so storing it would keep a batch that is
-    never read again.  A field nothing reads stores (``values`` or
-    ``Scenario.coefficients`` evaluates it).  Readers are counted as
-    they are built, so a field that callers outside any rule also read
-    (a memo output, a frame solve, a coefficient table that oracles read)
-    is marked by :meth:`share` and always stores; a check's fold counts
-    its read instead (``DevTracker.track``, ``FieldStack.track``).
-    Entries live while their point set is the last one stored over:
-    storing over another point set first empties ``_cache`` in place
-    (``FrameSolver._cache`` aliases the dict), comparing point sets by
-    value, since every ``seed_env`` makes its own key.
-    ``from_exprs`` serves the component fields (vector and covector);
-    ``values`` all three, a scalar's value as its one component.  Each
-    field type binds ``at`` in its own namespace, so a profiler can wrap
-    it per type.
+    ``operands`` are the fields the rule reads, one entry per read, kept
+    for a plan's walk; each adds one to that field's ``readers``.  The one
+    caching rule: an evaluation is normalized to depth ``env.depth - cost``
+    and memoized under ``env.key``, unless the field has exactly one
+    reader.  Such a field is evaluated only inside its reader's
+    evaluation, which stores or is itself evaluated once, so storing it
+    would keep a batch that is never read again.  A field nothing reads
+    stores (``values`` or ``Scenario.coefficients`` evaluates it).
+    Readers are counted as they are built, so a field that callers outside
+    any rule also read (a memo output, a frame solve, a coefficient table
+    that oracles read) is marked by :meth:`share` and always stores; a
+    check's fold counts its read instead (``DevTracker.track``,
+    ``FieldStack.track``).  Entries live while their point set is the last
+    one stored over: storing over another point set first empties
+    ``_cache`` in place (``FrameSolver._cache`` reads the same dict),
+    comparing point sets by value, since every ``seed_env`` makes its own
+    key.  In an env that a :class:`Plan` seeds, the plan's counts replace
+    ``readers`` and ``share()``: an evaluation stores only while reads of
+    it remain, and the entry goes at its last read.  A field marked by
+    :meth:`pin` stores there as it does outside a plan, since callers
+    outside any rule read it while the plan folds.  ``from_exprs`` serves
+    the component fields (vector and covector); ``rows`` and ``values``
+    all three, a scalar's value as its one component.  Each field type
+    binds ``at`` in its own namespace, so a profiler can wrap it per type.
     """
 
     __slots__ = ("space", "name", "cost", "_fn", "_cache", "readers",
-                 "shared")
+                 "shared", "pinned", "operands")
     _normalize = staticmethod(_comps_as_depth)
     _point_rows = staticmethod(lambda comps, env: _value_rows(comps))
 
@@ -379,23 +399,43 @@ class _Field:
         self._fn = fn
         self.cost = cost
         self.name = name
-        self._cache = {}
+        self._cache = _NO_ENTRIES
         self.readers = 0
         self.shared = False
-        for f in operands:
+        self.pinned = False
+        self.operands = tuple(operands)
+        for f in self.operands:
             f.readers += 1
 
     def at(self, env):
         cache = self._cache
         hit = cache.get(env.key)
+        live = env.live
         if hit is None:
             if env.depth < self.cost:
                 raise DepthBudgetError(self.name, self.cost, env.depth)
             hit = self._normalize(self._fn(env), env.depth - self.cost, env)
-            if self.readers != 1 or self.shared:
-                if cache and next(iter(cache))[0] != env.points:
+            reads = None if live is None else live.pop(self, None)
+            if reads is None:
+                keep = self.readers != 1 or self.shared
+            else:
+                keep = reads > 1
+                if keep:
+                    live[self] = reads - 1
+            if keep:
+                if cache is _NO_ENTRIES:
+                    cache = self._cache = {}
+                elif cache and next(iter(cache))[0] != env.points:
                     cache.clear()
                 cache[env.key] = hit
+                if _stored is not None:
+                    _stored.append((cache, env.key))
+        elif live is not None:
+            reads = live.pop(self, None)
+            if reads == 1:
+                del cache[env.key]
+            elif reads is not None:
+                live[self] = reads - 1
         return hit
 
     def share(self):
@@ -404,6 +444,14 @@ class _Field:
         evaluate it directly.  Returns the field."""
         self.shared = True
         return self
+
+    def pin(self):
+        """:meth:`share` this field, and keep its entries for as long as a
+        :class:`Plan` runs: callers outside any rule read it while the
+        plan folds (an expected-table oracle), and a plan counts only the
+        reads of rules.  Returns the field."""
+        self.pinned = True
+        return self.share()
 
     @classmethod
     def from_exprs(cls, space, components, name):
@@ -421,12 +469,18 @@ class _Field:
 
         return cls(space, fn, 0, name)
 
-    def values(self, point) -> list:
-        """Component values at a point, or one list per point of a set; a
-        scalar field has one component, its value."""
-        env = self.space.seed_env(point, self.cost, self.name)
+    def rows(self, point, env=None):
+        """Component values as one array, a row per point of a point set
+        (one point is a one-point set), evaluated in ``env`` or in an env
+        seeded at ``cost``; a scalar field has one component, its value."""
+        if env is None:
+            env = self.space.seed_env(point, self.cost, self.name)
         with np.errstate(all="ignore"):
-            rows = self._point_rows(self.at(env), env).tolist()
+            return self._point_rows(self.at(env), env)
+
+    def values(self, point) -> list:
+        """Component values at a point, or one list per point of a set."""
+        rows = self.rows(point).tolist()
         return rows if is_point_set(point) else rows[0]
 
 
@@ -667,28 +721,132 @@ class FieldStack:
     def track(self, tracker: DevTracker, points, members, build):
         """Fold ``build(Y)`` into ``tracker`` for each ``Y`` of ``members``,
         as ``tracker.track(points, build(Y))`` in that order does, from one
-        evaluation of ``build`` per cost group of ``members``.  When a
-        member is not in this stack or a stacked evaluation raises, that
-        loop itself runs, so the error is the one the loop raises, at the
-        same member and point.  ``build`` builds a fresh root, read here
-        alone; the read is counted, and the root stores nothing."""
+        evaluation of ``build`` per cost group of ``members``; each member
+        reads only its own rows.  When a member is not in this stack or a
+        stacked evaluation raises, that loop itself runs, so the error is
+        the one the loop raises, at the same member and point.  ``build``
+        builds a fresh root, read here alone; the read is counted, and the
+        root stores nothing.  While a plan collects, the fold is registered
+        with it, and the loop is built only if the plan's evaluation
+        raises."""
         points = list(points)
-        try:
-            where = [self._where[Y] for Y in members]
-            rows = {}
-            for g in sorted({g for g, _ in where}):
-                root = build(self.groups[g])
-                root.readers += 1
-                rows[g] = root.values(points)
-        except Exception:
+
+        def per_member():
             self.fallbacks += 1
             for Y in members:
                 tracker.track(points, build(Y))
+
+        try:
+            where = [self._where[Y] for Y in members]
+            roots = {g: build(self.groups[g])
+                     for g in sorted({g for g, _ in where})}
+        except Exception:
+            per_member()
             return tracker
-        for g, i in where:
-            for p, at_point in zip(points, rows[g]):
-                tracker.update(max_abs(at_point[i]), p.values)
+        for root in roots.values():
+            root.readers += 1
+
+        def consume(arrays):
+            rows = dict(zip(roots, arrays))
+            for g, i in where:
+                for p, at_point in zip(points, rows[g][:, i].tolist()):
+                    tracker.update(max_abs(at_point), p.values)
+
+        tracker.fold(points, tuple(roots.values()), consume, per_member)
         return tracker
+
+
+# ---------------------------------------------------------------------------
+# plans
+# ---------------------------------------------------------------------------
+
+# While a plan is open: the (cache, key) of every entry stored, which the
+# plan drops when it ends.
+_stored = None
+
+
+def _count_reads(reads: dict, root, key):
+    """Add to ``reads`` the reads of each field that evaluating ``root`` at
+    ``key`` makes when a field read twice stores: a field's operands are
+    read once, unless it already holds an entry at ``key``."""
+    todo = [root]
+    while todo:
+        f = todo.pop()
+        n = reads.get(f, 0)
+        reads[f] = n + 1
+        if not n and key not in f._cache:
+            todo += f.operands
+
+
+class Plan:
+    """The folds of one verification run, collected, counted, then run.
+
+    While the ``with`` block runs, every :func:`report.fold` registers
+    its point set, roots, consumer and fallback here.  When the block
+    ends, a walk from every root counts the reads the run will make of
+    each (field, env depth), and the folds run in registration order, each
+    (point set, depth) seeded once, by the first root that needs it.  In
+    those envs ``_Field.at`` stores an evaluation only while reads remain
+    and drops the entry at its last read.  Nothing is freed before the
+    folds run, so an evaluation the checks make while collecting (one
+    whose value decides what a check does next) is allowed: its stored
+    entries count as cached in the walk.  When the plan ends, every entry
+    stored while it was open is gone.
+    """
+
+    def __init__(self):
+        self._folds = []
+
+    def add(self, points, roots, consume, fallback):
+        self._folds.append((points, roots, consume, fallback))
+
+    def __enter__(self):
+        global _stored
+        _stored = []
+        report.collecting = self
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        global _stored
+        report.collecting = None
+        try:
+            # an evaluation that raised while collecting comes after the
+            # folds registered before it: they run first, so the error is
+            # the first one the checks meet in order
+            if exc_type is None or issubclass(exc_type, Exception):
+                self._run()
+        finally:
+            for cache, key in _stored:
+                cache.pop(key, None)
+            _stored = None
+
+    def _run(self):
+        folds, live = [], {}
+        for points, roots, consume, fallback in self._folds:
+            values = PointSetKey(p.values for p in points)
+            for root in roots:
+                key = (values, root.cost)
+                _count_reads(live.setdefault(key, {}), root, key)
+            folds.append((values, points, roots, consume, fallback))
+        self._folds = None
+        for reads in live.values():
+            for f in [f for f in reads if f.pinned]:
+                del reads[f]
+        folds.reverse()     # popped in order: a fold's roots go once it ran
+        envs = {}
+        while folds:
+            values, points, roots, consume, fallback = folds.pop()
+
+            def rows(root):
+                key = (values, root.cost)
+                env = envs.get(key)
+                if env is None:
+                    env = envs[key] = root.space.seed_env(points, root.cost,
+                                                          root.name)
+                    env.live = live[key]
+                return root.rows(points, env)
+
+            report.run_fold(roots, rows, consume, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +958,6 @@ class FrameSolver:
         self.cost = max(base, 1) if space.constraints else base
         self._solve = _Field(space, self._invert, self.cost, "frame solve",
                              self.fields).share()
-        self._cache = self._solve._cache
         self._coframe = tuple(self._covector(i)
                               for i in range(len(self.fields)))
 
@@ -819,6 +976,10 @@ class FrameSolver:
             mat = cols[0]._new(np.stack([c.a for c in cols], axis=1))
             gate_frame(_value_rows(mat), env.points)
             return _invert_points(mat, self.space.ambient_dim)
+
+    @property
+    def _cache(self):
+        return self._solve._cache
 
     def inverse(self, env):
         return self._solve.at(env)

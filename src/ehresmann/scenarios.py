@@ -40,13 +40,13 @@ from .covderiv import (
 )
 from .geometry import (
     ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame,
-    GeometryError, Point, ScalarField, VectorField, _as_depth,
+    GeometryError, Plan, Point, ScalarField, VectorField, _as_depth,
     _comps_as_depth, annihilation, directional, dual_coframe, endo_add,
     endo_scale, is_point_set, lie_derivative_endo, pairing, vf_add,
     vf_scale, vf_sub,
 )
 from .jets import extract, value_of
-from .report import CheckRecord, DevTracker, per_point
+from .report import CheckRecord, DevTracker, deferred, per_point
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def expected_table_checks(scen: Scenario, cfg: CheckConfig) -> list:
     for row in scen.expected:
         X, Y = (scen.fields[a] for a in row.args)
 
-        def build(Ys):
+        def build(Ys, row=row, X=X):
             key = (row.op, X, Ys)
             if key not in coefficients:
                 coefficients[key] = scen.solver.coefficient_field(op_field(
@@ -404,7 +404,7 @@ def parallel_tensor_checks(scen: Scenario, cfg: CheckConfig) -> list:
         for X in frame:
             scen.split.stack.track(
                 tracker, pts, frame,
-                lambda Ys: nabla_of_endo(scen.nabla, T, X, Ys))
+                partial(nabla_of_endo, scen.nabla, T, X))
         records.append(tracker.record(
             f"{scen.name}:{label}:{T.name}",
             "structure tensors are parallel", cfg.tolerance))
@@ -412,8 +412,11 @@ def parallel_tensor_checks(scen: Scenario, cfg: CheckConfig) -> list:
 
 
 def _prefixed(scen: Scenario, records) -> list:
-    return [replace(r, check_id=f"{scen.name}:{r.check_id}")
-            for r in records]
+    """The records under ids prefixed by the scenario name, set in place:
+    a plan completes these very records."""
+    for r in records:
+        r.check_id = f"{scen.name}:{r.check_id}"
+    return records
 
 
 def split_identity_checks(scen: Scenario, cfg: CheckConfig) -> list:
@@ -428,17 +431,22 @@ def parallelism_equivalence_checks(scen: Scenario, cfg: CheckConfig) -> list:
 
 
 def run_scenario_checks(scen: Scenario, cfg: CheckConfig = DEFAULT_CHECK) -> list:
-    """Every record a verification run asserts, in deterministic order."""
+    """Every record a verification run asserts, in deterministic order.
+
+    The families and extra checks run under one :class:`Plan`: they
+    register their folds, and the plan runs them, in this order, when they
+    have all been collected, freeing each cache entry at its last read."""
     records = []
-    records += expected_table_checks(scen, cfg)
-    records += axiom_suite_checks(scen, cfg)
-    records += split_identity_checks(scen, cfg)
-    records += torsion_curvature_checks(scen, cfg)
-    records += torsion_property_checks(scen, cfg)
-    records += parallel_tensor_checks(scen, cfg)
-    records += parallelism_equivalence_checks(scen, cfg)
-    for extra in scen.extra_checks:
-        records += extra(cfg)
+    with Plan():
+        records += expected_table_checks(scen, cfg)
+        records += axiom_suite_checks(scen, cfg)
+        records += split_identity_checks(scen, cfg)
+        records += torsion_curvature_checks(scen, cfg)
+        records += torsion_property_checks(scen, cfg)
+        records += parallel_tensor_checks(scen, cfg)
+        records += parallelism_equivalence_checks(scen, cfg)
+        for extra in scen.extra_checks:
+            records += extra(cfg)
     return records
 
 
@@ -825,7 +833,7 @@ def nonlinear_tangent(n: int, gamma: dict,
         if not (1 <= b <= n and 1 <= a <= n):
             raise ValueError(f"coefficient key {(b, a)} out of range 1..{n}")
         # the oracles below read the entries directly, outside any rule
-        table[(b, a)] = _entry_scalar(space, entry, f"G{b}_{a}").share()
+        table[(b, a)] = _entry_scalar(space, entry, f"G{b}_{a}").pin()
 
     g_sf = _lookup(space, table)
     hs = _lifts(space, n, table)
@@ -952,7 +960,7 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
     """
     space = _tm_space(n, name)
     # the Hessian oracle reads the forces directly, outside any rule
-    force_sf = [_entry_scalar(space, f, f"f{b + 1}").share()
+    force_sf = [_entry_scalar(space, f, f"f{b + 1}").pin()
                 for b, f in enumerate(forces)]
     gamma_field, s_endo, p_h = _induced_projector(space, n, force_sf)
 
@@ -1012,10 +1020,12 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
     return gamma_field, p_h, scenario
 
 
-def _euler_defect(space, scalars, degree: float, cfg: CheckConfig) -> float:
-    """max |Delta(f) - degree * f| over sampled points: zero when every
-    scalar is fibre-homogeneous of that degree (Euler's relation).  The
-    dilation Delta(f) folds over the fibre coordinates alone."""
+def _euler_defect(space, scalars, degree: float,
+                  cfg: CheckConfig) -> DevTracker:
+    """The tracker of |Delta(f) - degree * f| over sampled points: zero
+    when every scalar is fibre-homogeneous of that degree (Euler's
+    relation).  The dilation Delta(f) folds over the fibre coordinates
+    alone."""
     fibre = [f"u{a}" for a in range(1, space.dim // 2 + 1)]
 
     def defect(sf):
@@ -1032,7 +1042,7 @@ def _euler_defect(space, scalars, degree: float, cfg: CheckConfig) -> float:
                            (sf,))
 
     return DevTracker().track(space.sample_points(cfg),
-                              *map(defect, scalars)).max_dev
+                              *map(defect, scalars))
 
 
 def is_spray(gamma_field: VectorField, forces,
@@ -1042,14 +1052,14 @@ def is_spray(gamma_field: VectorField, forces,
     space = gamma_field.space
     sfs = [_entry_scalar(space, f, f"f{b + 1}") for b, f in enumerate(forces)]
     cfg = cfg if tol is None else replace(cfg, tolerance=tol)
-    return _euler_defect(space, sfs, 2.0, cfg) < cfg.tolerance
+    return _euler_defect(space, sfs, 2.0, cfg).max_dev < cfg.tolerance
 
 
 def _spray_record(check_id, reference, space, forces, cfg) -> CheckRecord:
     """Degree-2 fibre homogeneity of the force terms, as a record."""
-    dev = _euler_defect(space, forces, 2.0, cfg)
-    return CheckRecord(check_id, reference, dev, cfg.tolerance,
-                       dev < cfg.tolerance)
+    tracker = _euler_defect(space, forces, 2.0, cfg)
+    return deferred(check_id, reference, cfg.tolerance,
+                    lambda: (tracker.max_dev, None))
 
 
 def homogeneity_check(space, gamma_sf: dict,
@@ -1057,7 +1067,8 @@ def homogeneity_check(space, gamma_sf: dict,
                       tol: float | None = None) -> bool:
     """Degree-1 fibre homogeneity: Delta(G^b_a) = G^b_a at sampled points."""
     cfg = cfg if tol is None else replace(cfg, tolerance=tol)
-    return _euler_defect(space, gamma_sf.values(), 1.0, cfg) < cfg.tolerance
+    return _euler_defect(space, gamma_sf.values(), 1.0,
+                         cfg).max_dev < cfg.tolerance
 
 
 def _reconstructed_forces(space, n: int, gamma_sf: dict) -> list:
@@ -1100,14 +1111,15 @@ def sode_sufficiency_check(scen: Scenario,
     delta = scen.fields.get("Delta") or dilation_field(space, n)
     hs = [scen.fields[f"H{a}"] for a in range(1, n + 1)]
 
+    # both verdicts decide what follows, so they fold at once
     a_tracker = DevTracker()
     for h in hs:
-        a_tracker.track(pts, scen.nabla(h, delta))
+        a_tracker.track_now(pts, scen.nabla(h, delta))
     b_tracker = DevTracker()
     for i in range(n):
         for j in range(i + 1, n):
-            b_tracker.track(pts,
-                            scen.conn.p_h(torsion(scen.nabla, hs[i], hs[j])))
+            b_tracker.track_now(pts, scen.conn.p_h(
+                torsion(scen.nabla, hs[i], hs[j])))
 
     tol = cfg.tolerance
     records = [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ehresmann.expr import EvalDomainError
@@ -21,8 +22,8 @@ class _Fixed:
     def __init__(self, comps):
         self.comps = comps
 
-    def values(self, points):
-        return [self.comps for _ in points]
+    def rows(self, points):
+        return np.array([self.comps for _ in points])
 
 
 def _point(*values):

@@ -22,8 +22,9 @@ from ehresmann import scenarios as sc
 from ehresmann.cli import load_scenario_file, main
 from ehresmann.covderiv import CovDeriv, nabla_of_endo, op_field, torsion
 from ehresmann.geometry import (
-    CheckConfig, CovectorField, Endo11, FieldStack, FrameSolver,
-    GeometryError, PointSetKey, ScalarField, VectorField, _Field,
+    CheckConfig, CovectorField, DepthBudgetError, Endo11, FieldStack,
+    FrameSolver, GeometryError, Plan, PointSetKey, ScalarField,
+    VectorField, _Field,
     annihilation, directional, lie_bracket, pairing, vf_add, vf_scale,
     vf_sub,
 )
@@ -1287,3 +1288,96 @@ def test_eval_query_reads_its_point_twice_and_the_solver_keeps_one(
     assert solver._cache
     assert {key[0] for key in solver._cache} == {
         PointSetKey([points[1].values])}
+
+
+# ---------------------------------------------------------------------------
+# a verification plans its folds and frees each entry at its last read
+# ---------------------------------------------------------------------------
+
+
+def _nbytes(hit) -> int:
+    return np.asarray(getattr(hit, "a", hit)).nbytes
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_a_run_frees_what_it_stores(name, monkeypatch):
+    """When ``run_scenario_checks`` returns, no entry that the run itself
+    stored is left; on frame3 at 10 samples, the live bytes of those
+    entries peak at no more than half of all the bytes the run stores."""
+    cfg = CheckConfig(samples=10) if name == "frame3" else CheckConfig()
+    scen = _stack_scenario(name, cfg)
+    envs, stored = [], {}     # id(cache) -> (cache, {key: bytes})
+    tally = {"live": 0, "peak": 0, "total": 0}
+
+    def before(field, env):
+        envs.append((env.key, env.key in field._cache))
+
+    def after(field):
+        key, had = envs.pop()
+        cache = field._cache
+        mine = stored.setdefault(id(cache), (cache, {}))[1]
+        for k in [k for k in mine if k not in cache]:
+            tally["live"] -= mine.pop(k)
+        if not had and key in cache and key not in mine:
+            mine[key] = _nbytes(cache[key])
+            tally["live"] += mine[key]
+            tally["total"] += mine[key]
+            tally["peak"] = max(tally["peak"], tally["live"])
+
+    _wrap_at(monkeypatch, before, after)
+    sc.run_scenario_checks(scen, cfg)
+    assert tally["total"]
+    left = [k for cache, mine in stored.values() for k in mine if k in cache]
+    assert left == []
+    if name == "frame3":
+        assert tally["peak"] <= tally["total"] / 2, tally
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_each_check_on_its_own_gives_the_records_of_the_plan(name):
+    """The families, then the extra checks, each called on its own (each
+    folds at once), give the records that ``run_scenario_checks`` (one
+    plan) gives, on fresh builds."""
+    families = (sc.expected_table_checks, sc.axiom_suite_checks,
+                sc.split_identity_checks, sc.torsion_curvature_checks,
+                sc.torsion_property_checks, sc.parallel_tensor_checks,
+                sc.parallelism_equivalence_checks)
+    scen = _stack_scenario(name)
+    alone = [r for fam in families for r in fam(scen, STACK_CFG)]
+    alone += [r for extra in scen.extra_checks for r in extra(STACK_CFG)]
+    planned = sc.run_scenario_checks(_stack_scenario(name), STACK_CFG)
+    assert [r.as_dict() for r in alone] == [r.as_dict() for r in planned]
+
+
+def test_a_deviation_read_before_its_fold_ran_raises():
+    """Inside a plan a tracker registers its fold: its ``max_dev`` and
+    ``worst_point`` raise, and its record fails, until the plan has run;
+    then they read as the fold at once gives them."""
+    scen = trivial_r3(STACK_CFG)
+    pts = scen.space.sample_points(STACK_CFG)
+    field = vf_sub(scen.fields["H1"], scen.fields["V"])
+    want = DevTracker().track(pts, field)
+    with Plan():
+        tracker = DevTracker().track(pts, field)
+        with pytest.raises(RuntimeError):
+            tracker.max_dev
+        with pytest.raises(RuntimeError):
+            tracker.worst_point
+        rec = tracker.record("id", "ref", 1e-8)
+        assert math.isnan(rec.max_dev) and not rec.passed
+    assert (tracker.max_dev, tracker.worst_point) == (want.max_dev,
+                                                      want.worst_point)
+    assert rec.as_dict() == want.record("id", "ref", 1e-8).as_dict()
+
+
+def test_an_error_while_collecting_comes_after_the_folds_before_it():
+    """The sufficiency check of sode-tangent folds its two conditions at
+    once, while the plan collects; at depth 1 that evaluation raises, but
+    the expected table, registered before it, raises first, as checks run
+    in order do."""
+    cfg = CheckConfig(samples=4, depth=1)
+    want = raised(lambda: sc.expected_table_checks(
+        sc.build_scenario("sode-tangent", cfg), cfg))
+    assert want == (DepthBudgetError, str(DepthBudgetError("∇_V1(V1)", 2, 1)))
+    assert raised(lambda: sc.run_scenario_checks(
+        sc.build_scenario("sode-tangent", cfg), cfg)) == want
