@@ -3,6 +3,9 @@
 Each file under ``tests/golden`` is the output of one command:
 
     verify-<name>.json          ehresmann verify <name> --samples 4 --format json
+    verify-<name>-s3-seed7-d2.json
+                                ehresmann verify <name> --samples 3 --seed 7
+                                    --depth 2 --format json
     describe-<name>.txt         ehresmann describe <name>
     list.json                   ehresmann list --format json
     eval-<scenario>-<op>.json   ehresmann eval <scenario> <op> <args>
@@ -54,6 +57,13 @@ def test_verify_json_matches_golden(name, capsys):
     out = _output(["verify", name, "--samples", "4", "--format", "json"],
                   capsys)
     assert out == (GOLDEN / f"verify-{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_BUILDERS))
+def test_verify_json_second_config_matches_golden(name, capsys):
+    out = _output(["verify", name, "--samples", "3", "--seed", "7",
+                   "--depth", "2", "--format", "json"], capsys)
+    assert out == (GOLDEN / f"verify-{name}-s3-seed7-d2.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_BUILDERS))
