@@ -189,15 +189,13 @@ def canonical_endos(conn: EhresmannConnection, blocks,
         f for b in blocks for f in b.fields)
     solver = conn.solver if fields == conn.solver.fields \
         else FrameSolver(space, fields)
-    covs = solver.coframe()
-    k_covs = covs[:r]
 
     s_names, q_names, (s_tot_name, q_tot_name) = _endo_labels(
         orientation, len(blocks))
     scale = 1.0 / math.sqrt(len(blocks))
 
     s_endos, q_endos = [], []
-    s_terms_all, q_terms_all = [], []
+    s_images_all, q_images_all = [], []
     offset = r
     for a, block in enumerate(blocks):
         mat = pairings[a]
@@ -227,17 +225,19 @@ def canonical_endos(conn: EhresmannConnection, blocks,
                          [minv[b][c] for b in range(r)],
                          f"{q_names[a]}.e{c + 1}")
                 for c in range(r)]
-        block_covs = covs[offset:offset + r]
-        s_terms = [(block_covs[b], k_images[b]) for b in range(r)]
-        q_terms = [(k_covs[c], block_images[c]) for c in range(r)]
-        s_endos.append(Endo11.from_terms(space, s_terms, s_names[a]))
-        q_endos.append(Endo11.from_terms(space, q_terms, q_names[a]))
-        s_terms_all.extend((w, vf_scale(scale, e)) for w, e in s_terms)
-        q_terms_all.extend((w, vf_scale(scale, e)) for w, e in q_terms)
+        # S_a = sum_b w^(block b) ⊗ k_b, Q_a = sum_c w^(k c) ⊗ block_c
+        s_endos.append(Endo11.from_sides(space, solver.coframe_rows(
+            range(offset, offset + r)), k_images, s_names[a]))
+        q_endos.append(Endo11.from_sides(space, solver.coframe_rows(
+            range(r)), block_images, q_names[a]))
+        s_images_all += [vf_scale(scale, e) for e in k_images]
+        q_images_all += [vf_scale(scale, e) for e in block_images]
         offset += r
 
-    s_total = Endo11.from_terms(space, s_terms_all, s_tot_name)
-    q_total = Endo11.from_terms(space, q_terms_all, q_tot_name)
+    s_total = Endo11.from_sides(space, solver.coframe_rows(range(r, offset)),
+                                s_images_all, s_tot_name)
+    q_total = Endo11.from_sides(space, solver.coframe_rows(
+        list(range(r)) * len(blocks)), q_images_all, q_tot_name)
     p_k = projector_from_solver(solver, range(r), "P_K")
     p_blocks = []
     offset = r

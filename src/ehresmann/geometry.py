@@ -25,9 +25,9 @@ twice.  A field counts the reads of it in the rules of other fields (each
 constructor passes the fields its rule reads as ``operands``, which the
 field keeps), and a field read exactly once stores nothing: it is
 evaluated only inside its one reader.
-Memo outputs and frame solves, handed to many callers, always store; an
-application to a field that no caller can pass again (``Endo11.once``, on
-the brackets the derivative engine builds) is no memo output, and a
+Memo outputs, frame solves and tensor sides, handed to many callers,
+always store; an application to a field no caller can pass again
+(``Endo11.once``, on the engine's brackets) is no memo output, and a
 check's root, read once by its fold (``DevTracker.track``), stores nothing.
 Frame solves and frame coefficients are fields too, contracted by the same
 kernel as every projector, :func:`_contract`.
@@ -678,20 +678,21 @@ def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _stacked(members) -> VectorField:
-    """One field whose components are the members' batches stacked on a
-    leading member axis, ``(F, n, P) + slots``; the members share a cost."""
+def _stacked(members, cls=VectorField):
+    """One field of type ``cls`` whose components are the members' batches
+    stacked on a leading member axis, ``(F, n, P) + slots``, each at the
+    depth left by the costliest member."""
     head = members[0]
     for m in members:
         _check_space(head, m)
+    cost = max(m.cost for m in members)
 
     def fn(env):
-        comps = [m.at(env) for m in members]
+        comps = [_comps_at(m, env, env.depth - cost) for m in members]
         return comps[0]._new(np.stack([c.a for c in comps]))
 
-    return VectorField(head.space, fn, head.cost,
-                       "{" + ",".join(m.name for m in members) + "}",
-                       members)
+    return cls(head.space, fn, cost,
+               "{" + ",".join(m.name for m in members) + "}", members)
 
 
 class FieldStack:
@@ -940,9 +941,9 @@ class FrameSolver:
     solve"`` of cost :attr:`cost` that gates the frame and inverts it, so
     it caches the inverses of one point set under the one caching rule;
     ``_cache`` is its cache and :meth:`inverse` its ``at``.  Everything built
-    over the frame reads that inverse through the one shared
-    :meth:`coframe`, and :meth:`coefficients` contracts its values with
-    :func:`_contract`, as every projector does.
+    over the frame reads that inverse through fields over the solve, and
+    :meth:`coefficients` contracts its values with :func:`_contract`, as
+    every projector does.
     """
 
     def __init__(self, space, fields):
@@ -993,10 +994,23 @@ class FrameSolver:
                              f"{self.fields[i].name}*", (self._solve,))
 
     def coframe(self) -> tuple:
-        """The covectors dual to the solver fields, w^i(e_j) = delta^i_j,
-        each read off one row of the shared inverse.  Built once, so every
-        projector and endomorphism over this solver shares their caches."""
+        """The covectors dual to the solver fields, rows of the inverse."""
         return self._coframe
+
+    def coframe_rows(self, indices) -> CovectorField:
+        """The covectors of :meth:`coframe` at ``indices`` as one block,
+        ``(R, n, P) + slots``: a view of the inverse, ``inverse.a[lo:hi]``,
+        for a contiguous run of rows, else a copy of the rows."""
+        indices = list(indices)
+        lo, hi = indices[0], indices[0] + len(indices)
+        rows = slice(lo, hi) if indices == list(range(lo, hi)) else indices
+
+        def fn(env):
+            inv = self.inverse(env)
+            return inv._new(inv.a[rows])
+
+        return CovectorField(self.space, fn, self.cost, "{" + ",".join(
+            self._coframe[i].name for i in indices) + "}", (self._solve,))
 
     def coefficient_field(self, X: VectorField) -> VectorField:
         """X's frame coefficients, named after X, at cost ``max(X.cost,
@@ -1059,7 +1073,7 @@ class Endo11:
     """A (1,1)-tensor as a rule sending vector fields to vector fields.
 
     Every projector and endomorphism pair is a sum of coframe covectors
-    tensored with frame fields, built by :meth:`from_terms`; the other
+    tensored with frame fields, built by :meth:`from_sides`; the other
     constructors combine such tensors.  All of them produce function-linear
     actions; the test suite verifies that property by sampling.
     Applications are memoized per argument instance, so repeated formula
@@ -1071,13 +1085,14 @@ class Endo11:
     nothing when exactly one field reads it.
     """
 
-    __slots__ = ("space", "name", "_apply", "_memo")
+    __slots__ = ("space", "name", "_apply", "_memo", "sides")
 
-    def __init__(self, space, apply_fn, name):
+    def __init__(self, space, apply_fn, name, sides=()):
         self.space = space
         self._apply = apply_fn
         self.name = name
         self._memo = {}
+        self.sides = sides
 
     def __call__(self, X: VectorField) -> VectorField:
         out = self._memo.get(X)
@@ -1101,31 +1116,37 @@ class Endo11:
 
     @staticmethod
     def from_terms(space, terms, name):
-        """Sum of (covector ⊗ vector field) terms: each component of the
-        image is the left fold from ``0.0`` of ``w(X) * e``.  Every
-        pairing, and then every component, folds at once over the point
-        set.  Every application reads every term, and applications are
-        built one at a time, so the term fields are shared."""
-        terms = tuple(terms)
-        for term in terms:
-            for f in term:
-                f.share()
+        """:meth:`from_sides` over (covector, vector field) pairs."""
+        covectors, fields = zip(*terms)
+        return Endo11.from_sides(space, _stacked(covectors, CovectorField),
+                                 fields, name)
+
+    @staticmethod
+    def from_sides(space, coframe: CovectorField, fields, name):
+        """Sum of ``w^r ⊗ e_r`` over the rows of the covector block
+        ``coframe`` and the ``fields``, stacked in one frame block.  The
+        blocks are the tensor's ``sides``, shared (applications are built
+        one at a time), so each is evaluated once per (point set, depth).
+        An application reads its argument and the sides alone, and folds
+        every ``w^r(X)``, then every component of the image (the left fold
+        from ``0.0`` of ``w^r(X) * e_r``), in one :func:`_contract` each."""
+        coframe.share()
+        frames = _stacked(tuple(fields)).share()
 
         def apply_fn(X):
-            cost = max([X.cost] + [max(w.cost, e.cost) for w, e in terms])
+            cost = max(X.cost, coframe.cost, frames.cost)
 
             def fn(env):
                 t = env.depth - cost
                 xs = _comps_at(X, env, t)
-                ws = np.stack([_comps_at(w, env, t).a for w, _ in terms])
-                es = np.stack([_comps_at(e, env, t).a for _, e in terms],
-                              axis=1)
+                ws = _comps_at(coframe, env, t).a
+                es = _comps_at(frames, env, t).a.swapaxes(0, 1)
                 return _contract(es, _contract(ws, xs))
 
             return VectorField(space, fn, cost, f"{name}({X.name})",
-                               (X,) + tuple(f for term in terms for f in term))
+                               (X, coframe, frames))
 
-        return Endo11(space, apply_fn, name)
+        return Endo11(space, apply_fn, name, (coframe, frames))
 
 
 def endo_add(A: Endo11, B: Endo11, name=None) -> Endo11:
@@ -1157,9 +1178,8 @@ def lie_derivative_endo(G: VectorField, T: Endo11, name=None) -> Endo11:
 def projector_from_solver(solver: FrameSolver, indices, name) -> Endo11:
     """Projector onto the span of the indexed solver fields, along the rest:
     the sum of ``w^i ⊗ e_i`` over the indices."""
-    coframe = solver.coframe()
-    return Endo11.from_terms(
-        solver.space, [(coframe[i], solver.fields[i]) for i in indices], name)
+    return Endo11.from_sides(solver.space, solver.coframe_rows(indices),
+                             [solver.fields[i] for i in indices], name)
 
 
 def projector_from_split(target: Frame, rest, name=None) -> Endo11:

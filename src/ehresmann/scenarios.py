@@ -198,14 +198,14 @@ class Scenario:
     def coefficients(self, vf: VectorField, point) -> dict:
         """Frame coefficients of ``vf`` at a point, by solver field name;
         at a point set, one dict per point.  The inverse comes from the env
-        that gives vf's components, so a field built through the solver's
-        projectors brings its solve along; only a field cheaper than the
-        solver has its components read at depth 0 and the solve seeded on
-        its own.  The expected table reads ``solver.coefficient_field``."""
+        of vf's components if vf's tree reads the frame solve (a field
+        built through the solver's projectors) or vf costs what the solver
+        does, else from its own seeded at ``solver.cost``.  The expected
+        table reads ``solver.coefficient_field``."""
         env = self.space.seed_env(point, vf.cost, vf.name)
         with np.errstate(all="ignore"):
             comps = vf.at(env)
-        if vf.cost < self.solver.cost:
+        if vf.cost != self.solver.cost and not _reads(vf, self.solver._solve):
             env = self.space.seed_env(point, self.solver.cost, "frame solve")
         rows = self.solver.coefficients(env, comps)
         named = [self._named(c) for c in rows]
@@ -216,6 +216,16 @@ class Scenario:
         for j in range(len(self.solver.fields), self.space.ambient_dim):
             out[f"offspan{j}"] = coefs[j]
         return out
+
+
+def _reads(field, target) -> bool:
+    """Whether ``target`` is among the operands of ``field``'s tree."""
+    seen, todo = set(), [field]
+    while todo and target not in seen:
+        f = todo.pop()
+        todo += () if f in seen else f.operands
+        seen.add(f)
+    return target in seen
 
 
 def _table_row(scen: Scenario, row: ExpectedRow, coef: VectorField,

@@ -458,6 +458,35 @@ def test_projector_laws_idempotent_and_partition(tangent_affine):
         assert max(abs(a - b) for a, b in zip(total, X.values(p))) < 1e-10
 
 
+def test_an_application_reads_its_argument_and_the_two_side_fields(
+        tangent_affine, monkeypatch):
+    """P_H(X) reads X, P_H's covector block and its frame block, nothing
+    else.  The covector block of a run of coframe rows is a view of the
+    solver's inverse, of any other rows a copy; once the blocks are held,
+    a further application over the same points stacks nothing."""
+    space, h1, h2, v1, v2 = tangent_affine
+    solver = FrameSolver(space, (v1, v2, h1, h2))
+    ph = geo.projector_from_solver(solver, (2, 3), "P_H")
+    X = VectorField.from_exprs(space, ["u1", "x2*x1", "1", "u2*u2"], "X")
+    Y = VectorField.from_exprs(space, ["x1", "u2", "0", "x2"], "Y")
+    coframe, frames = ph.sides
+    assert ph(X).operands == (X, coframe, frames)
+    assert type(coframe) is CovectorField and type(frames) is VectorField
+    assert frames.operands == (h1, h2)
+    env = space.seed_env(space.sample_points(CFG), 2)
+    ph(X).at(env)
+    inv = solver.inverse(env)
+    assert np.shares_memory(coframe.at(env).a, inv.a)
+    assert coframe.at(env).a.tobytes() == inv.a[2:4].tobytes()
+    rows = solver.coframe_rows((1, 0, 1)).at(env)
+    assert not np.shares_memory(rows.a, inv.a)
+    assert rows.a.tobytes() == inv.a[[1, 0, 1]].tobytes()
+    stacks = []
+    monkeypatch.setattr(np, "stack", lambda *a, **k: stacks.append(a))
+    ph(Y).at(env)
+    assert stacks == []
+
+
 # ---------------------------------------------------------------------------
 # endomorphism algebra
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 
 from ehresmann import covderiv
 from ehresmann import expr as ex
+from ehresmann import geometry as geo
 from ehresmann import scenarios as sc
 from ehresmann.cli import load_scenario_file, main
 from ehresmann.covderiv import CovDeriv, nabla_of_endo, op_field, torsion
@@ -993,15 +994,56 @@ def test_nothing_is_computed_twice_and_one_reader_fields_store_nothing(
     assert stored == []
 
 
-def _memos(scen) -> list:
-    """The memo of every ``Endo11`` that the split or the connection holds,
-    alone or in a tuple."""
+def _endos(scen) -> list:
+    """Every ``Endo11`` that the split or the connection holds, alone or in
+    a tuple, once."""
     endos = []
     for obj in (scen.split, scen.conn):
         for v in vars(obj).values():
             endos += [e for e in (v if isinstance(v, tuple) else (v,))
                       if isinstance(e, Endo11)]
-    return [e._memo for e in dict.fromkeys(endos)]
+    return list(dict.fromkeys(endos))
+
+
+def _memos(scen) -> list:
+    """The memo of every ``Endo11`` that the split or the connection
+    holds."""
+    return [e._memo for e in _endos(scen)]
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_side_fields_are_computed_once_and_freed_by_the_run(
+        name, monkeypatch):
+    """Every tensor of the split and the connection has two side fields,
+    its covector block and its frame block.  Over a build and its checks
+    no side field is computed twice for one ``env.key``, and when
+    ``run_scenario_checks`` returns no side field keeps an entry that the
+    run stored."""
+    computed, envs, stored = collections.Counter(), [], []
+
+    def before(field, env):
+        had = env.key in field._cache
+        computed[field, env.key] += not had
+        envs.append((env.key, had))
+
+    def after(field):
+        key, had = envs.pop()
+        if not had and key in field._cache:
+            stored.append((field, key))
+
+    _wrap_at(monkeypatch, before, after)
+    scen = _stack_scenario(name)
+    endos = _endos(scen)
+    assert endos and all(len(e.sides) == 2 for e in endos)
+    sides = {f for e in endos for f in e.sides}
+    stored.clear()
+    sc.run_scenario_checks(scen, STACK_CFG)
+    assert any(f in sides for f, _ in computed)
+    twice = [(f.name, n) for (f, _), n in computed.items()
+             if f in sides and n > 1]
+    assert twice == []
+    left = [f.name for f, key in stored if f in sides and key in f._cache]
+    assert left == []
 
 
 @pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
@@ -1331,6 +1373,47 @@ def test_a_run_frees_what_it_stores(name, monkeypatch):
     assert left == []
     if name == "frame3":
         assert tally["peak"] <= tally["total"] / 2, tally
+
+
+def _poison(field, target, slot: bool):
+    """Make ``field``'s first component NaN at the point ``target``: its
+    value, or with ``slot`` its first first-order slot, where it has one."""
+    fn = field._fn
+
+    def poisoned(env):
+        comps = geo._comps_as_depth(fn(env), env.depth - field.cost, env)
+        if target not in env.points or slot and not comps.depth:
+            return comps
+        a = comps.a.copy()
+        at = (0, env.points.index(target))
+        if slot:
+            at += (1,) + (0,) * (comps.depth - 1)
+        a[at] = math.nan
+        return comps._new(a)
+
+    field._fn = poisoned
+
+
+@pytest.mark.parametrize("slot", [False, True], ids=["value", "slot"])
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_a_nan_frame_component_at_one_point_never_passes(name, slot):
+    """A NaN in one component of a frame field at one sample point ends as
+    a ``GeometryError`` that names the point (``verify`` exits 2) or as a
+    failing record whose worst point is that point, never as a pass: no
+    record with a NaN deviation passes.  The run draws points the build
+    did not evaluate."""
+    scen = _stack_scenario(name)
+    cfg = CheckConfig(seed=11, samples=3)
+    target = scen.space.sample_points(cfg)[1].values
+    _poison(scen.frame_fields()[0], target, slot)
+    try:
+        records = sc.run_scenario_checks(scen, cfg)
+    except GeometryError as err:
+        assert str(target) in str(err)
+        return
+    assert any(not r.passed and r.worst_point == target for r in records)
+    assert not [r.check_id for r in records
+                if r.passed and not r.max_dev == r.max_dev]
 
 
 @pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
