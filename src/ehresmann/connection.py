@@ -5,8 +5,8 @@ chart, with the two projectors built from a shared pointwise solve.  A split
 structure refines one side into equal-rank blocks and carries the canonical
 endomorphism pairs between each block and the opposite distribution; all the
 algebraic identities the derivative formulas rely on are checked at
-construction time by :func:`validate_split`, which returns one
-``CheckRecord`` per identity, and construction fails when one fails.
+construction time by :func:`validate_split`, which folds the checks of
+:func:`split_checks` at once, and construction fails when one fails.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import numpy as np
 from .geometry import (
     CheckConfig, DEFAULT_CHECK, Endo11, FRAME_DEGENERACY_RATIO, FieldStack,
     Frame, FrameSolver, GeometryError, VectorField, _invert_points,
-    frame_ratio, projector_from_solver, validate_frame, validate_tangent,
-    vf_add, vf_scale, vf_sub,
+    frame_ratio, projector_from_solver, run_checks, validate_frame,
+    validate_tangent, vf_add, vf_scale, vf_sub,
 )
 from .jets import JetBatch
-from .report import DevTracker, max_abs
+from .report import Check, DevTracker, max_abs
 
 SPLIT_IDENTITY_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
@@ -271,38 +271,43 @@ def _combine(space, fields, coefficients, name) -> VectorField:
 
 def validate_split(split: SplitStructure,
                    cfg: CheckConfig = DEFAULT_CHECK) -> list:
-    """One record per endomorphism-pair identity, checked at sampled points.
+    """The records of :func:`split_checks`, folded at once."""
+    return run_checks(split_checks(split, cfg), at_once=True)
+
+
+def split_checks(split: SplitStructure,
+                 cfg: CheckConfig = DEFAULT_CHECK) -> list:
+    """One check per endomorphism-pair identity, at sampled points.
 
     The aggregate identity s_total . q_total = P_K is what the 1/sqrt(N)
     normalization exists for, so that is asserted directly; no per-term
     property of the scaling is claimed.
     """
     pts = split.space.sample_points(cfg)
-    records = []
-    reference = "endomorphism pair identities"
+    checks = []
 
-    def run(check_id, field_for_probe, probes=split.all_fields):
-        tracker = DevTracker()
+    def add(check_id, field_for_probe, probes=split.all_fields):
+        check = Check(check_id, "endomorphism pair identities",
+                      SPLIT_IDENTITY_TOL)
         for X in probes:
-            tracker.track(pts, field_for_probe(X))
-        records.append(tracker.record(check_id, reference,
-                                      SPLIT_IDENTITY_TOL))
+            check.track(pts, field_for_probe(X))
+        checks.append(check)
 
     n = split.n
     for a in range(n):
         s_a, q_a, p_a = split.s_endos[a], split.q_endos[a], split.p_blocks[a]
-        run(f"split:{q_a.name}∘{s_a.name}=P_block{a + 1}",
+        add(f"split:{q_a.name}∘{s_a.name}=P_block{a + 1}",
             lambda X, s=s_a, q=q_a, pb=p_a: vf_sub(q(s(X)), pb(X)))
-        run(f"split:{s_a.name}∘{q_a.name}=P_K",
+        add(f"split:{s_a.name}∘{q_a.name}=P_K",
             lambda X, s=s_a, q=q_a: vf_sub(s(q(X)), split.p_k(X)))
         for b in range(n):
             if b != a:
-                run(f"split:{split.s_endos[a].name}∘{split.q_endos[b].name}=0",
+                add(f"split:{split.s_endos[a].name}∘{split.q_endos[b].name}=0",
                     lambda X, s=split.s_endos[a], q=split.q_endos[b]: s(q(X)))
         # kernel: fields outside block a are annihilated by s_endos[a]
         outside = list(split.k.fields) + [
             f for bb in range(n) if bb != a for f in split.blocks[bb].fields]
-        run(f"split:ker({s_a.name})⊇complement", s_a, outside)
-    run("split:aggregate S∘Q=P_K",
+        add(f"split:ker({s_a.name})⊇complement", s_a, outside)
+    add("split:aggregate S∘Q=P_K",
         lambda X: vf_sub(split.s_total(split.q_total(X)), split.p_k(X)))
-    return records
+    return checks

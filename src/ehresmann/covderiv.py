@@ -10,7 +10,8 @@ reuses the identical code path.
 
 Derived operators: torsion, the curvature of the underlying connection, and
 the derivative of a (1,1)-tensor, plus the projector-parallelism equivalence
-check used as a cross-validation of the glue, which returns its records.
+check used as a cross-validation of the glue, a check family: called, it
+returns its records.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .connection import (
 )
 from .geometry import (
     CheckConfig, DEFAULT_CHECK, Endo11, FieldStack, Frame, GeometryError,
-    VectorField, lie_bracket, vf_add, vf_sub,
+    VectorField, family, lie_bracket, run_checks, vf_add, vf_sub,
 )
-from .report import DevTracker, deferred
+from .report import Check, DevTracker
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -251,46 +252,46 @@ def op_field(conn: EhresmannConnection, nabla: CovDeriv, op: str,
 # ---------------------------------------------------------------------------
 
 
+@family
 def check_parallelism_equivalence(nabla: CovDeriv, b_index: int,
-                probes: FieldStack, cfg: CheckConfig = DEFAULT_CHECK
-                ) -> list:
+                probes: FieldStack, cfg: CheckConfig = DEFAULT_CHECK):
     """Both sides of the equivalence over every pair of ``probes.fields``:
     nabla P_B = 0 iff every block rule keeps its values inside its own
-    image.  Three records, ``parallelism:<P_B>:nabla-p``,
+    image.  Three checks, ``parallelism:<P_B>:nabla-p``,
     ``:image-stability`` and ``:equivalence`` (both sides pass or both
-    fail).  Side A evaluates ``(nabla_X P_B)`` once per probe X over the
-    stacked probes.  The image set is selected at once, since it decides
-    which side-B fields are built; the records are completed when the
-    folds of both sides have run."""
+    fail); a failing side names its worst point.  Side A evaluates
+    ``(nabla_X P_B)`` once per probe X over the stacked probes.  The image
+    set decides which side-B fields are built, so it is selected at once,
+    after side A is yielded: an error there comes after side A's."""
     if not nabla.parts:
         raise CovDerivError("operator carries no glued parts to check")
     p_b, ext_b = nabla.parts[b_index]
     pts = nabla.space.sample_points(cfg)
     probe_fields = probes.fields
+    tol = cfg.tolerance
+    prefix = f"parallelism:{p_b.name}"
 
-    side_a = DevTracker()
+    side_a = Check(f"{prefix}:nabla-p", "projector parallelism", tol,
+                   quiet=True)
     for X in probe_fields:
         probes.track(side_a, pts, probe_fields,
                      partial(nabla_of_endo, nabla, p_b, X))
+    yield side_a
 
     # a probe enters the image set unless its projection vanishes at every
     # sample point
-    image_fields = [pf for pf in map(p_b, probe_fields)
-                    if not DevTracker().track_now(pts, pf).max_dev <= 1e-8]
+    images = list(map(p_b, probe_fields))
+    image_fields = [pf for pf, r in zip(images, run_checks(
+        [Check(pf.name, "", 0.0).track(pts, pf) for pf in images],
+        at_once=True)) if not r.max_dev <= 1e-8]
 
-    side_b = DevTracker()
+    side_b = Check(f"{prefix}:image-stability",
+                   "block rules stay in their image", tol, quiet=True)
     for X in image_fields:
         for Y in image_fields:
             z = ext_b(X, Y)
             side_b.track(pts, vf_sub(z, p_b(z)))
-
-    tol = cfg.tolerance
-    prefix = f"parallelism:{p_b.name}"
-    a = deferred(f"{prefix}:nabla-p", "projector parallelism", tol,
-                 lambda: (side_a.max_dev, None))
-    b = deferred(f"{prefix}:image-stability",
-                 "block rules stay in their image", tol,
-                 lambda: (side_b.max_dev, None))
-    return [a, b, deferred(f"{prefix}:equivalence", "both sides agree", 0.5,
-                           lambda: (0.0 if a.passed == b.passed else 1.0,
-                                    None))]
+    yield side_b
+    yield Check(f"{prefix}:equivalence", "both sides agree", 0.5,
+                derive=lambda: 0.0 if side_a.record.passed
+                == side_b.record.passed else 1.0)

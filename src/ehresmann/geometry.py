@@ -8,42 +8,30 @@ through constraint gradients, Lie derivatives) consume derivative levels;
 each field records that consumption as its ``cost``, and evaluation fails
 loudly when the available depth cannot cover it, naming the operation chain.
 
-The evaluation contract: an environment is an :class:`Env`, the space's
-coordinate functions seeded as jets over a point set
-(``ChartedSpace.seed_env``).  Under that contract the first-order slots of
-any evaluated component are its coordinate derivatives at each point, which
-is what brackets and Lie derivatives read.  An ``Env`` carries its seeded
-``depth`` and its memo ``key``, ``(point values, depth)``: equal keys mean
-bit-equal inputs, so every cache keys on it.  The one caching rule: a
-field caches its own evaluation under ``env.key``, at depth ``env.depth -
-cost``, and nothing else; a truncation below that depth is a view of that
-entry (:func:`jets.truncate` selects slots) and is not stored.  A field
-keeps the entries of one point set, the last it stored over: a session of
-queries at fresh points holds one point's entries per field, and a
-verification, which evaluates its sample set alone, computes nothing
-twice.  A field counts the reads of it in the rules of other fields (each
-constructor passes the fields its rule reads as ``operands``, which the
-field keeps), and a field read exactly once stores nothing: it is
-evaluated only inside its one reader.
-Memo outputs, frame solves and tensor sides, handed to many callers,
-always store; an application to a field no caller can pass again
-(``Endo11.once``, on the engine's brackets) is no memo output, and a
-check's root, read once by its fold (``DevTracker.track``), stores nothing.
-Frame solves and frame coefficients are fields too, contracted by the same
+An environment is an :class:`Env`, the space's coordinate functions seeded
+as jets over a point set (``ChartedSpace.seed_env``), so the first-order
+slots of any evaluated component are its coordinate derivatives at each
+point, which is what brackets and Lie derivatives read.  An ``Env``
+carries its seeded ``depth`` and its memo ``key``, ``(point values,
+depth)``: equal keys mean bit-equal inputs, so every cache keys on it.  A
+field caches its own evaluation under ``env.key`` at depth ``env.depth -
+cost``, keeps the entries of the last point set it stored over, and
+stores nothing when exactly one field reads it (:class:`_Field`).  Frame
+solves and frame coefficients are fields too, contracted by the same
 kernel as every projector, :func:`_contract`.
 
-That rule holds outside a plan: for eval queries, a build's own checks,
-and a check called on its own.  A verification run is one :class:`Plan`:
-its checks register their folds, a walk over the operands counts the reads
-the run will make of each (field, env depth), and the folds then run in
-order, each evaluation stored only while reads of it remain and dropped at
-its last read, so no entry the run stored outlives it.
+That rule holds for eval queries and a build's own checks.  What a
+verification asserts is a list of :class:`report.Check` values, which
+evaluate nothing until one runner, :func:`run_checks`, folds them: it
+counts the reads the run will make of each (field, env depth), and each
+evaluation is stored only while reads of it remain, so no entry the run
+stored outlives it.
 
 A :class:`FieldStack` puts fields of one ``cost`` on a leading member
 axis, ``(F, n, P) + slots``: a tree of the field algebra over a stacked
 field evaluates every member at once, with the bits each member gets
-alone, as a point set does for its points; every check on that axis
-folds through ``FieldStack.track``.
+alone, as a point set does for its points; a check reads that axis
+through ``FieldStack.track``.
 
 Embedded spaces (constraint expressions ``c_k = 0``) keep all fields in
 ambient coordinates.  Pointwise frame solves append the constraint gradients
@@ -52,14 +40,13 @@ vectors come out of one partial-pivot elimination over the point set.
 The scalar jets of :mod:`jets` take no part here: they are the reference
 algebra the tests hold these kernels to.
 """
-
 from __future__ import annotations
 
 import math
 import operator
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
+from functools import partial, reduce, wraps
 
 import numpy as np
 
@@ -287,9 +274,9 @@ class Env(dict):
 
     ``depth`` is the seeded depth, ``points`` the point values and ``key``
     is ``(points, depth)``, the memo key of every evaluation in this
-    environment.  ``live`` is ``None``, except in an env that a
-    :class:`Plan` seeds: there it maps each field to the reads of it that
-    the plan has still to make.
+    environment.  ``live`` is ``None``, except in an env that
+    :func:`run_checks` seeds: there it maps each field to the reads of it
+    that the run has still to make.
     """
 
     __slots__ = ("depth", "key", "points", "live")
@@ -364,33 +351,23 @@ class _Field:
     """A rule ``_fn(env)`` that consumes ``cost`` derivative levels.
 
     ``operands`` are the fields the rule reads, one entry per read, kept
-    for a plan's walk; each adds one to that field's ``readers``.  The one
-    caching rule: an evaluation is normalized to depth ``env.depth - cost``
-    and memoized under ``env.key``, unless the field has exactly one
-    reader.  Such a field is evaluated only inside its reader's
-    evaluation, which stores or is itself evaluated once, so storing it
-    would keep a batch that is never read again.  A field nothing reads
-    stores (``values`` or ``Scenario.coefficients`` evaluates it).
-    Readers are counted as they are built, so a field that callers outside
-    any rule also read (a memo output, a frame solve, a coefficient table
-    that oracles read) is marked by :meth:`share` and always stores; a
-    check's fold counts its read instead (``DevTracker.track``,
-    ``FieldStack.track``).  Entries live while their point set is the last
-    one stored over: storing over another point set first empties
-    ``_cache`` in place (``FrameSolver._cache`` reads the same dict),
-    comparing point sets by value, since every ``seed_env`` makes its own
-    key.  In an env that a :class:`Plan` seeds, the plan's counts replace
-    ``readers`` and ``share()``: an evaluation stores only while reads of
-    it remain, and the entry goes at its last read.  A field marked by
-    :meth:`pin` stores there as it does outside a plan, since callers
-    outside any rule read it while the plan folds.  ``from_exprs`` serves
-    the component fields (vector and covector); ``rows`` and ``values``
-    all three, a scalar's value as its one component.  Each field type
-    binds ``at`` in its own namespace, so a profiler can wrap it per type.
+    for the runner's walk; each adds one to that field's ``readers``.  The
+    one caching rule: an evaluation is normalized to depth ``env.depth -
+    cost`` and memoized under ``env.key``, unless the field has exactly one
+    reader, inside whose evaluation alone it is read.  A field that
+    callers outside any rule also read (a memo output, a frame solve) is
+    marked by :meth:`share` and always stores; a check's fold counts its
+    read.  Storing over another point set first empties ``_cache`` in
+    place (``FrameSolver._cache`` reads the same dict).  In an env that
+    :func:`run_checks` seeds, the run's counts replace ``readers`` and
+    ``share()``: an evaluation stores only while reads of it remain.
+    ``rows`` and ``values`` serve all three field types, a scalar's value
+    as its one component; each type binds ``at`` in its own namespace, so
+    a profiler can wrap it per type.
     """
 
     __slots__ = ("space", "name", "cost", "_fn", "_cache", "readers",
-                 "shared", "pinned", "operands")
+                 "shared", "operands")
     _normalize = staticmethod(_comps_as_depth)
     _point_rows = staticmethod(lambda comps, env: _value_rows(comps))
 
@@ -402,7 +379,6 @@ class _Field:
         self._cache = _NO_ENTRIES
         self.readers = 0
         self.shared = False
-        self.pinned = False
         self.operands = tuple(operands)
         for f in self.operands:
             f.readers += 1
@@ -444,14 +420,6 @@ class _Field:
         evaluate it directly.  Returns the field."""
         self.shared = True
         return self
-
-    def pin(self):
-        """:meth:`share` this field, and keep its entries for as long as a
-        :class:`Plan` runs: callers outside any rule read it while the
-        plan folds (an expected-table oracle), and a plan counts only the
-        reads of rules.  Returns the field."""
-        self.pinned = True
-        return self.share()
 
     @classmethod
     def from_exprs(cls, space, components, name):
@@ -706,7 +674,7 @@ class FieldStack:
     built over member ``i`` alone: along the member axis every kernel
     broadcasts the same elementwise operations and folds in the same
     order.  Equal costs keep each member at the depth it has alone.
-    ``fallbacks`` counts the calls of :meth:`track` that ran per member.
+    ``fallbacks`` counts the folds of :meth:`track` that ran per member.
     """
 
     def __init__(self, fields):
@@ -719,50 +687,51 @@ class FieldStack:
                        for i, f in enumerate(m)}
         self.fallbacks = 0
 
-    def track(self, tracker: DevTracker, points, members, build):
-        """Fold ``build(Y)`` into ``tracker`` for each ``Y`` of ``members``,
-        as ``tracker.track(points, build(Y))`` in that order does, from one
-        evaluation of ``build`` per cost group of ``members``; each member
-        reads only its own rows.  When a member is not in this stack or a
-        stacked evaluation raises, that loop itself runs, so the error is
-        the one the loop raises, at the same member and point.  ``build``
-        builds a fresh root, read here alone; the read is counted, and the
-        root stores nothing.  While a plan collects, the fold is registered
-        with it, and the loop is built only if the plan's evaluation
-        raises."""
+    def track(self, check, points, members, build):
+        """Add to ``check`` the fold of ``build(Y)`` for each ``Y`` of
+        ``members``, as ``check.track(points, build(Y))`` in that order
+        would, from one fresh root per cost group, ``build(group)``, whose
+        read is counted; each member reads only its own rows.  When a
+        member is not in this stack, that loop is added instead."""
         points = list(points)
+        try:
+            where = [self._where[Y] for Y in members]
+            groups = sorted({g for g, _ in where})
+            roots = tuple(build(self.groups[g]) for g in groups)
+        except Exception:
+            self.fallbacks += 1
+            for Y in members:
+                check.track(points, build(Y))
+            return check
+        for root in roots:
+            root.readers += 1
+        check.folds.append((points, roots, partial(
+            self._fold, members, [(groups.index(g), i) for g, i in where],
+            build)))
+        return check
 
-        def per_member():
+    def _fold(self, members, where, build, tracker, points, roots, rows):
+        """The reduction of :meth:`track`: member ``i`` of root ``r`` for
+        each ``(r, i)`` of ``where``, members outer.  When an evaluation
+        raises, the per-member loop runs, so the error is the loop's."""
+        try:
+            arrays = [rows(root) for root in roots]
+        except Exception:
             self.fallbacks += 1
             for Y in members:
                 tracker.track(points, build(Y))
-
-        try:
-            where = [self._where[Y] for Y in members]
-            roots = {g: build(self.groups[g])
-                     for g in sorted({g for g, _ in where})}
-        except Exception:
-            per_member()
-            return tracker
-        for root in roots.values():
-            root.readers += 1
-
-        def consume(arrays):
-            rows = dict(zip(roots, arrays))
-            for g, i in where:
-                for p, at_point in zip(points, rows[g][:, i].tolist()):
-                    tracker.update(max_abs(at_point), p.values)
-
-        tracker.fold(points, tuple(roots.values()), consume, per_member)
-        return tracker
+            return
+        for r, i in where:
+            for p, at_point in zip(points, arrays[r][:, i].tolist()):
+                tracker.update(max_abs(at_point), p.values)
 
 
 # ---------------------------------------------------------------------------
-# plans
+# the runner
 # ---------------------------------------------------------------------------
 
-# While a plan is open: the (cache, key) of every entry stored, which the
-# plan drops when it ends.
+# While a run collects and folds: the (cache, key) of every entry stored,
+# which the run drops when it ends.
 _stored = None
 
 
@@ -779,75 +748,82 @@ def _count_reads(reads: dict, root, key):
             todo += f.operands
 
 
-class Plan:
-    """The folds of one verification run, collected, counted, then run.
+def run_checks(checks, at_once: bool = False) -> list:
+    """The records of ``checks``, in order: each a :class:`report.Check`,
+    folded here, or a finished :class:`report.CheckRecord`, passed on.
 
-    While the ``with`` block runs, every :func:`report.fold` registers
-    its point set, roots, consumer and fallback here.  When the block
-    ends, a walk from every root counts the reads the run will make of
-    each (field, env depth), and the folds run in registration order, each
-    (point set, depth) seeded once, by the first root that needs it.  In
-    those envs ``_Field.at`` stores an evaluation only while reads remain
-    and drops the entry at its last read.  Nothing is freed before the
-    folds run, so an evaluation the checks make while collecting (one
-    whose value decides what a check does next) is allowed: its stored
-    entries count as cached in the walk.  When the plan ends, every entry
-    stored while it was open is gone.
-    """
-
-    def __init__(self):
-        self._folds = []
-
-    def add(self, points, roots, consume, fallback):
-        self._folds.append((points, roots, consume, fallback))
-
-    def __enter__(self):
-        global _stored
+    ``checks`` may be a generator that evaluates as it builds (a staged
+    first stage): an error it raises comes after the checks it yielded
+    before, which fold first.  A walk from every root counts the reads of
+    each (field, env depth); each (point set, depth) is seeded once, by
+    the first fold that needs it, and in those envs ``_Field.at`` drops an
+    entry at its last read.  When the run ends, every entry stored since
+    it began is gone.  ``at_once`` counts nothing and keeps what it
+    stores: the reader rule, for a build's checks and a first stage."""
+    global _stored
+    opened = not at_once and _stored is None
+    if opened:
         _stored = []
-        report.collecting = self
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        global _stored
-        report.collecting = None
+    try:
+        collected = []
         try:
-            # an evaluation that raised while collecting comes after the
-            # folds registered before it: they run first, so the error is
-            # the first one the checks meet in order
-            if exc_type is None or issubclass(exc_type, Exception):
-                self._run()
-        finally:
+            collected.extend(checks)
+        except Exception:
+            _fold_checks(collected, at_once)
+            raise
+        return _fold_checks(collected, at_once)
+    finally:
+        if opened:
             for cache, key in _stored:
                 cache.pop(key, None)
             _stored = None
 
-    def _run(self):
-        folds, live = [], {}
-        for points, roots, consume, fallback in self._folds:
-            values = PointSetKey(p.values for p in points)
+
+def _fold_checks(checks: list, at_once) -> list:
+    live = {}
+    for i, check in enumerate(checks):
+        folds = None if isinstance(check, report.CheckRecord) else [
+            (PointSetKey(p.values for p in fold[0]),) + fold
+            for fold in check.folds]
+        for values, _, roots, _ in () if at_once else folds or ():
             for root in roots:
                 key = (values, root.cost)
                 _count_reads(live.setdefault(key, {}), root, key)
-            folds.append((values, points, roots, consume, fallback))
-        self._folds = None
-        for reads in live.values():
-            for f in [f for f in reads if f.pinned]:
-                del reads[f]
-        folds.reverse()     # popped in order: a fold's roots go once it ran
-        envs = {}
-        while folds:
-            values, points, roots, consume, fallback = folds.pop()
-
+        checks[i] = check, folds
+    checks.reverse()    # popped in order: a check's roots go once it ran
+    envs, records = {}, []
+    while checks:
+        check, folds = checks.pop()
+        if folds is None:
+            records.append(check)
+            continue
+        tracker = DevTracker()
+        for values, points, roots, reduction in folds:
             def rows(root):
                 key = (values, root.cost)
                 env = envs.get(key)
                 if env is None:
                     env = envs[key] = root.space.seed_env(points, root.cost,
                                                           root.name)
-                    env.live = live[key]
+                    env.live = live.get(key)
                 return root.rows(points, env)
 
-            report.run_fold(roots, rows, consume, fallback)
+            reduction(tracker, points, roots, rows)
+        records.append(check.finish(tracker))
+    return records
+
+
+def family(build):
+    """A check family: called, it folds the checks ``build`` gives for its
+    arguments by :func:`run_checks` and returns their records; its
+    ``checks`` is ``build``, for a run that folds several families as one
+    list."""
+    @wraps(build)
+    def run(*args, **kwargs):
+        return run_checks(build(*args, **kwargs))
+
+    run.checks = build
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -1210,10 +1186,12 @@ def validate_frame(space, fields, cfg: CheckConfig = DEFAULT_CHECK):
 
 
 def annihilation(space, exprs, X: VectorField,
-                 cfg: CheckConfig = DEFAULT_CHECK) -> DevTracker:
+                 cfg: CheckConfig = DEFAULT_CHECK, into=None):
     """The worst |grad(e) . X| over the sampled points and expressions,
-    each ``grad(e) . X`` the directional derivative ``X(e)``."""
-    return DevTracker().track(space.sample_points(cfg), *(
+    each ``grad(e) . X`` the directional derivative ``X(e)``, tracked by
+    ``into``: a :class:`report.Check`, or by default a fresh
+    :class:`DevTracker`, folded at once."""
+    return (into or DevTracker()).track(space.sample_points(cfg), *(
         directional(X, ScalarField.from_expr(space, e)) for e in exprs))
 
 

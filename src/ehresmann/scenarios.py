@@ -3,12 +3,13 @@
 Each scenario bundles a charted space, a validated connection and split, the
 covariant derivative built from them, a named field table, and a table of
 expected results (frame-coefficient formulas, bracket tables, torsion
-components) together with scenario-specific checks.  ``run_scenario_checks``
-drives everything a verification run asserts: the expected tables, the
-covariant-derivative axiom suite, split identities, the torsion/curvature
-relation, parallelism of the structure tensors, and the projector
-equivalence cross-check.  Every check, ``sode_sufficiency_check`` included,
-returns its list of ``CheckRecord``; a metric is a pairing function
+components) together with scenario-specific checks.  Each check family
+(the expected tables, the covariant-derivative axiom suite, split
+identities, the torsion/curvature relation, parallelism of the structure
+tensors, the projector equivalence cross-check, ``sode_sufficiency_check``
+and every extra check) builds its checks without evaluating them; called,
+it folds them and returns its records.  ``run_scenario_checks`` folds the
+checks of all of them as one list.  A metric is a pairing function
 ``g(X, Y) -> ScalarField``.
 
 Families shipped: the trivial bundle over the plane with a circle fibre, the
@@ -20,6 +21,7 @@ decomposition of the fibre.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
@@ -32,7 +34,7 @@ from . import expr as ex
 from . import jets
 from .connection import (  # noqa: F401  (build_connection is re-exported)
     K_HORIZONTAL, K_VERTICAL, EhresmannConnection, SplitStructure,
-    build_connection, validate_split,
+    build_connection, split_checks,
 )
 from .covderiv import (
     CovDeriv, assemble, check_parallelism_equivalence, ehresmann_curvature,
@@ -40,13 +42,13 @@ from .covderiv import (
 )
 from .geometry import (
     ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame,
-    GeometryError, Plan, Point, ScalarField, VectorField, _as_depth,
+    GeometryError, Point, ScalarField, VectorField, _Field, _as_depth,
     _comps_as_depth, annihilation, directional, dual_coframe, endo_add,
-    endo_scale, is_point_set, lie_derivative_endo, pairing, vf_add,
-    vf_scale, vf_sub,
+    endo_scale, family, is_point_set, lie_derivative_endo, pairing,
+    run_checks, vf_add, vf_scale, vf_sub,
 )
-from .jets import extract, value_of
-from .report import CheckRecord, DevTracker, deferred, per_point
+from .jets import JetBatch, value_of
+from .report import Check, CheckRecord, DevTracker, per_point
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +234,16 @@ def _table_row(scen: Scenario, row: ExpectedRow, coef: VectorField,
                cap: int) -> VectorField:
     """The row's deviations at depth 0, named after ``coef``: ``coef``,
     the frame coefficients of the row's op field, minus the row's entries,
-    each read at depth 0 over the env's coordinates (a callable at its
-    points, capped at ``cap`` levels as drawn).  An absent, zero or
-    off-span entry is zeros, unevaluated: the coefficient keeps its bits,
-    and a row with no other entry is its coefficients."""
+    each read in the row's env: a field (an oracle) is an operand, read at
+    its value, an expression at depth 0 over the env's coordinates, and a
+    plain callable at the env's points, capped at ``cap`` levels as drawn.
+    An absent, zero or off-span entry is zeros, unevaluated: the
+    coefficient keeps its bits, and a row with no other entry is its
+    coefficients."""
     live = [(j, e) for j, e in enumerate(
         row.coeffs.get(f.name) for f in scen.solver.fields)
         if e is not None and not _is_zero(e)]
+    oracles = [e for _, e in live if isinstance(e, _Field)]
 
     def fn(env):
         got = jets.truncate(coef.at(env), 0)
@@ -248,20 +253,22 @@ def _table_row(scen: Scenario, row: ExpectedRow, coef: VectorField,
         env0 = {c: jets.truncate(x, 0) for c, x in env.items()}
         pts = [Point(scen.space, v, cap) for v in env.points]
         for j, e in live:
-            want[j] = e(pts) if callable(e) else value_of(
-                ex.evaluate(_E(e), env0))
+            want[j] = value_of(e.at(env)) if isinstance(e, _Field) else e(
+                pts) if callable(e) else value_of(ex.evaluate(_E(e), env0))
         return got._new(got.a - want)
 
-    return VectorField(scen.space, fn, coef.cost, coef.name, (coef,))
+    return VectorField(scen.space, fn, max([coef.cost] + [
+        e.cost for e in oracles]), coef.name, (coef, *oracles))
 
 
+@family
 def expected_table_checks(scen: Scenario, cfg: CheckConfig) -> list:
-    """One record per expected row, the fold of one field root, the row's
+    """One check per expected row, the fold of one field root, the row's
     deviations (:func:`_table_row`), by the split's stack over the cost
     group of ``Y``.  The rows of one (op, X, cost group) share one
-    coefficient field, held while the table runs."""
+    coefficient field."""
     pts = scen.space.sample_points(cfg)
-    coefficients, records = {}, []
+    coefficients, checks = {}, []
     for row in scen.expected:
         X, Y = (scen.fields[a] for a in row.args)
 
@@ -269,14 +276,14 @@ def expected_table_checks(scen: Scenario, cfg: CheckConfig) -> list:
             key = (row.op, X, Ys)
             if key not in coefficients:
                 coefficients[key] = scen.solver.coefficient_field(op_field(
-                    scen.conn, scen.nabla, row.op, X, Ys)).share()
+                    scen.conn, scen.nabla, row.op, X, Ys))
             return _table_row(scen, row, coefficients[key], cfg.depth)
 
-        tracker = scen.split.stack.track(DevTracker(), pts, [Y], build)
-        records.append(tracker.record(
+        checks.append(scen.split.stack.track(Check(
             f"{scen.name}:{row.op}[{row.args[0]},{row.args[1]}]", row.ref,
-            row.tol if row.tol is not None else cfg.tolerance))
-    return records
+            row.tol if row.tol is not None else cfg.tolerance),
+            pts, [Y], build))
+    return checks
 
 
 def _suite_rng(cfg: CheckConfig, scen: Scenario, label: str) -> random.Random:
@@ -310,6 +317,7 @@ def _random_combo(rng, fields, name) -> VectorField:
     return out
 
 
+@family
 def axiom_suite_checks(scen: Scenario, cfg: CheckConfig) -> list:
     """Function-linearity, the Leibniz rule, and both additivities, over
     three random functions and frame fields."""
@@ -317,9 +325,10 @@ def axiom_suite_checks(scen: Scenario, cfg: CheckConfig) -> list:
     pts = scen.space.sample_points(cfg)
     frame = scen.frame_fields()
     nabla = scen.nabla
-    trackers = {k: DevTracker() for k in
-                ("function-linearity", "leibniz",
-                 "additivity-direction", "additivity-argument")}
+    checks = {k: Check(f"{scen.name}:axiom:{k}",
+                       "covariant-derivative axioms", cfg.tolerance)
+              for k in ("function-linearity", "leibniz",
+                        "additivity-direction", "additivity-argument")}
     for _ in range(3):
         f = _random_scalar(rng, scen.space)
         X = rng.choice(frame)
@@ -336,13 +345,11 @@ def axiom_suite_checks(scen: Scenario, cfg: CheckConfig) -> list:
         for key, dev_field in (("function-linearity", d1), ("leibniz", d2),
                                ("additivity-direction", d3),
                                ("additivity-argument", d4)):
-            trackers[key].track(pts, dev_field)
-    return [trackers[k].record(f"{scen.name}:axiom:{k}",
-                               "covariant-derivative axioms",
-                               cfg.tolerance)
-            for k in trackers]
+            checks[key].track(pts, dev_field)
+    return list(checks.values())
 
 
+@family
 def torsion_curvature_checks(scen: Scenario, cfg: CheckConfig) -> list:
     """The vertical torsion of horizontal arguments carries the curvature,
     over three random pairs of frame combinations.
@@ -356,27 +363,29 @@ def torsion_curvature_checks(scen: Scenario, cfg: CheckConfig) -> list:
     pts = scen.space.sample_points(cfg)
     conn = scen.conn
     frame = scen.frame_fields()
-    tracker = DevTracker()
+    check = Check(f"{scen.name}:torsion-carries-curvature",
+                  "vertical torsion is the connection curvature with "
+                  "opposite sign", cfg.tolerance)
     for _ in range(3):
         X = _random_combo(rng, frame, "X")
         Y = _random_combo(rng, frame, "Y")
         t = torsion(scen.nabla, conn.p_h(X), conn.p_h(Y))
-        tracker.track(pts, vf_add(conn.p_v(t),
-                                  ehresmann_curvature(conn, X, Y)))
-    return [tracker.record(f"{scen.name}:torsion-carries-curvature",
-                           "vertical torsion is the connection curvature "
-                           "with opposite sign",
-                           cfg.tolerance)]
+        check.track(pts, vf_add(conn.p_v(t),
+                                ehresmann_curvature(conn, X, Y)))
+    return [check]
 
 
+@family
 def torsion_property_checks(scen: Scenario, cfg: CheckConfig) -> list:
     """Antisymmetry and function-bilinearity of the torsion, over two
     random draws."""
     rng = _suite_rng(cfg, scen, "torsion-props")
     pts = scen.space.sample_points(cfg)
     frame = scen.frame_fields()
-    anti = DevTracker()
-    flin = DevTracker()
+    anti = Check(f"{scen.name}:torsion-antisymmetry",
+                 "torsion is antisymmetric", cfg.tolerance)
+    flin = Check(f"{scen.name}:torsion-function-bilinearity",
+                 "torsion is function-linear in both slots", cfg.tolerance)
     for _ in range(2):
         X = rng.choice(frame)
         Y = rng.choice(frame)
@@ -388,21 +397,16 @@ def torsion_property_checks(scen: Scenario, cfg: CheckConfig) -> list:
         d_right = vf_sub(torsion(scen.nabla, X, vf_scale(f, Y)), t_scaled)
         anti.track(pts, d_anti)
         flin.track(pts, d_left, d_right)
-    return [
-        anti.record(f"{scen.name}:torsion-antisymmetry",
-                    "torsion is antisymmetric", cfg.tolerance),
-        flin.record(f"{scen.name}:torsion-function-bilinearity",
-                    "torsion is function-linear in both slots",
-                    cfg.tolerance),
-    ]
+    return [anti, flin]
 
 
+@family
 def parallel_tensor_checks(scen: Scenario, cfg: CheckConfig) -> list:
     """Equal-rank case: the endomorphism pair is parallel.  N-fold case:
     every projector is parallel (the aggregate endomorphism is not)."""
     pts = scen.space.sample_points(cfg)
     frame = scen.frame_fields()
-    records = []
+    checks = []
     if scen.construction == "equal-rank":
         tensors = [scen.split.s_total, scen.split.q_total]
         label = "parallel-endomorphisms"
@@ -410,54 +414,49 @@ def parallel_tensor_checks(scen: Scenario, cfg: CheckConfig) -> list:
         tensors = [scen.split.p_k, *scen.split.p_blocks]
         label = "parallel-projectors"
     for T in tensors:
-        tracker = DevTracker()
+        check = Check(f"{scen.name}:{label}:{T.name}",
+                      "structure tensors are parallel", cfg.tolerance)
         for X in frame:
-            scen.split.stack.track(
-                tracker, pts, frame,
-                partial(nabla_of_endo, scen.nabla, T, X))
-        records.append(tracker.record(
-            f"{scen.name}:{label}:{T.name}",
-            "structure tensors are parallel", cfg.tolerance))
-    return records
+            scen.split.stack.track(check, pts, frame,
+                                   partial(nabla_of_endo, scen.nabla, T, X))
+        checks.append(check)
+    return checks
 
 
-def _prefixed(scen: Scenario, records) -> list:
-    """The records under ids prefixed by the scenario name, set in place:
-    a plan completes these very records."""
-    for r in records:
-        r.check_id = f"{scen.name}:{r.check_id}"
-    return records
+def _prefixed(scen: Scenario, checks):
+    """The checks, as they come, under ids prefixed by the scenario."""
+    for c in checks:
+        c.check_id = f"{scen.name}:{c.check_id}"
+        yield c
 
 
-def split_identity_checks(scen: Scenario, cfg: CheckConfig) -> list:
-    return _prefixed(scen, validate_split(scen.split, cfg))
+@family
+def split_identity_checks(scen: Scenario, cfg: CheckConfig):
+    return _prefixed(scen, split_checks(scen.split, cfg))
 
 
-def parallelism_equivalence_checks(scen: Scenario, cfg: CheckConfig) -> list:
-    return _prefixed(scen, [
-        r for b in range(len(scen.nabla.parts))
-        for r in check_parallelism_equivalence(scen.nabla, b,
-                                               scen.split.stack, cfg)])
+@family
+def parallelism_equivalence_checks(scen: Scenario, cfg: CheckConfig):
+    for b in range(len(scen.nabla.parts)):
+        yield from _prefixed(scen, check_parallelism_equivalence.checks(
+            scen.nabla, b, scen.split.stack, cfg))
 
 
 def run_scenario_checks(scen: Scenario, cfg: CheckConfig = DEFAULT_CHECK) -> list:
-    """Every record a verification run asserts, in deterministic order.
-
-    The families and extra checks run under one :class:`Plan`: they
-    register their folds, and the plan runs them, in this order, when they
-    have all been collected, freeing each cache entry at its last read."""
-    records = []
-    with Plan():
-        records += expected_table_checks(scen, cfg)
-        records += axiom_suite_checks(scen, cfg)
-        records += split_identity_checks(scen, cfg)
-        records += torsion_curvature_checks(scen, cfg)
-        records += torsion_property_checks(scen, cfg)
-        records += parallel_tensor_checks(scen, cfg)
-        records += parallelism_equivalence_checks(scen, cfg)
+    """Every record a verification run asserts, in deterministic order:
+    the checks of every family, then of every extra check, folded as one
+    list by :func:`run_checks`, which frees each cache entry at its last
+    read."""
+    def checks():
+        for fam in (expected_table_checks, axiom_suite_checks,
+                    split_identity_checks, torsion_curvature_checks,
+                    torsion_property_checks, parallel_tensor_checks,
+                    parallelism_equivalence_checks):
+            yield from fam.checks(scen, cfg)
         for extra in scen.extra_checks:
-            records += extra(cfg)
-    return records
+            yield from extra.checks(cfg)
+
+    return run_checks(checks())
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +497,14 @@ def trivial_r3(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
     h2 = VectorField.from_exprs(space, ["0", "1", "sin(th)"], "H2")
     v = VectorField.from_exprs(space, ["0", "0", "1"], "V")
 
+    @family
     def coframe_check(cfg_run: CheckConfig) -> list:
         psi = dual_coframe(space, [Frame((h1, h2, v), "full")])[2]
-        tracker = DevTracker().track(space.sample_points(cfg_run), vf_sub(
-            psi, CovectorField.from_exprs(space, TRIVIAL_R3_COFRAME, "dth")))
-        return [tracker.record("trivial-r3:fibre-coframe",
-                               "dual coframe of the lifted frame",
-                               cfg_run.tolerance)]
+        return [Check("trivial-r3:fibre-coframe",
+                      "dual coframe of the lifted frame",
+                      cfg_run.tolerance).track(
+            space.sample_points(cfg_run), vf_sub(psi, CovectorField.from_exprs(
+                space, TRIVIAL_R3_COFRAME, "dth")))]
 
     return _general_scenario(
         "trivial-r3", (h1, h2), v, cfg,
@@ -545,31 +545,30 @@ def hopf(cfg: CheckConfig = DEFAULT_CHECK) -> Scenario:
     v = VectorField.from_exprs(space, ["y", "-x", "-w", "z"], "V")
     pi_exprs = tuple(ex.parse(s) for s in HOPF_PROJECTION)
 
+    @family
     def projection_check(cfg_run: CheckConfig) -> list:
         # push V through the Jacobian of the bundle projection
-        tracker = annihilation(space, pi_exprs, v, cfg_run)
-        return [tracker.record("hopf:projection-verticality",
-                               "fibre field is vertical for the projection",
-                               1e-9)]
+        return [annihilation(space, pi_exprs, v, cfg_run, Check(
+            "hopf:projection-verticality",
+            "fibre field is vertical for the projection", 1e-9))]
 
+    @family
     def levi_civita_check(cfg_run: CheckConfig) -> list:
         sym = symmetrize(scen.nabla)
         frame = [lam, sig, v]
         pts = space.sample_points(cfg_run)
-        t_tracker, g_tracker = DevTracker(), DevTracker()
-        for X, Y in product(frame, repeat=2):
-            t_tracker.track(pts, torsion(sym, X, Y))
-        for X, Y, Z in product(frame, repeat=3):
-            g_tracker.track(pts, metric_compatibility_defect(
-                sym, scen.metric, X, Y, Z))
-        return [
-            t_tracker.record("hopf:symmetrized-torsion",
+        torsion_free = Check("hopf:symmetrized-torsion",
                              "symmetrized operator is torsion-free",
-                             cfg_run.tolerance),
-            g_tracker.record("hopf:levi-civita-compatibility",
-                             "symmetrized operator preserves the round "
-                             "metric", cfg_run.tolerance),
-        ]
+                             cfg_run.tolerance)
+        compatible = Check("hopf:levi-civita-compatibility",
+                           "symmetrized operator preserves the round metric",
+                           cfg_run.tolerance)
+        for X, Y in product(frame, repeat=2):
+            torsion_free.track(pts, torsion(sym, X, Y))
+        for X, Y, Z in product(frame, repeat=3):
+            compatible.track(pts, metric_compatibility_defect(
+                sym, scen.metric, X, Y, Z))
+        return [torsion_free, compatible]
 
     scen = _general_scenario(
         "hopf", (lam, sig), v, cfg, {}, "Hopf: zero component table",
@@ -603,32 +602,45 @@ def _tm_space(n: int, name: str) -> ChartedSpace:
                         base_coords=tuple(f"x{i}" for i in range(1, n + 1)))
 
 
-def _per_point_set(fn):
-    """An expected-table oracle from ``fn(points)``, one value per point of
-    a set: at a point set those values, at one point a float."""
-    def entry(point):
-        points = point if is_point_set(point) else [point]
+class _Oracle(ScalarField):
+    """An expected-table entry computed by a scalar field over the
+    scenario's coefficient or force fields, independently of the path it
+    checks: a table row reads it in the row's env, as an operand.  Called
+    at a point or a point set, like a plain callable entry, it gives its
+    value there, or one value per point, and stores nothing itself."""
+
+    __slots__ = ()
+
+    def __call__(self, point):
+        env = self.space.seed_env(point, self.cost, self.name)
         with np.errstate(all="ignore"):
-            vals = np.broadcast_to(fn(points), (len(points),))
-        return vals if points is point else float(vals[0])
-
-    return entry
-
-
-def _orders(space, *coords) -> tuple:
-    """The :func:`jets.extract` orders of d/d(coords[0]) d/d(coords[1])..."""
-    orders = [0] * space.ambient_dim
-    for c in coords:
-        orders[space.index(c)] += 1
-    return tuple(orders)
+            vals = np.broadcast_to(value_of(self._fn(env)),
+                                   (len(env.points),))
+        return vals if is_point_set(point) else float(vals[0])
 
 
-def _slope(sf: ScalarField, coord: str):
+def _combined(op, *fields) -> _Oracle:
+    """``op`` of the fields' values, at the depth the costliest leaves."""
+    cost = max(f.cost for f in fields)
+
+    def fn(env):
+        return op(*(_as_depth(f.at(env), env.depth - cost, env)
+                    for f in fields))
+
+    names = ",".join(f.name for f in fields)
+    return _Oracle(fields[0].space, fn, cost, f"{op.__name__}({names})",
+                   fields)
+
+
+_negated = partial(_combined, operator.neg)
+_difference = partial(_combined, operator.sub)
+
+
+def _slope(sf: ScalarField, coord: str) -> _Oracle:
     """d(sf)/d(coord) as an oracle, via one jet level."""
-    space = sf.space
-    orders = _orders(space, coord)
-    return _per_point_set(lambda pts: extract(
-        sf.at(space.seed_env(pts, sf.cost + 1)), orders))
+    i = sf.space.index(coord)
+    return _Oracle(sf.space, lambda env: sf.at(env).partials[i], sf.cost + 1,
+                   f"d{coord}({sf.name})", (sf,))
 
 
 def _tangent_scenario(name, n, hs, cfg, tag, family, coeff, description,
@@ -752,33 +764,26 @@ def affine_tangent(n: int, gamma: dict,
         extra_rows, data={"n": n, "gamma": table})
 
 
-def _negated(fn):
-    return lambda p: -fn(p)
-
-
-def _difference(f1, f2):
-    return lambda p: f1(p) - f2(p)
-
-
 def _curvature_bracket_oracle(space, g_expr, n, weights):
     """Direct evaluation of the bracket coefficient for lifted frames:
     K^c_dab = d_b G^c_ad - d_a G^c_bd + G^e_ad G^c_be - G^e_bd G^c_ae,
-    contracted against the fibre coordinates ``weights`` (w_1..w_n).
-    The coefficients are differentiated by jets, independently of the
-    bracket path.
+    contracted against the fibre coordinates ``weights`` (w_1..w_n), as
+    an oracle of cost 1.  The coefficients are differentiated by jets,
+    independently of the bracket path.
     """
 
     def coefficient(c, a, b):
-        def fn(points):
-            env1 = space.seed_env(points, 1)
-            env0 = space.seed_env(points, 0)
+        def fn(env):
+            t = env.depth - 1
+            low = {k: jets.truncate(x, t) for k, x in env.items()}
 
             def g(cc, aa, bb):
-                return value_of(ex.evaluate(g_expr(cc, aa, bb), env0))
+                return ex.evaluate(g_expr(cc, aa, bb), low)
 
             def dg(cc, aa, bb, wrt):
-                return extract(ex.evaluate(g_expr(cc, aa, bb), env1),
-                               _orders(space, f"x{wrt}"))
+                s = ex.evaluate(g_expr(cc, aa, bb), env)
+                return s.partials[space.index(f"x{wrt}")] \
+                    if s.__class__ is JetBatch else 0.0
 
             total = 0.0
             for d in range(1, n + 1):
@@ -786,10 +791,10 @@ def _curvature_bracket_oracle(space, g_expr, n, weights):
                 for e in range(1, n + 1):
                     k = k + (g(e, a, d) * g(c, b, e)
                              - g(e, b, d) * g(c, a, e))
-                total = total + k * value_of(env0[weights[d - 1]])
+                total = total + k * low[weights[d - 1]]
             return total
 
-        return _per_point_set(fn)
+        return _Oracle(space, fn, 1, f"K{c}_{a}{b}", ())
 
     return coefficient
 
@@ -842,8 +847,7 @@ def nonlinear_tangent(n: int, gamma: dict,
     for (b, a), entry in gamma.items():
         if not (1 <= b <= n and 1 <= a <= n):
             raise ValueError(f"coefficient key {(b, a)} out of range 1..{n}")
-        # the oracles below read the entries directly, outside any rule
-        table[(b, a)] = _entry_scalar(space, entry, f"G{b}_{a}").pin()
+        table[(b, a)] = _entry_scalar(space, entry, f"G{b}_{a}")
 
     g_sf = _lookup(space, table)
     hs = _lifts(space, n, table)
@@ -852,18 +856,21 @@ def nonlinear_tangent(n: int, gamma: dict,
         # V_b(G^c_a), jet-differentiated
         return _slope(g_sf(c, a), f"u{b}")
 
-    def h_applied(a, sf: ScalarField):
+    def h_applied(a, sf: ScalarField) -> _Oracle:
         """H_a(sf) as an oracle: d/dx^a - G^e_a d/du^e applied."""
+        coefs = [g_sf(e, a) for e in range(1, n + 1)]
+        cost = max([sf.cost + 1] + [g.cost for g in coefs])
 
-        def fn(points):
-            val = sf.at(space.seed_env(points, sf.cost + 1))
-            out = extract(val, _orders(space, f"x{a}"))
-            for e in range(1, n + 1):
-                out = out - np.array(g_sf(e, a).values(points))[:, 0] \
-                    * extract(val, _orders(space, f"u{e}"))
+        def fn(env):
+            t = env.depth - cost
+            slopes = sf.at(env).partials
+            out = _as_depth(slopes[space.index(f"x{a}")], t, env)
+            for e, g in enumerate(coefs, 1):
+                out = out - _as_depth(g.at(env), t, env) * _as_depth(
+                    slopes[space.index(f"u{e}")], t, env)
             return out
 
-        return _per_point_set(fn)
+        return _Oracle(space, fn, cost, f"H{a}({sf.name})", (sf, *coefs))
 
     def extra_rows(a, b):
         if a == b:
@@ -952,12 +959,11 @@ def _induced_projector(space, n: int, forces):
     return gamma_field, s_endo, p_h
 
 
-def _lift_tracker(space, lifts, table, pts) -> DevTracker:
-    """Worst gap between each lift H_a and ``_lifts(space, n, table)``."""
-    tracker = DevTracker()
+def _lift_check(check: Check, space, lifts, table, pts) -> Check:
+    """``check`` of each lift H_a against ``_lifts(space, n, table)``."""
     for h, want in zip(lifts, _lifts(space, len(lifts), table)):
-        tracker.track(pts, vf_sub(h, want))
-    return tracker
+        check.track(pts, vf_sub(h, want))
+    return check
 
 
 def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
@@ -969,8 +975,7 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
     horizontal frame is P_H applied to the coordinate lifts.
     """
     space = _tm_space(n, name)
-    # the Hessian oracle reads the forces directly, outside any rule
-    force_sf = [_entry_scalar(space, f, f"f{b + 1}").pin()
+    force_sf = [_entry_scalar(space, f, f"f{b + 1}")
                 for b, f in enumerate(forces)]
     gamma_field, s_endo, p_h = _induced_projector(space, n, force_sf)
 
@@ -981,61 +986,59 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
         hs.append(h)
     gamma_sf = potential_connection(n, force_sf, space)
 
-    def d2f(c, a, b):
-        # V_b(Y^c_a) = -(1/2) d2 f^c / du^a du^b
+    def d2f(c, a, b) -> _Oracle:
+        # V_b(Y^c_a) = -(1/2) d2 f^c / du^a du^b, the lower variable first
         sf = force_sf[c - 1]
-        orders = _orders(space, f"u{a}", f"u{b}")
-        return _per_point_set(lambda pts: -0.5 * extract(
-            sf.at(space.seed_env(pts, sf.cost + 2)), orders))
+        i, j = sorted(space.index(f"u{k}") for k in (a, b))
+        return _Oracle(space, lambda env: -0.5 * sf.at(env).partials[
+            i].partials[j], sf.cost + 2, f"d2f{c}_{a}{b}", (sf,))
 
     delta = dilation_field(space, n)
 
+    @family
     def projector_checks(cfg_run: CheckConfig) -> list:
         pts = space.sample_points(cfg_run)
-        records = []
         # S(Gamma) = Delta
-        tracker = DevTracker().track(pts, vf_sub(s_endo(gamma_field), delta))
-        records.append(tracker.record(f"{name}:s-gamma-is-dilation",
-                                      "second-order condition", 1e-10))
+        dilation = Check(f"{name}:s-gamma-is-dilation",
+                         "second-order condition", 1e-10).track(
+            pts, vf_sub(s_endo(gamma_field), delta))
         # projector coefficients match the force derivatives
-        tracker = _lift_tracker(space, hs, gamma_sf, pts)
-        records.append(tracker.record(
+        coefficients = _lift_check(Check(
             f"{name}:projector-coefficients",
-            "horizontal coefficients are the half force slopes", 1e-10))
+            "horizontal coefficients are the half force slopes", 1e-10),
+            space, hs, gamma_sf, pts)
         # idempotence and the vertical complement
-        tracker = DevTracker()
+        laws = Check(f"{name}:projector-laws", "idempotence and verticality",
+                     cfg_run.tolerance)
         for a in range(1, n + 1):
             dx = VectorField.coordinate(space, f"x{a}")
             du = VectorField.coordinate(space, f"u{a}")
             once = p_h(dx)
-            tracker.track(pts, vf_sub(p_h(once), once), p_h(du))
-        records.append(tracker.record(f"{name}:projector-laws",
-                                      "idempotence and verticality",
-                                      cfg_run.tolerance))
+            laws.track(pts, vf_sub(p_h(once), once), p_h(du))
         # the default forces are quadratic in the fibre: a genuine spray
-        records.append(_spray_record(f"{name}:spray",
-                                     "force terms are fibre-quadratic",
-                                     space, force_sf, cfg_run))
-        return records
+        return [dilation, coefficients, laws, _spray_check(
+            f"{name}:spray", "force terms are fibre-quadratic", space,
+            force_sf, cfg_run)]
 
     scenario = _tangent_scenario(
         name, n, hs, cfg, "sode", "force-Hessian", d2f,
         "connection induced by a second-order equation field through the "
         "vertical endomorphism", lambda a, b: (),
         fields=(gamma_field, delta),
-        extra_checks=[projector_checks,
-                      lambda cfg_run: sode_sufficiency_check(scenario,
-                                                             cfg_run)],
+        extra_checks=[projector_checks, family(
+            lambda cfg_run: sode_sufficiency_check.checks(scenario,
+                                                          cfg_run))],
         data={"n": n, "forces": force_sf, "gamma_sf": gamma_sf})
     return gamma_field, p_h, scenario
 
 
-def _euler_defect(space, scalars, degree: float,
-                  cfg: CheckConfig) -> DevTracker:
-    """The tracker of |Delta(f) - degree * f| over sampled points: zero
-    when every scalar is fibre-homogeneous of that degree (Euler's
-    relation).  The dilation Delta(f) folds over the fibre coordinates
-    alone."""
+def _euler_defect(space, scalars, degree: float, cfg: CheckConfig,
+                  into=None):
+    """|Delta(f) - degree * f| over sampled points, tracked by ``into``
+    (a :class:`Check`, or by default a fresh :class:`DevTracker`, folded
+    at once): zero when every scalar is fibre-homogeneous of that degree
+    (Euler's relation).  The dilation Delta(f) folds over the fibre
+    coordinates alone."""
     fibre = [f"u{a}" for a in range(1, space.dim // 2 + 1)]
 
     def defect(sf):
@@ -1051,8 +1054,8 @@ def _euler_defect(space, scalars, degree: float,
         return ScalarField(space, fn, sf.cost + 1, f"euler({sf.name})",
                            (sf,))
 
-    return DevTracker().track(space.sample_points(cfg),
-                              *map(defect, scalars))
+    return (into or DevTracker()).track(space.sample_points(cfg),
+                                        *map(defect, scalars))
 
 
 def is_spray(gamma_field: VectorField, forces,
@@ -1065,11 +1068,11 @@ def is_spray(gamma_field: VectorField, forces,
     return _euler_defect(space, sfs, 2.0, cfg).max_dev < cfg.tolerance
 
 
-def _spray_record(check_id, reference, space, forces, cfg) -> CheckRecord:
-    """Degree-2 fibre homogeneity of the force terms, as a record."""
-    tracker = _euler_defect(space, forces, 2.0, cfg)
-    return deferred(check_id, reference, cfg.tolerance,
-                    lambda: (tracker.max_dev, None))
+def _spray_check(check_id, reference, space, forces, cfg) -> Check:
+    """Degree-2 fibre homogeneity of the force terms, as a check that names
+    its worst point when it fails."""
+    return _euler_defect(space, forces, 2.0, cfg, Check(
+        check_id, reference, cfg.tolerance, quiet=True))
 
 
 def homogeneity_check(space, gamma_sf: dict,
@@ -1105,13 +1108,13 @@ def _reconstructed_forces(space, n: int, gamma_sf: dict) -> list:
     return forces
 
 
-def sode_sufficiency_check(scen: Scenario,
-                           cfg: CheckConfig = DEFAULT_CHECK) -> list:
+@family
+def sode_sufficiency_check(scen: Scenario, cfg: CheckConfig = DEFAULT_CHECK):
     """If the dilation field is horizontally parallel and the horizontal
     torsion vanishes, the connection comes from a second-order field.  One
     record per condition; when both pass, the reconstruction is performed
-    and compared, and the reconstructed field must be a spray: two records
-    more."""
+    and compared, and the reconstructed field must be a spray: two checks
+    more.  Both verdicts decide what follows, so they fold at once."""
     if "gamma_sf" not in scen.data:
         raise ValueError("scenario carries no fibre coefficient table")
     n = scen.data["n"]
@@ -1121,38 +1124,32 @@ def sode_sufficiency_check(scen: Scenario,
     delta = scen.fields.get("Delta") or dilation_field(space, n)
     hs = [scen.fields[f"H{a}"] for a in range(1, n + 1)]
 
-    # both verdicts decide what follows, so they fold at once
-    a_tracker = DevTracker()
+    tol = cfg.tolerance
+    parallel = Check(f"{scen.name}:sufficiency:dilation-parallel",
+                     "horizontal derivative of the dilation field", tol)
     for h in hs:
-        a_tracker.track_now(pts, scen.nabla(h, delta))
-    b_tracker = DevTracker()
+        parallel.track(pts, scen.nabla(h, delta))
+    symmetric = Check(f"{scen.name}:sufficiency:horizontal-torsion",
+                      "horizontal torsion of the connection", tol)
     for i in range(n):
         for j in range(i + 1, n):
-            b_tracker.track_now(pts, scen.conn.p_h(
+            symmetric.track(pts, scen.conn.p_h(
                 torsion(scen.nabla, hs[i], hs[j])))
-
-    tol = cfg.tolerance
-    records = [
-        a_tracker.record(f"{scen.name}:sufficiency:dilation-parallel",
-                         "horizontal derivative of the dilation field", tol),
-        b_tracker.record(f"{scen.name}:sufficiency:horizontal-torsion",
-                         "horizontal torsion of the connection", tol)]
+    records = run_checks([parallel, symmetric], at_once=True)
+    yield from records
     if not all(r.passed for r in records):
-        return records
+        return
 
     # reconstruct the force terms, then the induced projector
     forces = _reconstructed_forces(space, n, gamma_sf)
     p_h = _induced_projector(space, n, forces)[2]
-
-    rec_tracker = _lift_tracker(
+    yield _lift_check(
+        Check(f"{scen.name}:sufficiency:reconstruction",
+              "induced connection coincides with the input", tol),
         space, [p_h(VectorField.coordinate(space, f"x{c}"))
                 for c in range(1, n + 1)], gamma_sf, pts)
-    return records + [
-        rec_tracker.record(f"{scen.name}:sufficiency:reconstruction",
-                           "induced connection coincides with the input",
-                           tol),
-        _spray_record(f"{scen.name}:sufficiency:reconstructed-spray",
-                      "reconstructed field is a spray", space, forces, cfg)]
+    yield _spray_check(f"{scen.name}:sufficiency:reconstructed-spray",
+                       "reconstructed field is a spray", space, forces, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -1322,6 +1319,7 @@ def frame_bundle(n: int, cycle, gamma: dict,
                     "torsion", (f"H{a}", f"H{b}"), coeffs,
                     "frame bundle: torsion with fibre weights"))
 
+    @family
     def decomposition_check(cfg_run: CheckConfig) -> list:
         try:
             cycle_decomposition(n, cycle)

@@ -24,7 +24,7 @@ from ehresmann.cli import load_scenario_file, main
 from ehresmann.covderiv import CovDeriv, nabla_of_endo, op_field, torsion
 from ehresmann.geometry import (
     CheckConfig, CovectorField, DepthBudgetError, Endo11, FieldStack,
-    FrameSolver, GeometryError, Plan, PointSetKey, ScalarField,
+    FrameSolver, GeometryError, PointSetKey, ScalarField,
     VectorField, _Field,
     annihilation, directional, lie_bracket, pairing, vf_add, vf_scale,
     vf_sub,
@@ -524,12 +524,16 @@ def test_builtin_suites_pass(name, built):
 
 
 def test_every_field_caches_under_env_keys_alone(built):
-    """The one caching rule: after every built-in's checks, each live field,
-    the frame solves among them, holds its entries under ``env.key``,
-    ``(point-set key, depth)``, and under nothing else."""
+    """The one caching rule: after every built-in's checks and one eval
+    query, each live field, the frame solves among them, holds its entries
+    under ``env.key``, ``(point-set key, depth)``, and under nothing else.
+    A run frees what it stores, so the query stores the frame solve."""
     cfg = CheckConfig(samples=3)
     for name in sorted(sc.BUILTIN_BUILDERS):
-        sc.run_scenario_checks(built(name), cfg)
+        scen = built(name)
+        sc.run_scenario_checks(scen, cfg)
+        scen.coefficients(scen.frame_fields()[0],
+                          scen.space.sample_points(cfg)[0])
     gc.collect()
     fields = [o for o in gc.get_objects() if isinstance(o, _Field)]
     stray = [(f.name, key) for f in fields for key in f._cache
@@ -1400,8 +1404,9 @@ def test_a_nan_frame_component_at_one_point_never_passes(name, slot):
     """A NaN in one component of a frame field at one sample point ends as
     a ``GeometryError`` that names the point (``verify`` exits 2) or as a
     failing record whose worst point is that point, never as a pass: no
-    record with a NaN deviation passes.  The run draws points the build
-    did not evaluate."""
+    record with a NaN deviation passes, and every failing record with a
+    NaN deviation names a point.  The run draws points the build did not
+    evaluate."""
     scen = _stack_scenario(name)
     cfg = CheckConfig(seed=11, samples=3)
     target = scen.space.sample_points(cfg)[1].values
@@ -1414,6 +1419,8 @@ def test_a_nan_frame_component_at_one_point_never_passes(name, slot):
     assert any(not r.passed and r.worst_point == target for r in records)
     assert not [r.check_id for r in records
                 if r.passed and not r.max_dev == r.max_dev]
+    assert not [r.check_id for r in records
+                if not r.max_dev == r.max_dev and r.worst_point is None]
 
 
 @pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
@@ -1432,27 +1439,6 @@ def test_each_check_on_its_own_gives_the_records_of_the_plan(name):
     assert [r.as_dict() for r in alone] == [r.as_dict() for r in planned]
 
 
-def test_a_deviation_read_before_its_fold_ran_raises():
-    """Inside a plan a tracker registers its fold: its ``max_dev`` and
-    ``worst_point`` raise, and its record fails, until the plan has run;
-    then they read as the fold at once gives them."""
-    scen = trivial_r3(STACK_CFG)
-    pts = scen.space.sample_points(STACK_CFG)
-    field = vf_sub(scen.fields["H1"], scen.fields["V"])
-    want = DevTracker().track(pts, field)
-    with Plan():
-        tracker = DevTracker().track(pts, field)
-        with pytest.raises(RuntimeError):
-            tracker.max_dev
-        with pytest.raises(RuntimeError):
-            tracker.worst_point
-        rec = tracker.record("id", "ref", 1e-8)
-        assert math.isnan(rec.max_dev) and not rec.passed
-    assert (tracker.max_dev, tracker.worst_point) == (want.max_dev,
-                                                      want.worst_point)
-    assert rec.as_dict() == want.record("id", "ref", 1e-8).as_dict()
-
-
 def test_an_error_while_collecting_comes_after_the_folds_before_it():
     """The sufficiency check of sode-tangent folds its two conditions at
     once, while the plan collects; at depth 1 that evaluation raises, but
@@ -1464,3 +1450,63 @@ def test_an_error_while_collecting_comes_after_the_folds_before_it():
     assert want == (DepthBudgetError, str(DepthBudgetError("∇_V1(V1)", 2, 1)))
     assert raised(lambda: sc.run_scenario_checks(
         sc.build_scenario("sode-tangent", cfg), cfg)) == want
+
+
+_FAMILIES = (sc.expected_table_checks, sc.axiom_suite_checks,
+             sc.split_identity_checks, sc.torsion_curvature_checks,
+             sc.torsion_property_checks, sc.parallel_tensor_checks,
+             sc.parallelism_equivalence_checks)
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_collecting_evaluates_nothing_but_the_staged_first_stages(
+        name, monkeypatch):
+    """Building the checks of every family and extra check calls no
+    field's ``at``, except inside the staged first stages, which fold at
+    once (``run_checks(..., at_once=True)``): the image selection of the
+    parallelism check and the two conditions of
+    ``sode_sufficiency_check``."""
+    want = len(sc.run_scenario_checks(_stack_scenario(name), STACK_CFG))
+    scen = _stack_scenario(name)
+    staged, outside = [], []
+
+    def staged_run(checks, at_once=False, _run=geo.run_checks):
+        assert at_once
+        staged.append(True)
+        try:
+            return _run(checks, at_once)
+        finally:
+            staged.pop()
+
+    monkeypatch.setattr(covderiv, "run_checks", staged_run)
+    monkeypatch.setattr(sc, "run_checks", staged_run)
+    _wrap_at(monkeypatch, lambda field, env: staged or outside.append(
+        field.name))
+    checks = [c for fam in _FAMILIES for c in fam.checks(scen, STACK_CFG)]
+    checks += [c for extra in scen.extra_checks
+               for c in extra.checks(STACK_CFG)]
+    assert len(checks) == want
+    assert outside == []
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_every_env_of_a_verification_is_seeded_by_the_runner(
+        name, monkeypatch):
+    """A verification seeds one env per (point set, depth) of its run and
+    of each staged first stage, and none per oracle or per probe: at most
+    10 on each built-in at the defaults and on frame3 at seed 4721 and 10
+    samples (11 to 82, and 158, when the oracles and the image selection
+    seeded their own)."""
+    cfg = CheckConfig(seed=4721, samples=10) if name == "frame3" \
+        else CheckConfig()
+    scen = _stack_scenario(name, cfg)
+    seeded = []
+    original = geo.ChartedSpace.seed_env
+
+    def spy(self, *args, **kwargs):
+        seeded.append(args[1])
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(geo.ChartedSpace, "seed_env", spy)
+    sc.run_scenario_checks(scen, cfg)
+    assert 0 < len(seeded) <= 10, seeded
