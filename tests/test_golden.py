@@ -35,12 +35,26 @@ from ehresmann.scenarios import (
 
 GOLDEN = Path(__file__).parent / "golden"
 
-EVAL_POINTS = {"hopf": "1,0,0,0", "frame-bundle": "0.3,-0.2,0.9,1.1,0.7,1.3"}
+EVAL_POINTS = {"hopf": "1,0,0,0", "frame-bundle": "0.3,-0.2,0.9,1.1,0.7,1.3",
+               "trivial-r3": "0.3,-0.2,0.9",
+               "affine-tangent": "0.3,-0.2,0.9,1.1",
+               "nonlinear-tangent": "0.3,-0.2,0.9,1.1",
+               "sode-tangent": "0.3,-0.2,0.9,1.1"}
+# ``apply P_V H1`` on trivial-r3 is exactly zero in every component: the
+# answer a kernel that skips the products of an all-zero operand returns.
 EVAL_ARGS = {
     "hopf": {"field": ["V"], "apply": ["P_H", "V"],
              "binary": ["Lambda", "Sigma"]},
     "frame-bundle": {"field": ["V2_1"], "apply": ["S", "H1"],
                      "binary": ["H1", "V1_2"]},
+    "trivial-r3": {"field": ["H2"], "apply": ["P_V", "H1"],
+                   "binary": ["H2", "V"]},
+    "affine-tangent": {"field": ["V1"], "apply": ["S", "H1"],
+                       "binary": ["H1", "V2"]},
+    "nonlinear-tangent": {"field": ["H2"], "apply": ["P_V", "H2"],
+                          "binary": ["H2", "V1"]},
+    "sode-tangent": {"field": ["Gamma"], "apply": ["S", "Gamma"],
+                     "binary": ["H1", "H2"]},
 }
 EVALS = [(scen, op) for scen in EVAL_POINTS
          for op in ("nabla", "bracket", "torsion", "curvature", "field",
