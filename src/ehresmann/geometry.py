@@ -328,7 +328,16 @@ def _contract(rows, xs):
     """``[jets.dot(row, xs) for row in rows]`` over a point set, in one
     fold: ``rows`` indexed (row, term, point, slots...), ``xs`` a batch
     with the term axis first, or after a leading member axis, which the
-    result then carries too (``rows``, read off a frame, never does)."""
+    result then carries too (``rows``, read off a frame, never does).
+
+    The zero rule: at depth 0, an ``xs`` of ±0.0 against finite ``rows``
+    makes every product a signed zero, and a fold from ``0.0`` then gives
+    +0.0 everywhere, which is returned without folding.  Deeper results
+    stay dense (their partial slots fold from the first product and can
+    keep a -0.0), as do ``rows`` holding a NaN or an infinity."""
+    if not xs.depth and not xs.a.any() and np.isfinite(rows).all():
+        return xs._new(np.zeros(xs.a.shape[:-2] + (len(rows),
+                                                   xs.a.shape[-1])))
     if xs.a.ndim - xs.depth == 2:
         return xs._new(jets.fold_products(rows.swapaxes(0, 1), xs.a[:, None],
                                           xs.depth))
@@ -605,8 +614,15 @@ def _bracket_fold(xs, ys, t: int):
     of the fold formed at once (indexed component, point, variable,
     slots...), then ``acc = acc + a * p - b * q`` folded over the variables
     in order.  Either operand may carry a leading member axis, which the
-    bracket then carries too: the axes are counted from the end."""
+    bracket then carries too: the axes are counted from the end.  At
+    ``t = 0`` an operand of ±0.0 against a finite one gives +0.0
+    everywhere, returned without forming the products (the zero rule of
+    :func:`_contract`)."""
     xa, ya = (jets.truncate(cs, t + 1).a for cs in (xs, ys))
+    if not t and (not xa.any() and np.isfinite(ya).all()
+                  or not ya.any() and np.isfinite(xa).all()):
+        return JetBatch(np.zeros((xa if xa.ndim > ya.ndim else ya).shape[:-1]),
+                        0, xs.nvars)
     rest = (slice(None),) * t
     part = (Ellipsis, slice(1, None)) + rest
     lift = (Ellipsis, None, slice(None), slice(None)) + rest

@@ -1001,3 +1001,125 @@ def test_stacked_domain_error_is_the_per_point_loops_first(op, depth):
     if depth == 0:
         assert first_error(lambda: field.values(points)) == want
         assert first_error(lambda: DevTracker().track(points, field)) == want
+
+
+# ---------------------------------------------------------------------------
+# the zero rule of the contraction and bracket kernels
+# ---------------------------------------------------------------------------
+
+
+def _signed_zeros(shape, rng):
+    return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+
+def _contract_by_jets(rows, xs):
+    """``jets.dot(row, xs)`` over ``Jet`` s at each (member, row, point)."""
+    d, n = xs.depth, xs.nvars
+    terms, points = rows.shape[1:3]
+    return {m + (r, k): jets.dot(
+        [_unflatten(rows[r, t, k], d, n) for t in range(terms)],
+        [_unflatten(xs.a[m + (t, k)], d, n) for t in range(terms)])
+        for m in np.ndindex(xs.a.shape[:-2 - d])
+        for r in range(len(rows)) for k in range(points)}
+
+
+def _bracket_by_jets(xs, ys, t):
+    """``acc = acc + x^j d_j y^i - y^j d_j x^i`` over ``Jet`` s at each
+    (member, component, point), either operand's member axis broadcast."""
+    n = xs.nvars
+    lead = max(xs.a.shape[:-2 - xs.depth], ys.a.shape[:-2 - ys.depth],
+               key=len)
+    out = {}
+    for m in np.ndindex(lead):
+        for k in range(xs.a.shape[-1 - xs.depth]):
+            x, y = ([_unflatten(s.a[m[:s.a.ndim - 2 - s.depth] + (j, k)],
+                                s.depth, n) for j in range(n)]
+                    for s in (xs, ys))
+            for i in range(n):
+                acc = 0.0
+                for j in range(n):
+                    acc = acc + jets.truncate(x[j], t) * jets.truncate(
+                        y[i].partials[j], t) - jets.truncate(y[j], t) * \
+                        jets.truncate(x[i].partials[j], t)
+                out[m + (i, k)] = acc
+    return out
+
+
+def _is_the_jet_fold(got, want):
+    for at, jet in want.items():
+        assert _bits(_unflatten(got.a[at], got.depth, got.nvars)) == \
+            _bits(jet), at
+
+
+@pytest.mark.parametrize("members", [0, 2], ids=["neither", "member"])
+@pytest.mark.parametrize("points", [1, 3])
+@pytest.mark.parametrize("depth", [0, 1])
+def test_contract_of_a_signed_zero_operand_is_the_jet_fold(members, points,
+                                                           depth):
+    """An ``xs`` of ±0.0 (``rows`` never carries a member axis) gives every
+    bit of the ``Jet`` fold: +0.0 everywhere at depth 0, where the kernel
+    skips the products, and the dense fold's -0.0 partials at depth 1."""
+    rng = np.random.default_rng(10 * points + depth + members)
+    slots = (4,) * depth
+    rows = rng.standard_normal((4, 3, points) + slots)
+    lead = (members,) if members else ()
+    xs = JetBatch(_signed_zeros(lead + (3, points) + slots, rng), depth, 3)
+    got = geo._contract(rows, xs)
+    assert got.a.shape == lead + (4, points) + slots
+    assert got.depth == depth
+    _is_the_jet_fold(got, _contract_by_jets(rows, xs))
+    negative = geo._contract(np.abs(rows), xs._new(np.full(xs.a.shape, -0.0)))
+    assert np.signbit(negative.a).any() == (depth > 0)
+
+
+@pytest.mark.parametrize("member", ["neither", "x", "y"])
+@pytest.mark.parametrize("zero", ["x", "y"])
+@pytest.mark.parametrize("points", [1, 3])
+@pytest.mark.parametrize("t", [0, 1])
+def test_bracket_of_a_signed_zero_operand_is_the_jet_fold(member, zero,
+                                                          points, t):
+    """A bracket with one operand ±0.0 gives every bit of the ``Jet`` fold,
+    with a member axis on either side or on neither: +0.0 everywhere at
+    ``t = 0``, where the kernel skips the products, and the dense fold
+    above it."""
+    rng = np.random.default_rng(points + 10 * t)
+    n = 3
+    operands = {}
+    for side in "xy":
+        shape = ((2,) if member == side else ()) + (n, points) + \
+            (1 + n,) * (t + 1)
+        a = _signed_zeros(shape, rng) if side == zero else \
+            rng.standard_normal(shape)
+        operands[side] = JetBatch(a, t + 1, n)
+    xs, ys = operands["x"], operands["y"]
+    got = geo._bracket_fold(xs, ys, t)
+    lead = (2,) if member != "neither" else ()
+    assert got.a.shape == lead + (n, points) + (1 + n,) * t
+    assert got.depth == t
+    _is_the_jet_fold(got, _bracket_by_jets(xs, ys, t))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("points", [1, 3])
+def test_a_zero_operand_keeps_the_nan_of_the_other_at_its_point(bad, points):
+    """A NaN or an infinity in the operand a zero one meets is multiplied,
+    as the dense fold does, and the result is NaN at its point."""
+    rng = np.random.default_rng(points)
+    k = points - 1
+    rows = rng.standard_normal((4, 3, points))
+    rows[2, 1, k] = bad
+    xs = JetBatch(_signed_zeros((2, 3, points), rng), 0, 3)
+    with np.errstate(invalid="ignore"):
+        got = geo._contract(rows, xs)
+    assert np.isnan(got.a[:, 2, k]).all()
+    _is_the_jet_fold(got, _contract_by_jets(rows, xs))
+    zero = JetBatch(_signed_zeros((3, points, 4), rng), 1, 3)
+    for slot in (0, 2):
+        other = rng.standard_normal((2, 3, points, 4))
+        other[1, 0, k, slot] = bad
+        other = JetBatch(other, 1, 3)
+        for xs, ys in ((zero, other), (other, zero)):
+            with np.errstate(invalid="ignore"):
+                got = geo._bracket_fold(xs, ys, 0)
+            assert np.isnan(got.a[1, :, k]).any()
+            _is_the_jet_fold(got, _bracket_by_jets(xs, ys, 0))

@@ -19,6 +19,7 @@ import pytest
 from ehresmann import covderiv
 from ehresmann import expr as ex
 from ehresmann import geometry as geo
+from ehresmann import jets
 from ehresmann import scenarios as sc
 from ehresmann.cli import load_scenario_file, main
 from ehresmann.covderiv import CovDeriv, nabla_of_endo, op_field, torsion
@@ -1421,6 +1422,74 @@ def test_a_nan_frame_component_at_one_point_never_passes(name, slot):
                 if r.passed and not r.max_dev == r.max_dev]
     assert not [r.check_id for r in records
                 if not r.max_dev == r.max_dev and r.worst_point is None]
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_a_nan_that_only_a_zero_operand_meets_never_passes(name,
+                                                           monkeypatch):
+    """The zero rule of the kernels skips the products of an all-zero
+    operand at depth 0.  Here every such call gets a NaN at one sample
+    point in a component of its other operand, which the products would
+    have multiplied by a zero: the run still ends as a failing record
+    whose worst point is that point, or as a ``GeometryError`` that names
+    it (``verify`` exits 2), as a NaN frame component does."""
+    scen = _stack_scenario(name)
+    cfg = CheckConfig(seed=11, samples=3)
+    target = scen.space.sample_points(cfg)[1].values
+    contract, bracket = geo._contract, geo._bracket_fold
+    poisoned = collections.Counter()
+
+    def nan_at_target(a, at):
+        a = a.copy()
+        a[at] = math.nan
+        return a
+
+    def contract_(rows, xs):
+        if not xs.depth and not xs.a.any() and rows.shape[2] == 3:
+            poisoned["contract"] += 1
+            rows = nan_at_target(rows, (0, 0, 1))
+        return contract(rows, xs)
+
+    def bracket_(xs, ys, t):
+        if not t and xs.a.shape[-1 - xs.depth] == 3:
+            zero = [not jets.truncate(s, 1).a.any() for s in (xs, ys)]
+            if any(zero):
+                poisoned["bracket"] += 1
+                other = ys if zero[0] else xs
+                other = other._new(nan_at_target(
+                    other.a, (Ellipsis, 0, 1) + (0,) * other.depth))
+                xs, ys = (xs, other) if zero[0] else (other, ys)
+        return bracket(xs, ys, t)
+
+    monkeypatch.setattr(geo, "_contract", contract_)
+    monkeypatch.setattr(geo, "_bracket_fold", bracket_)
+    try:
+        records = sc.run_scenario_checks(scen, cfg)
+    except GeometryError as err:
+        assert str(target) in str(err)
+        assert poisoned
+        return
+    assert poisoned
+    assert any(not r.passed and r.worst_point == target for r in records)
+    assert not [r.check_id for r in records
+                if r.passed and not r.max_dev == r.max_dev]
+
+
+def test_the_zero_rule_skips_a_third_of_the_frame3_folds(monkeypatch):
+    """A frame3 verification (seed 42, 10 samples) calls
+    ``jets.fold_products`` 2,505 times without the zero rule of
+    ``_contract`` and ``_bracket_fold``, and 1,539 times with it."""
+    cfg = CheckConfig(seed=42, samples=10)
+    scen = _stack_scenario("frame3", cfg)
+    fold, calls = jets.fold_products, []
+
+    def counted(*args):
+        calls.append(1)
+        return fold(*args)
+
+    monkeypatch.setattr(jets, "fold_products", counted)
+    assert all(r.passed for r in sc.run_scenario_checks(scen, cfg))
+    assert 0 < len(calls) <= 1700, len(calls)
 
 
 @pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
