@@ -24,7 +24,7 @@ from .geometry import (
     validate_tangent, vf_add, vf_scale, vf_sub,
 )
 from .jets import JetBatch
-from .report import Check, DevTracker, max_abs
+from .report import Check, max_abs
 
 SPLIT_IDENTITY_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
@@ -87,15 +87,17 @@ def build_connection(space, vertical: Frame, horizontal: Frame,
 
 def _validate_projectors(conn: EhresmannConnection, cfg: CheckConfig):
     pts = conn.space.sample_points(cfg)
-    tracker = DevTracker()
+    check = Check("projector identities", "P_V + P_H = I, P_V idempotent, "
+                  "P_V P_H = 0", PROJECTOR_TOL)
     for X in conn.all_fields:
-        tracker.track(pts, vf_sub(vf_add(conn.p_v(X), conn.p_h(X)), X))
-        tracker.track(pts, vf_sub(conn.p_v(conn.p_v(X)), conn.p_v(X)))
-        tracker.track(pts, conn.p_v(conn.p_h(X)))
-    if not tracker.max_dev <= PROJECTOR_TOL:
+        check.track(pts, vf_sub(vf_add(conn.p_v(X), conn.p_h(X)), X))
+        check.track(pts, vf_sub(conn.p_v(conn.p_v(X)), conn.p_v(X)))
+        check.track(pts, conn.p_v(conn.p_h(X)))
+    dev = run_checks([check], at_once=True)[0].max_dev
+    if not dev <= PROJECTOR_TOL:
         raise ConnectionDataError(
             f"projector identities fail on {conn.space.name}: "
-            f"max deviation {tracker.max_dev:.3e}")
+            f"max deviation {dev:.3e}")
 
 
 @dataclass(eq=False)

@@ -28,7 +28,7 @@ from .geometry import (
     CheckConfig, DEFAULT_CHECK, Endo11, FieldStack, Frame, GeometryError,
     VectorField, family, lie_bracket, run_checks, vf_add, vf_sub,
 )
-from .report import Check, DevTracker
+from .report import Check
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -58,11 +58,11 @@ def assert_in_image(P: Endo11, Y: VectorField,
                     cfg: CheckConfig = DEFAULT_CHECK,
                     tol: float = MEMBERSHIP_TOL):
     """Numeric membership check: P(Y) = Y at the sample points."""
-    tracker = DevTracker()
-    tracker.track(Y.space.sample_points(cfg), vf_sub(P(Y), Y))
-    if not tracker.max_dev <= tol:
+    dev = run_checks([Check(f"{Y.name} in Img({P.name})", "", tol).track(
+        Y.space.sample_points(cfg), vf_sub(P(Y), Y))], at_once=True)[0].max_dev
+    if not dev <= tol:
         raise MembershipError(f"{Y.name} is not in Img({P.name}): "
-                              f"deviation {tracker.max_dev:.3e}")
+                              f"deviation {dev:.3e}")
 
 
 def extend_derivative(d: SubmoduleDeriv, cfg: CheckConfig = DEFAULT_CHECK,
@@ -126,17 +126,17 @@ def glue_derivatives(parts, cfg: CheckConfig = DEFAULT_CHECK,
         probe_fields = tuple(VectorField.coordinate(space, c)
                              for c in space.coords)
     pts = space.sample_points(cfg)
-    tracker = DevTracker()
+    check = Check("projectors sum to the identity", "", 1e-10)
     for X in probe_fields:
         total = None
         for proj, _ in parts:
             px = proj(X)
             total = px if total is None else vf_add(total, px)
-        tracker.track(pts, vf_sub(total, X))
-    if not tracker.max_dev <= 1e-10:
+        check.track(pts, vf_sub(total, X))
+    dev = run_checks([check], at_once=True)[0].max_dev
+    if not dev <= 1e-10:
         raise CovDerivError(
-            f"projectors do not sum to the identity: deviation "
-            f"{tracker.max_dev:.3e}")
+            f"projectors do not sum to the identity: deviation {dev:.3e}")
 
     def rule(X: VectorField, Y: VectorField) -> VectorField:
         out = None

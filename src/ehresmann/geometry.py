@@ -20,12 +20,13 @@ stores nothing when exactly one field reads it (:class:`_Field`).  Frame
 solves and frame coefficients are fields too, contracted by the same
 kernel as every projector, :func:`_contract`.
 
-That rule holds for eval queries and a build's own checks.  What a
-verification asserts is a list of :class:`report.Check` values, which
-evaluate nothing until one runner, :func:`run_checks`, folds them: it
-counts the reads the run will make of each (field, env depth), and each
-evaluation is stored only while reads of it remain, so no entry the run
-stored outlives it.
+That rule holds for eval queries and a build's own checks.  Every
+deviation is a :class:`report.Check` value, which evaluates nothing until
+one runner, :func:`run_checks`, folds it.  A verification's run counts the
+reads it will make of each (field, env depth), and each evaluation is
+stored only while reads of it remain, so no entry the run stored outlives
+it; a build's validation or a predicate folds its checks at once, under
+the reader rule.
 
 A :class:`FieldStack` puts fields of one ``cost`` on a leading member
 axis, ``(F, n, P) + slots``: a tree of the field algebra over a stacked
@@ -729,13 +730,17 @@ class FieldStack:
     def _fold(self, members, where, build, tracker, points, roots, rows):
         """The reduction of :meth:`track`: member ``i`` of root ``r`` for
         each ``(r, i)`` of ``where``, members outer.  When an evaluation
-        raises, the per-member loop runs, so the error is the loop's."""
+        raises, the per-member loop runs, each ``build(Y)`` folded by
+        :func:`report.fold` in the runner's envs, so the error is the
+        loop's."""
         try:
             arrays = [rows(root) for root in roots]
         except Exception:
             self.fallbacks += 1
             for Y in members:
-                tracker.track(points, build(Y))
+                root = build(Y)
+                root.readers += 1
+                report.fold(tracker, points, (root,), rows)
             return
         for r, i in where:
             for p, at_point in zip(points, arrays[r][:, i].tolist()):
@@ -1188,26 +1193,27 @@ def projector_from_split(target: Frame, rest, name=None) -> Endo11:
 
 
 def validate_frame(space, fields, cfg: CheckConfig = DEFAULT_CHECK):
-    """Each sample point's field values; raises at the first sample point
-    where the frame is degenerate or not finite (singular-value ratio)."""
-    fields = tuple(fields)
+    """Each sample point's field values, one list per field, read from one
+    evaluation of the fields stacked on a member axis; raises at the first
+    sample point where the frame is degenerate or not finite
+    (singular-value ratio)."""
+    frame = _stacked(tuple(fields))
 
-    def gate(p, columns):
-        gate_frame(np.array(columns).T, p.values)
-        return columns
+    def gate(pts):
+        rows = frame.rows(pts).tolist()
+        for p, columns in zip(pts, rows):
+            gate_frame(np.array(columns).T, p.values)
+        return rows
 
-    return per_point(space.sample_points(cfg),
-                     lambda pts: [gate(p, cols) for p, cols in zip(
-                         pts, zip(*(f.values(pts) for f in fields)))])
+    return per_point(space.sample_points(cfg), gate)
 
 
-def annihilation(space, exprs, X: VectorField,
-                 cfg: CheckConfig = DEFAULT_CHECK, into=None):
-    """The worst |grad(e) . X| over the sampled points and expressions,
-    each ``grad(e) . X`` the directional derivative ``X(e)``, tracked by
-    ``into``: a :class:`report.Check`, or by default a fresh
-    :class:`DevTracker`, folded at once."""
-    return (into or DevTracker()).track(space.sample_points(cfg), *(
+def annihilation(space, exprs, X: VectorField, cfg: CheckConfig,
+                 check: report.Check) -> report.Check:
+    """``check`` with the fold of every |grad(e) . X| over the sampled
+    points and expressions, each ``grad(e) . X`` the directional derivative
+    ``X(e)``."""
+    return check.track(space.sample_points(cfg), *(
         directional(X, ScalarField.from_expr(space, e)) for e in exprs))
 
 
@@ -1216,7 +1222,9 @@ def validate_tangent(space, X: VectorField, cfg: CheckConfig = DEFAULT_CHECK,
     """For embedded spaces: grad(c_k) . X = 0 at sampled points."""
     if not space.constraints:
         return 0.0
-    dev = annihilation(space, space.constraints, X, cfg).max_dev
+    check = report.Check(f"{X.name}:tangent", "", tol)
+    dev = run_checks([annihilation(space, space.constraints, X, cfg, check)],
+                     at_once=True)[0].max_dev
     if not dev <= tol:
         raise GeometryError(
             f"field {X.name} is not tangent to {space.name}: "

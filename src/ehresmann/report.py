@@ -1,9 +1,11 @@
 """Check records, the checks that produce them, and the fold behind both.
 
 A :class:`Check` is a value that evaluates nothing; ``geometry.run_checks``
-folds a list of them and returns their records.  A :class:`DevTracker`
-folds at once (:meth:`DevTracker.track`), for a deviation that a build or
-a predicate needs right away.
+folds a list of them and returns their records.  It is the one fold path:
+a verification folds its checks as one run, and a build's validation or a
+predicate that needs a deviation right away folds its own at once
+(``run_checks(..., at_once=True)``).  Each fold accumulates into a
+:class:`DevTracker`.
 """
 
 from __future__ import annotations
@@ -98,20 +100,6 @@ class DevTracker:
             self.max_dev = dev
             self.worst_point = tuple(point) if point is not None else None
 
-    def track(self, points, *fields):
-        """Fold in each field's largest absolute component at each point,
-        at once, points outer and fields inner, and return the tracker.  A
-        scalar field's value is its one component.  Each field is evaluated
-        once for the whole point set, in an env of its own; when that
-        raises, the point-by-point loop runs (:func:`fold`).  The fold counts
-        as a reader of each field, so a root nothing else reads stores
-        nothing."""
-        points = list(points)
-        for f in fields:
-            f.readers += 1
-        fold(self, points, fields, lambda root: root.rows(points))
-        return self
-
     def record(self, check_id: str, reference: str,
                threshold: float) -> CheckRecord:
         return CheckRecord(check_id, reference, self.max_dev, threshold,
@@ -137,7 +125,10 @@ class Check:
     record: CheckRecord | None = None
 
     def track(self, points, *fields) -> "Check":
-        """Add the fold that :meth:`DevTracker.track` makes at once."""
+        """Add the fold of each field's largest absolute component at each
+        point, points outer and fields inner (:func:`fold`); a scalar
+        field's value is its one component.  The fold counts as a reader of
+        each field, so a root nothing else reads stores nothing."""
         for f in fields:
             f.readers += 1
         self.folds.append((list(points), fields, fold))

@@ -48,7 +48,7 @@ from .geometry import (
     run_checks, vf_add, vf_scale, vf_sub,
 )
 from .jets import JetBatch, value_of
-from .report import Check, CheckRecord, DevTracker, per_point
+from .report import Check, CheckRecord, per_point
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +687,8 @@ def _tangent_scenario(name, n, hs, cfg, tag, family, coeff, description,
 
 def _gamma_table(n: int, gamma: dict, space: ChartedSpace):
     """Normalize base coefficients G^c_ab, keyed by 1-indexed triples
-    (c, a, b), into an expression table."""
+    (c, a, b), into an expression table; returns the table and its lookup
+    ``g_expr(c, a, b)``, zero for a missing entry."""
     table = {}
     for key, entry in gamma.items():
         if len(key) != 3:
@@ -702,7 +703,20 @@ def _gamma_table(n: int, gamma: dict, space: ChartedSpace):
                 f"coefficient {key} uses {bad}; these coefficients "
                 f"live on the base")
         table[key] = e
-    return table
+    return table, lambda c, a, b: table.get((c, a, b), ex.Const(0.0))
+
+
+def _torsion_row(n: int, a: int, b: int, g_expr, fibres, ref) -> ExpectedRow:
+    """T(H_a, H_b) of lifted frames: G^c_ab - G^c_ba on H_c, then for each
+    ``(prefix, oracle)`` of ``fibres``, a fibre group, minus its curvature
+    bracket coefficient on the field ``prefix + c``."""
+    idx = range(1, n + 1)
+    coeffs = {f"H{c}": ex.BinOp("-", g_expr(c, a, b), g_expr(c, b, a))
+              for c in idx}
+    for prefix, oracle in fibres:
+        coeffs.update({f"{prefix}{c}": _negated(oracle(c, a, b))
+                       for c in idx})
+    return ExpectedRow("torsion", (f"H{a}", f"H{b}"), coeffs, ref)
 
 
 def _affine_lift(space, n: int, a: int, g_expr, weights) -> VectorField:
@@ -726,11 +740,7 @@ def affine_tangent(n: int, gamma: dict,
     coordinates.  Missing entries are zero.
     """
     space = _tm_space(n, name)
-    table = _gamma_table(n, gamma, space)
-
-    def g_expr(c, a, b):
-        return table.get((c, a, b), ex.Const(0.0))
-
+    table, g_expr = _gamma_table(n, gamma, space)
     fibre = tuple(f"u{b}" for b in range(1, n + 1))
     hs = [_affine_lift(space, n, a, g_expr, [fibre]) for a in range(1, n + 1)]
     oracle = _curvature_bracket_oracle(space, g_expr, n, fibre)
@@ -746,13 +756,8 @@ def affine_tangent(n: int, gamma: dict,
                             {f"V{c}": oracle(c, a, b) for c in idx},
                             "affine: lift bracket vs direct curvature "
                             "formula"),
-                ExpectedRow("torsion", (f"H{a}", f"H{b}"),
-                            dict({f"H{c}": ex.BinOp("-", g_expr(c, a, b),
-                                                    g_expr(c, b, a))
-                                  for c in idx},
-                                 **{f"V{c}": _negated(oracle(c, a, b))
-                                    for c in idx}),
-                            "affine: torsion components"),
+                _torsion_row(n, a, b, g_expr, [("V", oracle)],
+                             "affine: torsion components"),
                 ExpectedRow("curvature", (f"H{a}", f"H{b}"),
                             {f"V{c}": oracle(c, a, b) for c in idx},
                             "affine: curvature vs direct formula")]
@@ -1033,10 +1038,9 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
 
 
 def _euler_defect(space, scalars, degree: float, cfg: CheckConfig,
-                  into=None):
-    """|Delta(f) - degree * f| over sampled points, tracked by ``into``
-    (a :class:`Check`, or by default a fresh :class:`DevTracker`, folded
-    at once): zero when every scalar is fibre-homogeneous of that degree
+                  check: Check) -> Check:
+    """``check`` with the fold of |Delta(f) - degree * f| over sampled
+    points: zero when every scalar is fibre-homogeneous of that degree
     (Euler's relation).  The dilation Delta(f) folds over the fibre
     coordinates alone."""
     fibre = [f"u{a}" for a in range(1, space.dim // 2 + 1)]
@@ -1054,8 +1058,7 @@ def _euler_defect(space, scalars, degree: float, cfg: CheckConfig,
         return ScalarField(space, fn, sf.cost + 1, f"euler({sf.name})",
                            (sf,))
 
-    return (into or DevTracker()).track(space.sample_points(cfg),
-                                        *map(defect, scalars))
+    return check.track(space.sample_points(cfg), *map(defect, scalars))
 
 
 def is_spray(gamma_field: VectorField, forces,
@@ -1065,7 +1068,8 @@ def is_spray(gamma_field: VectorField, forces,
     space = gamma_field.space
     sfs = [_entry_scalar(space, f, f"f{b + 1}") for b, f in enumerate(forces)]
     cfg = cfg if tol is None else replace(cfg, tolerance=tol)
-    return _euler_defect(space, sfs, 2.0, cfg).max_dev < cfg.tolerance
+    return run_checks([_spray_check("spray", "", space, sfs, cfg)],
+                      at_once=True)[0].passed
 
 
 def _spray_check(check_id, reference, space, forces, cfg) -> Check:
@@ -1080,8 +1084,8 @@ def homogeneity_check(space, gamma_sf: dict,
                       tol: float | None = None) -> bool:
     """Degree-1 fibre homogeneity: Delta(G^b_a) = G^b_a at sampled points."""
     cfg = cfg if tol is None else replace(cfg, tolerance=tol)
-    return _euler_defect(space, gamma_sf.values(), 1.0,
-                         cfg).max_dev < cfg.tolerance
+    return run_checks([_euler_defect(space, gamma_sf.values(), 1.0, cfg, Check(
+        "homogeneity", "", cfg.tolerance))], at_once=True)[0].passed
 
 
 def _reconstructed_forces(space, n: int, gamma_sf: dict) -> list:
@@ -1265,11 +1269,7 @@ def frame_bundle(n: int, cycle, gamma: dict,
         intervals=tuple((-1.0, 1.0) for _ in x_names)
         + tuple((0.5, 1.5) for _ in w_names),
         base_coords=x_names)
-    table = _gamma_table(n, gamma, space)
-
-    def g_expr(c, a, b):
-        return table.get((c, a, b), ex.Const(0.0))
-
+    table, g_expr = _gamma_table(n, gamma, space)
     hs = [_affine_lift(space, n, i, g_expr, w_groups)
           for i in range(1, n + 1)]
     v_blocks = [Frame(tuple(VectorField.coordinate(space, w, f"V{A}_{b}")
@@ -1280,8 +1280,8 @@ def frame_bundle(n: int, cycle, gamma: dict,
 
     names = tuple(f.name for f in split.solver.fields)
     fields = {f.name: f for f in split.solver.fields}
-    oracles = [_curvature_bracket_oracle(space, g_expr, n, group)
-               for group in w_groups]
+    fibres = [(f"V{A}_", _curvature_bracket_oracle(space, g_expr, n, group))
+              for A, group in enumerate(w_groups, 1)]
 
     expected = []
     for a in range(1, n + 1):
@@ -1309,14 +1309,8 @@ def frame_bundle(n: int, cycle, gamma: dict,
                         "nabla", (f"V{A}_{a}", f"V{B}_{b}"), {},
                         "frame bundle: flat families"))
             if a != b:
-                coeffs = {f"H{c}": ex.BinOp("-", g_expr(c, a, b),
-                                            g_expr(c, b, a))
-                          for c in range(1, n + 1)}
-                for A, oracle in enumerate(oracles, 1):
-                    for c in range(1, n + 1):
-                        coeffs[f"V{A}_{c}"] = _negated(oracle(c, a, b))
-                expected.append(ExpectedRow(
-                    "torsion", (f"H{a}", f"H{b}"), coeffs,
+                expected.append(_torsion_row(
+                    n, a, b, g_expr, fibres,
                     "frame bundle: torsion with fibre weights"))
 
     @family

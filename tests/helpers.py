@@ -7,6 +7,8 @@ import math
 import random
 
 from ehresmann import expr as ex
+from ehresmann.geometry import run_checks
+from ehresmann.report import Check
 
 
 def random_expression(rng: random.Random, variables, max_depth=4,
@@ -119,3 +121,15 @@ def raised(fn):
     except Exception as exc:  # the error itself is compared
         return type(exc), str(exc)
     return None
+
+
+def folded(check):
+    """The record of ``check``, folded at once, as a build folds its own
+    validations."""
+    return run_checks([check], at_once=True)[0]
+
+
+def fold_now(points, *fields):
+    """The record of one fold of ``fields`` over ``points``, points outer
+    and fields inner, folded at once."""
+    return folded(Check("fold", "", math.inf).track(points, *fields))

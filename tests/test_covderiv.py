@@ -20,8 +20,7 @@ from ehresmann.geometry import (
     vf_scale, vf_sub,
 )
 from ehresmann.jets import JetDomainError, JetShapeError, ln
-from ehresmann.report import DevTracker
-from helpers import raised
+from helpers import fold_now, raised
 
 CFG = CheckConfig(samples=8)
 
@@ -433,7 +432,7 @@ def test_parallelism_side_a_raises_the_per_pair_error(affine):
     def loop():
         for X in probes:
             for Y in probes:
-                DevTracker().track(pts, nabla_of_endo(bad, p_b, X, Y))
+                fold_now(pts, nabla_of_endo(bad, p_b, X, Y))
 
     want = raised(loop)
     assert want[0] is JetDomainError and "argument -" in want[1]

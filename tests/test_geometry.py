@@ -21,8 +21,7 @@ from ehresmann.geometry import (
     vf_sub,
 )
 from ehresmann.jets import Jet, JetBatch, JetDomainError
-from ehresmann.report import DevTracker
-from helpers import random_expression
+from helpers import fold_now, random_expression
 
 CFG = CheckConfig(samples=8)
 
@@ -1000,7 +999,7 @@ def test_stacked_domain_error_is_the_per_point_loops_first(op, depth):
         lambda: field.at(space.seed_env(points, depth))) == want
     if depth == 0:
         assert first_error(lambda: field.values(points)) == want
-        assert first_error(lambda: DevTracker().track(points, field)) == want
+        assert first_error(lambda: fold_now(points, field)) == want
 
 
 # ---------------------------------------------------------------------------

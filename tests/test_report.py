@@ -1,4 +1,5 @@
-"""Tests for the deviation tracker that every check folds through."""
+"""Tests for the fold and the deviation tracker that every check folds
+through."""
 
 from __future__ import annotations
 
@@ -10,14 +11,13 @@ import pytest
 
 from ehresmann.expr import EvalDomainError
 from ehresmann.geometry import ChartedSpace, ScalarField, VectorField
-from ehresmann.report import DevTracker, max_abs
+from ehresmann.report import Check, DevTracker, fold, max_abs
+from helpers import fold_now, folded
 
 
 class _Fixed:
     """A stand-in field with the same components at every point of a
-    point set; ``DevTracker.track`` counts its read."""
-
-    readers = 0
+    point set."""
 
     def __init__(self, comps):
         self.comps = comps
@@ -33,9 +33,9 @@ def _point(*values):
 def test_track_keeps_nan_in_second_component():
     # the builtin max over [0.5, nan, 0.25] returns 0.5 and hides the NaN
     tracker = DevTracker()
-    tracker.track([_point(0.0), _point(1.0), _point(2.0)],
-                  _Fixed([0.1]), _Fixed([0.5, math.nan, 0.25]),
-                  _Fixed([7.0]))
+    points = [_point(0.0), _point(1.0), _point(2.0)]
+    fold(tracker, points, [_Fixed([0.1]), _Fixed([0.5, math.nan, 0.25]),
+                           _Fixed([7.0])], lambda root: root.rows(points))
     assert math.isnan(tracker.max_dev)
     assert tracker.worst_point == (0.0,)
     rec = tracker.record("nan", "test", 1e-8)
@@ -49,7 +49,8 @@ def test_track_keeps_nan_in_second_component():
 
 
 def _scalar_track(points, *fields):
-    """The per-point fold ``track`` replaces: points outer, fields inner."""
+    """The per-point fold that a check's fold replaces: points outer,
+    fields inner."""
     tracker = DevTracker()
     for p in points:
         for f in fields:
@@ -100,30 +101,25 @@ def test_batched_track_matches_the_per_point_fold(case, components):
     space, points = _line()
     fields = [VectorField.from_exprs(space, c, f"f{i}")
               for i, c in enumerate(components)]
-    got = _outcome(lambda: _track(points, *fields))
+    got = _outcome(lambda: fold_now(points, *fields))
     assert got == _outcome(lambda: _scalar_track(points, *fields))
     assert got == _EXPECTED[case]
-
-
-def _track(points, *fields):
-    tracker = DevTracker()
-    tracker.track(points, *fields)
-    return tracker
 
 
 def test_track_folds_a_scalar_field_as_one_value_per_point():
     space, points = _line()
     f = ScalarField.from_expr(space, "x*y - 1")
-    tracker = DevTracker()
-    assert tracker.track(points, f) is tracker
+    check = Check("scalar", "", 1.0)
+    assert check.track(points, f) is check
+    rec = folded(check)
     want = max(points, key=lambda p: abs(f.value_at(p)))
-    assert tracker.max_dev == abs(f.value_at(want))
-    assert tracker.worst_point == want.values
+    assert rec.max_dev == abs(f.value_at(want))
+    assert rec.worst_point == want.values
     assert f.values(points) == [[f.value_at(p)] for p in points]
 
 
 def test_batched_track_reports_python_floats():
     space, points = _line()
-    tracker = _track(points, VectorField.from_exprs(space, ("x*y", "y"), "f"))
-    assert type(tracker.max_dev) is float
-    assert all(type(v) is float for v in tracker.worst_point)
+    rec = fold_now(points, VectorField.from_exprs(space, ("x*y", "y"), "f"))
+    assert type(rec.max_dev) is float
+    assert all(type(v) is float for v in rec.worst_point)

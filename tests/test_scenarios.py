@@ -20,6 +20,7 @@ from ehresmann import covderiv
 from ehresmann import expr as ex
 from ehresmann import geometry as geo
 from ehresmann import jets
+from ehresmann import report
 from ehresmann import scenarios as sc
 from ehresmann.cli import load_scenario_file, main
 from ehresmann.covderiv import CovDeriv, nabla_of_endo, op_field, torsion
@@ -38,8 +39,8 @@ from ehresmann.scenarios import (
     validate_positive_definite,
 )
 from ehresmann.jets import value_of
-from ehresmann.report import DevTracker, per_point
-from helpers import raised
+from ehresmann.report import Check, DevTracker, per_point
+from helpers import fold_now, folded, raised
 from test_cli import TRIVIAL_DOC
 
 CFG = CheckConfig(samples=8)
@@ -637,12 +638,15 @@ def test_coframe_check_fails_against_a_sign_flipped_form(monkeypatch):
 def test_hopf_projection_check_fails_on_a_non_vertical_field(hopf_scen):
     space = hopf_scen.space
     exprs = tuple(ex.parse(s) for s in sc.HOPF_PROJECTION)
-    assert annihilation(space, exprs, hopf_scen.fields["V"],
-                        SMALL).max_dev < 1e-9
-    tracker = annihilation(space, exprs, hopf_scen.fields["Lambda"], SMALL)
-    assert tracker.max_dev > 0.1
-    assert tracker.worst_point in [p.values
-                                   for p in space.sample_points(SMALL)]
+
+    def verticality(field):
+        return folded(annihilation(space, exprs, field, SMALL,
+                                   Check(field.name, "", 1e-9)))
+
+    assert verticality(hopf_scen.fields["V"]).max_dev < 1e-9
+    rec = verticality(hopf_scen.fields["Lambda"])
+    assert rec.max_dev > 0.1
+    assert rec.worst_point in [p.values for p in space.sample_points(SMALL)]
 
 
 def test_sode_lift_check_fails_against_a_perturbed_table():
@@ -771,11 +775,12 @@ def _per_pair_parallel(scen, cfg):
         tensors = [scen.split.p_k, *scen.split.p_blocks]
     out = []
     for T in tensors:
-        tracker = DevTracker()
+        check = Check(T.name, "", cfg.tolerance)
         for X in frame:
             for Y in frame:
-                tracker.track(pts, nabla_of_endo(scen.nabla, T, X, Y))
-        out.append((tracker.max_dev, tracker.worst_point))
+                check.track(pts, nabla_of_endo(scen.nabla, T, X, Y))
+        rec = folded(check)
+        out.append((rec.max_dev, rec.worst_point))
     return out
 
 
@@ -897,7 +902,7 @@ def test_stacked_families_raise_the_per_pair_error(tmp_path):
         for p, _ in scen.nabla.parts:
             for X in probes:
                 for Y in probes:
-                    DevTracker().track(pts, nabla_of_endo(scen.nabla, p, X, Y))
+                    fold_now(pts, nabla_of_endo(scen.nabla, p, X, Y))
 
     want = raised(lambda: _per_pair_parallel(load(), STACK_CFG))
     assert want is not None and "not positive" in want[1]
@@ -1058,9 +1063,10 @@ def test_engine_brackets_and_stacked_roots_are_held_by_no_cache(
     itself, through ``Endo11.once``, so after a build and its checks no
     memo of the split or the connection is keyed by one of those brackets.
     Each root that ``FieldStack.track`` builds over a cost group is read
-    there alone and keeps no entry, and no root that ``DevTracker.track``
-    folds keeps one unless it is shared."""
-    brackets, roots, folded = [], [], []
+    there alone and keeps no entry, and no root that ``report.fold`` folds,
+    in the build's validations or in the run, keeps one unless it is
+    shared."""
+    brackets, roots, fold_roots = [], [], []
 
     def bracket(X, Y, _bracket=covderiv.lie_bracket):
         brackets.append(_bracket(X, Y))
@@ -1076,23 +1082,23 @@ def test_engine_brackets_and_stacked_roots_are_held_by_no_cache(
 
         return _track(stack, tracker, points, members, recorded)
 
-    def fold(tracker, points, *fields, _fold=DevTracker.track):
-        folded.extend(fields)
-        return _fold(tracker, points, *fields)
+    def fold(tracker, points, fields, rows, _fold=report.fold):
+        fold_roots.extend(fields)
+        return _fold(tracker, points, fields, rows)
 
     monkeypatch.setattr(covderiv, "lie_bracket", bracket)
     monkeypatch.setattr(FieldStack, "track", track)
-    monkeypatch.setattr(DevTracker, "track", fold)
+    monkeypatch.setattr(report, "fold", fold)
     scen = _stack_scenario(name)
     sc.run_scenario_checks(scen, STACK_CFG)
-    assert brackets and roots and folded
+    assert brackets and roots and fold_roots
     assert scen.split.stack.fallbacks == 0
     memos = _memos(scen)
     keyed = [b.name for b in brackets if any(b in m for m in memos)]
     assert keyed == []
     kept = [(r.name, r.readers) for r in roots if r._cache or r.readers != 1]
     assert kept == []
-    kept = [f.name for f in folded if f._cache and not f.shared]
+    kept = [f.name for f in fold_roots if f._cache and not f.shared]
     assert kept == []
 
 
@@ -1139,9 +1145,9 @@ def _metric_defect(d):
 
 
 def _euler_defect(d):
-    """Builds the defect fields and evaluates them itself."""
-    sc._euler_defect(d["space"], [d["f"], d["g"]], 2.0,
-                     CheckConfig(samples=2))
+    """Builds the defect fields, whose check folds them at once."""
+    folded(sc._euler_defect(d["space"], [d["f"], d["g"]], 2.0,
+                            CheckConfig(samples=2), Check("euler", "", 1.0)))
     return []
 
 
@@ -1565,10 +1571,13 @@ def test_every_env_of_a_verification_is_seeded_by_the_runner(
     of each staged first stage, and none per oracle or per probe: at most
     10 on each built-in at the defaults and on frame3 at seed 4721 and 10
     samples (11 to 82, and 158, when the oracles and the image selection
-    seeded their own)."""
+    seeded their own).  Its build reads the frame in one stacked
+    evaluation and folds each validation at once, one env per (point set,
+    depth): at most 4 on frame3 (61 when every root seeded its own) and 7
+    on each built-in (16 to 31), where Hopf's three tangency folds make its
+    7."""
     cfg = CheckConfig(seed=4721, samples=10) if name == "frame3" \
         else CheckConfig()
-    scen = _stack_scenario(name, cfg)
     seeded = []
     original = geo.ChartedSpace.seed_env
 
@@ -1577,5 +1586,39 @@ def test_every_env_of_a_verification_is_seeded_by_the_runner(
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(geo.ChartedSpace, "seed_env", spy)
+    scen = _stack_scenario(name, cfg)
+    assert 0 < len(seeded) <= (4 if name == "frame3" else 7), seeded
+    del seeded[:]
     sc.run_scenario_checks(scen, cfg)
     assert 0 < len(seeded) <= 10, seeded
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_every_fold_runs_under_the_runner(name, monkeypatch):
+    """One fold path: over a build and its verification, and the spray and
+    homogeneity predicates of sode-tangent, every call of ``report.fold``
+    runs under ``geometry._fold_checks``."""
+    depth, calls = [0], []
+
+    def fold_checks(checks, at_once, _fold_checks=geo._fold_checks):
+        depth[0] += 1
+        try:
+            return _fold_checks(checks, at_once)
+        finally:
+            depth[0] -= 1
+
+    def fold(tracker, points, roots, rows, _fold=report.fold):
+        calls.append(depth[0])
+        return _fold(tracker, points, roots, rows)
+
+    monkeypatch.setattr(geo, "_fold_checks", fold_checks)
+    monkeypatch.setattr(report, "fold", fold)
+    cfg = CheckConfig(seed=4721, samples=10) if name == "frame3" \
+        else CheckConfig()
+    scen = _stack_scenario(name, cfg)
+    sc.run_scenario_checks(scen, cfg)
+    if name == "sode-tangent":
+        assert is_spray(scen.fields["Gamma"], sc.DEFAULT_SODE_FORCES, cfg)
+        assert homogeneity_check(scen.space, scen.data["gamma_sf"], cfg)
+    assert calls
+    assert calls.count(0) == 0, f"{calls.count(0)} of {len(calls)} folds"
