@@ -3,7 +3,8 @@
 
 Each line gives the seconds of the scenario's build (its own validations
 included) and of its checks apart, the cache entries the scenario's fields
-hold after its run, the megabytes those entries retain, the peak of the memory
+hold after its run, the megabytes those entries retain, the memo entries
+the scenario holds after its build and after its run, the peak of the memory
 Python allocations hold during the scenario's build and checks
 (``tracemalloc``, which slows the run), and the peak resident memory of
 the process so far, which hides the peak of each scenario after the
@@ -18,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 
-from ehresmann.geometry import CheckConfig, _Field
+from ehresmann.geometry import CheckConfig, Endo11, _Field
 from ehresmann import scenarios as sc
 from ehresmann.report import max_abs
 
@@ -32,6 +33,16 @@ def live_entries() -> tuple:
                for o in gc.get_objects() if isinstance(o, _Field)
                for hit in o._cache.values()]
     return len(entries), sum(a.nbytes for a in entries) / 2 ** 20
+
+
+def memo_entries(scen) -> int:
+    """The memo entries of ``nabla`` and of every ``Endo11`` that the
+    split or the connection holds, alone or in a tuple, each once."""
+    endos = {e for obj in (scen.split, scen.conn)
+             for v in vars(obj).values()
+             for e in (v if isinstance(v, tuple) else (v,))
+             if isinstance(e, Endo11)}
+    return len(scen.nabla._memo) + sum(len(e._memo) for e in endos)
 
 
 def peak_rss_mb() -> float:
@@ -55,6 +66,7 @@ def main() -> int:
         t0 = time.time()
         scen = sc.build_scenario(name, cfg)
         t1 = time.time()
+        built = memo_entries(scen)
         records = sc.run_scenario_checks(scen, cfg)
         build_s, check_s = t1 - t0, time.time() - t1
         traced = tracemalloc.get_traced_memory()[1] / 2 ** 20
@@ -66,7 +78,8 @@ def main() -> int:
         print(f"{name:<20} {len(records):>3} checks  worst dev "
               f"{worst:.2e}  build {build_s:5.2f}s  checks {check_s:5.2f}s  "
               f"{entries:>5} entries "
-              f"{mb:5.1f} MB  traced peak {traced:5.1f} MB  "
+              f"{mb:5.1f} MB  memo {built:>4} -> {memo_entries(scen):>4}  "
+              f"traced peak {traced:5.1f} MB  "
               f"peak {peak_rss_mb():5.1f} MB  {status}")
         for r in bad:
             print(f"    FAIL {r.check_id}: {r.max_dev:.3e} "

@@ -65,9 +65,7 @@ def build_connection(space, vertical: Frame, horizontal: Frame,
     for f in fields:    # read by the validators, the solve and every check
         f.share()
     columns = validate_frame(space, fields, cfg)
-    if space.constraints:
-        for f in fields:
-            validate_tangent(space, f, cfg)
+    validate_tangent(space, fields, cfg)
     if space.base_coords and not space.constraints:
         base_idx = [space.index(b) for b in space.base_coords]
         dev = max_abs(vals[i] for at_point in columns

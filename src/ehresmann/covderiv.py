@@ -26,7 +26,7 @@ from .connection import (
 )
 from .geometry import (
     CheckConfig, DEFAULT_CHECK, Endo11, FieldStack, Frame, GeometryError,
-    VectorField, family, lie_bracket, run_checks, vf_add, vf_sub,
+    VectorField, _memoized, family, lie_bracket, run_checks, vf_add, vf_sub,
 )
 from .report import Check
 
@@ -93,9 +93,11 @@ class CovDeriv:
 
     ``parts`` keeps the (projector, extended rule) pairs the operator was
     glued from, so per-block diagnostics stay available downstream.
-    Outputs are memoized per argument-instance pair; fields are immutable,
-    so a repeated (X, Y) always means the same derivative field, and a
-    memo output is marked by :meth:`~geometry._Field.share`.
+    Outputs are memoized per argument-instance pair by
+    :func:`~geometry._memoized`, until the run that added the entry ends;
+    fields are immutable, so a repeated (X, Y) always means the same
+    derivative field, and a memo output is marked by
+    :meth:`~geometry._Field.share`.
     """
 
     space: object
@@ -107,10 +109,7 @@ class CovDeriv:
         self._memo = {}
 
     def __call__(self, X: VectorField, Y: VectorField) -> VectorField:
-        out = self._memo.get((X, Y))
-        if out is None:
-            out = self._memo[X, Y] = self.rule(X, Y).share()
-        return out
+        return _memoized(self._memo, (X, Y), self.rule, X, Y)
 
 
 def glue_derivatives(parts, cfg: CheckConfig = DEFAULT_CHECK,

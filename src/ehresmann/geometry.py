@@ -751,9 +751,21 @@ class FieldStack:
 # the runner
 # ---------------------------------------------------------------------------
 
-# While a run collects and folds: the (cache, key) of every entry stored,
-# which the run drops when it ends.
+# While a run collects and folds: the (dict, key) of every cache entry
+# stored and every memo entry added, which the run drops when it ends.
 _stored = None
+
+
+def _memoized(memo: dict, key, make, *args):
+    """``memo[key]``, on a miss ``make(*args)`` marked by
+    :meth:`_Field.share`; an entry added while a run is open goes on
+    ``_stored``, so the run drops it when it ends."""
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = make(*args).share()
+        if _stored is not None:
+            _stored.append((memo, key))
+    return out
 
 
 def _count_reads(reads: dict, root, key):
@@ -778,9 +790,10 @@ def run_checks(checks, at_once: bool = False) -> list:
     before, which fold first.  A walk from every root counts the reads of
     each (field, env depth); each (point set, depth) is seeded once, by
     the first fold that needs it, and in those envs ``_Field.at`` drops an
-    entry at its last read.  When the run ends, every entry stored since
-    it began is gone.  ``at_once`` counts nothing and keeps what it
-    stores: the reader rule, for a build's checks and a first stage."""
+    entry at its last read.  When the run ends, every cache entry stored
+    and every memo entry added since it began is gone.  ``at_once`` counts
+    nothing and keeps what it stores: the reader rule, for a build's
+    checks and a first stage."""
     global _stored
     opened = not at_once and _stored is None
     if opened:
@@ -795,8 +808,8 @@ def run_checks(checks, at_once: bool = False) -> list:
         return _fold_checks(collected, at_once)
     finally:
         if opened:
-            for cache, key in _stored:
-                cache.pop(key, None)
+            for store, key in _stored:
+                store.pop(key, None)
             _stored = None
 
 
@@ -1073,9 +1086,10 @@ class Endo11:
     tensored with frame fields, built by :meth:`from_sides`; the other
     constructors combine such tensors.  All of them produce function-linear
     actions; the test suite verifies that property by sampling.
-    Applications are memoized per argument instance, so repeated formula
-    assembly over the same fields shares one output field (and its warm
-    evaluation cache); a memo output is marked by :meth:`_Field.share`.
+    Applications are memoized per argument instance by :func:`_memoized`,
+    so repeated formula assembly over the same fields shares one output
+    field (and its warm evaluation cache), until the run that added the
+    entry ends; a memo output is marked by :meth:`_Field.share`.
     :meth:`once` applies without the memo, for an argument built for that
     one application, such as the brackets of the derivative engine: no
     memo holds the argument, and the output is not shared, so it stores
@@ -1092,10 +1106,7 @@ class Endo11:
         self.sides = sides
 
     def __call__(self, X: VectorField) -> VectorField:
-        out = self._memo.get(X)
-        if out is None:
-            out = self._memo[X] = self.once(X).share()
-        return out
+        return _memoized(self._memo, X, self.once, X)
 
     def once(self, X: VectorField) -> VectorField:
         """The application to ``X``, neither memoized nor shared, for an
@@ -1217,19 +1228,24 @@ def annihilation(space, exprs, X: VectorField, cfg: CheckConfig,
         directional(X, ScalarField.from_expr(space, e)) for e in exprs))
 
 
-def validate_tangent(space, X: VectorField, cfg: CheckConfig = DEFAULT_CHECK,
+def validate_tangent(space, X, cfg: CheckConfig = DEFAULT_CHECK,
                      tol: float = 1e-10):
-    """For embedded spaces: grad(c_k) . X = 0 at sampled points."""
+    """For embedded spaces: grad(c_k) . X = 0 at sampled points, for a
+    field ``X`` or each field of a tuple, one check each, folded at once;
+    raises for the first that fails, else returns the largest deviation."""
     if not space.constraints:
         return 0.0
-    check = report.Check(f"{X.name}:tangent", "", tol)
-    dev = run_checks([annihilation(space, space.constraints, X, cfg, check)],
-                     at_once=True)[0].max_dev
-    if not dev <= tol:
-        raise GeometryError(
-            f"field {X.name} is not tangent to {space.name}: "
-            f"max deviation {dev:.3e}")
-    return dev
+    fields = X if isinstance(X, tuple) else (X,)
+    records = run_checks([annihilation(
+        space, space.constraints, f, cfg,
+        report.Check(f"{f.name}:tangent", "", tol)) for f in fields],
+        at_once=True)
+    for f, record in zip(fields, records):
+        if not record.max_dev <= tol:
+            raise GeometryError(
+                f"field {f.name} is not tangent to {space.name}: "
+                f"max deviation {record.max_dev:.3e}")
+    return max(record.max_dev for record in records)
 
 
 def eval_vector_field(X: VectorField, point, cfg: CheckConfig = DEFAULT_CHECK):

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import runpy
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from ehresmann import geometry as geo
 from ehresmann import jets
 from ehresmann import report
 from ehresmann import scenarios as sc
-from ehresmann.cli import load_scenario_file, main
+from ehresmann.cli import Report, load_scenario_file, main
 from ehresmann.covderiv import CovDeriv, nabla_of_endo, op_field, torsion
 from ehresmann.geometry import (
     CheckConfig, CovectorField, DepthBudgetError, Endo11, FieldStack,
@@ -400,7 +401,9 @@ def test_sode_reconstruction_demo_runs(capsys):
 
 
 def test_verify_all_script_runs_clean():
-    """The summary script runs every built-in in a fresh process."""
+    """The summary script runs every built-in in a fresh process, and each
+    scenario holds as many memo entries after its run as after its
+    build."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
@@ -409,7 +412,12 @@ def test_verify_all_script_runs_clean():
          "--samples", "3"], capture_output=True, text=True, env=env,
         timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "all scenarios clean"
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "all scenarios clean"
+    memos = [re.search(r" memo +(\d+) -> +(\d+) ", line).groups()
+             for line in lines[:-1]]
+    assert len(memos) == len(sc.BUILTIN_BUILDERS)
+    assert all(built == after for built, after in memos), memos
 
 
 def test_sode_feeds_back_through_nonlinear():
@@ -1060,8 +1068,9 @@ def test_side_fields_are_computed_once_and_freed_by_the_run(
 def test_engine_brackets_and_stacked_roots_are_held_by_no_cache(
         name, monkeypatch):
     """The engine applies S, Q_a and the projectors to brackets it builds
-    itself, through ``Endo11.once``, so after a build and its checks no
-    memo of the split or the connection is keyed by one of those brackets.
+    itself, through ``Endo11.once``, so no memo of the split or the
+    connection is keyed by one of those brackets, after the build nor after
+    any fold of the run, before the run drops the memo entries it added.
     Each root that ``FieldStack.track`` builds over a cost group is read
     there alone and keeps no entry, and no root that ``report.fold`` folds,
     in the build's validations or in the run, keeps one unless it is
@@ -1090,11 +1099,19 @@ def test_engine_brackets_and_stacked_roots_are_held_by_no_cache(
     monkeypatch.setattr(FieldStack, "track", track)
     monkeypatch.setattr(report, "fold", fold)
     scen = _stack_scenario(name)
+    memos, keys = _memos(scen), set()
+
+    def fold_checks(checks, at_once, _fold_checks=geo._fold_checks):
+        try:
+            return _fold_checks(checks, at_once)
+        finally:
+            keys.update(k for m in memos for k in m)
+
+    monkeypatch.setattr(geo, "_fold_checks", fold_checks)
     sc.run_scenario_checks(scen, STACK_CFG)
     assert brackets and roots and fold_roots
     assert scen.split.stack.fallbacks == 0
-    memos = _memos(scen)
-    keyed = [b.name for b in brackets if any(b in m for m in memos)]
+    keyed = [b.name for b in brackets if b in keys]
     assert keyed == []
     kept = [(r.name, r.readers) for r in roots if r._cache or r.readers != 1]
     assert kept == []
@@ -1386,6 +1403,47 @@ def test_a_run_frees_what_it_stores(name, monkeypatch):
         assert tally["peak"] <= tally["total"] / 2, tally
 
 
+def _memo_sizes(scen) -> list:
+    return [len(scen.nabla._memo)] + [len(m) for m in _memos(scen)]
+
+
+def _live_fields() -> int:
+    gc.collect()
+    return sum(isinstance(o, _Field) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_a_verification_leaves_its_build_as_it_found_it(name):
+    """A run drops the memo entries it adds: after each of three
+    verifications of one build, ``nabla`` and every ``Endo11`` of the split
+    and the connection hold as many entries as right after the build, and
+    the third leaves as many live fields as the first."""
+    scen = _stack_scenario(name)
+    built, live = _memo_sizes(scen), []
+    for _ in range(3):
+        sc.run_scenario_checks(scen, STACK_CFG)
+        assert _memo_sizes(scen) == built
+        live.append(_live_fields())
+    assert live[2] == live[0], live
+
+
+def _report_json(scen) -> str:
+    echo = {"scenario": scen.name, "seed": STACK_CFG.seed,
+            "samples": STACK_CFG.samples, "tolerance": STACK_CFG.tolerance,
+            "depth": STACK_CFG.depth}
+    return Report(echo, sc.run_scenario_checks(scen, STACK_CFG)).to_json()
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_repeated_verification_is_byte_identical(name):
+    """Two consecutive verifications of one build, and one of a fresh
+    build, give the same report JSON."""
+    scen = _stack_scenario(name)
+    first = _report_json(scen)
+    assert _report_json(scen) == first
+    assert _report_json(_stack_scenario(name)) == first
+
+
 def _poison(field, target, slot: bool):
     """Make ``field``'s first component NaN at the point ``target``: its
     value, or with ``slot`` its first first-order slot, where it has one."""
@@ -1573,9 +1631,10 @@ def test_every_env_of_a_verification_is_seeded_by_the_runner(
     samples (11 to 82, and 158, when the oracles and the image selection
     seeded their own).  Its build reads the frame in one stacked
     evaluation and folds each validation at once, one env per (point set,
-    depth): at most 4 on frame3 (61 when every root seeded its own) and 7
-    on each built-in (16 to 31), where Hopf's three tangency folds make its
-    7."""
+    depth): at most 4 on frame3 (61 when every root seeded its own) and on
+    each built-in (16 to 31), but 5 on Hopf, whose tangency checks of all
+    frame fields fold in one run of their own (7 when each field folded
+    alone)."""
     cfg = CheckConfig(seed=4721, samples=10) if name == "frame3" \
         else CheckConfig()
     seeded = []
@@ -1587,7 +1646,7 @@ def test_every_env_of_a_verification_is_seeded_by_the_runner(
 
     monkeypatch.setattr(geo.ChartedSpace, "seed_env", spy)
     scen = _stack_scenario(name, cfg)
-    assert 0 < len(seeded) <= (4 if name == "frame3" else 7), seeded
+    assert 0 < len(seeded) <= (5 if name == "hopf" else 4), seeded
     del seeded[:]
     sc.run_scenario_checks(scen, cfg)
     assert 0 < len(seeded) <= 10, seeded

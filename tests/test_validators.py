@@ -93,19 +93,30 @@ def test_tangency_message():
         "field radial is not tangent to s3: max deviation 2.000e+00")
 
 
-def test_tangency_message_of_a_connection_frame():
-    """The build's tangency fold over a frame whose second field leaves
-    the sphere."""
+def _sphere_frame(v_last="z"):
     space = ChartedSpace("s3", ("x", "y", "z", "w"),
                          constraints=(ex.parse("x^2+y^2+z^2+w^2-1"),),
                          sphere=True)
     lam = VectorField.from_exprs(space, ["z", "w", "-x", "-y"], "Lambda")
     tilt = VectorField.from_exprs(space, ["w", "-z", "y", "-x+0.25"], "Tilt")
-    v = VectorField.from_exprs(space, ["y", "-x", "-w", "z"], "V")
-    assert _message(lambda: build_connection(
-        space, Frame((v,), "V"), Frame((lam, tilt), "H"), CFG),
-        GeometryError) == (
+    v = VectorField.from_exprs(space, ["y", "-x", "-w", v_last], "V")
+    return space, Frame((v,), "V"), Frame((lam, tilt), "H")
+
+
+def test_tangency_message_of_a_connection_frame():
+    """The build's tangency fold over a frame whose second field leaves
+    the sphere."""
+    assert _message(lambda: build_connection(*_sphere_frame(), CFG),
+                    GeometryError) == (
         "field Tilt is not tangent to s3: max deviation 3.783e-01")
+
+
+def test_tangency_message_names_the_first_failing_field():
+    """The tangency checks of all frame fields fold in one run; when two
+    fields leave the sphere, the message names the first in frame order."""
+    assert _message(lambda: build_connection(*_sphere_frame("z+0.5"), CFG),
+                    GeometryError) == (
+        "field V is not tangent to s3: max deviation 7.566e-01")
 
 
 def test_verticality_message():
