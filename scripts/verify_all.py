@@ -2,9 +2,10 @@
 """Run the verification suite of every built-in scenario and summarize.
 
 Each line gives the seconds of the scenario's build (its own validations
-included) and of its checks apart, the cache entries the scenario's fields
-hold after its run, the megabytes those entries retain, the memo entries
-the scenario holds after its build and after its run, the peak of the memory
+included) and of its checks apart, the cache entries the live fields hold
+after the build and after the run, the megabytes the entries after the run
+retain, the memo entries the scenario holds after its build and after its
+run, the peak of the memory
 Python allocations hold during the scenario's build and checks
 (``tracemalloc``, which slows the run), and the peak resident memory of
 the process so far, which hides the peak of each scenario after the
@@ -65,10 +66,11 @@ def main() -> int:
         tracemalloc.reset_peak()
         t0 = time.time()
         scen = sc.build_scenario(name, cfg)
+        build_s = time.time() - t0
+        built, kept = memo_entries(scen), live_entries()[0]
         t1 = time.time()
-        built = memo_entries(scen)
         records = sc.run_scenario_checks(scen, cfg)
-        build_s, check_s = t1 - t0, time.time() - t1
+        check_s = time.time() - t1
         traced = tracemalloc.get_traced_memory()[1] / 2 ** 20
         bad = [r for r in records if not r.passed]
         failures += len(bad)
@@ -77,8 +79,8 @@ def main() -> int:
         entries, mb = live_entries()
         print(f"{name:<20} {len(records):>3} checks  worst dev "
               f"{worst:.2e}  build {build_s:5.2f}s  checks {check_s:5.2f}s  "
-              f"{entries:>5} entries "
-              f"{mb:5.1f} MB  memo {built:>4} -> {memo_entries(scen):>4}  "
+              f"entries {kept:>5} -> {entries:>5} ({mb:5.1f} MB)  "
+              f"memo {built:>4} -> {memo_entries(scen):>4}  "
               f"traced peak {traced:5.1f} MB  "
               f"peak {peak_rss_mb():5.1f} MB  {status}")
         for r in bad:

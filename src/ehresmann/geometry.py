@@ -15,18 +15,20 @@ point, which is what brackets and Lie derivatives read.  An ``Env``
 carries its seeded ``depth`` and its memo ``key``, ``(point values,
 depth)``: equal keys mean bit-equal inputs, so every cache keys on it.  A
 field caches its own evaluation under ``env.key`` at depth ``env.depth -
-cost``, keeps the entries of the last point set it stored over, and
-stores nothing when exactly one field reads it (:class:`_Field`).  Frame
-solves and frame coefficients are fields too, contracted by the same
-kernel as every projector, :func:`_contract`.
+cost`` while reads of it remain in its evaluation, and keeps the entries
+of the last point set it stored over (:class:`_Field`).  Frame solves and
+frame coefficients are fields too, contracted by the same kernel as every
+projector, :func:`_contract`.
 
-That rule holds for eval queries and a build's own checks.  Every
-deviation is a :class:`report.Check` value, which evaluates nothing until
-one runner, :func:`run_checks`, folds it.  A verification's run counts the
-reads it will make of each (field, env depth), and each evaluation is
-stored only while reads of it remain, so no entry the run stored outlives
-it; a build's validation or a predicate folds its checks at once, under
-the reader rule.
+Every evaluation counts its reads by one walk over the fields'
+``operands``: a direct one (``values``, an eval query) from the field it
+evaluates, a fold of checks from all its roots.  Every deviation is a
+:class:`report.Check` value, which evaluates nothing until one runner,
+:func:`run_checks`, folds it.  No entry a verification's run stored
+outlives it.  A build's validation or a predicate folds its checks at
+once, after which only shared fields keep what they stored; a direct
+evaluation keeps the entries of its field and of the shared fields it
+reads.
 
 A :class:`FieldStack` puts fields of one ``cost`` on a leading member
 axis, ``(F, n, P) + slots``: a tree of the field algebra over a stacked
@@ -183,7 +185,7 @@ class ChartedSpace:
         env.depth = depth
         env.points = values
         env.key = (values, depth)
-        env.live = None
+        env.live = {}
         return env
 
     def constraint_residual(self, values) -> float:
@@ -275,9 +277,10 @@ class Env(dict):
 
     ``depth`` is the seeded depth, ``points`` the point values and ``key``
     is ``(points, depth)``, the memo key of every evaluation in this
-    environment.  ``live`` is ``None``, except in an env that
-    :func:`run_checks` seeds: there it maps each field to the reads of it
-    that the run has still to make.
+    environment.  ``live`` maps each field to the reads of it that the
+    evaluations in this env have still to make: :func:`run_checks` counts
+    them for the envs it seeds, and an ``at`` of a field that ``live``
+    holds no count of adds the reads from that field on.
     """
 
     __slots__ = ("depth", "key", "points", "live")
@@ -360,24 +363,23 @@ _NO_ENTRIES = {}
 class _Field:
     """A rule ``_fn(env)`` that consumes ``cost`` derivative levels.
 
-    ``operands`` are the fields the rule reads, one entry per read, kept
-    for the runner's walk; each adds one to that field's ``readers``.  The
-    one caching rule: an evaluation is normalized to depth ``env.depth -
-    cost`` and memoized under ``env.key``, unless the field has exactly one
-    reader, inside whose evaluation alone it is read.  A field that
-    callers outside any rule also read (a memo output, a frame solve) is
-    marked by :meth:`share` and always stores; a check's fold counts its
-    read.  Storing over another point set first empties ``_cache`` in
-    place (``FrameSolver._cache`` reads the same dict).  In an env that
-    :func:`run_checks` seeds, the run's counts replace ``readers`` and
-    ``share()``: an evaluation stores only while reads of it remain.
-    ``rows`` and ``values`` serve all three field types, a scalar's value
-    as its one component; each type binds ``at`` in its own namespace, so
-    a profiler can wrap it per type.
+    ``operands`` are the fields the rule reads, one entry per read, which
+    :func:`_count_reads` walks.  The one caching rule: an evaluation is
+    normalized to depth ``env.depth - cost`` and memoized under
+    ``env.key`` while ``env.live`` counts reads of it still to come, and
+    its last read drops the entry.  An ``at`` on a field that its env
+    counts no read of, such as the first ``at`` in an env that
+    ``seed_env`` made, evaluates it directly: it counts the reads from
+    that field on, and the field keeps its entry, as does each field
+    marked by :meth:`share` that it reads.  Storing over another point
+    set first empties ``_cache`` in place (``FrameSolver._cache`` reads
+    the same dict).  ``rows`` and ``values`` serve all three field types,
+    a scalar's value as its one component; each type binds ``at`` in its
+    own namespace, so a profiler can wrap it per type.
     """
 
-    __slots__ = ("space", "name", "cost", "_fn", "_cache", "readers",
-                 "shared", "operands")
+    __slots__ = ("space", "name", "cost", "_fn", "_cache", "shared",
+                 "operands")
     _normalize = staticmethod(_comps_as_depth)
     _point_rows = staticmethod(lambda comps, env: _value_rows(comps))
 
@@ -387,28 +389,24 @@ class _Field:
         self.cost = cost
         self.name = name
         self._cache = _NO_ENTRIES
-        self.readers = 0
         self.shared = False
         self.operands = tuple(operands)
-        for f in self.operands:
-            f.readers += 1
 
     def at(self, env):
+        live = env.live
+        reads = live.pop(self, None)
+        if reads is None:   # evaluated directly: counted from here, kept
+            _count_reads(live, self, env.key, True)
+            del live[self]
+            reads = math.inf
         cache = self._cache
         hit = cache.get(env.key)
-        live = env.live
         if hit is None:
             if env.depth < self.cost:
                 raise DepthBudgetError(self.name, self.cost, env.depth)
             hit = self._normalize(self._fn(env), env.depth - self.cost, env)
-            reads = None if live is None else live.pop(self, None)
-            if reads is None:
-                keep = self.readers != 1 or self.shared
-            else:
-                keep = reads > 1
-                if keep:
-                    live[self] = reads - 1
-            if keep:
+            if reads > 1:
+                live[self] = reads - 1
                 if cache is _NO_ENTRIES:
                     cache = self._cache = {}
                 elif cache and next(iter(cache))[0] != env.points:
@@ -416,18 +414,16 @@ class _Field:
                 cache[env.key] = hit
                 if _stored is not None:
                     _stored.append((cache, env.key))
-        elif live is not None:
-            reads = live.pop(self, None)
-            if reads == 1:
-                del cache[env.key]
-            elif reads is not None:
-                live[self] = reads - 1
+        elif reads == 1:
+            del cache[env.key]
+        else:
+            live[self] = reads - 1
         return hit
 
     def share(self):
-        """Store every evaluation, however many fields read this one: a
-        memo output or a frame solve is handed to many callers, which may
-        evaluate it directly.  Returns the field."""
+        """Keep every evaluation outside a verification run, however many
+        reads remain: a memo output or a frame solve is handed to many
+        callers, which may evaluate it directly.  Returns the field."""
         self.shared = True
         return self
 
@@ -707,8 +703,8 @@ class FieldStack:
     def track(self, check, points, members, build):
         """Add to ``check`` the fold of ``build(Y)`` for each ``Y`` of
         ``members``, as ``check.track(points, build(Y))`` in that order
-        would, from one fresh root per cost group, ``build(group)``, whose
-        read is counted; each member reads only its own rows.  When a
+        would, from one fresh root per cost group, ``build(group)``, read
+        once by the fold; each member reads only its own rows.  When a
         member is not in this stack, that loop is added instead."""
         points = list(points)
         try:
@@ -720,8 +716,6 @@ class FieldStack:
             for Y in members:
                 check.track(points, build(Y))
             return check
-        for root in roots:
-            root.readers += 1
         check.folds.append((points, roots, partial(
             self._fold, members, [(groups.index(g), i) for g, i in where],
             build)))
@@ -738,9 +732,7 @@ class FieldStack:
         except Exception:
             self.fallbacks += 1
             for Y in members:
-                root = build(Y)
-                root.readers += 1
-                report.fold(tracker, points, (root,), rows)
+                report.fold(tracker, points, (build(Y),), rows)
             return
         for r, i in where:
             for p, at_point in zip(points, arrays[r][:, i].tolist()):
@@ -768,15 +760,17 @@ def _memoized(memo: dict, key, make, *args):
     return out
 
 
-def _count_reads(reads: dict, root, key):
+def _count_reads(reads: dict, root, key, keep: bool = False):
     """Add to ``reads`` the reads of each field that evaluating ``root`` at
     ``key`` makes when a field read twice stores: a field's operands are
-    read once, unless it already holds an entry at ``key``."""
+    read once, unless it already holds an entry at ``key``.  With
+    ``keep``, a shared field counts as read without end, so its entry
+    outlives the evaluation."""
     todo = [root]
     while todo:
         f = todo.pop()
         n = reads.get(f, 0)
-        reads[f] = n + 1
+        reads[f] = math.inf if keep and f.shared else n + 1
         if not n and key not in f._cache:
             todo += f.operands
 
@@ -791,9 +785,9 @@ def run_checks(checks, at_once: bool = False) -> list:
     each (field, env depth); each (point set, depth) is seeded once, by
     the first fold that needs it, and in those envs ``_Field.at`` drops an
     entry at its last read.  When the run ends, every cache entry stored
-    and every memo entry added since it began is gone.  ``at_once`` counts
-    nothing and keeps what it stores: the reader rule, for a build's
-    checks and a first stage."""
+    and every memo entry added since it began is gone.  ``at_once`` folds
+    a build's checks or a first stage: it opens no run, and a shared
+    field's entries outlive the fold."""
     global _stored
     opened = not at_once and _stored is None
     if opened:
@@ -819,10 +813,10 @@ def _fold_checks(checks: list, at_once) -> list:
         folds = None if isinstance(check, report.CheckRecord) else [
             (PointSetKey(p.values for p in fold[0]),) + fold
             for fold in check.folds]
-        for values, _, roots, _ in () if at_once else folds or ():
+        for values, _, roots, _ in folds or ():
             for root in roots:
                 key = (values, root.cost)
-                _count_reads(live.setdefault(key, {}), root, key)
+                _count_reads(live.setdefault(key, {}), root, key, at_once)
         checks[i] = check, folds
     checks.reverse()    # popped in order: a check's roots go once it ran
     envs, records = {}, []
@@ -839,7 +833,7 @@ def _fold_checks(checks: list, at_once) -> list:
                 if env is None:
                     env = envs[key] = root.space.seed_env(points, root.cost,
                                                           root.name)
-                    env.live = live.get(key)
+                    env.live = live[key]
                 return root.rows(points, env)
 
             reduction(tracker, points, roots, rows)
@@ -1093,7 +1087,7 @@ class Endo11:
     :meth:`once` applies without the memo, for an argument built for that
     one application, such as the brackets of the derivative engine: no
     memo holds the argument, and the output is not shared, so it stores
-    nothing when exactly one field reads it.
+    nothing when its evaluation reads it once.
     """
 
     __slots__ = ("space", "name", "_apply", "_memo", "sides")

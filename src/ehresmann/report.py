@@ -4,8 +4,8 @@ A :class:`Check` is a value that evaluates nothing; ``geometry.run_checks``
 folds a list of them and returns their records.  It is the one fold path:
 a verification folds its checks as one run, and a build's validation or a
 predicate that needs a deviation right away folds its own at once
-(``run_checks(..., at_once=True)``).  Each fold accumulates into a
-:class:`DevTracker`.
+(``run_checks(..., at_once=True)``).  Both count the reads of every root
+before they fold, and each fold accumulates into a :class:`DevTracker`.
 """
 
 from __future__ import annotations
@@ -127,10 +127,9 @@ class Check:
     def track(self, points, *fields) -> "Check":
         """Add the fold of each field's largest absolute component at each
         point, points outer and fields inner (:func:`fold`); a scalar
-        field's value is its one component.  The fold counts as a reader of
-        each field, so a root nothing else reads stores nothing."""
-        for f in fields:
-            f.readers += 1
+        field's value is its one component.  The runner counts the fold's
+        read of each field, so a root that nothing else in the fold reads,
+        and that is not shared, stores nothing."""
         self.folds.append((list(points), fields, fold))
         return self
 

@@ -980,9 +980,12 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
     horizontal frame is P_H applied to the coordinate lifts.
     """
     space = _tm_space(n, name)
-    force_sf = [_entry_scalar(space, f, f"f{b + 1}")
+    # the forces and Gamma are read by the frame fields' trees, in the
+    # build's folds and in its checks
+    force_sf = [_entry_scalar(space, f, f"f{b + 1}").share()
                 for b, f in enumerate(forces)]
     gamma_field, s_endo, p_h = _induced_projector(space, n, force_sf)
+    gamma_field.share()
 
     hs = []
     for a in range(1, n + 1):

@@ -402,8 +402,8 @@ def test_sode_reconstruction_demo_runs(capsys):
 
 def test_verify_all_script_runs_clean():
     """The summary script runs every built-in in a fresh process, and each
-    scenario holds as many memo entries after its run as after its
-    build."""
+    scenario holds as many memo entries after its run as after its build,
+    and no more cache entries."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
@@ -418,6 +418,9 @@ def test_verify_all_script_runs_clean():
              for line in lines[:-1]]
     assert len(memos) == len(sc.BUILTIN_BUILDERS)
     assert all(built == after for built, after in memos), memos
+    entries = [re.search(r" entries +(\d+) -> +(\d+) ", line).groups()
+               for line in lines[:-1]]
+    assert all(int(after) <= int(built) for built, after in entries), entries
 
 
 def test_sode_feeds_back_through_nonlinear():
@@ -992,14 +995,20 @@ def _wrap_at(monkeypatch, before, after=lambda field: None):
 def test_nothing_is_computed_twice_and_one_reader_fields_store_nothing(
         name, monkeypatch):
     """Over a build and its checks, no (field, ``env.key``) pair is computed
-    twice, and no field with exactly one reader, other than a shared one
-    (a memo output, a frame solve), keeps an entry.  The computed fields
-    are held, so that no id is reused."""
-    held, computed = {}, collections.Counter()
+    twice, and no field that each evaluation reads once keeps an entry,
+    other than a shared one (a memo output, a frame solve) or one that was
+    evaluated directly, outside any count of its env.  The computed fields
+    and the envs are held, so that no id is reused."""
+    held, computed, envs = {}, collections.Counter(), {}
+    reads, direct = collections.Counter(), set()
 
     def count(field, env):
+        held[id(field)] = field
+        envs[id(env)] = env
+        reads[id(field), id(env)] += 1
+        if field not in env.live:
+            direct.add(id(field))
         if env.key not in field._cache:
-            held[id(field)] = field
             computed[id(field), env.key] += 1
 
     _wrap_at(monkeypatch, count)
@@ -1007,8 +1016,12 @@ def test_nothing_is_computed_twice_and_one_reader_fields_store_nothing(
     assert computed
     twice = [(held[i].name, n) for (i, _), n in computed.items() if n > 1]
     assert twice == []
-    stored = [f.name for f in held.values()
-              if f.readers == 1 and not f.shared and f._cache]
+    most = collections.Counter()
+    for (i, _), n in reads.items():
+        most[i] = max(most[i], n)
+    assert set(most.values()) > {1}
+    stored = [f.name for i, f in held.items() if most[i] == 1
+              and not f.shared and i not in direct and f._cache]
     assert stored == []
 
 
@@ -1072,9 +1085,9 @@ def test_engine_brackets_and_stacked_roots_are_held_by_no_cache(
     connection is keyed by one of those brackets, after the build nor after
     any fold of the run, before the run drops the memo entries it added.
     Each root that ``FieldStack.track`` builds over a cost group is read
-    there alone and keeps no entry, and no root that ``report.fold`` folds,
-    in the build's validations or in the run, keeps one unless it is
-    shared."""
+    once, in one env, and keeps no entry, and no root that ``report.fold``
+    folds, in the build's validations or in the run, keeps one unless it
+    is shared."""
     brackets, roots, fold_roots = [], [], []
 
     def bracket(X, Y, _bracket=covderiv.lie_bracket):
@@ -1095,9 +1108,16 @@ def test_engine_brackets_and_stacked_roots_are_held_by_no_cache(
         fold_roots.extend(fields)
         return _fold(tracker, points, fields, rows)
 
+    envs, reads = {}, collections.Counter()
+
+    def count(field, env):
+        envs[id(env)] = env
+        reads[field, id(env)] += 1
+
     monkeypatch.setattr(covderiv, "lie_bracket", bracket)
     monkeypatch.setattr(FieldStack, "track", track)
     monkeypatch.setattr(report, "fold", fold)
+    _wrap_at(monkeypatch, count)
     scen = _stack_scenario(name)
     memos, keys = _memos(scen), set()
 
@@ -1113,7 +1133,10 @@ def test_engine_brackets_and_stacked_roots_are_held_by_no_cache(
     assert scen.split.stack.fallbacks == 0
     keyed = [b.name for b in brackets if b in keys]
     assert keyed == []
-    kept = [(r.name, r.readers) for r in roots if r._cache or r.readers != 1]
+    read = collections.defaultdict(list)
+    for (f, _), n in reads.items():
+        read[f].append(n)
+    kept = [(r.name, read[r]) for r in roots if r._cache or read[r] != [1]]
     assert kept == []
     kept = [f.name for f in fold_roots if f._cache and not f.shared]
     assert kept == []
@@ -1209,32 +1232,59 @@ _READ_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_READ_CASES))
 def test_constructors_count_what_their_rules_read(case, monkeypatch):
-    """Each constructor adds one reader per read its rule makes: evaluated
-    once, every field's ``readers`` equals the ``at`` calls that other
-    fields' rules made on it, and each fresh operand's count rose by its
-    reads.  A missed registration never changes a value, it silently
-    recomputes, so only a count can catch it."""
+    """Each constructor passes the reads its rule makes as ``operands``,
+    one entry per read: evaluated once, each rule that ran made the ``at``
+    calls of ``collections.Counter(field.operands)``, and each fresh
+    operand was read, and listed by the fields that ran, as many times as
+    the case says.  A missed operand never changes a value: the walk that
+    counts an evaluation's reads misses its read, so it silently keeps an
+    entry or is computed again, and only a count can catch it."""
     d = _fresh_fields()
     build, want = _READ_CASES[case]
-    reads, rules = collections.Counter(), [None]
+    reads, rules, ran = collections.Counter(), [], []
 
     def enter(field, env):
-        if rules[-1] is not None:
+        if rules:
+            rules[-1][1][field] += 1
             reads[field] += 1
-        rules.append(field)
+        rules.append((field, collections.Counter(),
+                      env.key not in field._cache))
 
-    _wrap_at(monkeypatch, enter, lambda field: rules.pop())
+    def leave(field):
+        field, calls, computed = rules.pop()
+        if computed:
+            ran.append((field, calls))
+
+    _wrap_at(monkeypatch, enter, leave)
     built = build(d)
     if built:
         env = d["space"].seed_env(d["space"].sample_points(
             CheckConfig(samples=2)), max(f.cost for f in built))
         for f in built:
             f.at(env)
-    assert {k: d[k].readers for k in want} == want
     assert {k: reads[d[k]] for k in want} == want
-    wrong = [(f.name, f.readers, n) for f, n in reads.items()
-             if f.readers != n]
+    assert {k: sum(f.operands.count(d[k]) for f, _ in ran)
+            for k in want} == want
+    wrong = [(f.name, dict(calls)) for f, calls in ran
+             if calls != collections.Counter(f.operands)]
     assert wrong == []
+
+
+def test_a_discarded_tree_changes_nothing_its_operands_store():
+    """``F = X + Y``, read once by ``G = [F, Z]``, keeps no entry when ``G``
+    is evaluated, and still none after two trees over ``F`` were built and
+    discarded: what a field stores depends on the evaluation that reads
+    it, not on the trees ever built over it."""
+    d = _fresh_fields()
+    F = vf_add(d["X"], d["Y"])
+    G = lie_bracket(F, d["Z"])
+    p, q = d["space"].sample_points(CheckConfig(samples=2))
+    G.values(p)
+    assert len(F._cache) == 0
+    for _ in range(2):
+        vf_sub(F, F)
+    G.values(q)
+    assert len(F._cache) == 0
 
 
 # ---------------------------------------------------------------------------
