@@ -6,14 +6,16 @@ structure refines one side into equal-rank blocks and carries the canonical
 endomorphism pairs between each block and the opposite distribution; all the
 algebraic identities the derivative formulas rely on are checked at
 construction time by :func:`validate_split`, which folds the checks of
-:func:`split_checks` at once, and construction fails when one fails.
+:func:`split_checks` at once, and construction fails when one fails.  A
+validation folds each identity once per cost group of the frame on a member
+axis of its own, through ``Endo11.once``, so a build adds no memo entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -84,13 +86,18 @@ def build_connection(space, vertical: Frame, horizontal: Frame,
 
 
 def _validate_projectors(conn: EhresmannConnection, cfg: CheckConfig):
+    """P_V + P_H = I, P_V idempotent and P_V P_H = 0 on the frame, each
+    identity one root per cost group of the frame stacked on a member axis,
+    folded at once; raises above :data:`PROJECTOR_TOL`."""
     pts = conn.space.sample_points(cfg)
     check = Check("projector identities", "P_V + P_H = I, P_V idempotent, "
                   "P_V P_H = 0", PROJECTOR_TOL)
-    for X in conn.all_fields:
-        check.track(pts, vf_sub(vf_add(conn.p_v(X), conn.p_h(X)), X))
-        check.track(pts, vf_sub(conn.p_v(conn.p_v(X)), conn.p_v(X)))
-        check.track(pts, conn.p_v(conn.p_h(X)))
+    stack, apply, p_v, p_h = FieldStack(conn.all_fields), cache(
+        Endo11.once), conn.p_v, conn.p_h
+    for build in (lambda G: vf_sub(vf_add(apply(p_v, G), apply(p_h, G)), G),
+                  lambda G: vf_sub(apply(p_v, apply(p_v, G)), apply(p_v, G)),
+                  lambda G: p_v.once(apply(p_h, G))):
+        stack.track(check, pts, stack.fields, build)
     dev = run_checks([check], at_once=True)[0].max_dev
     if not dev <= PROJECTOR_TOL:
         raise ConnectionDataError(
@@ -277,37 +284,41 @@ def validate_split(split: SplitStructure,
 
 def split_checks(split: SplitStructure,
                  cfg: CheckConfig = DEFAULT_CHECK) -> list:
-    """One check per endomorphism-pair identity, at sampled points.
+    """One check per endomorphism-pair identity, at sampled points, each
+    one root per cost group of the frame on a member axis of this call's
+    own; the roots apply each tensor to each operand once, through
+    ``Endo11.once`` (no memo entry), and none is another's operand.
 
     The aggregate identity s_total . q_total = P_K is what the 1/sqrt(N)
     normalization exists for, so that is asserted directly; no per-term
     property of the scaling is claimed.
     """
     pts = split.space.sample_points(cfg)
-    checks = []
+    stack, checks, apply = FieldStack(split.all_fields), [], cache(Endo11.once)
 
-    def add(check_id, field_for_probe, probes=split.all_fields):
-        check = Check(check_id, "endomorphism pair identities",
-                      SPLIT_IDENTITY_TOL)
-        for X in probes:
-            check.track(pts, field_for_probe(X))
-        checks.append(check)
+    def add(check_id, build, probes=stack.fields):
+        checks.append(stack.track(Check(
+            check_id, "endomorphism pair identities", SPLIT_IDENTITY_TOL),
+            pts, probes, build))
 
     n = split.n
     for a in range(n):
         s_a, q_a, p_a = split.s_endos[a], split.q_endos[a], split.p_blocks[a]
         add(f"split:{q_a.name}∘{s_a.name}=P_block{a + 1}",
-            lambda X, s=s_a, q=q_a, pb=p_a: vf_sub(q(s(X)), pb(X)))
+            lambda G, s=s_a, q=q_a, pb=p_a: vf_sub(apply(q, apply(s, G)),
+                                                   apply(pb, G)))
         add(f"split:{s_a.name}∘{q_a.name}=P_K",
-            lambda X, s=s_a, q=q_a: vf_sub(s(q(X)), split.p_k(X)))
+            lambda G, s=s_a, q=q_a: vf_sub(apply(s, apply(q, G)),
+                                           apply(split.p_k, G)))
         for b in range(n):
             if b != a:
                 add(f"split:{split.s_endos[a].name}∘{split.q_endos[b].name}=0",
-                    lambda X, s=split.s_endos[a], q=split.q_endos[b]: s(q(X)))
+                    lambda G, s=s_a, q=split.q_endos[b]: s.once(apply(q, G)))
         # kernel: fields outside block a are annihilated by s_endos[a]
         outside = list(split.k.fields) + [
             f for bb in range(n) if bb != a for f in split.blocks[bb].fields]
-        add(f"split:ker({s_a.name})⊇complement", s_a, outside)
+        add(f"split:ker({s_a.name})⊇complement", s_a.once, outside)
     add("split:aggregate S∘Q=P_K",
-        lambda X: vf_sub(split.s_total(split.q_total(X)), split.p_k(X)))
+        lambda G: vf_sub(apply(split.s_total, apply(split.q_total, G)),
+                         apply(split.p_k, G)))
     return checks

@@ -17,7 +17,7 @@ returns its records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable
 
 from .connection import (
@@ -115,7 +115,9 @@ class CovDeriv:
 def glue_derivatives(parts, cfg: CheckConfig = DEFAULT_CHECK,
                      probe_fields=None, provenance: str = "glue") -> CovDeriv:
     """Glue extended derivatives over a direct-sum decomposition; the
-    projectors must sum to the identity on the probe fields."""
+    projectors must sum to the identity on the probe fields, stacked on a
+    member axis: one root per cost group, each projector applied through
+    ``Endo11.once``, folded at once."""
     parts = tuple(parts)
     if not parts:
         raise CovDerivError("glue needs at least one part")
@@ -124,14 +126,11 @@ def glue_derivatives(parts, cfg: CheckConfig = DEFAULT_CHECK,
     if probe_fields is None:
         probe_fields = tuple(VectorField.coordinate(space, c)
                              for c in space.coords)
-    pts = space.sample_points(cfg)
-    check = Check("projectors sum to the identity", "", 1e-10)
-    for X in probe_fields:
-        total = None
-        for proj, _ in parts:
-            px = proj(X)
-            total = px if total is None else vf_add(total, px)
-        check.track(pts, vf_sub(total, X))
+    stack = FieldStack(probe_fields)
+    check = stack.track(Check("projectors sum to the identity", "", 1e-10),
+                        space.sample_points(cfg), stack.fields,
+                        lambda G: vf_sub(reduce(vf_add, [
+                            proj.once(G) for proj, _ in parts]), G))
     dev = run_checks([check], at_once=True)[0].max_dev
     if not dev <= 1e-10:
         raise CovDerivError(

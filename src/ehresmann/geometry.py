@@ -240,7 +240,7 @@ class ChartedSpace:
         return points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A point of a space.  ``depth``, when set, caps the derivative levels
     an environment seeded at the point may carry (``seed_env`` raises
@@ -723,20 +723,22 @@ class FieldStack:
 
     def _fold(self, members, where, build, tracker, points, roots, rows):
         """The reduction of :meth:`track`: member ``i`` of root ``r`` for
-        each ``(r, i)`` of ``where``, members outer.  When an evaluation
-        raises, the per-member loop runs, each ``build(Y)`` folded by
-        :func:`report.fold` in the runner's envs, so the error is the
-        loop's."""
+        each ``(r, i)`` of ``where``, members outer, each row's deviation
+        taken for all of a root's rows at once, ``np.abs(rows).max(axis=-1)``
+        (bit-equal to :func:`report.max_abs`, NaN included).  When an
+        evaluation raises, the per-member loop runs, each ``build(Y)``
+        folded by :func:`report.fold` in the runner's envs, so the error is
+        the loop's."""
         try:
-            arrays = [rows(root) for root in roots]
+            devs = [np.abs(rows(root)).max(axis=-1) for root in roots]
         except Exception:
             self.fallbacks += 1
             for Y in members:
                 report.fold(tracker, points, (build(Y),), rows)
             return
         for r, i in where:
-            for p, at_point in zip(points, arrays[r][:, i].tolist()):
-                tracker.update(max_abs(at_point), p.values)
+            for p, dev in zip(points, devs[r][:, i].tolist()):
+                tracker.update(dev, p.values)
 
 
 # ---------------------------------------------------------------------------
@@ -885,12 +887,22 @@ def frame_ratio(mat) -> float:
 
 
 def gate_frame(mat, point):
-    """Raise unless the frame matrix's ratio is above the degeneracy gate;
-    a stack of matrices is gated point by point, in order."""
+    """Raise unless the frame matrix's ratio is above the degeneracy gate.
+    A stack of matrices, one per point of ``point``, takes one batched SVD,
+    each ratio with the bits of :func:`frame_ratio`'s, and raises at the
+    first bad point in order; a one-matrix stack takes that single path."""
     if isinstance(mat, np.ndarray) and mat.ndim == 3:
-        for m, p in zip(mat, point):
-            gate_frame(m, p)
-        return
+        if len(mat) > 1:
+            finite = np.isfinite(mat).all(axis=(1, 2))
+            sv = np.linalg.svd(np.where(finite[:, None, None], mat, 0.0),
+                               compute_uv=False)
+            ratios = np.divide(sv[:, -1], sv[:, 0], out=np.where(
+                finite, 0.0, math.nan), where=finite & (sv[:, 0] != 0.0))
+            bad = np.flatnonzero(~(ratios > FRAME_DEGENERACY_RATIO))
+            if bad.size:
+                raise SingularFrameError(point[bad[0]], float(ratios[bad[0]]))
+            return
+        mat, point = mat[0], point[0]
     ratio = frame_ratio(mat)
     if not ratio > FRAME_DEGENERACY_RATIO:
         raise SingularFrameError(point, ratio)
@@ -1199,16 +1211,15 @@ def projector_from_split(target: Frame, rest, name=None) -> Endo11:
 
 def validate_frame(space, fields, cfg: CheckConfig = DEFAULT_CHECK):
     """Each sample point's field values, one list per field, read from one
-    evaluation of the fields stacked on a member axis; raises at the first
-    sample point where the frame is degenerate or not finite
-    (singular-value ratio)."""
+    evaluation of the fields stacked on a member axis and gated by one
+    :func:`gate_frame`; raises at the first sample point where the frame is
+    degenerate or not finite (singular-value ratio)."""
     frame = _stacked(tuple(fields))
 
     def gate(pts):
-        rows = frame.rows(pts).tolist()
-        for p, columns in zip(pts, rows):
-            gate_frame(np.array(columns).T, p.values)
-        return rows
+        rows = frame.rows(pts)
+        gate_frame(rows.swapaxes(1, 2), [p.values for p in pts])
+        return rows.tolist()
 
     return per_point(space.sample_points(cfg), gate)
 

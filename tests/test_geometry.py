@@ -21,6 +21,7 @@ from ehresmann.geometry import (
     vf_sub,
 )
 from ehresmann.jets import Jet, JetBatch, JetDomainError
+from ehresmann.report import DevTracker
 from helpers import fold_now, random_expression
 
 CFG = CheckConfig(samples=8)
@@ -1122,3 +1123,153 @@ def test_a_zero_operand_keeps_the_nan_of_the_other_at_its_point(bad, points):
                 got = geo._bracket_fold(xs, ys, 0)
             assert np.isnan(got.a[1, :, k]).any()
             _is_the_jet_fold(got, _bracket_by_jets(xs, ys, 0))
+
+
+# ---------------------------------------------------------------------------
+# points, and the array reductions of stacked folds and the frame gate
+# ---------------------------------------------------------------------------
+
+
+def test_a_point_has_slots_and_its_depth_takes_no_part_in_equality():
+    space = ChartedSpace("r2", ("a", "b"))
+    capped, free = geo.Point(space, (0.5, 0.25), 3), geo.Point(
+        space, (0.5, 0.25))
+    assert not hasattr(capped, "__dict__")
+    assert (capped.depth, free.depth) == (3, None)
+    assert capped == free and hash(capped) == hash(free)
+    assert capped != geo.Point(space, (0.5, -0.25), 3)
+    with pytest.raises(AttributeError):
+        capped.depth = 4
+
+
+def _float_bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class _Devs(DevTracker):
+    """A tracker that also keeps every deviation it is handed, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.devs = []
+
+    def update(self, dev, point=None):
+        self.devs.append(dev)
+        super().update(dev, point)
+
+
+@pytest.mark.parametrize("with_nan", [True, False])
+def test_a_stacked_fold_takes_each_rows_max_abs_bit_for_bit(with_nan):
+    """``FieldStack._fold`` reduces a root's rows with one array operation;
+    on rows holding NaN, ±inf, -0.0 and only zeros each deviation has the
+    bits of ``report.max_abs`` of the row, and the tracker ends with the
+    per-row loop's worst deviation and point, members outer."""
+    nan, inf = math.nan, math.inf
+    rows = [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0],
+            [1.0, -inf, 2.0], [-2.5, 2.5, -0.0], [-3.0, 0.5, -inf],
+            [nan, -1.0, inf], [-0.5, 0.25, -0.75], [nan, nan, nan]]
+    if not with_nan:
+        rows = [[0.0 if v != v else v for v in row] for row in rows]
+    array = np.array(rows).reshape(3, 3, 3)     # (point, member, component)
+    space = ChartedSpace("r3", ("a", "b", "c"))
+    members = [VectorField.coordinate(space, c) for c in space.coords]
+    points = [space.point((k, -k, 0.5)) for k in (0.25, 0.5, 0.75)]
+    stack = geo.FieldStack(members)
+    where = [stack._where[Y] for Y in members]
+    got = _Devs()
+    stack._fold(members, where, None, got, points, ("root",),
+                lambda root: array)
+    want, devs = DevTracker(), []
+    for _, i in where:
+        for p, at_point in zip(points, array[:, i].tolist()):
+            devs.append(geo.max_abs(at_point))
+            want.update(devs[-1], p.values)
+    assert [_float_bits(d) for d in got.devs] == [_float_bits(d) for d in devs]
+    assert all(type(d) is float for d in got.devs)
+    assert _float_bits(got.max_dev) == _float_bits(want.max_dev)
+    assert got.worst_point == want.worst_point
+    assert stack.fallbacks == 0
+
+
+def _frame_stacks():
+    """Four random stacks of 6x6 frames, and Hopf's 4x3 frames at 8
+    sample points."""
+    from ehresmann.scenarios import build_scenario
+    rng = np.random.default_rng(31)
+    stacks = [rng.standard_normal((5, 6, 6)) * rng.uniform(0.1, 10.0)
+              for _ in range(4)]
+    hopf = build_scenario("hopf", CFG)
+    pts = hopf.space.sample_points(CFG)
+    frame = geo._stacked(hopf.conn.all_fields).rows(pts).swapaxes(1, 2)
+    assert frame.shape == (8, 4, 3)
+    return stacks + [np.ascontiguousarray(frame)]
+
+
+def _gate_error(run):
+    with pytest.raises(SingularFrameError) as err:
+        run()
+    return err.value.point, _float_bits(err.value.ratio), str(err.value)
+
+
+def test_a_batched_frame_gate_has_each_frames_own_singular_values(
+        monkeypatch):
+    """One batched SVD gives every frame of a stack the singular values of
+    its own ``np.linalg.svd``; with the gate raised to infinity, the stack
+    from frame ``k`` on fails at frame ``k``, with ``frame_ratio``'s bits."""
+    stacks = _frame_stacks()
+    monkeypatch.setattr(geo, "FRAME_DEGENERACY_RATIO", math.inf)
+    for mats in stacks:
+        batched = np.linalg.svd(mats, compute_uv=False)
+        for m, sv in zip(mats, batched):
+            assert sv.tobytes() == np.linalg.svd(
+                m, compute_uv=False).tobytes()
+        points = [(float(k), 0.0) for k in range(len(mats))]
+        for k in range(len(mats) - 1):
+            point, ratio, _ = _gate_error(
+                lambda: geo.gate_frame(mats[k:], points[k:]))
+            assert point == points[k]
+            assert ratio == _float_bits(geo.frame_ratio(mats[k]))
+
+
+def _per_point_gate(mats, points):
+    for m, p in zip(mats, points):
+        geo.gate_frame(m, p)
+
+
+@pytest.mark.parametrize("bad", ["degenerate", "zero", "nan", "inf"])
+def test_a_batched_frame_gate_raises_the_per_point_loops_error(bad):
+    """A bad frame at the third of five points, and a degenerate one at
+    the fourth, raise the per-point loop's error: the third point, with
+    the same ratio and message; a stack of good frames passes both."""
+    rng = np.random.default_rng(5)
+    mats = rng.standard_normal((5, 4, 4))
+    points = [(0.5 * k, -0.25 * k) for k in range(5)]
+    _per_point_gate(mats, points)
+    geo.gate_frame(mats, points)
+    mats[3, :, 1] = 2.0 * mats[3, :, 0]
+    if bad == "degenerate":
+        mats[2, :, 3] = mats[2, :, 0] - 3.0 * mats[2, :, 2]
+    elif bad == "zero":
+        mats[2] = 0.0
+    else:
+        mats[2, 1, 2] = math.nan if bad == "nan" else -math.inf
+    want = _gate_error(lambda: _per_point_gate(mats, points))
+    assert want[0] == points[2]
+    assert _gate_error(lambda: geo.gate_frame(mats, points)) == want
+
+
+def test_a_one_point_frame_gate_takes_the_single_matrix_path(monkeypatch):
+    """Every eval query gates a one-point solve: a one-frame stack is gated
+    as one matrix by ``frame_ratio``, a longer stack by the batched SVD."""
+    seen = []
+
+    def ratio(mat, _ratio=geo.frame_ratio):
+        seen.append(np.shape(mat))
+        return _ratio(mat)
+
+    monkeypatch.setattr(geo, "frame_ratio", ratio)
+    mats = np.random.default_rng(3).standard_normal((2, 6, 6))
+    geo.gate_frame(mats[:1], [(0.0,)])
+    assert seen == [(6, 6)]
+    geo.gate_frame(mats, [(0.0,), (1.0,)])
+    assert seen == [(6, 6)]

@@ -1477,6 +1477,48 @@ def test_a_verification_leaves_its_build_as_it_found_it(name):
     assert live[2] == live[0], live
 
 
+# sode-tangent builds its horizontal frame fields as P_H(d/dx^a) through
+# the memo of its induced projector, which the connection does not hold
+_FRAME_MEMO_ENTRIES = {"sode-tangent": 12}
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_a_build_folds_its_validations_on_the_member_axis(name, monkeypatch):
+    """The projector identities, the split identities and the projector sum
+    of the glue each fold one root per cost group of a stack of their own:
+    the only roots that ``report.fold`` receives in a build are Hopf's
+    tangency roots, one per frame field; no stack of the build falls back
+    to its per-member loop; and the build adds no ``Endo11`` memo entry,
+    but for sode-tangent's frame fields."""
+    fold_roots, stacks, added = [], [], {}
+
+    def fold(tracker, points, fields, rows, _fold=report.fold):
+        fold_roots.extend(fields)
+        return _fold(tracker, points, fields, rows)
+
+    def init(stack, fields, _init=FieldStack.__init__):
+        stacks.append(stack)
+        _init(stack, fields)
+
+    def call(endo, X, _call=Endo11.__call__):
+        out = _call(endo, X)
+        if X in endo._memo:
+            added[id(endo), id(X)] = endo, X
+        return out
+
+    monkeypatch.setattr(report, "fold", fold)
+    monkeypatch.setattr(FieldStack, "__init__", init)
+    monkeypatch.setattr(Endo11, "__call__", call)
+    scen = _stack_scenario(name)
+    tangency = [f"{f.name}({ex.to_string(c)})" for f in scen.conn.all_fields
+                for c in scen.space.constraints]
+    assert [f.name for f in fold_roots] == tangency
+    assert len(tangency) == (3 if name == "hopf" else 0)
+    assert len(stacks) == 3 and all(s.fallbacks == 0 for s in stacks)
+    assert [m for m in _memos(scen) if m] == []
+    assert len(added) == _FRAME_MEMO_ENTRIES.get(name, 0)
+
+
 def _report_json(scen) -> str:
     echo = {"scenario": scen.name, "seed": STACK_CFG.seed,
             "samples": STACK_CFG.samples, "tolerance": STACK_CFG.tolerance,
