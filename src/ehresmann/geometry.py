@@ -20,11 +20,12 @@ of the last point set it stored over (:class:`_Field`).  Frame solves and
 frame coefficients are fields too, contracted by the same kernel as every
 projector, :func:`_contract`.
 
-Every evaluation counts its reads by one walk over the fields'
-``operands``: a direct one (``values``, an eval query) from the field it
-evaluates, a fold of checks from all its roots.  Every deviation is a
-:class:`report.Check` value, which evaluates nothing until one runner,
-:func:`run_checks`, folds it.  No entry a verification's run stored
+Plain arithmetic on operands at one depth is built by one constructor,
+:func:`_rule`.  Every evaluation counts its reads by one walk over the
+fields' ``operands``: a direct one (``values``, an eval query) from the
+field it evaluates, a fold of checks from all its roots.  Every deviation
+is a :class:`report.Check` value, which evaluates nothing until one
+runner, :func:`run_checks`, folds it.  No entry a verification's run stored
 outlives it.  A build's validation or a predicate folds its checks at
 once, after which only shared fields keep what they stored; a direct
 evaluation keeps the entries of its field and of the shared fields it
@@ -364,18 +365,26 @@ class _Field:
     """A rule ``_fn(env)`` that consumes ``cost`` derivative levels.
 
     ``operands`` are the fields the rule reads, one entry per read, which
-    :func:`_count_reads` walks.  The one caching rule: an evaluation is
-    normalized to depth ``env.depth - cost`` and memoized under
-    ``env.key`` while ``env.live`` counts reads of it still to come, and
-    its last read drops the entry.  An ``at`` on a field that its env
-    counts no read of, such as the first ``at`` in an env that
-    ``seed_env`` made, evaluates it directly: it counts the reads from
-    that field on, and the field keeps its entry, as does each field
-    marked by :meth:`share` that it reads.  Storing over another point
-    set first empties ``_cache`` in place (``FrameSolver._cache`` reads
-    the same dict).  ``rows`` and ``values`` serve all three field types,
-    a scalar's value as its one component; each type binds ``at`` in its
-    own namespace, so a profiler can wrap it per type.
+    :func:`_count_reads` walks; :func:`_rule` builds every rule that reads
+    them alone at one depth.  Closures stay where that does not fit:
+    :func:`directional` and ``scenarios``' ``h_applied`` read an operand a
+    level deeper; the frame solve reads constraint gradients, and its
+    readers (coframe rows, ``coefficient_field``) go through
+    :meth:`FrameSolver.inverse`, which a profiler wraps; ``scenarios``'
+    table rows, ``sode_field``, Euler defects, reconstructed forces and
+    curvature oracle read env coordinates; expression leaves read no
+    operand.  The one caching rule: an evaluation is normalized to depth
+    ``env.depth - cost`` and memoized under ``env.key`` while ``env.live``
+    counts reads of it still to come, and its last read drops the entry.  An
+    ``at`` on a field that its env counts no read of, such as the first
+    ``at`` in an env that ``seed_env`` made, evaluates it directly: it
+    counts the reads from that field on, and the field keeps its entry, as
+    does each field marked by :meth:`share` that it reads.  Storing over
+    another point set first empties ``_cache`` in place
+    (``FrameSolver._cache`` reads the same dict).  ``rows`` and ``values``
+    serve all three field types, a scalar's value as its one component;
+    each type binds ``at`` in its own namespace, so a profiler can wrap it
+    per type.
     """
 
     __slots__ = ("space", "name", "cost", "_fn", "_cache", "shared",
@@ -525,12 +534,6 @@ class CovectorField(_Field):
     at = _Field.at
 
 
-def _comps_at(field, env, target: int):
-    """Components of a field truncated to an exact depth: a view of the
-    one cached evaluation, stored nowhere."""
-    return jets.truncate(field.at(env), target)
-
-
 def _check_space(a, b):
     if a.space is not b.space:
         raise SpaceMismatchError(
@@ -542,52 +545,49 @@ def _check_space(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _binary_field(op, X: VectorField, Y: VectorField, name) -> VectorField:
-    _check_space(X, Y)
-    cost = max(X.cost, Y.cost)
+def _rule(cls, operands, op, name, lift=0, space=None):
+    """A ``cls`` field on ``space`` (the first operand's by default) whose
+    rule reads each of ``operands`` once, in order, through its ``at``,
+    truncates the values to the depth the costliest leaves and returns
+    ``op(*values)``, at that operand's cost plus ``lift``.  Callers check
+    spaces."""
+    operands = tuple(operands)
+    base = max(f.cost for f in operands)
 
     def fn(env):
-        t = env.depth - cost
-        return op(_comps_at(X, env, t), _comps_at(Y, env, t))
+        t = env.depth - base
+        return op(*[jets.truncate(f.at(env), t) for f in operands])
 
-    return VectorField(X.space, fn, cost, name, (X, Y))
+    return cls(space or operands[0].space, fn, base + lift, name, operands)
 
 
 def vf_add(X: VectorField, Y: VectorField, name=None) -> VectorField:
-    return _binary_field(operator.add, X, Y, name or f"({X.name}+{Y.name})")
+    _check_space(X, Y)
+    return _rule(VectorField, (X, Y), operator.add,
+                 name or f"({X.name}+{Y.name})")
 
 
 def vf_sub(X: VectorField, Y: VectorField, name=None) -> VectorField:
-    return _binary_field(operator.sub, X, Y, name or f"({X.name}-{Y.name})")
+    _check_space(X, Y)
+    return _rule(VectorField, (X, Y), operator.sub,
+                 name or f"({X.name}-{Y.name})")
 
 
 def vf_scale(f, X: VectorField, name=None) -> VectorField:
     """Scale by a number or by a scalar field (function-linear scaling)."""
     if isinstance(f, (int, float)):
         c = float(f)
-        return VectorField(X.space, lambda env: c * X.at(env),
-                           X.cost, name or f"{c:g}*{X.name}", (X,))
+        return _rule(VectorField, (X,), partial(operator.mul, c),
+                     name or f"{c:g}*{X.name}")
     _check_space(f, X)
-    cost = max(f.cost, X.cost)
-
-    def fn(env):
-        t = env.depth - cost
-        return _as_depth(f.at(env), t, env) * _comps_at(X, env, t)
-
-    return VectorField(X.space, fn, cost, name or f"({f.name})*{X.name}",
-                       (f, X))
+    return _rule(VectorField, (f, X), operator.mul,
+                 name or f"({f.name})*{X.name}")
 
 
 def pairing(omega: CovectorField, X: VectorField, name=None) -> ScalarField:
     _check_space(omega, X)
-    cost = max(omega.cost, X.cost)
-
-    def fn(env):
-        t = env.depth - cost
-        return jets.dot(_comps_at(omega, env, t), _comps_at(X, env, t))
-
-    return ScalarField(X.space, fn, cost, name or f"{omega.name}({X.name})",
-                       (omega, X))
+    return _rule(ScalarField, (omega, X), jets.dot,
+                 name or f"{omega.name}({X.name})")
 
 
 def directional(X: VectorField, f: ScalarField, name=None) -> ScalarField:
@@ -600,7 +600,7 @@ def directional(X: VectorField, f: ScalarField, name=None) -> ScalarField:
         fv = f.at(env)
         if jets.depth_of(fv) == 0:
             raise DepthBudgetError(f"{X.name}({f.name})", cost, env.depth)
-        return jets.dot(_comps_at(X, env, t), _gradient(fv, t))
+        return jets.dot(jets.truncate(X.at(env), t), _gradient(fv, t))
 
     return ScalarField(X.space, fn, cost, name or f"{X.name}({f.name})",
                        (X, f))
@@ -639,6 +639,11 @@ def _bracket_fold(xs, ys, t: int):
     return JetBatch(acc, t, xs.nvars)
 
 
+def _bracket(xs, ys):
+    """The bracket of components one level deeper than the result."""
+    return _bracket_fold(xs, ys, xs.depth - 1)
+
+
 def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, via the jet slots.
 
@@ -647,11 +652,8 @@ def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
     frame and scenario validators, not silently assumed here).
     """
     _check_space(X, Y)
-    cost = max(X.cost, Y.cost) + 1
-    return VectorField(
-        X.space, lambda env: _bracket_fold(X.at(env), Y.at(env),
-                                           env.depth - cost),
-        cost, name or f"[{X.name},{Y.name}]", (X, Y))
+    return _rule(VectorField, (X, Y), _bracket, name or f"[{X.name},{Y.name}]",
+                 1)
 
 
 # ---------------------------------------------------------------------------
@@ -659,21 +661,18 @@ def lie_bracket(X: VectorField, Y: VectorField, name=None) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
+def _stack(*comps):
+    return comps[0]._new(np.stack([c.a for c in comps]))
+
+
 def _stacked(members, cls=VectorField):
     """One field of type ``cls`` whose components are the members' batches
     stacked on a leading member axis, ``(F, n, P) + slots``, each at the
     depth left by the costliest member."""
-    head = members[0]
     for m in members:
-        _check_space(head, m)
-    cost = max(m.cost for m in members)
-
-    def fn(env):
-        comps = [_comps_at(m, env, env.depth - cost) for m in members]
-        return comps[0]._new(np.stack([c.a for c in comps]))
-
-    return cls(head.space, fn, cost,
-               "{" + ",".join(m.name for m in members) + "}", members)
+        _check_space(members[0], m)
+    return _rule(cls, members, _stack,
+                 "{" + ",".join(m.name for m in members) + "}")
 
 
 class FieldStack:
@@ -724,13 +723,13 @@ class FieldStack:
     def _fold(self, members, where, build, tracker, points, roots, rows):
         """The reduction of :meth:`track`: member ``i`` of root ``r`` for
         each ``(r, i)`` of ``where``, members outer, each row's deviation
-        taken for all of a root's rows at once, ``np.abs(rows).max(axis=-1)``
-        (bit-equal to :func:`report.max_abs`, NaN included).  When an
+        taken for all of a root's rows at once by :func:`report.row_devs`,
+        as :func:`report.fold` takes them.  When an
         evaluation raises, the per-member loop runs, each ``build(Y)``
         folded by :func:`report.fold` in the runner's envs, so the error is
         the loop's."""
         try:
-            devs = [np.abs(rows(root)).max(axis=-1) for root in roots]
+            devs = [report.row_devs(rows(root)) for root in roots]
         except Exception:
             self.fallbacks += 1
             for Y in members:
@@ -975,11 +974,11 @@ class FrameSolver:
         self.cost = max(base, 1) if space.constraints else base
         self._solve = _Field(space, self._invert, self.cost, "frame solve",
                              self.fields).share()
-        self._coframe = tuple(self._covector(i)
-                              for i in range(len(self.fields)))
+        self._coframe = tuple(self._covector(i, f"{f.name}*")
+                              for i, f in enumerate(self.fields))
 
     def _columns(self, env, target):
-        cols = [_comps_at(f, env, target) for f in self.fields]
+        cols = [jets.truncate(f.at(env), target) for f in self.fields]
         for c in self.space.constraints:
             cj = ex.evaluate(c, env)
             if jets.depth_of(cj) == 0:
@@ -1001,13 +1000,13 @@ class FrameSolver:
     def inverse(self, env):
         return self._solve.at(env)
 
-    def _covector(self, i) -> CovectorField:
+    def _covector(self, rows, name) -> CovectorField:
+        """The rows ``rows`` of the inverse, an index or a block."""
         def fn(env):
             inv = self.inverse(env)
-            return inv._new(inv.a[i])
+            return inv._new(inv.a[rows])
 
-        return CovectorField(self.space, fn, self.cost,
-                             f"{self.fields[i].name}*", (self._solve,))
+        return CovectorField(self.space, fn, self.cost, name, (self._solve,))
 
     def coframe(self) -> tuple:
         """The covectors dual to the solver fields, rows of the inverse."""
@@ -1020,13 +1019,8 @@ class FrameSolver:
         indices = list(indices)
         lo, hi = indices[0], indices[0] + len(indices)
         rows = slice(lo, hi) if indices == list(range(lo, hi)) else indices
-
-        def fn(env):
-            inv = self.inverse(env)
-            return inv._new(inv.a[rows])
-
-        return CovectorField(self.space, fn, self.cost, "{" + ",".join(
-            self._coframe[i].name for i in indices) + "}", (self._solve,))
+        return self._covector(rows, "{" + ",".join(
+            self._coframe[i].name for i in indices) + "}")
 
     def coefficient_field(self, X: VectorField) -> VectorField:
         """X's frame coefficients, named after X, at cost ``max(X.cost,
@@ -1035,7 +1029,7 @@ class FrameSolver:
         cost = max(X.cost, self.cost)
         return VectorField(self.space, lambda env: _contract(
             jets.truncate(self.inverse(env), env.depth - cost).a,
-            _comps_at(X, env, env.depth - cost)), cost, X.name,
+            jets.truncate(X.at(env), env.depth - cost)), cost, X.name,
             (X, self._solve))
 
     def coefficients(self, env, comps) -> list:
@@ -1099,7 +1093,9 @@ class Endo11:
     :meth:`once` applies without the memo, for an argument built for that
     one application, such as the brackets of the derivative engine: no
     memo holds the argument, and the output is not shared, so it stores
-    nothing when its evaluation reads it once.
+    nothing when its evaluation reads it once.  A composite (a sum, a
+    scaling, a composition, a Lie derivative) applies its parts through
+    :meth:`once`, so its own memo alone holds an application.
     """
 
     __slots__ = ("space", "name", "_apply", "_memo", "sides")
@@ -1146,47 +1142,36 @@ class Endo11:
         from ``0.0`` of ``w^r(X) * e_r``), in one :func:`_contract` each."""
         coframe.share()
         frames = _stacked(tuple(fields)).share()
+        return Endo11(space, lambda X: _rule(
+            VectorField, (X, coframe, frames), _apply_sides,
+            f"{name}({X.name})"), name, (coframe, frames))
 
-        def apply_fn(X):
-            cost = max(X.cost, coframe.cost, frames.cost)
 
-            def fn(env):
-                t = env.depth - cost
-                xs = _comps_at(X, env, t)
-                ws = _comps_at(coframe, env, t).a
-                es = _comps_at(frames, env, t).a.swapaxes(0, 1)
-                return _contract(es, _contract(ws, xs))
-
-            return VectorField(space, fn, cost, f"{name}({X.name})",
-                               (X, coframe, frames))
-
-        return Endo11(space, apply_fn, name, (coframe, frames))
+def _apply_sides(xs, ws, es):
+    return _contract(es.a.swapaxes(0, 1), _contract(ws.a, xs))
 
 
 def endo_add(A: Endo11, B: Endo11, name=None) -> Endo11:
-    return Endo11(A.space, lambda X: vf_add(A(X), B(X)),
+    return Endo11(A.space, lambda X: vf_add(A.once(X), B.once(X)),
                   name or f"({A.name}+{B.name})")
 
 
 def endo_scale(c: float, A: Endo11, name=None) -> Endo11:
-    return Endo11(A.space, lambda X: vf_scale(c, A(X)),
+    return Endo11(A.space, lambda X: vf_scale(c, A.once(X)),
                   name or f"{c:g}*{A.name}")
 
 
 def endo_compose(A: Endo11, B: Endo11, name=None) -> Endo11:
-    return Endo11(A.space, lambda X: A(B(X)), name or f"{A.name}∘{B.name}")
+    return Endo11(A.space, lambda X: A.once(B.once(X)),
+                  name or f"{A.name}∘{B.name}")
 
 
 def lie_derivative_endo(G: VectorField, T: Endo11, name=None) -> Endo11:
     """(L_G T)(X) = [G, T(X)] - T([G, X])."""
     label = name or f"L_{G.name}{T.name}"
-
-    def apply_fn(X):
-        out = vf_sub(lie_bracket(G, T(X)), T.once(lie_bracket(G, X)),
-                     name=f"{label}({X.name})")
-        return out
-
-    return Endo11(G.space, apply_fn, label)
+    return Endo11(G.space, lambda X: vf_sub(
+        lie_bracket(G, T.once(X)), T.once(lie_bracket(G, X)),
+        name=f"{label}({X.name})"), label)
 
 
 def projector_from_solver(solver: FrameSolver, indices, name) -> Endo11:

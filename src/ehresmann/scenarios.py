@@ -43,9 +43,9 @@ from .covderiv import (
 from .geometry import (
     ChartedSpace, CheckConfig, CovectorField, DEFAULT_CHECK, Endo11, Frame,
     GeometryError, Point, ScalarField, VectorField, _Field, _as_depth,
-    _comps_as_depth, annihilation, directional, dual_coframe, endo_add,
-    endo_scale, family, is_point_set, lie_derivative_endo, pairing,
-    run_checks, vf_add, vf_scale, vf_sub,
+    _comps_as_depth, _rule, annihilation, directional, dual_coframe,
+    endo_add, endo_scale, family, is_point_set, lie_derivative_endo,
+    pairing, run_checks, vf_add, vf_scale, vf_sub,
 )
 from .jets import JetBatch, value_of
 from .report import Check, CheckRecord, per_point
@@ -124,8 +124,8 @@ def ambient_dot_metric(space):
     """The pairing ``g(X, Y) -> ScalarField`` of the ambient dot product."""
 
     def g(X, Y):
-        return pairing(CovectorField(space, Y.at, Y.cost, Y.name, (Y,)), X,
-                       f"g({X.name},{Y.name})")
+        dual = _rule(CovectorField, (Y,), lambda y: y, Y.name, space=space)
+        return pairing(dual, X, f"g({X.name},{Y.name})")
 
     return g
 
@@ -133,15 +133,8 @@ def ambient_dot_metric(space):
 def metric_compatibility_defect(nabla: CovDeriv, g, X, Y, Z):
     """X(g(Y,Z)) - g(nabla_X Y, Z) - g(Y, nabla_X Z) as one ScalarField."""
     terms = (directional(X, g(Y, Z)), g(nabla(X, Y), Z), g(Y, nabla(X, Z)))
-    cost = max(f.cost for f in terms)
-
-    def fn(env):
-        lead, a, b = (_as_depth(f.at(env), env.depth - cost, env)
-                      for f in terms)
-        return lead - a - b
-
-    return ScalarField(X.space, fn, cost,
-                       f"defect({X.name},{Y.name},{Z.name})", terms)
+    return _rule(ScalarField, terms, lambda lead, a, b: lead - a - b,
+                 f"defect({X.name},{Y.name},{Z.name})")
 
 
 def symmetrize(nabla: CovDeriv) -> CovDeriv:
@@ -621,15 +614,8 @@ class _Oracle(ScalarField):
 
 def _combined(op, *fields) -> _Oracle:
     """``op`` of the fields' values, at the depth the costliest leaves."""
-    cost = max(f.cost for f in fields)
-
-    def fn(env):
-        return op(*(_as_depth(f.at(env), env.depth - cost, env)
-                    for f in fields))
-
     names = ",".join(f.name for f in fields)
-    return _Oracle(fields[0].space, fn, cost, f"{op.__name__}({names})",
-                   fields)
+    return _rule(_Oracle, fields, op, f"{op.__name__}({names})")
 
 
 _negated = partial(_combined, operator.neg)
@@ -639,8 +625,8 @@ _difference = partial(_combined, operator.sub)
 def _slope(sf: ScalarField, coord: str) -> _Oracle:
     """d(sf)/d(coord) as an oracle, via one jet level."""
     i = sf.space.index(coord)
-    return _Oracle(sf.space, lambda env: sf.at(env).partials[i], sf.cost + 1,
-                   f"d{coord}({sf.name})", (sf,))
+    return _rule(_Oracle, (sf,), lambda v: v.partials[i],
+                 f"d{coord}({sf.name})", 1)
 
 
 def _tangent_scenario(name, n, hs, cfg, tag, family, coeff, description,
@@ -829,12 +815,9 @@ def _lifts(space, n: int, table) -> list:
 
     def lift(a):
         coefs = [g_sf(b, a) for b in range(1, n + 1)]
-
-        def fn(env):
-            return [1.0 if i == a else 0.0 for i in range(1, n + 1)] + [
-                -g.at(env) for g in coefs]
-
-        return VectorField(space, fn, cost, f"H{a}", coefs)
+        return _rule(VectorField, coefs, lambda *gs: [
+            1.0 if i == a else 0.0 for i in range(1, n + 1)] + [
+            -g for g in gs], f"H{a}", cost - max(g.cost for g in coefs), space)
 
     return [lift(a) for a in range(1, n + 1)]
 
@@ -910,11 +893,9 @@ def potential_connection(n: int, forces, space=None) -> dict:
     for c in range(1, n + 1):
         sf = _entry_scalar(space, forces[c - 1], f"f{c}")
         for a in range(1, n + 1):
-            def fn(env, sf=sf, i=space.index(f"u{a}")):
-                return -0.5 * sf.at(env).partials[i]
-
-            table[(c, a)] = ScalarField(space, fn, sf.cost + 1,
-                                        f"-0.5*d({sf.name})/du{a}", (sf,))
+            table[(c, a)] = _rule(
+                ScalarField, (sf,), lambda v, i=space.index(f"u{a}"):
+                -0.5 * v.partials[i], f"-0.5*d({sf.name})/du{a}", 1, space)
     return table
 
 
@@ -996,10 +977,9 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
 
     def d2f(c, a, b) -> _Oracle:
         # V_b(Y^c_a) = -(1/2) d2 f^c / du^a du^b, the lower variable first
-        sf = force_sf[c - 1]
         i, j = sorted(space.index(f"u{k}") for k in (a, b))
-        return _Oracle(space, lambda env: -0.5 * sf.at(env).partials[
-            i].partials[j], sf.cost + 2, f"d2f{c}_{a}{b}", (sf,))
+        return _rule(_Oracle, (force_sf[c - 1],), lambda v: -0.5 * v.partials[
+            i].partials[j], f"d2f{c}_{a}{b}", 2, space)
 
     delta = dilation_field(space, n)
 

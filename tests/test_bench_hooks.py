@@ -48,6 +48,10 @@ def test_the_tracer_hooks_count_and_come_off():
         cfg = CheckConfig(samples=2)
         scen = trivial_r3(cfg)
         assert all(r.passed for r in run_scenario_checks(scen, cfg))
+        # the run drops what it added; a direct evaluation outside a run
+        # keeps its memo and cache entries, so every size is read non-zero
+        X, Y = scen.frame_fields()[:2]
+        scen.nabla(X, Y).values(scen.space.sample_points(cfg)[0])
         entries = tracer.cache_entries()
     finally:
         t.uninstall()

@@ -12,6 +12,7 @@ import pytest
 from ehresmann import expr as ex
 from ehresmann import geometry as geo
 from ehresmann import jets
+from ehresmann import report
 from ehresmann.geometry import (
     ChartedSpace, CheckConfig, CovectorField, DepthBudgetError, Endo11,
     Frame, FrameSolver, GeometryError, OffManifoldError, ScalarField,
@@ -153,14 +154,14 @@ def test_separately_seeded_envs_share_one_cache_entry(plane_circle):
         assert len(f._cache) == 1, f.name
     # a truncation is a view of the one entry, stored nowhere
     bracket = fields[1]
-    low = geo._comps_at(bracket, e2, 0)
+    low = jets.truncate(bracket.at(e2), 0)
     assert low.depth == 0 and low.a.base is bracket.at(e1).a
     assert len(bracket._cache) == 1
     solver = FrameSolver(space, (v, h1, h2))
     inv = solver.inverse(e1)
     assert solver.inverse(e2) is inv
     w = solver.coframe()[0]
-    assert geo._comps_at(w, e2, 0).a.base is w.at(e1).a.base is inv.a
+    assert jets.truncate(w.at(e2), 0).a.base is w.at(e1).a.base is inv.a
     assert len(w._cache) == 1
     # the solve caches one inverse per key
     e3 = space.seed_env(p, 1)
@@ -235,9 +236,42 @@ def test_bracket_h_v_reproduces_coefficients(tangent_affine):
         assert abs(vals[3]) < 1e-14
 
 
+_ON_TWO = "H1 lives on plane-circle, Lambda on s3"
+
+
 def test_bracket_space_mismatch(plane_circle, sphere3):
-    with pytest.raises(geo.SpaceMismatchError):
+    with pytest.raises(geo.SpaceMismatchError) as err:
         lie_bracket(plane_circle[1], sphere3[1])
+    assert str(err.value) == _ON_TWO
+
+
+def _ambient_pair(a, b):
+    from ehresmann.scenarios import ambient_dot_metric
+    return ambient_dot_metric(a[0])(b[1], b[2])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda a, b: vf_add(a[1], b[1]), _ON_TWO),
+    (lambda a, b: vf_sub(b[1], a[1]), "Lambda lives on s3, H1 on plane-circle"),
+    (lambda a, b: vf_scale(ScalarField.constant(b[0], 2.0), a[1]),
+     "2.0 lives on s3, H1 on plane-circle"),
+    (lambda a, b: pairing(CovectorField.from_exprs(a[0], ["1", "0", "0"],
+                                                   "dx"), b[1]),
+     "dx lives on plane-circle, Lambda on s3"),
+    (lambda a, b: geo._stacked((a[1], a[2], b[1])), _ON_TWO),
+    # the metric's covector lives on the metric's space, whatever Y's is
+    (_ambient_pair, "Sigma lives on plane-circle, Lambda on s3"),
+    (lambda a, b: endo_scale(2.0, Endo11.identity(a[0]))(b[1]),
+     "2*I on plane-circle applied to Lambda on s3"),
+])
+def test_space_mismatch_names_the_operands(plane_circle, sphere3, build,
+                                           message):
+    """Each other rule that checks spaces raises on fields over two
+    spaces, with the message that names both; the ambient metric's covector
+    is on the metric's space, so a pair over another space raises too."""
+    with pytest.raises(geo.SpaceMismatchError) as err:
+        build(plane_circle, sphere3)
+    assert str(err.value) == message
 
 
 def test_bracket_antisymmetry_and_jacobi():
@@ -661,7 +695,7 @@ def _jets_at(field, env, target=None):
     """A field's components in a one-point ``env`` as ``Jet`` s, truncated
     to ``target`` when given."""
     comps = field.at(env) if target is None else \
-        geo._comps_at(field, env, target)
+        jets.truncate(field.at(env), target)
     return _at_point(comps, 0)
 
 
@@ -1160,10 +1194,11 @@ class _Devs(DevTracker):
 
 @pytest.mark.parametrize("with_nan", [True, False])
 def test_a_stacked_fold_takes_each_rows_max_abs_bit_for_bit(with_nan):
-    """``FieldStack._fold`` reduces a root's rows with one array operation;
-    on rows holding NaN, ±inf, -0.0 and only zeros each deviation has the
-    bits of ``report.max_abs`` of the row, and the tracker ends with the
-    per-row loop's worst deviation and point, members outer."""
+    """``FieldStack._fold`` and ``report.fold`` reduce a root's rows with
+    one array operation; on rows holding NaN, ±inf, -0.0 and only zeros
+    each deviation has the bits of ``report.max_abs`` of the row, and the
+    tracker ends with the per-row loop's worst deviation and point, members
+    outer in a stack and points outer in ``report.fold``."""
     nan, inf = math.nan, math.inf
     rows = [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0],
             [1.0, -inf, 2.0], [-2.5, 2.5, -0.0], [-3.0, 0.5, -inf],
@@ -1189,6 +1224,16 @@ def test_a_stacked_fold_takes_each_rows_max_abs_bit_for_bit(with_nan):
     assert _float_bits(got.max_dev) == _float_bits(want.max_dev)
     assert got.worst_point == want.worst_point
     assert stack.fallbacks == 0
+    got, want, devs = _Devs(), DevTracker(), []
+    report.fold(got, points, range(3), lambda i: array[:, i])
+    for p, at_point in zip(points, array.tolist()):
+        for row in at_point:
+            devs.append(geo.max_abs(row))
+            want.update(devs[-1], p.values)
+    assert [_float_bits(d) for d in got.devs] == [_float_bits(d) for d in devs]
+    assert all(type(d) is float for d in got.devs)
+    assert _float_bits(got.max_dev) == _float_bits(want.max_dev)
+    assert got.worst_point == want.worst_point
 
 
 def _frame_stacks():
