@@ -20,7 +20,9 @@ of the last point set it stored over (:class:`_Field`).  Frame solves and
 frame coefficients are fields too, contracted by the same kernel as every
 projector, :func:`_contract`.
 
-Plain arithmetic on operands at one depth is built by one constructor,
+A rule receives its operands' values: ``_Field.at`` reads a field's
+``operands`` in order and hands their values to its rule, and plain
+arithmetic on operands at one depth is built by one constructor,
 :func:`_rule`.  Every evaluation counts its reads by one walk over the
 fields' ``operands``: a direct one (``values``, an eval query) from the
 field it evaluates, a fold of checks from all its roots.  Every deviation
@@ -362,29 +364,24 @@ _NO_ENTRIES = {}
 
 
 class _Field:
-    """A rule ``_fn(env)`` that consumes ``cost`` derivative levels.
+    """A rule ``_fn(env, *values)`` that consumes ``cost`` derivative
+    levels.
 
     ``operands`` are the fields the rule reads, one entry per read, which
-    :func:`_count_reads` walks; :func:`_rule` builds every rule that reads
-    them alone at one depth.  Closures stay where that does not fit:
-    :func:`directional` and ``scenarios``' ``h_applied`` read an operand a
-    level deeper; the frame solve reads constraint gradients, and its
-    readers (coframe rows, ``coefficient_field``) go through
-    :meth:`FrameSolver.inverse`, which a profiler wraps; ``scenarios``'
-    table rows, ``sode_field``, Euler defects, reconstructed forces and
-    curvature oracle read env coordinates; expression leaves read no
-    operand.  The one caching rule: an evaluation is normalized to depth
-    ``env.depth - cost`` and memoized under ``env.key`` while ``env.live``
-    counts reads of it still to come, and its last read drops the entry.  An
-    ``at`` on a field that its env counts no read of, such as the first
-    ``at`` in an env that ``seed_env`` made, evaluates it directly: it
-    counts the reads from that field on, and the field keeps its entry, as
-    does each field marked by :meth:`share` that it reads.  Storing over
-    another point set first empties ``_cache`` in place
-    (``FrameSolver._cache`` reads the same dict).  ``rows`` and ``values``
-    serve all three field types, a scalar's value as its one component;
-    each type binds ``at`` in its own namespace, so a profiler can wrap it
-    per type.
+    :func:`_count_reads` walks: on a miss, ``at`` reads each of them once,
+    in order, and calls the rule with ``env`` and their values.  A rule
+    reads no field itself; ``env`` gives it the depth and, where it needs
+    them, the coordinates.  The one caching rule: an evaluation is
+    normalized to depth ``env.depth - cost`` and memoized under ``env.key``
+    while ``env.live`` counts reads of it still to come, and its last read
+    drops the entry.  An ``at`` on a field that its env counts no read of,
+    such as the first ``at`` in an env that ``seed_env`` made, evaluates it
+    directly: it counts the reads from that field on, and the field keeps
+    its entry, as does each field marked by :meth:`share` that it reads.
+    Storing over another point set first empties ``_cache`` in place.
+    ``rows`` and ``values`` serve every field type, a scalar's value as its
+    one component; each type binds ``at`` in its own namespace, so a
+    profiler can wrap it per type.
     """
 
     __slots__ = ("space", "name", "cost", "_fn", "_cache", "shared",
@@ -413,7 +410,8 @@ class _Field:
         if hit is None:
             if env.depth < self.cost:
                 raise DepthBudgetError(self.name, self.cost, env.depth)
-            hit = self._normalize(self._fn(env), env.depth - self.cost, env)
+            hit = self._normalize(self._fn(env, *[
+                f.at(env) for f in self.operands]), env.depth - self.cost, env)
             if reads > 1:
                 live[self] = reads - 1
                 if cache is _NO_ENTRIES:
@@ -491,6 +489,9 @@ class ScalarField(_Field):
     def value_at(self, point) -> float:
         return self.values(point)[0]
 
+    # a field read as a function of a point, as an expected-table entry is
+    __call__ = value_at
+
 
 def _check_bound(space, e):
     unknown = [v for v in ex.free_vars(e) if v not in space.coords]
@@ -547,16 +548,15 @@ def _check_space(a, b):
 
 def _rule(cls, operands, op, name, lift=0, space=None):
     """A ``cls`` field on ``space`` (the first operand's by default) whose
-    rule reads each of ``operands`` once, in order, through its ``at``,
-    truncates the values to the depth the costliest leaves and returns
-    ``op(*values)``, at that operand's cost plus ``lift``.  Callers check
-    spaces."""
+    rule truncates the values of ``operands`` to the depth the costliest
+    leaves and returns ``op(*values)``, at that operand's cost plus
+    ``lift``.  Callers check spaces."""
     operands = tuple(operands)
     base = max(f.cost for f in operands)
 
-    def fn(env):
+    def fn(env, *values):
         t = env.depth - base
-        return op(*[jets.truncate(f.at(env), t) for f in operands])
+        return op(*[jets.truncate(v, t) for v in values])
 
     return cls(space or operands[0].space, fn, base + lift, name, operands)
 
@@ -595,15 +595,14 @@ def directional(X: VectorField, f: ScalarField, name=None) -> ScalarField:
     _check_space(X, f)
     cost = max(X.cost, f.cost + 1)
 
-    def fn(env):
-        t = env.depth - cost
-        fv = f.at(env)
+    def fn(env, fv, xs):
         if jets.depth_of(fv) == 0:
             raise DepthBudgetError(f"{X.name}({f.name})", cost, env.depth)
-        return jets.dot(jets.truncate(X.at(env), t), _gradient(fv, t))
+        t = env.depth - cost
+        return jets.dot(jets.truncate(xs, t), _gradient(fv, t))
 
     return ScalarField(X.space, fn, cost, name or f"{X.name}({f.name})",
-                       (X, f))
+                       (f, X))
 
 
 def _bracket_fold(xs, ys, t: int):
@@ -844,12 +843,16 @@ def _fold_checks(checks: list, at_once) -> list:
 
 def family(build):
     """A check family: called, it folds the checks ``build`` gives for its
-    arguments by :func:`run_checks` and returns their records; its
-    ``checks`` is ``build``, for a run that folds several families as one
-    list."""
+    arguments by :func:`run_checks` and returns their records, building
+    them inside the run, which then drops the memo entries the build added;
+    its ``checks`` is ``build``, for a run that folds several families as
+    one list."""
     @wraps(build)
     def run(*args, **kwargs):
-        return run_checks(build(*args, **kwargs))
+        def checks():
+            yield from build(*args, **kwargs)
+
+        return run_checks(checks())
 
     run.checks = build
     return run
@@ -948,65 +951,62 @@ def _invert_points(mat, n):
     return mat._new(np.ascontiguousarray(np.moveaxis(aug[:, :, n:], 0, 2)))
 
 
-class FrameSolver:
-    """Pointwise inverse of the matrix whose columns are frame fields.
+class FrameSolver(_Field):
+    """The frame solve: a field whose value is the pointwise inverse of the
+    matrix whose columns are its operands, the frame ``fields``.
 
     On embedded spaces the constraint gradients are appended as extra
-    columns to square the system.  The solve is a field named ``"frame
-    solve"`` of cost :attr:`cost` that gates the frame and inverts it, so
-    it caches the inverses of one point set under the one caching rule;
-    ``_cache`` is its cache and :meth:`inverse` its ``at``.  Everything built
-    over the frame reads that inverse through fields over the solve, and
-    :meth:`coefficients` contracts its values with :func:`_contract`, as
-    every projector does.
+    columns to square the system.  The solve, named ``"frame solve"``, of
+    cost :attr:`cost`, gates the frame and inverts it, so it caches the
+    inverses of one point set under the one caching rule.  Every read of it
+    goes through :meth:`inverse`, which reads the frame fields with float
+    warnings off.  Everything built over the frame reads that inverse as an
+    operand, and :meth:`coefficients` contracts its values with
+    :func:`_contract`, as every projector does.
     """
 
     def __init__(self, space, fields):
-        self.space = space
-        self.fields = tuple(fields)
+        fields = tuple(fields)
         n = space.ambient_dim
-        if len(self.fields) + len(space.constraints) != n:
+        if len(fields) + len(space.constraints) != n:
             raise GeometryError(
-                f"{len(self.fields)} frame fields plus "
+                f"{len(fields)} frame fields plus "
                 f"{len(space.constraints)} constraints cannot square a "
                 f"{n}-dimensional solve")
-        base = max((f.cost for f in self.fields), default=0)
-        self.cost = max(base, 1) if space.constraints else base
-        self._solve = _Field(space, self._invert, self.cost, "frame solve",
-                             self.fields).share()
+        base = max((f.cost for f in fields), default=0)
+        cost = max(base, 1) if space.constraints else base
+        super().__init__(space, self._invert, cost, "frame solve", fields)
+        self.share()
         self._coframe = tuple(self._covector(i, f"{f.name}*")
-                              for i, f in enumerate(self.fields))
+                              for i, f in enumerate(fields))
 
-    def _columns(self, env, target):
-        cols = [jets.truncate(f.at(env), target) for f in self.fields]
+    @property
+    def fields(self) -> tuple:
+        return self.operands
+
+    def _invert(self, env, *comps):
+        target = env.depth - self.cost
+        cols = [jets.truncate(c, target) for c in comps]
         for c in self.space.constraints:
             cj = ex.evaluate(c, env)
             if jets.depth_of(cj) == 0:
                 raise DepthBudgetError("constraint gradient", 1, 0)
             cols.append(_gradient(cj, target))
-        return cols
+        mat = cols[0]._new(np.stack([c.a for c in cols], axis=1))
+        gate_frame(_value_rows(mat), env.points)
+        return _invert_points(mat, self.space.ambient_dim)
 
-    def _invert(self, env):
-        with np.errstate(all="ignore"):
-            cols = self._columns(env, env.depth - self.cost)
-            mat = cols[0]._new(np.stack([c.a for c in cols], axis=1))
-            gate_frame(_value_rows(mat), env.points)
-            return _invert_points(mat, self.space.ambient_dim)
-
-    @property
-    def _cache(self):
-        return self._solve._cache
+    def at(self, env):
+        return self.inverse(env)
 
     def inverse(self, env):
-        return self._solve.at(env)
+        with np.errstate(all="ignore"):
+            return _Field.at(self, env)
 
     def _covector(self, rows, name) -> CovectorField:
         """The rows ``rows`` of the inverse, an index or a block."""
-        def fn(env):
-            inv = self.inverse(env)
-            return inv._new(inv.a[rows])
-
-        return CovectorField(self.space, fn, self.cost, name, (self._solve,))
+        return CovectorField(self.space, lambda env, inv: inv._new(
+            inv.a[rows]), self.cost, name, (self,))
 
     def coframe(self) -> tuple:
         """The covectors dual to the solver fields, rows of the inverse."""
@@ -1027,10 +1027,9 @@ class FrameSolver:
         self.cost)``: the inverse's rows contracted with X's components by
         :func:`_contract`, as in :meth:`coefficients`, member by member."""
         cost = max(X.cost, self.cost)
-        return VectorField(self.space, lambda env: _contract(
-            jets.truncate(self.inverse(env), env.depth - cost).a,
-            jets.truncate(X.at(env), env.depth - cost)), cost, X.name,
-            (X, self._solve))
+        return VectorField(self.space, lambda env, inv, xs: _contract(
+            jets.truncate(inv, env.depth - cost).a,
+            jets.truncate(xs, env.depth - cost)), cost, X.name, (self, X))
 
     def coefficients(self, env, comps) -> list:
         """Each point's frame coefficients of the vector whose components

@@ -200,7 +200,7 @@ class Scenario:
         env = self.space.seed_env(point, vf.cost, vf.name)
         with np.errstate(all="ignore"):
             comps = vf.at(env)
-        if vf.cost != self.solver.cost and not _reads(vf, self.solver._solve):
+        if vf.cost != self.solver.cost and not _reads(vf, self.solver):
             env = self.space.seed_env(point, self.solver.cost, "frame solve")
         rows = self.solver.coefficients(env, comps)
         named = [self._named(c) for c in rows]
@@ -238,16 +238,20 @@ def _table_row(scen: Scenario, row: ExpectedRow, coef: VectorField,
         if e is not None and not _is_zero(e)]
     oracles = [e for _, e in live if isinstance(e, _Field)]
 
-    def fn(env):
-        got = jets.truncate(coef.at(env), 0)
+    def fn(env, got, *values):
+        got = jets.truncate(got, 0)
         if not live:
             return got
+        values = iter(values)
         want = np.zeros(got.a.shape[-2:])
         env0 = {c: jets.truncate(x, 0) for c, x in env.items()}
-        pts = [Point(scen.space, v, cap) for v in env.points]
         for j, e in live:
-            want[j] = value_of(e.at(env)) if isinstance(e, _Field) else e(
-                pts) if callable(e) else value_of(ex.evaluate(_E(e), env0))
+            if isinstance(e, _Field):
+                want[j] = value_of(next(values))
+            elif callable(e):
+                want[j] = e([Point(scen.space, v, cap) for v in env.points])
+            else:
+                want[j] = value_of(ex.evaluate(_E(e), env0))
         return got._new(got.a - want)
 
     return VectorField(scen.space, fn, max([coef.cost] + [
@@ -595,37 +599,23 @@ def _tm_space(n: int, name: str) -> ChartedSpace:
                         base_coords=tuple(f"x{i}" for i in range(1, n + 1)))
 
 
-class _Oracle(ScalarField):
-    """An expected-table entry computed by a scalar field over the
-    scenario's coefficient or force fields, independently of the path it
-    checks: a table row reads it in the row's env, as an operand.  Called
-    at a point or a point set, like a plain callable entry, it gives its
-    value there, or one value per point, and stores nothing itself."""
-
-    __slots__ = ()
-
-    def __call__(self, point):
-        env = self.space.seed_env(point, self.cost, self.name)
-        with np.errstate(all="ignore"):
-            vals = np.broadcast_to(value_of(self._fn(env)),
-                                   (len(env.points),))
-        return vals if is_point_set(point) else float(vals[0])
-
-
-def _combined(op, *fields) -> _Oracle:
+# An oracle is an expected-table entry computed by a scalar field over the
+# scenario's coefficient or force fields, independently of the path it
+# checks: a table row reads it in the row's env, as an operand.
+def _combined(op, *fields) -> ScalarField:
     """``op`` of the fields' values, at the depth the costliest leaves."""
     names = ",".join(f.name for f in fields)
-    return _rule(_Oracle, fields, op, f"{op.__name__}({names})")
+    return _rule(ScalarField, fields, op, f"{op.__name__}({names})")
 
 
 _negated = partial(_combined, operator.neg)
 _difference = partial(_combined, operator.sub)
 
 
-def _slope(sf: ScalarField, coord: str) -> _Oracle:
+def _slope(sf: ScalarField, coord: str) -> ScalarField:
     """d(sf)/d(coord) as an oracle, via one jet level."""
     i = sf.space.index(coord)
-    return _rule(_Oracle, (sf,), lambda v: v.partials[i],
+    return _rule(ScalarField, (sf,), lambda v: v.partials[i],
                  f"d{coord}({sf.name})", 1)
 
 
@@ -785,7 +775,7 @@ def _curvature_bracket_oracle(space, g_expr, n, weights):
                 total = total + k * low[weights[d - 1]]
             return total
 
-        return _Oracle(space, fn, 1, f"K{c}_{a}{b}", ())
+        return ScalarField(space, fn, 1, f"K{c}_{a}{b}")
 
     return coefficient
 
@@ -844,21 +834,22 @@ def nonlinear_tangent(n: int, gamma: dict,
         # V_b(G^c_a), jet-differentiated
         return _slope(g_sf(c, a), f"u{b}")
 
-    def h_applied(a, sf: ScalarField) -> _Oracle:
+    def h_applied(a, sf: ScalarField) -> ScalarField:
         """H_a(sf) as an oracle: d/dx^a - G^e_a d/du^e applied."""
         coefs = [g_sf(e, a) for e in range(1, n + 1)]
         cost = max([sf.cost + 1] + [g.cost for g in coefs])
 
-        def fn(env):
+        def fn(env, sv, *gs):
             t = env.depth - cost
-            slopes = sf.at(env).partials
+            slopes = sv.partials
             out = _as_depth(slopes[space.index(f"x{a}")], t, env)
-            for e, g in enumerate(coefs, 1):
-                out = out - _as_depth(g.at(env), t, env) * _as_depth(
+            for e, g in enumerate(gs, 1):
+                out = out - _as_depth(g, t, env) * _as_depth(
                     slopes[space.index(f"u{e}")], t, env)
             return out
 
-        return _Oracle(space, fn, cost, f"H{a}({sf.name})", (sf, *coefs))
+        return ScalarField(space, fn, cost, f"H{a}({sf.name})",
+                           (sf, *coefs))
 
     def extra_rows(a, b):
         if a == b:
@@ -925,10 +916,8 @@ def sode_field(space, n: int, forces) -> VectorField:
     sfs = [_entry_scalar(space, f, f"f{b + 1}") for b, f in enumerate(forces)]
     cost = max(sf.cost for sf in sfs)
 
-    def fn(env):
-        out = [env[f"u{a}"] for a in range(1, n + 1)]
-        out += [sf.at(env) for sf in sfs]
-        return out
+    def fn(env, *fs):
+        return [env[f"u{a}"] for a in range(1, n + 1)] + list(fs)
 
     return VectorField(space, fn, cost, "Gamma", sfs)
 
@@ -975,11 +964,12 @@ def sode_projector(n: int, forces, cfg: CheckConfig = DEFAULT_CHECK,
         hs.append(h)
     gamma_sf = potential_connection(n, force_sf, space)
 
-    def d2f(c, a, b) -> _Oracle:
+    def d2f(c, a, b) -> ScalarField:
         # V_b(Y^c_a) = -(1/2) d2 f^c / du^a du^b, the lower variable first
         i, j = sorted(space.index(f"u{k}") for k in (a, b))
-        return _rule(_Oracle, (force_sf[c - 1],), lambda v: -0.5 * v.partials[
-            i].partials[j], f"d2f{c}_{a}{b}", 2, space)
+        return _rule(ScalarField, (force_sf[c - 1],),
+                     lambda v: -0.5 * v.partials[i].partials[j],
+                     f"d2f{c}_{a}{b}", 2, space)
 
     delta = dilation_field(space, n)
 
@@ -1029,9 +1019,8 @@ def _euler_defect(space, scalars, degree: float, cfg: CheckConfig,
     fibre = [f"u{a}" for a in range(1, space.dim // 2 + 1)]
 
     def defect(sf):
-        def fn(env):
+        def fn(env, val):
             t = env.depth - sf.cost - 1
-            val = sf.at(env)
             dil = jets.dot(
                 _comps_as_depth([env[u] for u in fibre], t, env),
                 _comps_as_depth([val.partials[space.index(u)]
@@ -1081,12 +1070,12 @@ def _reconstructed_forces(space, n: int, gamma_sf: dict) -> list:
     for b in range(1, n + 1):
         coefs = [g_sf(b, a) for a in range(1, n + 1)]
 
-        def fn(env, coefs=coefs):
+        def fn(env, *gs):
             t = env.depth - force_cost
             acc = 0.0
-            for a, g in enumerate(coefs, 1):
+            for a, g in enumerate(gs, 1):
                 ua = _as_depth(env[f"u{a}"], t, env)
-                ga = _as_depth(g.at(env), t, env)
+                ga = _as_depth(g, t, env)
                 acc = acc + ua * ga
             return -acc
 

@@ -700,13 +700,15 @@ def _jets_at(field, env, target=None):
 
 
 def _jet_inverse(solver, env):
-    """The frame solve at one point as plain Gauss-Jordan over ``Jet`` s
-    (the scalar reference of the batched elimination): partial pivoting on
-    the values, the first largest value wins, and a factor that is the
-    float 0.0 leaves its row alone."""
+    """The frame solve at one point of a chart without constraints as
+    plain Gauss-Jordan over ``Jet`` s (the scalar reference of the batched
+    elimination): the columns are the frame fields, the solve's operands,
+    at the depth it leaves; partial pivoting on the values, the first
+    largest value wins, and a factor that is the float 0.0 leaves its row
+    alone."""
+    assert not solver.space.constraints
     n = solver.space.ambient_dim
-    cols = [_at_point(c, 0) for c in
-            solver._columns(env, env.depth - solver.cost)]
+    cols = [_jets_at(f, env, env.depth - solver.cost) for f in solver.operands]
     aug = [[cols[j][i] for j in range(n)]
            + [1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
     for col in range(n):

@@ -802,9 +802,10 @@ def _per_row_table(scen, cfg):
     out = []
 
     def entry_values(entry, ps, env0):
+        if isinstance(entry, _Field):   # an oracle, read over the points
+            return [v for v, in entry.values(ps)]
         with np.errstate(all="ignore"):
-            vals = entry(ps) if callable(entry) else value_of(
-                ex.evaluate(sc._E(entry), env0))
+            vals = value_of(ex.evaluate(sc._E(entry), env0))
         return np.broadcast_to(vals, (len(ps),)).tolist()
 
     for row in scen.expected:
@@ -1294,7 +1295,7 @@ def test_every_computation_reads_its_operands(name, monkeypatch):
 
     _wrap_at(monkeypatch, enter, leave)
     sc.run_scenario_checks(_stack_scenario(name), STACK_CFG)
-    assert {"_Field", "ScalarField", "VectorField", "CovectorField"} \
+    assert {"FrameSolver", "ScalarField", "VectorField", "CovectorField"} \
         <= set(computed) and not rules
     assert wrong == []
 
@@ -1406,8 +1407,8 @@ def test_eval_query_reads_its_point_twice_and_the_solver_keeps_one(
     nothing of the query: a row whose field reads the frame solve (every
     op but a bracket) computes nothing more, and a bracket computes only
     the solve and the frame fields it reads.  After queries at two points,
-    the solver's ``_cache`` is still its solve's one dict, holding the
-    second point's entries alone."""
+    the solver's ``_cache`` is still the one dict it first stored in,
+    holding the second point's entries alone."""
     computed = []
 
     def count(field, env):
@@ -1418,7 +1419,7 @@ def test_eval_query_reads_its_point_twice_and_the_solver_keeps_one(
     cfg = CheckConfig()
     scen = sc.build_scenario(name, cfg)
     solver = scen.solver
-    allowed = {solver._solve, *solver.fields}
+    allowed = {solver, *solver.fields}
     points = _fresh_points(scen, cfg, len(scen.expected))
     for row, p in zip(scen.expected, points):
         out = op_field(scen.conn, scen.nabla, row.op,
@@ -1431,12 +1432,58 @@ def test_eval_query_reads_its_point_twice_and_the_solver_keeps_one(
         else:
             assert computed == [], (row.op, row.args)
     row = next(r for r in scen.expected if r.op == "nabla")
-    for p in points[:2]:
-        _answer(scen, row, p)
-    assert solver._cache is solver._solve._cache
+    _answer(scen, row, points[0])
+    cache = solver._cache
+    _answer(scen, row, points[1])
+    assert solver._cache is cache
     assert solver._cache
     assert {key[0] for key in solver._cache} == {
         PointSetKey([points[1].values])}
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS))
+def test_every_eval_computation_reads_its_operands(name, monkeypatch):
+    """An eval query for every expected row, ``out.values(p)`` and then
+    ``scen.coefficients(out, p)`` at a fresh point: each computation of a
+    field makes its direct ``at`` calls on other fields exactly on its
+    ``operands``, as a multiset, and the frame solve is read only from
+    inside ``FrameSolver.inverse``, the hook a profiler wraps."""
+    scen = sc.build_scenario(name, STACK_CFG)
+    frames, wrong, outside = [], [], []   # None: inside ``inverse``
+    computed = collections.Counter()
+
+    def enter(field, env):
+        if field.name == "frame solve" and frames[-1:] != [None]:
+            outside.append(frames[-1][0].name if frames else "a query")
+        reader = next((f for f in reversed(frames) if f is not None), None)
+        if reader is not None:
+            reader[1][field] += 1
+        frames.append((field, collections.Counter(),
+                       env.key not in field._cache))
+
+    def leave(field):
+        field, calls, fresh = frames.pop()
+        if fresh:
+            computed[field.name == "frame solve"] += 1
+            if calls != collections.Counter(field.operands):
+                wrong.append((field.name, sorted(f.name for f in calls),
+                              sorted(f.name for f in field.operands)))
+
+    def inverse(solver, env, _inverse=FrameSolver.inverse):
+        frames.append(None)
+        try:
+            return _inverse(solver, env)
+        finally:
+            frames.pop()
+
+    _wrap_at(monkeypatch, enter, leave)
+    monkeypatch.setattr(FrameSolver, "inverse", inverse)
+    points = _fresh_points(scen, STACK_CFG, len(scen.expected))
+    for row, p in zip(scen.expected, points):
+        _answer(scen, row, p)
+    assert computed[True] and computed[False] and not frames
+    assert wrong == []
+    assert outside == []
 
 
 # ---------------------------------------------------------------------------
@@ -1506,6 +1553,36 @@ def test_a_verification_leaves_its_build_as_it_found_it(name):
     assert live[2] == live[0], live
 
 
+_FAMILIES = (sc.expected_table_checks, sc.axiom_suite_checks,
+             sc.split_identity_checks, sc.torsion_curvature_checks,
+             sc.torsion_property_checks, sc.parallel_tensor_checks,
+             sc.parallelism_equivalence_checks)
+
+
+@pytest.mark.parametrize("name", sorted(sc.BUILTIN_BUILDERS) + ["frame3"])
+def test_a_family_called_directly_leaves_every_memo_as_built(name):
+    """Each check family and extra check, called on its own, builds its
+    checks inside the run it opens, so the run drops the memo entries the
+    construction adds: every ``Endo11`` and ``CovDeriv`` memo alive after
+    the build holds as many entries after all the calls, and no memo
+    created by them keeps one."""
+    scen = _stack_scenario(name)
+
+    def memos():
+        gc.collect()
+        return [o._memo for o in gc.get_objects()
+                if isinstance(o, (Endo11, CovDeriv))]
+
+    held = memos()
+    built = [len(m) for m in held]
+    for fam in _FAMILIES:
+        fam(scen, STACK_CFG)
+    for extra in scen.extra_checks:
+        extra(STACK_CFG)
+    assert [len(m) for m in held] == built
+    assert sum(map(len, memos())) == sum(built)
+
+
 # sode-tangent builds its horizontal frame fields as P_H(d/dx^a) through
 # the memo of its induced projector, which the connection does not hold;
 # P_H applies its parts through ``once``, so their memos add nothing
@@ -1571,8 +1648,9 @@ def _poison(field, target, slot: bool):
     value, or with ``slot`` its first first-order slot, where it has one."""
     fn = field._fn
 
-    def poisoned(env):
-        comps = geo._comps_as_depth(fn(env), env.depth - field.cost, env)
+    def poisoned(env, *values):
+        comps = geo._comps_as_depth(fn(env, *values), env.depth - field.cost,
+                                    env)
         if target not in env.points or slot and not comps.depth:
             return comps
         a = comps.a.copy()
